@@ -21,12 +21,19 @@ __all__ = ["main"]
 
 
 def _parse_eps(text: str) -> Fraction:
+    """An exact positive rational; argparse turns a refusal into exit 2."""
     if "." in text:
-        raise ValueError(
-            f"eps must be an exact rational like 1/3 (got {text!r}); "
+        raise argparse.ArgumentTypeError(
+            f"must be an exact rational like 1/3 (got {text!r}); "
             "decimal floats are rejected to keep the arithmetic exact"
         )
-    value = Fraction(text)
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"must be an exact rational like 1/3 (got {text!r})") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive (got {text!r})")
     return value
 
 
@@ -394,8 +401,15 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="seed for randomized modes")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end like every other bad input: one line, exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epsap",
         description="Recognize, construct, and exactly measure approximate "
                     "arithmetic progressions and cubes.")

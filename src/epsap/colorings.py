@@ -201,7 +201,11 @@ class AlternateLabeling:
             raise ValueError(f"x={x} outside domain 1..{self.domain_size}")
         return self.label_at(x)
 
-    def labels(self) -> tuple:
+    def labels(self, cap: int = DEFAULT_MATERIALIZE_CAP) -> tuple:
+        if self.domain_size > cap:
+            raise MemoryGuardExceeded(
+                f"labeling domain r*t*D={self.domain_size} exceeds materialize cap {cap}"
+            )
         return tuple(self.label(x) for x in range(1, self.domain_size + 1))
 
 

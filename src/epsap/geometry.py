@@ -7,10 +7,19 @@ common slack
 
     margin(d) = eps*d - (max_i(x_i - i*d) - min_i(x_i - i*d)) / 2
 
-over d > 0.  The margin is concave and piecewise linear in d, so its maximum
-is attained at one of the O(k^2) pairwise slopes (x_j - x_i)/(j - i); a
-positive maximum is equivalent to strict feasibility, and the midrange of
-{x_i - i*d} at the optimum gives the intercept a.
+over d > 0.  The margin is concave and piecewise linear in d, and its
+breakpoints are the edge slopes of the upper and lower convex hulls of the
+points (i, x_i): the max term changes its maximizer only along the upper
+hull, the min term only along the lower one.  Both hulls take O(k) to build
+(Andrew's monotone chain, the points already come sorted by i), and one merge
+walk along them evaluates the margin at every breakpoint in O(1) integer
+operations each, with eps = p/q and every candidate d = dy/dx kept as an
+integer pair.  A positive maximum is equivalent to strict feasibility, and
+the midrange of {x_i - i*d} at the smallest optimal d gives the intercept a.
+
+The closed feasible region of a partial tuple, which the searches use to
+prune, is kept the same way: its bounds on d are integer pairs compared by
+cross-multiplication.
 
 The m-D recognizer cannot stay rational (the constraints are Euclidean
 balls), so it minimizes g(d) = R(d) - eps*d numerically, where R(d) is the
@@ -120,6 +129,21 @@ def _margin_at(pts: tuple, e: Fraction, d: Fraction):
     return e * d - Fraction(hi - lo, 2), hi, lo
 
 
+def _hull_chain(pts: tuple, turn: int) -> list:
+    """Indices of the upper (turn=1) or lower (turn=-1) convex hull of the
+    points (i, pts[i]), left to right, without collinear vertices."""
+    chain = []
+    for i, x in enumerate(pts):
+        while len(chain) >= 2:
+            j, h = chain[-2], chain[-1]
+            y = pts[j]
+            if turn * ((h - j) * (x - y) - (pts[h] - y) * (i - j)) < 0:
+                break
+            chain.pop()
+        chain.append(i)
+    return chain
+
+
 def recognize_ap(points, eps) -> Optional[Witness1D]:
     """Decide exactly whether the points form an approximate progression.
 
@@ -136,40 +160,70 @@ def recognize_ap(points, eps) -> Optional[Witness1D]:
     pts = check_points_1d(points)
     e = check_epsilon(eps)
     k = len(pts)
+    p2, q = 2 * e.numerator, e.denominator
 
+    if p2 > q * (k - 1):  # eps > (k-1)/2
+        return _unbounded_witness(pts, e)
+
+    # Breakpoints in increasing d: the upper hull's edges right to left, the
+    # lower hull's left to right, each as (dy, dx, vertex).  Past an upper
+    # edge (i0, i1) the max term's maximizer is i0; past a lower edge the min
+    # term's minimizer is i1; at the breakpoint both ends attain the extreme.
+    upper = _hull_chain(pts, 1)
+    lower = _hull_chain(pts, -1)
+    ups = [(pts[i1] - pts[i0], i1 - i0, i0)
+           for i0, i1 in zip(upper[-2::-1], upper[:0:-1])]
+    lows = [(pts[i1] - pts[i0], i1 - i0, i1) for i0, i1 in zip(lower, lower[1:])]
+    u, l = k - 1, 0
+    nu = nl = 0
+    best = None  # (numerator, dy, dx, u, l); margin = numerator / (2*q*dx)
+    while nu < len(ups) or nl < len(lows):
+        if nl == len(lows) or (
+                nu < len(ups) and ups[nu][0] * lows[nl][1] <= lows[nl][0] * ups[nu][1]):
+            dy, dx, u = ups[nu]
+            nu += 1
+        else:
+            dy, dx, l = lows[nl]
+            nl += 1
+        num = dy * (p2 + q * (u - l)) - q * dx * (pts[u] - pts[l])
+        if best is None or num * best[2] > best[0] * dx:
+            best = (num, dy, dx, u, l)
+        elif num * best[2] < best[0] * dx:
+            break  # the margin is concave: past its peak it only falls
+
+    num, dy, dx, u, l = best
+    if num <= 0:
+        return None
+    return Witness1D(
+        a=Fraction((pts[u] + pts[l]) * dx - (u + l) * dy, 2 * dx),
+        d=Fraction(dy, dx),
+        margin=Fraction(num, 2 * q * dx),
+    )
+
+
+def _unbounded_witness(pts: tuple, e: Fraction) -> Witness1D:
+    """Canonical finite witness when eps > (k-1)/2 makes the slack unbounded.
+
+    No maximizer exists (indexed recognition with a huge eps only), so the
+    witness is the smallest pairwise slope with positive margin, else the
+    point on the final ray where the margin reaches 1.
+    """
+    k = len(pts)
     breaks = sorted(
         {Fraction(pts[j] - pts[i], j - i) for i in range(k) for j in range(i + 1, k)}
     )
-
-    best = best_hi = best_lo = best_d = None
     for d in breaks:
         m, hi, lo = _margin_at(pts, e, d)
-        if best is None or m > best:
-            best, best_hi, best_lo, best_d = m, hi, lo, d
-
-    # Slope of the margin on the final ray: beyond the last breakpoint the
-    # extreme offsets are i=0 and i=k-1, so spread grows at rate k-1.
-    tail_slope = e - Fraction(k - 1, 2)
-    if tail_slope > 0:
-        # The slack is unbounded above (only reachable for eps >= (k-1)/2,
-        # i.e. indexed recognition with a huge eps); no maximizer exists, so
-        # return a canonical finite witness: the smallest breakpoint with
-        # positive margin, else the point on the final ray where the margin
-        # reaches 1.
-        for d in breaks:
-            m, hi, lo = _margin_at(pts, e, d)
-            if m > 0:
-                break
-        else:
-            d0 = breaks[-1]
-            m0, _, _ = _margin_at(pts, e, d0)
-            d = d0 + (1 - m0) / tail_slope
-            m, hi, lo = _margin_at(pts, e, d)
-        return Witness1D(a=Fraction(hi + lo, 2), d=d, margin=m)
-
-    if best <= 0:
-        return None
-    return Witness1D(a=Fraction(best_hi + best_lo, 2), d=best_d, margin=best)
+        if m > 0:
+            break
+    else:
+        # Beyond the last breakpoint the extreme offsets are i=0 and i=k-1,
+        # so the margin grows at rate eps - (k-1)/2.
+        d0 = breaks[-1]
+        m0, _, _ = _margin_at(pts, e, d0)
+        d = d0 + (1 - m0) / (e - Fraction(k - 1, 2))
+        m, hi, lo = _margin_at(pts, e, d)
+    return Witness1D(a=Fraction(hi + lo, 2), d=d, margin=m)
 
 
 def gap_ratio_filter(points, eps) -> bool:
@@ -193,7 +247,7 @@ def gap_ratio_filter(points, eps) -> bool:
 # Incremental closed feasible region in the (a, d) half-plane
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeasibleRegion2D:
     """Closed relaxation of the witness constraints for a partial tuple.
 
@@ -201,16 +255,41 @@ class FeasibleRegion2D:
     a + (i - eps)*d <= x_i <= a + (i + eps)*d for every added (i, x_i).
     It is stored by its exact projection onto the d axis (Fourier-Motzkin
     elimination of a): the region is nonempty iff d_lo <= d_hi and no
-    degenerate constant constraint failed.  Emptiness of the closed region is
-    a sound prune only; open infeasibility is decided by recognize_ap.
+    degenerate constant constraint failed.  The bounds are kept as integer
+    pairs lo = (num, den) and hi = (num, den), den > 0, compared by
+    cross-multiplication; d_lo and d_hi give them as Fractions.  Emptiness
+    of the closed region is a sound prune; for distinct points the open
+    region (strict inequalities, d > 0) is nonempty exactly when
+    d_lo < d_hi, which is what recognize_ap accepts.
     """
 
     k: int
     eps: Fraction
     points: tuple
-    d_lo: Fraction
-    d_hi: Optional[Fraction]  # None means unbounded above
+    lo: tuple  # (num, den): d >= num/den
+    hi: Optional[tuple]  # (num, den): d <= num/den; None means unbounded above
     degenerate_infeasible: bool = False
+
+    @property
+    def d_lo(self) -> Fraction:
+        return Fraction(*self.lo)
+
+    @property
+    def d_hi(self) -> Optional[Fraction]:
+        return None if self.hi is None else Fraction(*self.hi)
+
+    # The pairs are not reduced, so equality goes through their values.
+    def _key(self) -> tuple:
+        return (self.k, self.eps, self.points, self.d_lo, self.d_hi,
+                self.degenerate_infeasible)
+
+    def __eq__(self, other):
+        if not isinstance(other, FeasibleRegion2D):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def contains(self, a, d) -> bool:
         """Exact closed membership test for a candidate (a, d)."""
@@ -227,7 +306,7 @@ def region_new(k: int, eps) -> FeasibleRegion2D:
     e = check_epsilon(eps)
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    return FeasibleRegion2D(k=k, eps=e, points=(), d_lo=Fraction(0), d_hi=None)
+    return FeasibleRegion2D(k=k, eps=e, points=(), lo=(0, 1), hi=None)
 
 
 def region_add_point(region: FeasibleRegion2D, i: int, x_i: int) -> FeasibleRegion2D:
@@ -236,32 +315,34 @@ def region_add_point(region: FeasibleRegion2D, i: int, x_i: int) -> FeasibleRegi
         raise ValueError(f"index {i} out of range for k={region.k}")
     if region.points and i <= region.points[-1][0]:
         raise ValueError("indices must be added in increasing order")
-    d_lo, d_hi = region.d_lo, region.d_hi
+    p2, q = 2 * region.eps.numerator, region.eps.denominator
+    lo_n, lo_d = region.lo
+    hi = region.hi
     degenerate = region.degenerate_infeasible
-    # Eliminating a from the pair of box constraints for (j, y) and (i, x)
-    # leaves, for each ordered pair, the linear inequality
-    #     dst - src <= (i_dst - i_src + 2*eps) * d.
-    for j, y in region.points + ((i, x_i),):
-        for (ia, xa), (ib, xb) in (((j, y), (i, x_i)), ((i, x_i), (j, y))):
-            c = Fraction(ib - ia) + 2 * region.eps
-            rhs = Fraction(xb - xa)
-            if c > 0:
-                bound = rhs / c
-                if bound > d_lo:
-                    d_lo = bound
-            elif c == 0:
-                if rhs > 0:
-                    degenerate = True
-            else:
-                bound = rhs / c
-                if d_hi is None or bound < d_hi:
-                    d_hi = bound
+    # Eliminating a from the box constraints of an earlier (j, y) and of
+    # (i, x_i), with eps = p/q and gap = q*(x_i - y), leaves
+    #     gap <= (q*(i - j) + 2p) * d   and   (q*(i - j) - 2p) * d <= gap.
+    # The first coefficient is positive; the second takes every sign.
+    for j, y in region.points:
+        gap = q * (x_i - y)
+        span = q * (i - j)
+        if gap * lo_d > lo_n * (span + p2):
+            lo_n, lo_d = gap, span + p2
+        c = span - p2
+        if c > 0:
+            if hi is None or gap * hi[1] < hi[0] * c:
+                hi = (gap, c)
+        elif c < 0:
+            if gap * lo_d < lo_n * c:
+                lo_n, lo_d = -gap, -c
+        elif gap < 0:
+            degenerate = True
     return FeasibleRegion2D(
         k=region.k,
         eps=region.eps,
         points=region.points + ((i, x_i),),
-        d_lo=d_lo,
-        d_hi=d_hi,
+        lo=(lo_n, lo_d),
+        hi=hi,
         degenerate_infeasible=degenerate,
     )
 
@@ -269,7 +350,17 @@ def region_add_point(region: FeasibleRegion2D, i: int, x_i: int) -> FeasibleRegi
 def region_closed_empty(region: FeasibleRegion2D) -> bool:
     if region.degenerate_infeasible:
         return True
-    return region.d_hi is not None and region.d_hi < region.d_lo
+    hi = region.hi
+    return hi is not None and hi[0] * region.lo[1] < region.lo[0] * hi[1]
+
+
+def region_open_feasible(region: FeasibleRegion2D) -> bool:
+    """Strict feasibility of the added points: d_lo < d_hi and no degenerate
+    failure.  Exact for distinct points, which is all the searches add."""
+    if region.degenerate_infeasible:
+        return False
+    hi = region.hi
+    return hi is None or region.lo[0] * hi[1] < hi[0] * region.lo[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exact desk-scale searches: hypergraph enumeration, least forcing N, max free sets.
 
 Everything here is exhaustive and exact.  Enumeration prunes k-tuples with
-the closed (a, d) region from the geometry module and confirms full tuples
-with the exact recognizer, so pruned output equals naive output.  Coloring
+the closed (a, d) region from the geometry module and accepts a full tuple
+exactly when its open region is nonempty, which is the exact recognizer's
+verdict, so pruned output equals naive output.  Coloring
 and subset searches are plain backtracking with canonical tie-breaking, so
 results are deterministic and independent of any scheduling.
 """
@@ -21,6 +22,7 @@ from .geometry import (
     region_add_point,
     region_closed_empty,
     region_new,
+    region_open_feasible,
 )
 
 __all__ = [
@@ -77,7 +79,11 @@ class _Budget:
 
 
 def _dfs_eps_aps(candidates, k, eps, budget, first_only):
-    """Lex DFS over increasing k-tuples of candidates with region pruning."""
+    """Lex DFS over increasing k-tuples of candidates with region pruning.
+
+    Returns (tuple, witness) pairs; the witness is recognize_ap's for
+    first_only searches and None for enumerations, which discard it.
+    """
     found = []
     n = len(candidates)
 
@@ -85,15 +91,21 @@ def _dfs_eps_aps(candidates, k, eps, budget, first_only):
         budget.spend()
         depth = len(chosen)
         if depth == k:
-            w = recognize_ap(chosen, eps)
-            if w is not None:
-                found.append((tuple(chosen), w))
+            if region_open_feasible(region):
+                found.append((tuple(chosen),
+                              recognize_ap(chosen, eps) if first_only else None))
             return bool(found) and first_only
+        seen = False
         for idx in range(start, n - (k - depth) + 1):
             x = candidates[idx]
             r2 = region_add_point(region, depth, x)
             if region_closed_empty(r2):
+                # The x keeping the closed region nonempty form an interval
+                # (projection of a convex set), and candidates increase.
+                if seen:
+                    break
                 continue
+            seen = True
             chosen.append(x)
             done = recurse(idx + 1, chosen, r2)
             chosen.pop()

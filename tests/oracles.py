@@ -1,8 +1,9 @@
 """Independent brute-force oracles the test suite checks the library against.
 
-These deliberately share no code path with the library: the 1-D oracle
-enumerates vertices of the slack LP in (a, d, s) by solving raw 3x3 integer
-systems, and the enclosing-ball oracle tries every pair and triple circle.
+These deliberately share no code path with the library: the 1-D oracles
+enumerate vertices of the slack LP in (a, d, s) by solving raw 3x3 integer
+systems, or evaluate the margin at every pairwise slope, and the
+enclosing-ball oracle tries every pair and triple circle.
 """
 
 import math
@@ -57,6 +58,54 @@ def lp_vertex_accepts(points, eps: Fraction) -> bool:
         ):
             return True
     return False
+
+
+def _pairwise_margin_at(pts, e, d):
+    offs = [x - i * d for i, x in enumerate(pts)]
+    hi, lo = max(offs), min(offs)
+    return e * d - Fraction(hi - lo, 2), hi, lo
+
+
+def pairwise_recognize_ap(points, eps: Fraction):
+    """Margin-maximizing (a, d, margin) over all O(k^2) pairwise slopes, or None.
+
+    The margin eps*d - (max_i(x_i - i*d) - min_i(x_i - i*d))/2 is concave and
+    piecewise linear in d with every breakpoint among the slopes
+    (x_j - x_i)/(j - i), so this scan finds its maximum (smallest optimal d)
+    at O(k) Fraction operations per slope.  When eps > (k-1)/2 the margin is
+    unbounded and the canonical witness is the smallest slope with positive
+    margin, else the point on the final ray where the margin reaches 1.
+    """
+    pts = tuple(points)
+    e = Fraction(eps)
+    k = len(pts)
+
+    breaks = sorted(
+        {Fraction(pts[j] - pts[i], j - i) for i in range(k) for j in range(i + 1, k)}
+    )
+
+    best = best_hi = best_lo = best_d = None
+    for d in breaks:
+        m, hi, lo = _pairwise_margin_at(pts, e, d)
+        if best is None or m > best:
+            best, best_hi, best_lo, best_d = m, hi, lo, d
+
+    tail_slope = e - Fraction(k - 1, 2)
+    if tail_slope > 0:
+        for d in breaks:
+            m, hi, lo = _pairwise_margin_at(pts, e, d)
+            if m > 0:
+                break
+        else:
+            d0 = breaks[-1]
+            m0, _, _ = _pairwise_margin_at(pts, e, d0)
+            d = d0 + (1 - m0) / tail_slope
+            m, hi, lo = _pairwise_margin_at(pts, e, d)
+        return Fraction(hi + lo, 2), d, m
+
+    if best <= 0:
+        return None
+    return Fraction(best_hi + best_lo, 2), best_d, best
 
 
 def naive_eps_ap_subsets(universe, k, eps, recognizer):

@@ -92,6 +92,13 @@ def test_alternate_labeling_offsets_are_shifts():
         assert shifted[off * 2:] == base[:len(base) - off * 2]
 
 
+def test_alternate_labeling_materialization_is_capped():
+    lab = build_alternate_labeling(2, 1_000_000, 1000, 0)
+    with pytest.raises(MemoryGuardExceeded):
+        lab.labels()
+    assert lab.label(2_000_000_000) == -1  # single labels stay available
+
+
 def test_alternate_labeling_validation():
     with pytest.raises(ValueError):
         build_alternate_labeling(1, 2, 2, 0)

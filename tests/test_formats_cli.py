@@ -83,6 +83,21 @@ def test_cli_rejects_decimal_eps(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("eps", ["1/0", "0", "0/5", "-1/3", "abc"])
+def test_cli_rejects_bad_eps_in_one_line(capsys, eps):
+    code, out, err = run_cli(capsys, "recognize", "ap", "--points", "1,3,6",
+                             f"--eps={eps}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "--eps" in err
+
+
+def test_cli_alternate_is_capped(capsys):
+    code, out, err = run_cli(capsys, "construct", "alternate", "--r", "2",
+                             "--D", "1000000", "--t", "1000")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "exceeds materialize cap" in err
+
+
 def test_cli_wnumber_pigeonhole(capsys):
     code, out, _ = run_cli(capsys, "wnumber", "--k", "2", "--r", "3",
                            "--eps", "1/4", "--nmax", "10", "--json")

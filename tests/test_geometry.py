@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsap.geometry import (
+    FeasibleRegion2D,
     IndexedGrid,
     IndexingError,
     Witness1D,
@@ -17,8 +20,9 @@ from epsap.geometry import (
     region_add_point,
     region_closed_empty,
     region_new,
+    region_open_feasible,
 )
-from oracles import lp_vertex_accepts, naive_enclosing_circle_2d
+from oracles import lp_vertex_accepts, naive_enclosing_circle_2d, pairwise_recognize_ap
 
 F = Fraction
 
@@ -147,6 +151,53 @@ def test_agrees_with_lp_vertex_oracle_small():
             assert got == want, (pts, eps)
 
 
+@st.composite
+def near_progressions(draw, max_k):
+    """Strictly increasing integers whose gaps scatter around a common step."""
+    k = draw(st.integers(2, max_k))
+    step = draw(st.integers(1, 60))
+    jitter = draw(st.integers(0, step))
+    gap = st.integers(max(1, step - jitter), step + jitter)
+    start = draw(st.integers(-100, 100))
+    gaps = draw(st.lists(gap, min_size=k - 1, max_size=k - 1))
+    return tuple(accumulate([start] + gaps))
+
+
+def epsilons(k):
+    """Small and large eps, on both sides of (k-1)/2 and right at it."""
+    return st.one_of(
+        st.builds(F, st.integers(1, 9), st.integers(10, 200)),
+        st.builds(F, st.integers(1, 4 * k), st.integers(1, 8)),
+        st.just(F(k - 1, 2)),
+    )
+
+
+def _witness_tuple(w):
+    return None if w is None else (w.a, w.d, w.margin)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_hull_walk_matches_pairwise_oracle(data):
+    pts = data.draw(near_progressions(40))
+    eps = data.draw(epsilons(len(pts)))
+    w = recognize_ap(pts, eps)
+    assert _witness_tuple(w) == pairwise_recognize_ap(pts, eps)
+    region = region_new(len(pts), eps)
+    for i, x in enumerate(pts):
+        region = region_add_point(region, i, x)
+    assert region_open_feasible(region) == (w is not None)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_hull_walk_agrees_with_lp_vertex_oracle(data):
+    pts = data.draw(near_progressions(8))
+    k = len(pts)
+    eps = data.draw(epsilons(k).filter(lambda e: e < F(k - 1, 2)))
+    assert (recognize_ap(pts, eps) is not None) == lp_vertex_accepts(pts, eps)
+
+
 # ---------------------------------------------------------------------------
 # Gap ratio filter
 # ---------------------------------------------------------------------------
@@ -206,6 +257,60 @@ def test_region_indices_must_increase():
     r = region_add_point(region_new(3, F(1, 3)), 1, 5)
     with pytest.raises(ValueError):
         region_add_point(r, 1, 7)
+
+
+def test_region_bounds_at_large_eps():
+    # eps = p/q; the pair (j, y), (i, x) bounds d through q*(i - j) - 2p,
+    # which is positive (an upper bound), zero (a constant constraint) or
+    # negative (a lower bound) depending on eps and i - j.
+    half = region_new(3, F(1, 2))
+    r = region_add_point(region_add_point(half, 0, 3), 1, 5)  # zero, holds
+    assert (r.d_lo, r.d_hi, region_closed_empty(r)) == (F(1), None, False)
+    r = region_add_point(r, 2, 6)  # i - j = 2: positive, d <= (6 - 3)/1
+    assert (r.d_lo, r.d_hi, region_closed_empty(r)) == (F(1), F(3), False)
+    r = region_add_point(region_add_point(half, 0, 5), 1, 3)  # zero, fails
+    assert r.degenerate_infeasible and region_closed_empty(r)
+    assert not region_open_feasible(r)
+    r = region_add_point(region_add_point(region_new(3, F(3, 4)), 0, 5), 1, 3)
+    assert (r.d_lo, r.d_hi) == (F(4), None)  # negative: d >= 2/(3/2 - 1)
+    assert r.contains(2, 4) and not r.contains(2, F(399, 100))
+
+
+def test_region_equality_is_by_value():
+    built = region_add_point(region_add_point(region_new(3, F(1, 4)), 0, 0), 1, 2)
+    assert built.lo == (8, 6)  # stored unreduced
+    direct = FeasibleRegion2D(k=3, eps=F(1, 4), points=((0, 0), (1, 2)),
+                              lo=(4, 3), hi=(4, 1))
+    assert built == direct and hash(built) == hash(direct)
+    assert built != FeasibleRegion2D(k=3, eps=F(1, 4), points=((0, 0), (1, 2)),
+                                     lo=(4, 3), hi=(5, 1))
+
+
+def test_region_bounds_match_pointwise_projection():
+    # The region's d-interval is exactly the set of d >= 0 at which some a
+    # satisfies every closed constraint; points need not increase here.
+    rng = random.Random(31)
+    ladder = [F(0), F(1, 7), F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(4)]
+    for _ in range(300):
+        k = rng.randint(2, 5)
+        eps = rng.choice((F(2, 5), F(1, 2), F(3, 4), F(1), F(3, 2), F(7, 3)))
+        pts = [(i, rng.randint(-6, 6)) for i in sorted(rng.sample(range(k), rng.randint(1, k)))]
+        r = region_new(k, eps)
+        for i, x in pts:
+            r = region_add_point(r, i, x)
+        probes = set(ladder) | {r.d_lo, r.d_lo + F(1, 1000)}
+        if r.d_lo > 0:
+            probes.add(r.d_lo - F(1, 1000))
+        if r.d_hi is not None:
+            probes |= {r.d_hi, r.d_hi + F(1, 1000)}
+        for d in probes:
+            feasible = (max(x - (i + eps) * d for i, x in pts)
+                        <= min(x - (i - eps) * d for i, x in pts))
+            inside = (not r.degenerate_infeasible and r.d_lo <= d
+                      and (r.d_hi is None or d <= r.d_hi))
+            assert feasible == inside, (pts, eps, d)
+        assert region_closed_empty(r) == (
+            r.degenerate_infeasible or (r.d_hi is not None and r.d_hi < r.d_lo))
 
 
 def test_region_prune_is_sound():

@@ -38,7 +38,8 @@ def test_enumerate_contains_known_edges():
 
 
 def test_enumerate_equals_naive():
-    for n, k, eps in product(range(2, 11), (3, 4), (F(1, 10), F(1, 4), F(1, 3))):
+    epsilons = (F(1, 20), F(1, 10), F(1, 4), F(1, 3), F(2, 5), F(49, 100))
+    for n, k, eps in product(range(2, 11), (2, 3, 4, 5), epsilons):
         pruned = enumerate_eps_aps(n, k, eps).edges
         naive = naive_eps_ap_subsets(range(1, n + 1), k, eps, recognize_ap)
         assert pruned == naive, (n, k, eps)
@@ -74,6 +75,56 @@ def test_find_in_points_lex_first():
     hit = find_eps_ap_in_points((1, 2, 3, 4, 5), 3, F(1, 4))
     assert hit is not None and hit[0] == (1, 2, 3)
     assert find_eps_ap_in_points((1, 2, 10), 3, F(1, 10)) is None
+
+
+# ---------------------------------------------------------------------------
+# Search-tree pins: the node counts of the lex DFS.  Kernel changes may make
+# a node cheaper but must visit exactly the same nodes.
+# ---------------------------------------------------------------------------
+
+def _assert_spends_exactly(search_call, nodes):
+    """The call fits a work cap of `nodes` but not one of `nodes - 1`."""
+    result = search_call(work_cap=nodes)
+    with pytest.raises(SearchCapExceeded):
+        search_call(work_cap=nodes - 1)
+    return result
+
+
+@pytest.mark.parametrize("N, k, eps, nodes, edges", [
+    (30, 3, F(1, 10), 1409, 824),
+    (20, 4, F(1, 4), 2265, 1060),
+    (16, 5, F(2, 5), 3798, 2106),
+])
+def test_enumerate_search_tree_is_pinned(N, k, eps, nodes, edges):
+    h = _assert_spends_exactly(lambda work_cap: enumerate_eps_aps(N, k, eps, work_cap),
+                               nodes)
+    assert len(h.edges) == edges
+
+
+@pytest.mark.parametrize("points, k, eps, nodes, hit", [
+    (tuple(3 ** i for i in range(14)), 3, F(1, 10), 91, None),
+    ((1, 2, 4, 8, 9, 13, 17, 30, 31, 33, 50), 4, F(1, 5), 7,
+     ((1, 4, 8, 13), (F(1, 2), F(4), F(3, 10)))),
+    (tuple(i ** 3 for i in range(1, 30)), 4, F(1, 20), 19,
+     ((1, 1331, 2744, 4096), (F(-79, 4), F(2743, 2), F(1913, 40)))),
+])
+def test_find_search_tree_is_pinned(points, k, eps, nodes, hit):
+    found = _assert_spends_exactly(
+        lambda work_cap: find_eps_ap_in_points(points, k, eps, work_cap), nodes)
+    if hit is None:
+        assert found is None
+    else:
+        subset, w = found
+        assert (subset, (w.a, w.d, w.margin)) == hit
+
+
+@pytest.mark.parametrize("k, r, eps, value, nodes", [
+    (3, 2, F(1, 3), 5, 60),
+    (4, 2, F(1, 5), 17, 4119),
+])
+def test_w_search_tree_is_pinned(k, r, eps, value, nodes):
+    out = exact_W(k, r, eps, 60)
+    assert (out.kind, out.value, out.nodes) == ("value", value, nodes)
 
 
 # ---------------------------------------------------------------------------
