@@ -54,10 +54,8 @@ from .search import (
     enumerate_exact_aps,
     exact_W,
     exact_f,
-    export_hypergraph,
     find_eps_ap_in_points,
     max_exact_ap_free,
-    parse_hypergraph,
 )
 
 __version__ = "0.1.0"

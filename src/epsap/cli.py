@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -342,7 +341,7 @@ def _cmd_density(args) -> int:
 
 def _cmd_hypergraph(args) -> int:
     h = search.enumerate_eps_aps(args.N, args.k, args.eps, work_cap=args.work_cap)
-    body = search.export_hypergraph(h)
+    body = formats.write_hypergraph(h)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(body)
@@ -393,10 +392,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         default="text", help="output format")
     parser.add_argument("--json", dest="format", action="store_const",
                         const="json", help="shorthand for --format json")
-    parser.add_argument("--workers", type=int,
-                        default=int(os.environ.get("EPSAP_WORKERS", "1")),
-                        help="worker count (results are schedule-independent; "
-                             "current implementation runs on one worker)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized modes")
 
@@ -562,9 +557,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.workers < 1:
-        sys.stderr.write("error: --workers must be >= 1\n")
-        return 2
     if getattr(args, "command", None) == "density":
         if not args.exact_aps and args.eps is None:
             sys.stderr.write("error: density needs --eps unless --exact-aps is given\n")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .errors import MemoryGuardExceeded, SearchCapExceeded
+from .errors import Budget, MemoryGuardExceeded, SearchCapExceeded
 from .geometry import (
     IndexedGrid,
     WitnessMD,
@@ -24,6 +24,7 @@ from .geometry import (
     recognize_cube,
 )
 from .rational import ceil_frac, floor_frac, to_fraction
+from .search import _greedy, max_exact_ap_free
 
 __all__ = [
     "ApkFreeProvider",
@@ -43,7 +44,9 @@ __all__ = [
 class ApkFreeProvider:
     """Source of k-progression-free subsets of an interval.
 
-    modes: "exact" (maximum set by branch and bound, lex-smallest tie),
+    modes: "exact" (maximum set by branch and bound, lex-smallest tie; the
+    search is capped by search.DEFAULT_WORK_CAP nodes and raises
+    SearchCapExceeded rather than return a set not known to be maximum),
     "behrend3" (sphere digit construction, k = 3 only), "greedy", or "auto"
     which picks exact up to exact_cap elements, then behrend3 for k = 3,
     else greedy.
@@ -60,49 +63,14 @@ class ApkFreeProvider:
 DEFAULT_PROVIDER = ApkFreeProvider()
 
 
-def _forms_exact_ap_ending(x: int, chosen: set, k: int) -> bool:
+def _forms_exact_ap_ending(x: int, chosen: list, k: int) -> bool:
+    """Does x end an exact k-progression whose other terms are chosen?"""
     d = 1
     while x - (k - 1) * d >= 0:
-        if all(x - i * d in chosen for i in range(1, k)):
+        if all(chosen[x - i * d] for i in range(1, k)):
             return True
         d += 1
     return False
-
-
-def _greedy_ap_free(n: int, k: int) -> tuple:
-    chosen = set()
-    for x in range(n):
-        if not _forms_exact_ap_ending(x, chosen, k):
-            chosen.add(x)
-    return tuple(sorted(chosen))
-
-
-def _max_ap_free_exact(n: int, k: int) -> tuple:
-    """Maximum k-progression-free subset of {0..n-1}, lex-smallest among ties.
-
-    Include-first branch and bound; cost grows exponentially with n, which is
-    why the provider caps this mode.
-    """
-    best = {"size": -1, "set": ()}
-    chosen: set = set()
-
-    def recurse(x: int, picked: list):
-        if len(picked) + (n - x) <= best["size"]:
-            return
-        if x == n:
-            best["size"] = len(picked)
-            best["set"] = tuple(picked)
-            return
-        if not _forms_exact_ap_ending(x, chosen, k):
-            chosen.add(x)
-            picked.append(x)
-            recurse(x + 1, picked)
-            picked.pop()
-            chosen.discard(x)
-        recurse(x + 1, picked)
-
-    recurse(0, [])
-    return best["set"]
 
 
 def _behrend3(n: int) -> tuple:
@@ -155,13 +123,16 @@ def apk_free_set(lo: int, hi: int, k: int,
             raise ValueError(
                 f"exact mode capped at {provider.exact_cap} elements, interval has {n}"
             )
-        base = _max_ap_free_exact(n, k)
+        outcome = max_exact_ap_free(n, k)
+        if outcome.kind != "value":
+            raise SearchCapExceeded(f"exact provider hit the work cap on {n} elements")
+        base = tuple(x - 1 for x in outcome.witness)
     elif mode == "behrend3":
         if k != 3:
             raise ValueError(f"behrend3 provider is only valid for k=3, got k={k}")
         base = _behrend3(n)
     else:
-        base = _greedy_ap_free(n, k)
+        base = _greedy(n, lambda x, chosen: _forms_exact_ap_ending(x, chosen, k))
     return tuple(x + lo for x in base)
 
 
@@ -404,7 +375,7 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
             raise ValueError(f"point {p!r} is not {m}-dimensional")
 
     two_eps = 2 * e
-    budget = [node_cap]
+    budget = Budget(node_cap)
 
     def narrowed(d_lo, d_hi, v, p, assigned):
         """Intersect the d interval with the constraints p brings against
@@ -436,9 +407,7 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
     used: set = set()
 
     def recurse(slot_idx: int, d_lo, d_hi):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SearchCapExceeded("cube search node cap exceeded")
+        budget.spend()
         if slot_idx == total:
             grid = IndexedGrid(m=m, k=k,
                                assignment={v: p for v, p in assigned})

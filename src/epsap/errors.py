@@ -1,8 +1,27 @@
-"""Shared exception types."""
+"""Shared exception types and the work budget that raises one."""
 
 
 class SearchCapExceeded(RuntimeError):
     """A search exceeded its configured node/work budget."""
+
+
+class Budget:
+    """A work cap spent one unit per search node."""
+
+    __slots__ = ("cap", "left")
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.left = cap
+
+    @property
+    def spent(self) -> int:
+        return self.cap - self.left
+
+    def spend(self):
+        self.left -= 1
+        if self.left < 0:
+            raise SearchCapExceeded(f"search work cap of {self.cap} nodes exceeded")
 
 
 class MemoryGuardExceeded(RuntimeError):

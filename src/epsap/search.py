@@ -13,9 +13,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Optional
 
-from .errors import SearchCapExceeded
+from .errors import Budget, SearchCapExceeded
 from .geometry import (
     check_epsilon,
     recognize_ap,
@@ -35,8 +36,6 @@ __all__ = [
     "exact_W",
     "exact_f",
     "max_exact_ap_free",
-    "export_hypergraph",
-    "parse_hypergraph",
 ]
 
 DEFAULT_WORK_CAP = 20_000_000
@@ -59,23 +58,6 @@ class SearchOutcome:
     witness: object
     nodes: int
     seconds: float
-
-
-class _Budget:
-    __slots__ = ("cap", "left")
-
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.left = cap
-
-    @property
-    def spent(self) -> int:
-        return self.cap - self.left
-
-    def spend(self, n: int = 1):
-        self.left -= n
-        if self.left < 0:
-            raise SearchCapExceeded("search work cap exceeded")
 
 
 def _dfs_eps_aps(candidates, k, eps, budget, first_only):
@@ -123,7 +105,7 @@ def enumerate_eps_aps(N: int, k: int, eps,
     if N < 0 or k < 2:
         raise ValueError(f"need N >= 0 and k >= 2, got N={N}, k={k}")
     e = check_epsilon(eps, set_level=True)
-    budget = _Budget(work_cap)
+    budget = Budget(work_cap)
     hits = _dfs_eps_aps(tuple(range(1, N + 1)), k, e, budget, first_only=False)
     return EpsApHypergraph(N=N, k=k, eps=e, edges=tuple(s for s, _ in hits))
 
@@ -151,7 +133,7 @@ def find_eps_ap_in_points(points, k: int, eps,
         return None
     if any(a >= b for a, b in zip(pts, pts[1:])):
         raise ValueError("candidate points must be strictly increasing")
-    budget = _Budget(work_cap)
+    budget = Budget(work_cap)
     hits = _dfs_eps_aps(pts, k, e, budget, first_only=True)
     return hits[0] if hits else None
 
@@ -208,7 +190,7 @@ def arrow_decision(N: int, k: int, r: int, eps,
 
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
-    budget = _Budget(work_cap)
+    budget = Budget(work_cap)
     hits = _dfs_eps_aps(tuple(range(1, N + 1)), k,
                         check_epsilon(eps, set_level=True), budget, False)
     good = _good_coloring(N, r, tuple(s for s, _ in hits), budget)
@@ -232,7 +214,7 @@ def exact_W(k: int, r: int, eps, n_max: int,
         raise ValueError(f"need k >= 2, r >= 1, n_max >= 1, got {k}, {r}, {n_max}")
     e = check_epsilon(eps, set_level=True)
     t0 = time.perf_counter()
-    budget = _Budget(work_cap)
+    budget = Budget(work_cap)
     last_good = Coloring.from_list([], r=r)
     for N in range(1, n_max + 1):
         try:
@@ -253,148 +235,122 @@ def exact_W(k: int, r: int, eps, n_max: int,
 # Maximum free subsets
 # ---------------------------------------------------------------------------
 
-def _max_independent(points, edges, budget, incumbent=None):
-    """Largest subset of points containing no edge, lex-smallest among ties.
+def _max_free(n: int, closes, budget, incumbent=None):
+    """Largest set of indices in range(n) closing no edge, lex-first among ties.
 
-    Include-first branch and bound over the points in order; the first leaf
-    reached is the greedy set (also accepted as a preloaded incumbent),
-    incumbents are replaced only on strict improvement, and the count bound
-    prunes branches that cannot strictly improve, so the lex-first optimum
-    survives.
+    closes(i, chosen) tells whether adding index i to the indices marked in
+    the bool list `chosen` completes an edge.  Include-first branch and bound
+    with one budget unit per node: the first leaf reached is the greedy set
+    (also accepted as a preloaded incumbent), incumbents are replaced only on
+    strict improvement, and the count bound prunes branches that cannot
+    strictly improve, so the lex-first optimum survives.  An explicit stack
+    keeps the Python depth constant.  Returns (indices, completed); a capped
+    search returns the best set found so far.
     """
-    n = len(points)
-    index_of = {p: i for i, p in enumerate(points)}
-    by_max = [[] for _ in range(n)]
-    for edge in edges:
-        by_max[index_of[edge[-1]]].append(tuple(index_of[p] for p in edge[:-1]))
     chosen = [False] * n
-    if incumbent is None:
-        best = {"size": -1, "set": ()}
-    else:
-        best = {"size": len(incumbent), "set": tuple(incumbent)}
-
-    def recurse(i: int, size: int, picked: list):
-        budget.spend()
-        if size + (n - i) <= best["size"]:
-            return
-        if i == n:
-            best["size"] = size
-            best["set"] = tuple(points[j] for j in picked)
-            return
-        if not any(all(chosen[j] for j in rest) for rest in by_max[i]):
-            chosen[i] = True
-            picked.append(i)
-            recurse(i + 1, size + 1, picked)
-            picked.pop()
-            chosen[i] = False
-        recurse(i + 1, size, picked)
-
+    best = () if incumbent is None else tuple(incumbent)
+    best_size = -1 if incumbent is None else len(best)
+    size = 0  # number of chosen indices
+    stack = [0]  # indices to visit; ~i undoes the choice of i
     try:
-        recurse(0, 0, [])
-        completed = True
+        while stack:
+            i = stack.pop()
+            if i < 0:
+                chosen[~i] = False
+                size -= 1
+                continue
+            budget.spend()
+            if size + (n - i) <= best_size:
+                continue
+            if i == n:
+                best_size = size
+                best = tuple(j for j in range(n) if chosen[j])
+                continue
+            stack.append(i + 1)
+            if not closes(i, chosen):
+                chosen[i] = True
+                size += 1
+                stack.append(~i)
+                stack.append(i + 1)
     except SearchCapExceeded:
-        completed = False
-    return best["set"], best["size"], completed
+        return best, False
+    return best, True
+
+
+def _greedy(n: int, closes) -> tuple:
+    """The first leaf of _max_free: include every index that closes no edge."""
+    chosen = [False] * n
+    for i in range(n):
+        if not closes(i, chosen):
+            chosen[i] = True
+    return tuple(i for i in range(n) if chosen[i])
+
+
+def _max_free_in_interval(N: int, edges, work_cap: int, t0) -> SearchOutcome:
+    """Largest subset of [N] containing no edge, seeded with the greedy set."""
+    by_max = [[] for _ in range(N)]
+    for edge in edges:
+        by_max[edge[-1] - 1].append(tuple(p - 1 for p in edge[:-1]))
+
+    def closes(i, chosen):
+        # plain loops: nested any/all generators cost several times more here
+        for rest in by_max[i]:
+            for j in rest:
+                if not chosen[j]:
+                    break
+            else:
+                return True
+        return False
+
+    budget = Budget(work_cap)
+    best, completed = _max_free(N, closes, budget, incumbent=_greedy(N, closes))
+    return SearchOutcome("value" if completed else "lower_bound_only", len(best),
+                         tuple(i + 1 for i in best), budget.spent,
+                         time.perf_counter() - t0)
 
 
 def max_exact_ap_free(N: int, k: int,
                       work_cap: int = DEFAULT_WORK_CAP) -> SearchOutcome:
     """Largest subset of [N] with no exact k-term progression."""
     t0 = time.perf_counter()
-    budget = _Budget(work_cap)
-    points = tuple(range(1, N + 1))
-    edges = enumerate_exact_aps(N, k)
-    subset, size, completed = _max_independent(points, edges, budget,
-                                               incumbent=_greedy_free(points, edges))
-    kind = "value" if completed else "lower_bound_only"
-    return SearchOutcome(kind, size, subset, budget.spent,
-                         time.perf_counter() - t0)
-
-
-def _greedy_free(points, edges) -> tuple:
-    index_of = {p: i for i, p in enumerate(points)}
-    by_max = {}
-    for edge in edges:
-        by_max.setdefault(edge[-1], []).append(edge[:-1])
-    chosen = set()
-    for p in points:
-        if not any(all(q in chosen for q in rest) for rest in by_max.get(p, ())):
-            chosen.add(p)
-    return tuple(sorted(chosen))
+    return _max_free_in_interval(N, enumerate_exact_aps(N, k), work_cap, t0)
 
 
 def exact_f(N: int, m: int, k: int, eps,
             work_cap: int = DEFAULT_WORK_CAP) -> SearchOutcome:
     """Largest subset of [N]^m with no approximate cube (progression for m=1).
 
-    Branch and bound in lex element order, seeded with the greedy set as a
-    sound incumbent.  Hitting the work cap yields lower_bound_only carrying
-    the best incumbent found so far, never a value.
+    Branch and bound in lex element order; for m = 1 it is seeded with the
+    greedy set as a sound incumbent.  Hitting the work cap yields
+    lower_bound_only carrying the best incumbent found so far, never a value.
+    For m = 1 the edge enumeration gets its own budget of work_cap nodes; if
+    it runs out, the outcome is lower_bound_only 0 with the empty set.
     """
     if N < 0 or m < 1 or k < 2:
         raise ValueError(f"need N >= 0, m >= 1, k >= 2, got {N}, {m}, {k}")
     t0 = time.perf_counter()
-    budget = _Budget(work_cap)
     if m == 1:
-        h = enumerate_eps_aps(N, k, eps)
-        points = tuple(range(1, N + 1))
-        greedy = _greedy_free(points, h.edges)
-        subset, size, completed = _max_independent(points, h.edges, budget,
-                                                   incumbent=greedy)
-        kind = "value" if completed else "lower_bound_only"
-        return SearchOutcome(kind, size, subset, budget.spent,
-                             time.perf_counter() - t0)
-    return _exact_f_md(N, m, k, eps, budget, t0)
+        try:
+            edges = enumerate_eps_aps(N, k, eps, work_cap).edges
+        except SearchCapExceeded:
+            return SearchOutcome("lower_bound_only", 0, (), 0, time.perf_counter() - t0)
+        return _max_free_in_interval(N, edges, work_cap, t0)
 
-
-def _exact_f_md(N, m, k, eps, budget, t0):
-    from itertools import product
-
-    from .density import verify_cube_free
+    from .density import verify_cube_free  # density imports this module
 
     e = check_epsilon(eps)
     points = tuple(product(range(1, N + 1), repeat=m))
-    n = len(points)
-    best = {"size": -1, "set": ()}
+    cube = k ** m
+    budget = Budget(work_cap)
 
-    def recurse(i: int, chosen: list):
-        budget.spend()
-        if len(chosen) + (n - i) <= best["size"]:
-            return
-        if i == n:
-            best["size"] = len(chosen)
-            best["set"] = tuple(chosen)
-            return
-        extended = chosen + [points[i]]
-        if len(extended) < k ** m or verify_cube_free(
-            extended, m, k, e, node_cap=max(budget.left, 1)
-        ) is None:
-            recurse(i + 1, extended)
-        recurse(i + 1, chosen)
+    def closes(i, chosen):
+        picked = [p for p, c in zip(points, chosen) if c]
+        if len(picked) + 1 < cube:
+            return False
+        return verify_cube_free(picked + [points[i]], m, k, e,
+                                node_cap=max(budget.left, 1)) is not None
 
-    try:
-        recurse(0, [])
-        kind = "value"
-    except SearchCapExceeded:
-        kind = "lower_bound_only"
-    return SearchOutcome(kind, best["size"], best["set"], budget.spent,
+    best, completed = _max_free(len(points), closes, budget)
+    return SearchOutcome("value" if completed else "lower_bound_only", len(best),
+                         tuple(points[i] for i in best), budget.spent,
                          time.perf_counter() - t0)
-
-
-# ---------------------------------------------------------------------------
-# Hypergraph serialization
-# ---------------------------------------------------------------------------
-
-def export_hypergraph(h: EpsApHypergraph, fmt: str = "text") -> str:
-    """Line-based edge listing so external solvers can cross-check decisions."""
-    from .formats import write_hypergraph
-
-    if fmt != "text":
-        raise ValueError(f"unknown hypergraph format {fmt!r}")
-    return write_hypergraph(h)
-
-
-def parse_hypergraph(text: str) -> EpsApHypergraph:
-    from .formats import read_hypergraph
-
-    return read_hypergraph(text)

@@ -167,3 +167,15 @@ def naive_enclosing_circle_2d(points):
             if best is None or radius < best[1]:
                 best = (center, radius)
     return best
+
+
+def lex_first_max_free_set(n, edges):
+    """Lex-smallest among the largest subsets of range(n) containing no edge.
+
+    Tries every subset, largest sizes first; combinations come in lex order.
+    """
+    for size in range(n, -1, -1):
+        for sub in combinations(range(n), size):
+            chosen = set(sub)
+            if not any(chosen.issuperset(e) for e in edges):
+                return sub

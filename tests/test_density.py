@@ -50,6 +50,17 @@ def test_exact_provider_cap():
         apk_free_set(0, 100, 3, ApkFreeProvider(mode="exact", exact_cap=60))
 
 
+def test_exact_provider_refuses_a_capped_search(monkeypatch):
+    import epsap.density as density
+    from epsap.search import max_exact_ap_free
+
+    monkeypatch.setattr(density, "max_exact_ap_free",
+                        lambda n, k: max_exact_ap_free(n, k, work_cap=100))
+    assert apk_free_set(0, 4, 3, ApkFreeProvider(mode="exact")) == (0, 1, 3, 4)
+    with pytest.raises(SearchCapExceeded):
+        apk_free_set(0, 20, 3, ApkFreeProvider(mode="exact"))
+
+
 def test_greedy_provider_is_free():
     got = apk_free_set(0, 59, 4, ApkFreeProvider(mode="greedy"))
     assert not has_exact_ap(got, 4)

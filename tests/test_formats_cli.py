@@ -5,11 +5,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from epsap import formats
 from epsap.cli import main
 from epsap.colorings import Coloring, build_simple_r2_coloring, verify_no_mono_ap
 from epsap.search import enumerate_eps_aps
+from oracles import has_exact_ap
 
 F = Fraction
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -108,12 +111,6 @@ def test_cli_wnumber_pigeonhole(capsys):
 
 def test_cli_unknown_command(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 2
-
-
-def test_cli_workers_validated(capsys):
-    code, _, err = run_cli(capsys, "recognize", "ap", "--points", "1,2,3",
-                           "--eps", "1/4", "--workers", "0")
-    assert code == 2 and "workers" in err
 
 
 def test_cli_json_deterministic(capsys):
@@ -238,13 +235,6 @@ def test_cli_verify_coloring_overrides(tmp_path, capsys):
                    "--k", "3")[0] == 1
 
 
-def test_cli_workers_env_default(capsys, monkeypatch):
-    monkeypatch.setenv("EPSAP_WORKERS", "3")
-    code, out, _ = run_cli(capsys, "recognize", "ap", "--points", "5,7,9",
-                           "--eps", "1/4")
-    assert code == 0 and out.splitlines()[0] == "accepted"
-
-
 def test_cli_lowerbound_params_only(capsys):
     code, out, _ = run_cli(capsys, "construct", "lowerbound", "--k", "771",
                            "--r", "2", "--eps", "1/30", "--eps0", "1/30",
@@ -269,3 +259,47 @@ def test_cli_module_entry_point():
     )
     assert result.returncode == 0
     assert "accepted" in result.stdout
+
+
+def test_cli_density_deep_exact_aps_is_capped_not_crashed(capsys):
+    code, out, err = run_cli(capsys, "density", "--N", "1200", "--k", "3",
+                             "--exact-aps", "--work-cap", "3000", "--json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    assert payload["kind"] == "lower_bound_only"
+    assert not has_exact_ap(payload["witness_set"], 3)
+
+
+# run_cli drains capsys on every call, so sharing the fixture is safe
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(("density", "hypergraph")),
+       n=st.one_of(st.integers(-1, 24), st.just(1200)), m=st.integers(0, 3),
+       k=st.integers(1, 5), exact_aps=st.booleans(),
+       cap=st.sampled_from((-1, 0, 1, 40, 3000)),
+       eps=st.sampled_from((None, "1/10", "1/6", "1/4", "1/2", "2", "0", "x")))
+@example(command="density", n=1200, m=1, k=3, exact_aps=True, cap=3000, eps=None)
+@example(command="density", n=1200, m=1, k=3, exact_aps=False, cap=3000, eps="1/10")
+def test_cli_density_and_hypergraph_fuzz(capsys, command, n, m, k, exact_aps,
+                                         cap, eps):
+    """Exit 0, 1 or 2, never an uncaught exception, and exit 2 in one line.
+
+    Cube searches (m >= 2) stay inside [3]^m and the deep N = 1200 runs use
+    k >= 3, so that every example is cheap; the cap bounds the rest.
+    """
+    if n == 1200:
+        k = max(k, 3)
+    argv = [command, "--N", str(n), "--k", str(k), "--work-cap", str(cap), "--json"]
+    if eps is not None:
+        argv += ["--eps", eps]
+    if command == "density":
+        if m != 1:
+            argv[2] = str(min(n, 3))
+            argv += ["--m", str(m)]
+        if exact_aps:
+            argv.append("--exact-aps")
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert err.count("\n") == 1, (argv, err)

@@ -2,22 +2,25 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsap.colorings import verify_no_mono_ap
-from epsap.errors import SearchCapExceeded
+from epsap.errors import Budget, SearchCapExceeded
+from epsap.formats import read_hypergraph, write_hypergraph
 from epsap.geometry import gap_ratio_filter, recognize_ap
 from epsap.search import (
+    SearchOutcome,
     arrow_decision,
     enumerate_eps_aps,
     enumerate_exact_aps,
     exact_W,
     exact_f,
-    export_hypergraph,
     find_eps_ap_in_points,
     max_exact_ap_free,
-    parse_hypergraph,
 )
-from oracles import naive_eps_ap_subsets
+from epsap.search import _greedy, _max_free
+from oracles import lex_first_max_free_set, naive_eps_ap_subsets
 
 F = Fraction
 
@@ -83,10 +86,19 @@ def test_find_in_points_lex_first():
 # ---------------------------------------------------------------------------
 
 def _assert_spends_exactly(search_call, nodes):
-    """The call fits a work cap of `nodes` but not one of `nodes - 1`."""
+    """The call fits a work cap of `nodes` but not one of `nodes - 1`.
+
+    Not fitting means raising SearchCapExceeded, or, for a search that keeps
+    an incumbent, reporting lower_bound_only where the full cap gives a value
+    that spent exactly `nodes`.
+    """
     result = search_call(work_cap=nodes)
-    with pytest.raises(SearchCapExceeded):
-        search_call(work_cap=nodes - 1)
+    if isinstance(result, SearchOutcome):
+        assert (result.kind, result.nodes) == ("value", nodes)
+        assert search_call(work_cap=nodes - 1).kind == "lower_bound_only"
+    else:
+        with pytest.raises(SearchCapExceeded):
+            search_call(work_cap=nodes - 1)
     return result
 
 
@@ -125,6 +137,36 @@ def test_find_search_tree_is_pinned(points, k, eps, nodes, hit):
 def test_w_search_tree_is_pinned(k, r, eps, value, nodes):
     out = exact_W(k, r, eps, 60)
     assert (out.kind, out.value, out.nodes) == ("value", value, nodes)
+
+
+@pytest.mark.parametrize("N, k, nodes, witness", [
+    (25, 3, 77672, (1, 2, 4, 10, 11, 14, 15, 22, 23, 25)),
+    (24, 5, 45368, (1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 18, 20, 21, 22, 24)),
+])
+def test_max_exact_ap_free_search_tree_is_pinned(N, k, nodes, witness):
+    out = _assert_spends_exactly(lambda work_cap: max_exact_ap_free(N, k, work_cap),
+                                 nodes)
+    assert (out.value, out.witness) == (len(witness), witness)
+
+
+def test_f_search_tree_is_pinned():
+    out = _assert_spends_exactly(lambda work_cap: exact_f(20, 1, 3, F(1, 10), work_cap),
+                                 7370)
+    assert (out.value, out.witness) == (8, (1, 2, 4, 5, 11, 12, 14, 15))
+
+
+@pytest.mark.parametrize("eps, fitting_cap", [
+    (F(1, 10), 45), (F(1, 8), 45), (F(1, 6), 46), (F(1, 5), 46),
+])
+def test_f_two_dimensional_search_tree_is_pinned(eps, fitting_cap):
+    # The cube checks draw on the cap left over but are not charged to it, so
+    # the smallest cap that completes sits above the 43 nodes spent.
+    out = exact_f(3, 2, 2, eps)
+    assert (out.kind, out.value, out.nodes) == ("value", 7, 43)
+    assert out.witness == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
+    fits = exact_f(3, 2, 2, eps, work_cap=fitting_cap)
+    assert (fits.kind, fits.nodes, fits.witness) == ("value", 43, out.witness)
+    assert exact_f(3, 2, 2, eps, work_cap=fitting_cap - 1).kind == "lower_bound_only"
 
 
 # ---------------------------------------------------------------------------
@@ -282,6 +324,68 @@ def test_f_two_dimensional_k3_full_grid_only():
     assert out.kind == "value" and out.value == 8
 
 
+def test_f_enumeration_is_capped():
+    # The progressions of [400] cost far more than 10^4 nodes to enumerate.
+    out = exact_f(400, 1, 3, F(1, 10), work_cap=10 ** 4)
+    assert (out.kind, out.value, out.witness, out.nodes) == (
+        "lower_bound_only", 0, (), 0)
+
+
+def test_f_cap_after_enumeration_keeps_the_greedy_incumbent():
+    # Enumerating [12] takes 132 nodes and the full search 364.
+    out = exact_f(12, 1, 3, F(1, 10), work_cap=150)
+    assert (out.kind, out.value, out.witness) == (
+        "lower_bound_only", 6, (1, 2, 4, 5, 11, 12))
+
+
+@st.composite
+def _hypergraphs(draw):
+    n = draw(st.integers(0, 10))
+    if n == 0:
+        return 0, []
+    edge = st.lists(st.integers(0, n - 1), min_size=1, max_size=4, unique=True)
+    edges = [tuple(sorted(e)) for e in draw(st.lists(edge, max_size=12))]
+    return n, edges
+
+
+def _edge_closes(n, edges):
+    by_max = [[] for _ in range(n)]
+    for e in edges:
+        by_max[e[-1]].append(e[:-1])
+    return lambda i, chosen: any(all(chosen[j] for j in rest) for rest in by_max[i])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_hypergraphs())
+def test_max_free_is_the_lex_first_maximum(graph):
+    n, edges = graph
+    closes = _edge_closes(n, edges)
+    want = lex_first_max_free_set(n, edges)
+    budget = Budget(10 ** 6)
+    assert _max_free(n, closes, budget) == (want, True)
+    spent = budget.spent
+    greedy = _greedy(n, closes)
+    assert _max_free(n, closes, Budget(10 ** 6), incumbent=greedy) == (want, True)
+    # the greedy set is the first fit: free, and every skipped index closes
+    # an edge among the indices kept before it
+    kept = set(greedy)
+    assert not any(kept.issuperset(e) for e in edges)
+    for i in set(range(n)) - kept:
+        assert any(e[-1] == i and kept.issuperset(e[:-1]) for e in edges)
+    # one node short of the full search, the best set found so far is free
+    best, completed = _max_free(n, closes, Budget(spent - 1))
+    assert not completed and len(best) <= len(want)
+    assert not any(set(best).issuperset(e) for e in edges)
+
+
+def test_max_free_depth_does_not_grow_with_n():
+    n = 5000  # far beyond the interpreter's recursion limit
+    budget = Budget(10 ** 6)
+    best, completed = _max_free(n, lambda i, chosen: False, budget)
+    assert completed and best == tuple(range(n))
+    assert budget.spent == 2 * n + 1
+
+
 def test_max_exact_ap_free_small_values():
     # largest 3-progression-free subsets of [1..n]
     known = {4: 3, 5: 4, 8: 4, 9: 5}
@@ -295,20 +399,14 @@ def test_max_exact_ap_free_small_values():
 
 def test_export_empty_hypergraph():
     h = enumerate_eps_aps(2, 3, F(1, 4))
-    assert export_hypergraph(h) == "# N=2 k=3 eps=1/4\n"
+    assert write_hypergraph(h) == "# N=2 k=3 eps=1/4\n"
 
 
 def test_export_single_edge():
     h = enumerate_eps_aps(3, 3, F(3, 10))
-    assert export_hypergraph(h) == "# N=3 k=3 eps=3/10\n1 2 3\n"
+    assert write_hypergraph(h) == "# N=3 k=3 eps=3/10\n1 2 3\n"
 
 
 def test_export_round_trip():
     h = enumerate_eps_aps(9, 3, F(1, 4))
-    assert parse_hypergraph(export_hypergraph(h)) == h
-
-
-def test_export_unknown_format():
-    h = enumerate_eps_aps(3, 3, F(3, 10))
-    with pytest.raises(ValueError):
-        export_hypergraph(h, fmt="parquet")
+    assert read_hypergraph(write_hypergraph(h)) == h
