@@ -95,7 +95,8 @@ def _cmd_recognize_cube(args) -> int:
     payload = {
         "command": "recognize cube",
         "status": decision.status,
-        "witness": formats.witness_md_json(decision.witness, args.tol)
+        "witness": formats.witness_md_json(
+            decision.witness, args.tol, decision.witness.certifies(grid, args.eps))
         if feasible else None,
     }
     text = [decision.status]
@@ -288,7 +289,8 @@ def _cmd_verify_set(args) -> int:
         free = hit is None
         witness_payload = None if free else {
             "grid": {str(v): list(p) for v, p in hit[0].items_in_index_order()},
-            "witness": formats.witness_md_json(hit[1], args.tol),
+            "witness": formats.witness_md_json(
+                hit[1], args.tol, hit[1].certifies(hit[0], args.eps)),
         }
         found_str = "" if free else str([p for _, p in hit[0].items_in_index_order()])
     payload = {

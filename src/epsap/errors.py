@@ -19,9 +19,11 @@ class Budget:
         return self.cap - self.left
 
     def spend(self):
-        self.left -= 1
-        if self.left < 0:
+        """Take one unit, or raise without taking it once the cap is spent,
+        so that `spent` never exceeds `cap`."""
+        if self.left <= 0:
             raise SearchCapExceeded(f"search work cap of {self.cap} nodes exceeded")
+        self.left -= 1
 
 
 class MemoryGuardExceeded(RuntimeError):

@@ -143,10 +143,11 @@ def witness1d_json(w: Witness1D) -> dict:
     }
 
 
-def witness_md_json(w: WitnessMD, tol: float) -> dict:
+def witness_md_json(w: WitnessMD, tol: float, certified: bool) -> dict:
     return {
         "a": [repr(c) for c in w.a],
         "d": repr(w.d),
         "residual": repr(w.residual),
         "tol": repr(tol),
+        "certified": certified,
     }

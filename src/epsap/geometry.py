@@ -36,6 +36,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Mapping, Optional, Sequence
 
 from .rational import to_fraction
@@ -377,75 +378,106 @@ def _circumsphere(boundary):
     returns None if the points are (numerically) affinely dependent.
     """
     p0 = boundary[0]
-    us = [tuple(c - c0 for c, c0 in zip(p, p0)) for p in boundary[1:]]
+    us = [[c - c0 for c, c0 in zip(p, p0)] for p in boundary[1:]]
     n = len(us)
     if n == 0:
         return p0, 0.0
-    # Gaussian elimination with partial pivoting on the Gram matrix.
-    g = [[sum(a * b for a, b in zip(us[r], us[c])) for c in range(n)] for r in range(n)]
-    rhs = [sum(a * a for a in us[r]) / 2.0 for r in range(n)]
+    # Gaussian elimination with partial pivoting on the augmented rows [G | rhs].
+    rows = [[sum(map(mul, ur, uc)) for uc in us] for ur in us]
+    for r, row in enumerate(rows):
+        row.append(row[r] / 2.0)
     for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(g[r][col]))
-        if abs(g[piv][col]) < 1e-12:
-            return None
-        g[col], g[piv] = g[piv], g[col]
-        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        piv = col
         for r in range(col + 1, n):
-            f = g[r][col] / g[col][col]
-            for c in range(col, n):
-                g[r][c] -= f * g[col][c]
-            rhs[r] -= f * rhs[col]
+            if abs(rows[r][col]) > abs(rows[piv][col]):
+                piv = r
+        if abs(rows[piv][col]) < 1e-12:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        top = rows[col]
+        for row in rows[col + 1:]:
+            f = row[col] / top[col]
+            for c in range(col, n + 1):
+                row[c] -= f * top[c]
     lam = [0.0] * n
     for r in range(n - 1, -1, -1):
-        acc = rhs[r] - sum(g[r][c] * lam[c] for c in range(r + 1, n))
-        lam[r] = acc / g[r][r]
-    center = tuple(
-        c0 + sum(lam[r] * us[r][axis] for r in range(n))
-        for axis, c0 in enumerate(p0)
-    )
-    radius = math.dist(center, p0)
+        row = rows[r]
+        lam[r] = (row[n] - sum(map(mul, row[r + 1:n], lam[r + 1:]))) / row[r]
+    center = p0
+    for weight, u in zip(lam, us):
+        center = [c + weight * x for c, x in zip(center, u)]
+    center = tuple(center)
+    return center, math.dist(center, p0)
+
+
+def _welzl_order(n: int) -> list:
+    """The default processing order: range(n) in a fixed-seed shuffle."""
+    order = list(range(n))
+    random.Random(_WELZL_SEED).shuffle(order)
+    return order
+
+
+def _bound(radius: float) -> float:
+    """Largest distance from the center that still counts as inside."""
+    return radius * (1 + 1e-12) + 1e-12
+
+
+def _mtf_ball(pts, order, end: int, support: list, dim: int):
+    """Smallest ball holding pts[order[:end]] with `support` on its boundary.
+
+    Welzl's move-to-front variant: every point found outside the current
+    ball is a boundary point of the answer, so the ball is recomputed from
+    the points before it plus the grown support, and the point moves to the
+    front of `order`, where the next scan meets it first.  Each level adds a
+    support point, so the depth is at most dim + 1.  Returns None when the
+    support is numerically affinely dependent; a point whose support would be
+    is left out (exact arithmetic never adds one).
+    """
+    if support:
+        ball = _circumsphere(support)
+        if ball is None or len(support) == dim + 1:
+            return ball
+        center, radius = ball
+    else:
+        center, radius = pts[order[0]], 0.0
+    limit = _bound(radius)
+    dist = math.dist
+    for i in range(end):
+        j = order[i]
+        p = pts[j]
+        if dist(center, p) > limit:
+            ball = _mtf_ball(pts, order, i, support + [p], dim)
+            if ball is None:
+                continue
+            center, radius = ball
+            limit = _bound(radius)
+            del order[i]
+            order.insert(0, j)
     return center, radius
 
 
-def _inside(ball, p) -> bool:
-    if ball is None:
-        return False
-    center, radius = ball
-    return math.dist(center, p) <= radius * (1 + 1e-12) + 1e-12
-
-
-def min_enclosing_ball(points):
+def min_enclosing_ball(points, order: Optional[list] = None):
     """Smallest enclosing Euclidean ball of a finite point list.
 
-    Welzl's expected-linear algorithm with a fixed shuffle seed so repeated
-    calls are deterministic.  Returns (center, radius) as floats; containment
-    holds up to the usual floating slack.
+    Move-to-front Welzl (Welzl 1991; Gaertner 1999), with recursion depth at
+    most dim + 1.  `order` is the processing order, a permutation of
+    range(len(points)) that the move-to-front steps update in place; a caller
+    that passes the same list to calls on similar point sets starts each one
+    from the previous support.  Without it the order is a shuffle with a
+    fixed seed, so repeated calls are deterministic.  Returns (center,
+    radius) as floats; containment holds up to a slack of 1e-12, relative
+    and absolute.
     """
-    pts = [tuple(float(c) for c in p) for p in points]
-    if not pts:
+    if not points:
         raise ValueError("need at least one point")
-    dim = len(pts[0])
-    if any(len(p) != dim for p in pts):
+    if len(set(map(len, points))) != 1:
         raise ValueError("points must share one dimension")
-    rng = random.Random(_WELZL_SEED)
-    rng.shuffle(pts)
-
-    def welzl(idx: int, boundary):
-        if idx == len(pts) or len(boundary) == dim + 1:
-            if not boundary:
-                return None
-            return _circumsphere(boundary)
-        ball = welzl(idx + 1, boundary)
-        p = pts[idx]
-        if ball is not None and _inside(ball, p):
-            return ball
-        return welzl(idx + 1, boundary + [p])
-
-    ball = welzl(0, [])
-    if ball is None:
-        # only possible for a single repeated point after degenerate solves
-        return pts[0], 0.0
-    return ball
+    if order is None:
+        order = _welzl_order(len(points))
+    elif len(order) != len(points):
+        raise ValueError(f"order has {len(order)} indices for {len(points)} points")
+    center, radius = _mtf_ball(points, order, len(points), [], len(points[0]))
+    return tuple(map(float, center)), float(radius)
 
 
 @dataclass(frozen=True)
@@ -488,6 +520,30 @@ class WitnessMD:
     a: tuple
     d: float
     residual: float
+
+    def certifies(self, grid: IndexedGrid, eps) -> bool:
+        """Exact strict check of |x_v - a - d*v| < eps*d for every v.
+
+        Every float is a dyadic rational, so a and d convert without loss;
+        over their common denominator L the check is the integer inequality
+        q^2 * |L*x_v - L*a - L*d*v|^2 < (p * L*d)^2 for eps = p/q.
+        """
+        e = check_epsilon(Fraction(eps) if isinstance(eps, float) else eps)
+        ratios = [c.as_integer_ratio() for c in (*self.a, self.d)]
+        den = math.lcm(*(q for _, q in ratios))
+        *a, d = [n * (den // q) for n, q in ratios]
+        if d <= 0:
+            return False
+        bound = (e.numerator * d) ** 2
+        qq = e.denominator ** 2
+        for v, x in grid.assignment.items():
+            norm = 0
+            for xc, ac, vc in zip(x, a, v):
+                t = den * xc - ac - d * vc
+                norm += t * t
+            if norm * qq >= bound:
+                return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -536,11 +592,16 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = 1e-9) -> CubeDecision:
     if d_max <= 0:
         return CubeDecision("infeasible", None, 0.0, math.inf, 0.0)
 
+    # One processing order serves every ball: nearby scales share most of
+    # their support, so each call starts from the previous one's.
+    order = _welzl_order(len(pts))
+    axes = [([float(p[j]) for p in pts], [v[j] for v in vecs]) for j in range(m)]
+
+    def shifted(d: float) -> list:
+        return list(zip(*[[x - d * u for x, u in zip(xs, us)] for xs, us in axes]))
+
     def g_of(d: float) -> float:
-        shifted = [
-            tuple(c - d * vc for c, vc in zip(p, v)) for v, p in zip(vecs, pts)
-        ]
-        _, radius = min_enclosing_ball(shifted)
+        _, radius = min_enclosing_ball(shifted(d), order)
         return radius - e * d
 
     lo = d_max * 2.0 ** -60
@@ -566,10 +627,7 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = 1e-9) -> CubeDecision:
                 best_d, best_g = d, f
 
     if best_g < -tol * d_max:
-        shifted = [
-            tuple(c - best_d * vc for c, vc in zip(p, v)) for v, p in zip(vecs, pts)
-        ]
-        center, _ = min_enclosing_ball(shifted)
+        center, _ = min_enclosing_ball(shifted(best_d), order)
         witness = WitnessMD(a=center, d=best_d, residual=-best_g)
         return CubeDecision("feasible", witness, best_d, best_g, d_max)
     if best_g > tol * d_max:

@@ -3,10 +3,12 @@
 These deliberately share no code path with the library: the 1-D oracles
 enumerate vertices of the slack LP in (a, d, s) by solving raw 3x3 integer
 systems, or evaluate the margin at every pairwise slope, and the
-enclosing-ball oracle tries every pair and triple circle.
+enclosing-ball oracles try every pair and triple circle, or run Welzl's
+recursive algorithm with its own Gram-system solver.
 """
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -179,3 +181,84 @@ def lex_first_max_free_set(n, edges):
             chosen = set(sub)
             if not any(chosen.issuperset(e) for e in edges):
                 return sub
+
+
+_WELZL_SEED = 0x5EB21
+
+
+def _circumsphere(boundary):
+    """Ball through all boundary points, centered in their affine hull.
+
+    Solves the Gram system G @ lam = |u_i|^2 / 2 with u_i = p_i - p_0;
+    returns None if the points are (numerically) affinely dependent.
+    """
+    p0 = boundary[0]
+    us = [tuple(c - c0 for c, c0 in zip(p, p0)) for p in boundary[1:]]
+    n = len(us)
+    if n == 0:
+        return p0, 0.0
+    # Gaussian elimination with partial pivoting on the Gram matrix.
+    g = [[sum(a * b for a, b in zip(us[r], us[c])) for c in range(n)] for r in range(n)]
+    rhs = [sum(a * a for a in us[r]) / 2.0 for r in range(n)]
+    for col in range(n):
+        piv = max(range(col, n), key=lambda r: abs(g[r][col]))
+        if abs(g[piv][col]) < 1e-12:
+            return None
+        g[col], g[piv] = g[piv], g[col]
+        rhs[col], rhs[piv] = rhs[piv], rhs[col]
+        for r in range(col + 1, n):
+            f = g[r][col] / g[col][col]
+            for c in range(col, n):
+                g[r][c] -= f * g[col][c]
+            rhs[r] -= f * rhs[col]
+    lam = [0.0] * n
+    for r in range(n - 1, -1, -1):
+        acc = rhs[r] - sum(g[r][c] * lam[c] for c in range(r + 1, n))
+        lam[r] = acc / g[r][r]
+    center = tuple(
+        c0 + sum(lam[r] * us[r][axis] for r in range(n))
+        for axis, c0 in enumerate(p0)
+    )
+    radius = math.dist(center, p0)
+    return center, radius
+
+
+def _inside(ball, p) -> bool:
+    if ball is None:
+        return False
+    center, radius = ball
+    return math.dist(center, p) <= radius * (1 + 1e-12) + 1e-12
+
+
+def recursive_welzl_ball(points):
+    """Smallest enclosing Euclidean ball by Welzl's recursive algorithm.
+
+    One Python frame per point, so only for small inputs.  A fixed shuffle
+    seed keeps repeated calls deterministic.  Returns (center, radius) as floats; containment
+    holds up to the usual floating slack.
+    """
+    pts = [tuple(float(c) for c in p) for p in points]
+    if not pts:
+        raise ValueError("need at least one point")
+    dim = len(pts[0])
+    if any(len(p) != dim for p in pts):
+        raise ValueError("points must share one dimension")
+    rng = random.Random(_WELZL_SEED)
+    rng.shuffle(pts)
+
+    def welzl(idx: int, boundary):
+        if idx == len(pts) or len(boundary) == dim + 1:
+            if not boundary:
+                return None
+            return _circumsphere(boundary)
+        ball = welzl(idx + 1, boundary)
+        p = pts[idx]
+        if ball is not None and _inside(ball, p):
+            return ball
+        return welzl(idx + 1, boundary + [p])
+
+    ball = welzl(0, [])
+    if ball is None:
+        # only possible for a single repeated point after degenerate solves
+        return pts[0], 0.0
+    return ball

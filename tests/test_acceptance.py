@@ -193,14 +193,16 @@ def test_criterion_08_cube_transversals():
     for _ in range(100):
         assignment = {u: rng.choice(pts) for u, pts in blocks}
         grid = IndexedGrid(m=2, k=3, assignment=assignment)
-        if recognize_cube(grid, eps, tol=1e-9).status != "feasible":
+        decision = recognize_cube(grid, eps, tol=1e-9)
+        if decision.status != "feasible" or not decision.witness.certifies(grid, eps):
             failures += 1
     elapsed = time.perf_counter() - t0
     ok = (spec.r == 2 and spec.t == 9 and len(spec.elements) == 81
           and failures == 0 and elapsed < 60)
     report(8, ok, f"100 random transversals of the 9 blocks (t={spec.t}, "
                   f"|A_2|={len(spec.elements)}) all recognized feasible at "
-                  f"tol=1e-9; {failures} failures [{elapsed:.1f}s < 60s]")
+                  f"tol=1e-9 and certified exactly; {failures} failures "
+                  f"[{elapsed:.1f}s < 60s]")
 
 
 def test_criterion_09_averaging_identity():

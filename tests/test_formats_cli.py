@@ -1,4 +1,5 @@
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -160,9 +161,10 @@ def test_cli_verify_set_catches_lattice(tmp_path, capsys):
     path = tmp_path / "cube.txt"
     path.write_text(formats.write_set(
         [(a, b) for a in range(3) for b in range(3)]))
-    code, _, _ = run_cli(capsys, "verify", "set", "--file", str(path),
-                         "--m", "2", "--k", "3", "--eps", "1/4")
+    code, out, _ = run_cli(capsys, "verify", "set", "--file", str(path),
+                           "--m", "2", "--k", "3", "--eps", "1/4", "--json")
     assert code == 1
+    assert json.loads(out)["witness"]["witness"]["certified"] is True
 
 
 def test_cli_recognize_cube_from_file(tmp_path, capsys):
@@ -172,7 +174,9 @@ def test_cli_recognize_cube_from_file(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "recognize", "cube", "--file", str(path),
                            "--m", "2", "--k", "2", "--eps", "1/4", "--json")
     assert code == 0
-    assert json.loads(out)["status"] == "feasible"
+    payload = json.loads(out)
+    assert payload["status"] == "feasible"
+    assert payload["witness"]["certified"] is True
 
 
 def test_cli_translate(tmp_path, capsys):
@@ -261,12 +265,32 @@ def test_cli_module_entry_point():
     assert "accepted" in result.stdout
 
 
+def test_cli_recognizes_a_1024_point_grid(tmp_path):
+    # k^m = 1024 points is beyond the interpreter's recursion limit
+    rng = random.Random(9)
+    path = tmp_path / "grid.txt"
+    path.write_text(formats.write_set(
+        [(1000 * a + rng.randint(-60, 60), 1000 * b + rng.randint(-60, 60))
+         for a in range(32) for b in range(32)]))
+    done = subprocess.run(
+        [sys.executable, "-m", "epsap", "recognize", "cube", "--file", str(path),
+         "--m", "2", "--k", "32", "--eps", "1/5", "--json"],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["status"] == "feasible" and payload["witness"]["certified"] is True
+
+
 def test_cli_density_deep_exact_aps_is_capped_not_crashed(capsys):
     code, out, err = run_cli(capsys, "density", "--N", "1200", "--k", "3",
                              "--exact-aps", "--work-cap", "3000", "--json")
     assert (code, err) == (1, "")
     payload = json.loads(out)
     assert payload["kind"] == "lower_bound_only"
+    assert payload["nodes"] == 3000  # the cap, not one node past it
     assert not has_exact_ap(payload["witness_set"], 3)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from epsap.geometry import (
@@ -11,6 +11,7 @@ from epsap.geometry import (
     IndexedGrid,
     IndexingError,
     Witness1D,
+    WitnessMD,
     gap_ratio_filter,
     grid_from_points_1d,
     index_grid_points,
@@ -22,7 +23,13 @@ from epsap.geometry import (
     region_new,
     region_open_feasible,
 )
-from oracles import lp_vertex_accepts, naive_enclosing_circle_2d, pairwise_recognize_ap
+from oracles import (
+    _inside,
+    lp_vertex_accepts,
+    naive_enclosing_circle_2d,
+    pairwise_recognize_ap,
+    recursive_welzl_ball,
+)
 
 F = Fraction
 
@@ -369,6 +376,58 @@ def test_ball_matches_naive_2d():
         )
 
 
+@st.composite
+def _ball_inputs(draw):
+    """Up to 60 integer points in 1-3 dimensions, mixing free points with
+    duplicates, points on one line and points on one circle or sphere."""
+    dim = draw(st.integers(1, 3))
+    point = st.tuples(*[st.integers(-30, 30)] * dim)
+    pts = draw(st.lists(point, max_size=25))
+    if pts and draw(st.booleans()):
+        pts += draw(st.lists(st.sampled_from(pts), max_size=10))
+    if draw(st.booleans()):
+        a, b = draw(point), draw(point)
+        steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=10))
+        pts += [tuple(x + t * (y - x) for x, y in zip(a, b)) for t in steps]
+    if draw(st.booleans()):
+        center = draw(point)
+        shell = [v for v in product(range(-5, 6), repeat=dim)
+                 if sum(c * c for c in v) == 25]
+        pts += [tuple(c + x for c, x in zip(center, v))
+                for v in draw(st.lists(st.sampled_from(shell), min_size=1, max_size=15))]
+    assume(pts)
+    return draw(st.permutations(pts[:60]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_ball_inputs())
+def test_ball_matches_recursive_welzl(pts):
+    ball = min_enclosing_ball(pts)
+    _, want = recursive_welzl_ball(pts)
+    assert abs(ball[1] - want) <= 1e-9 * want
+    assert all(_inside(ball, p) for p in pts)
+
+
+def _noisy_grid(m, k, scale, noise, seed):
+    rng = random.Random(seed)
+    return IndexedGrid(m=m, k=k, assignment={
+        v: tuple(scale * c + rng.randint(-noise, noise) for c in v)
+        for v in product(range(k), repeat=m)})
+
+
+def test_ball_with_a_shared_order_matches_cold_calls():
+    pairs = _noisy_grid(2, 6, 100, 20, seed=4).items_in_index_order()
+    order = list(range(len(pairs)))
+    for d in [60 + 2.5 * i for i in range(33)] + [101.0, 99.5, 100.2, 100.0]:
+        shifted = [tuple(c - d * u for c, u in zip(p, v)) for v, p in pairs]
+        warm = min_enclosing_ball(shifted, order)
+        assert warm[1] == pytest.approx(min_enclosing_ball(shifted)[1], rel=1e-12)
+        assert all(_inside(warm, p) for p in shifted)
+        assert sorted(order) == list(range(len(pairs)))
+    with pytest.raises(ValueError):
+        min_enclosing_ball(shifted, order[:-1])
+
+
 # ---------------------------------------------------------------------------
 # Cube recognizer
 # ---------------------------------------------------------------------------
@@ -460,6 +519,32 @@ def test_cube_boundary_verdict():
     assert recognize_ap((0, 1, 3), F(1, 6)) is None
     decision = recognize_cube(grid_from_points_1d((0, 1, 3)), F(1, 6), tol=1e-9)
     assert decision.status == "boundary"
+
+
+def test_cube_depth_does_not_grow_with_the_grid():
+    # both are far beyond the interpreter's recursion limit in points
+    grid = _noisy_grid(2, 32, 1000, 60, seed=7)
+    assert recognize_cube(grid, F(1, 5), tol=1e-9).status == "feasible"
+    rng = random.Random(8)
+    line = grid_from_points_1d([1000 * i + rng.randint(-60, 60) for i in range(2000)])
+    assert recognize_cube(line, F(1, 5), tol=1e-9).status == "feasible"
+
+
+def test_cube_witness_certifies_exactly():
+    eps = F(1, 4)
+    grid = _lattice_grid(2, 3, scale=7, shift=2)
+    w = recognize_cube(grid, eps, tol=1e-9).witness
+    assert w.certifies(grid, eps)
+    # moving the center by 1.5*eps*d puts every point outside its ball
+    shifted = WitnessMD(a=(w.a[0] + 1.5 * float(eps) * w.d, w.a[1]), d=w.d,
+                        residual=w.residual)
+    assert not shifted.certifies(grid, eps)
+    # a float witness is checked exactly as the float it is
+    exact = WitnessMD(a=(2.0, 2.0), d=7.0, residual=1.75)
+    assert exact.certifies(grid, eps) and exact.certifies(grid, 0.25)
+    # every point exactly on its sphere: the strict inequality fails
+    assert not WitnessMD(a=(3.75, 2.0), d=7.0, residual=0.0).certifies(grid, eps)
+    assert not WitnessMD(a=(2.0, 2.0), d=0.0, residual=0.0).certifies(grid, eps)
 
 
 def test_cube_duplicate_points_rejected():
