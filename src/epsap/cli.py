@@ -8,6 +8,7 @@ JSON output carries no timing, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -405,7 +406,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    in the same process (parse_args fills a fresh namespace each time)."""
     parser = _Parser(
         prog="epsap",
         description="Recognize, construct, and exactly measure approximate "

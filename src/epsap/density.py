@@ -374,55 +374,67 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
         if len(p) != m:
             raise ValueError(f"point {p!r} is not {m}-dimensional")
 
-    two_eps = 2 * e
+    # With eps = p/q, the box constraint |dx - d*dv| <= 2*eps*d of a candidate
+    # x against an assigned point y on one axis, scaled by q, reads
+    #     c*d <= q*dx <= a*d,   a = q*dv + 2p,   c = q*dv - 2p,
+    # and only dx depends on the candidate.  The d interval is kept as integer
+    # pairs (num, den), den > 0, compared by cross-multiplication, like
+    # geometry.FeasibleRegion2D; hi is None while it is unbounded above.
+    p2, q = 2 * e.numerator, e.denominator
+    scaled = [tuple(q * c for c in p) for p in points]
     budget = Budget(node_cap)
 
-    def narrowed(d_lo, d_hi, v, p, assigned):
-        """Intersect the d interval with the constraints p brings against
-        every already assigned point; returns None when it empties."""
-        for v2, p2 in assigned:
-            for axis in range(m):
-                dv = v[axis] - v2[axis]
-                dx = p[axis] - p2[axis]
-                for c, rhs in ((dv + two_eps, dx), (-dv + two_eps, -dx)):
-                    if c > 0:
-                        b = Fraction(rhs) / c
-                        if b > d_lo:
-                            d_lo = b
-                    elif rhs > 0:
-                        return None
-                if d_hi is not None and d_lo > d_hi:
-                    return None
-                # upper bounds come from c < 0 cases of the same pairs
-                for c, rhs in ((dv - two_eps, dx), (-dv - two_eps, -dx)):
-                    if c > 0:
-                        b = Fraction(rhs) / c
-                        if d_hi is None or b < d_hi:
-                            d_hi = b
-                if d_hi is not None and d_lo > d_hi:
-                    return None
-        return d_lo, d_hi
+    def narrowed(rows, x, lo_n, lo_d, hi):
+        """Intersect the d interval with the rows (axis, q*y_axis, a, c) of
+        every assigned point against the scaled candidate x; None when the
+        interval empties."""
+        for axis, y, a, c in rows:
+            gap = x[axis] - y
+            if a > 0:
+                if gap * lo_d > lo_n * a:
+                    lo_n, lo_d = gap, a
+            elif a < 0:
+                if hi is None or -gap * hi[1] < hi[0] * -a:
+                    hi = (-gap, -a)
+            elif gap > 0:
+                return None
+            if c > 0:
+                if hi is None or gap * hi[1] < hi[0] * c:
+                    hi = (gap, c)
+            elif c < 0:
+                if -gap * lo_d > lo_n * -c:
+                    lo_n, lo_d = -gap, -c
+            elif gap < 0:
+                return None
+            if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
+                return None
+        return lo_n, lo_d, hi
 
     assigned: list = []
     used: set = set()
 
-    def recurse(slot_idx: int, d_lo, d_hi):
+    def recurse(slot_idx: int, lo_n: int, lo_d: int, hi):
         budget.spend()
         if slot_idx == total:
             grid = IndexedGrid(m=m, k=k,
-                               assignment={v: p for v, p in assigned})
+                               assignment={v: p for v, p, _ in assigned})
             decision = recognize_cube(grid, e, tol=tol)
             if decision.status == "feasible":
                 return grid, decision.witness
             return None
         v = slots[slot_idx]
-        for p in points:
+        rows = [
+            (axis, y[axis], span + p2, span - p2)
+            for v2, _, y in assigned
+            for axis, span in enumerate([q * (c - c2) for c, c2 in zip(v, v2)])
+        ]
+        for p, x in zip(points, scaled):
             if p in used:
                 continue
-            shrunk = narrowed(d_lo, d_hi, v, p, assigned)
+            shrunk = narrowed(rows, x, lo_n, lo_d, hi)
             if shrunk is None:
                 continue
-            assigned.append((v, p))
+            assigned.append((v, p, x))
             used.add(p)
             hit = recurse(slot_idx + 1, *shrunk)
             assigned.pop()
@@ -431,4 +443,4 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
                 return hit
         return None
 
-    return recurse(0, Fraction(0), None)
+    return recurse(0, 0, 1, None)

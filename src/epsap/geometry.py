@@ -375,7 +375,9 @@ def _circumsphere(boundary):
     """Ball through all boundary points, centered in their affine hull.
 
     Solves the Gram system G @ lam = |u_i|^2 / 2 with u_i = p_i - p_0;
-    returns None if the points are (numerically) affinely dependent.
+    returns None if the points are (numerically) affinely dependent, that
+    is when a pivot falls to 1e-12 of the largest diagonal entry of G, so
+    the test does not depend on the spread of the points.
     """
     p0 = boundary[0]
     us = [[c - c0 for c, c0 in zip(p, p0)] for p in boundary[1:]]
@@ -386,12 +388,13 @@ def _circumsphere(boundary):
     rows = [[sum(map(mul, ur, uc)) for uc in us] for ur in us]
     for r, row in enumerate(rows):
         row.append(row[r] / 2.0)
+    tiny = 1e-12 * max(row[r] for r, row in enumerate(rows))
     for col in range(n):
         piv = col
         for r in range(col + 1, n):
             if abs(rows[r][col]) > abs(rows[piv][col]):
                 piv = r
-        if abs(rows[piv][col]) < 1e-12:
+        if abs(rows[piv][col]) <= tiny:
             return None
         rows[col], rows[piv] = rows[piv], rows[col]
         top = rows[col]

@@ -4,13 +4,19 @@ These deliberately share no code path with the library: the 1-D oracles
 enumerate vertices of the slack LP in (a, d, s) by solving raw 3x3 integer
 systems, or evaluate the margin at every pairwise slope, and the
 enclosing-ball oracles try every pair and triple circle, or run Welzl's
-recursive algorithm with its own Gram-system solver.
+recursive algorithm with its own Gram-system solver.  The cube-search
+oracle keeps the library's earlier Fraction pruner and shares only the
+numeric recognizer that confirms a complete assignment.
 """
 
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from typing import Optional
+
+from epsap.errors import Budget
+from epsap.geometry import IndexedGrid, check_epsilon, recognize_cube
 
 
 def _det3(m):
@@ -262,3 +268,90 @@ def recursive_welzl_ball(points):
         # only possible for a single repeated point after degenerate solves
         return pts[0], 0.0
     return ball
+
+
+def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
+                              node_cap: int = 20_000_000) -> Optional[tuple]:
+    """The cube search as it stood before its pruner went to integers.
+
+    First approximate cube found in S (lex order of assignments), or None.
+
+    DFS assigns points to index vectors in lex order.  Each partial
+    assignment keeps the exact interval of scales d allowed by the
+    per-axis box constraints |x_j - (a_j + d*v_j)| <= eps*d (a necessary
+    consequence of the ball constraint); an empty interval prunes.  Complete
+    assignments are confirmed by the numeric ball recognizer; only a
+    'feasible' verdict counts, so boundary candidates are skipped.
+
+    Because every injective index assignment is tried explicitly, no sorted-
+    order disambiguation is needed and any eps accepted by the recognizer is
+    allowed (in particular eps = 1/2).
+    """
+    e = check_epsilon(eps)
+    points = sorted(set(tuple(p) for p in S))
+    slots = sorted(product(range(k), repeat=m))
+    total = k ** m
+    if len(points) < total:
+        return None
+    for p in points:
+        if len(p) != m:
+            raise ValueError(f"point {p!r} is not {m}-dimensional")
+
+    two_eps = 2 * e
+    budget = Budget(node_cap)
+
+    def narrowed(d_lo, d_hi, v, p, assigned):
+        """Intersect the d interval with the constraints p brings against
+        every already assigned point; returns None when it empties."""
+        for v2, p2 in assigned:
+            for axis in range(m):
+                dv = v[axis] - v2[axis]
+                dx = p[axis] - p2[axis]
+                for c, rhs in ((dv + two_eps, dx), (-dv + two_eps, -dx)):
+                    if c > 0:
+                        b = Fraction(rhs) / c
+                        if b > d_lo:
+                            d_lo = b
+                    elif rhs > 0:
+                        return None
+                if d_hi is not None and d_lo > d_hi:
+                    return None
+                # upper bounds come from c < 0 cases of the same pairs
+                for c, rhs in ((dv - two_eps, dx), (-dv - two_eps, -dx)):
+                    if c > 0:
+                        b = Fraction(rhs) / c
+                        if d_hi is None or b < d_hi:
+                            d_hi = b
+                if d_hi is not None and d_lo > d_hi:
+                    return None
+        return d_lo, d_hi
+
+    assigned: list = []
+    used: set = set()
+
+    def recurse(slot_idx: int, d_lo, d_hi):
+        budget.spend()
+        if slot_idx == total:
+            grid = IndexedGrid(m=m, k=k,
+                               assignment={v: p for v, p in assigned})
+            decision = recognize_cube(grid, e, tol=tol)
+            if decision.status == "feasible":
+                return grid, decision.witness
+            return None
+        v = slots[slot_idx]
+        for p in points:
+            if p in used:
+                continue
+            shrunk = narrowed(d_lo, d_hi, v, p, assigned)
+            if shrunk is None:
+                continue
+            assigned.append((v, p))
+            used.add(p)
+            hit = recurse(slot_idx + 1, *shrunk)
+            assigned.pop()
+            used.discard(p)
+            if hit is not None:
+                return hit
+        return None
+
+    return recurse(0, Fraction(0), None)

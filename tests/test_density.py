@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from epsap import density
 from epsap.density import (
     ApkFreeProvider,
     apk_free_set,
@@ -13,10 +17,11 @@ from epsap.density import (
     product_free_set,
     verify_cube_free,
 )
-from epsap.errors import MemoryGuardExceeded, SearchCapExceeded
+from epsap.errors import Budget, MemoryGuardExceeded, SearchCapExceeded
 from epsap.geometry import IndexedGrid, recognize_ap, recognize_cube
 from epsap.search import find_eps_ap_in_points
-from oracles import has_exact_ap
+import oracles
+from oracles import fraction_verify_cube_free, has_exact_ap
 
 F = Fraction
 
@@ -275,11 +280,61 @@ def test_cube_search_digit_product_is_free():
     assert verify_cube_free(s, 2, 3, F(1, 125)) is None
 
 
-@pytest.mark.slow
 def test_cube_search_digit_product_is_free_h2():
     _, members = build_behrend_digit_set(F(1, 125), 2, one_based=True)
     s = product_free_set(members, 2, 25)
     assert verify_cube_free(s, 2, 3, F(1, 125)) is None
+
+
+@st.composite
+def _cube_search_inputs(draw):
+    """Up to k^m + 6 points in a small box: a jittered lattice, sometimes
+    with a point missing, plus free points; eps on both sides of 1/2 (eps >=
+    1/2 reaches the zero and negative coefficient cases)."""
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 3))
+    eps = draw(st.sampled_from([F(1, 10), F(1, 6), F(1, 4), F(1, 3), F(1, 2), F(2, 3)]))
+    scale = draw(st.integers(1, 3))
+    amp = draw(st.integers(0, 1))
+    jitter = st.integers(-amp, amp)
+    pts = [tuple(scale * c + draw(jitter) for c in v)
+           for v in product(range(k), repeat=m)]
+    pts = pts[draw(st.integers(0, 1)):]
+    side = scale * k
+    pts += draw(st.lists(st.tuples(*[st.integers(-1, side)] * m), max_size=6))
+    cap = draw(st.sampled_from([2, 10, 60, 400]))
+    return draw(st.permutations(pts)), m, k, eps, cap
+
+
+def _cube_search_outcome(search, module, pts, m, k, eps, cap):
+    """The hit, or the error, of one search, with the nodes it spent: the
+    Budget the search module builds is swapped for one that is recorded."""
+    budgets = []
+
+    class Recorded(Budget):
+        __slots__ = ()
+
+        def __init__(self, cap):
+            super().__init__(cap)
+            budgets.append(self)
+
+    with mock.patch.object(module, "Budget", Recorded):
+        try:
+            hit = search(pts, m, k, eps, node_cap=cap)
+        except Exception as exc:  # the caller compares type and message
+            outcome = type(exc), str(exc)
+        else:
+            outcome = hit and (sorted(hit[0].assignment.items()),
+                               hit[1].d, hit[1].residual)
+    return outcome, [b.spent for b in budgets]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(_cube_search_inputs())
+def test_cube_search_matches_fraction_oracle(case):
+    # Same hit, scale and residual, or the same error, after the same nodes.
+    assert (_cube_search_outcome(verify_cube_free, density, *case)
+            == _cube_search_outcome(fraction_verify_cube_free, oracles, *case))
 
 
 def test_cube_search_finds_blowup_transversal():

@@ -265,6 +265,48 @@ def test_cli_module_entry_point():
     assert "accepted" in result.stdout
 
 
+# ---------------------------------------------------------------------------
+# Repeated calls in one process (the parser is built once and shared)
+# ---------------------------------------------------------------------------
+
+def test_cli_call_after_a_usage_error_matches_a_fresh_process(capsys):
+    code, out, err = run_cli(capsys, "recognize", "ap", "--points", "1,3,6")
+    assert (code, out) == (2, "") and len(err.splitlines()) == 1
+    argv = ["recognize", "ap", "--points", "1,3,6", "--eps", "1/3", "--json"]
+    code, out, _ = run_cli(capsys, *argv)
+    fresh = subprocess.run(
+        [sys.executable, "-m", "epsap", *argv], capture_output=True,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert (code, out.encode()) == (fresh.returncode, fresh.stdout)
+
+
+def test_cli_json_does_not_carry_over_to_the_next_call(capsys):
+    argv = ("recognize", "ap", "--points", "1,3,6", "--eps", "1/3")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["accepted"] is True
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out.splitlines() == ["accepted", "a = 3/4", "d = 5/2",
+                                              "margin = 7/12"]
+
+
+def test_cli_left_out_options_take_their_defaults(tmp_path, capsys):
+    path = tmp_path / "grid.txt"
+    path.write_text(formats.write_set(
+        [(10 * a + 1, 10 * b + 2) for a in range(2) for b in range(2)]))
+    cube = ("recognize", "cube", "--file", str(path), "--m", "2", "--k", "2",
+            "--eps", "1/4", "--json")
+    _, out, _ = run_cli(capsys, *cube, "--tol", "0.001")
+    assert float(json.loads(out)["witness"]["tol"]) == 0.001
+    _, out, _ = run_cli(capsys, *cube)
+    assert float(json.loads(out)["witness"]["tol"]) == 1e-9
+    density = ("density", "--N", "12", "--k", "3", "--eps", "1/10", "--json")
+    code, out, _ = run_cli(capsys, *density, "--work-cap", "5")
+    assert (code, json.loads(out)["kind"]) == (1, "lower_bound_only")
+    code, out, _ = run_cli(capsys, *density)
+    payload = json.loads(out)
+    assert (code, payload["kind"], payload["value"]) == (0, "value", 6)
+
+
 def test_cli_recognizes_a_1024_point_grid(tmp_path):
     # k^m = 1024 points is beyond the interpreter's recursion limit
     rng = random.Random(9)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations, product
@@ -12,6 +13,8 @@ from epsap.geometry import (
     IndexingError,
     Witness1D,
     WitnessMD,
+    _bound,
+    _circumsphere,
     gap_ratio_filter,
     grid_from_points_1d,
     index_grid_points,
@@ -426,6 +429,18 @@ def test_ball_with_a_shared_order_matches_cold_calls():
         assert sorted(order) == list(range(len(pairs)))
     with pytest.raises(ValueError):
         min_enclosing_ball(shifted, order[:-1])
+
+
+def test_ball_of_a_tiny_lattice_is_not_degenerate():
+    # The degeneracy test is relative to the Gram matrix, so a cluster of
+    # spread 1e-8 still gets its ball (an absolute 1e-12 pivot gave radius 0).
+    h = 1e-8
+    pts = [(i * h, j * h) for i in range(3) for j in range(3)]
+    center, radius = min_enclosing_ball(pts)
+    assert radius == pytest.approx(2 ** 0.5 * h, rel=1e-9)
+    assert all(math.dist(center, p) <= _bound(radius) for p in pts)
+    assert _circumsphere([(h, h), (h, h)]) is None
+    assert _circumsphere([(0.0, 0.0), (h, 0.0), (h, 0.0)]) is None
 
 
 # ---------------------------------------------------------------------------
