@@ -24,7 +24,7 @@ from .geometry import (
     recognize_cube,
 )
 from .rational import ceil_frac, floor_frac, to_fraction
-from .search import _greedy, max_exact_ap_free
+from .search import _forms_exact_ap_ending, _greedy, max_exact_ap_free
 
 __all__ = [
     "ApkFreeProvider",
@@ -61,16 +61,6 @@ class ApkFreeProvider:
 
 
 DEFAULT_PROVIDER = ApkFreeProvider()
-
-
-def _forms_exact_ap_ending(x: int, chosen: list, k: int) -> bool:
-    """Does x end an exact k-progression whose other terms are chosen?"""
-    d = 1
-    while x - (k - 1) * d >= 0:
-        if all(chosen[x - i * d] for i in range(1, k)):
-            return True
-        d += 1
-    return False
 
 
 def _behrend3(n: int) -> tuple:
@@ -413,16 +403,11 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
     assigned: list = []
     used: set = set()
 
-    def recurse(slot_idx: int, lo_n: int, lo_d: int, hi):
-        budget.spend()
-        if slot_idx == total:
-            grid = IndexedGrid(m=m, k=k,
-                               assignment={v: p for v, p, _ in assigned})
-            decision = recognize_cube(grid, e, tol=tol)
-            if decision.status == "feasible":
-                return grid, decision.witness
-            return None
-        v = slots[slot_idx]
+    def fits(lo_n, lo_d, hi):
+        """The points that may fill the next slot, with the d interval each
+        leaves.  Read lazily, so the rows and `used` are the ones in force
+        whenever the search comes back to this slot."""
+        v = slots[len(assigned)]
         rows = [
             (axis, y[axis], span + p2, span - p2)
             for v2, _, y in assigned
@@ -432,15 +417,31 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
             if p in used:
                 continue
             shrunk = narrowed(rows, x, lo_n, lo_d, hi)
-            if shrunk is None:
-                continue
-            assigned.append((v, p, x))
-            used.add(p)
-            hit = recurse(slot_idx + 1, *shrunk)
-            assigned.pop()
-            used.discard(p)
-            if hit is not None:
-                return hit
-        return None
+            if shrunk is not None:
+                yield (v, p, x), shrunk
 
-    return recurse(0, 0, 1, None)
+    # Depth-first on an explicit stack of candidate streams, one per filled
+    # slot plus the next, so the Python depth stays constant; one budget
+    # unit per node, the root included.
+    budget.spend()
+    stack = [fits(0, 1, None)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if assigned:
+                used.discard(assigned.pop()[1])
+            continue
+        slot, shrunk = step
+        assigned.append(slot)
+        used.add(slot[1])
+        budget.spend()
+        if len(assigned) < total:
+            stack.append(fits(*shrunk))
+            continue
+        grid = IndexedGrid(m=m, k=k, assignment={v: p for v, p, _ in assigned})
+        decision = recognize_cube(grid, e, tol=tol)
+        if decision.status == "feasible":
+            return grid, decision.witness
+        used.discard(assigned.pop()[1])
+    return None

@@ -11,10 +11,10 @@ results are deterministic and independent of any scheduling.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from typing import Optional
+from itertools import count, product
 
 from .errors import Budget, SearchCapExceeded
 from .geometry import (
@@ -60,11 +60,13 @@ class SearchOutcome:
     seconds: float
 
 
-def _dfs_eps_aps(candidates, k, eps, budget, first_only):
+def _dfs_eps_aps(candidates, k, eps, budget, first_only, head=()):
     """Lex DFS over increasing k-tuples of candidates with region pruning.
 
-    Returns (tuple, witness) pairs; the witness is recognize_ap's for
-    first_only searches and None for enumerations, which discard it.
+    Every tuple starts with the fixed points `head`, which lie below the
+    candidates.  Returns (tuple, witness) pairs; the witness is
+    recognize_ap's for first_only searches and None for enumerations, which
+    discard it.
     """
     found = []
     n = len(candidates)
@@ -95,7 +97,10 @@ def _dfs_eps_aps(candidates, k, eps, budget, first_only):
                 return True
         return False
 
-    recurse(0, [], region_new(k, eps))
+    region = region_new(k, eps)
+    for i, x in enumerate(head):
+        region = region_add_point(region, i, x)
+    recurse(0, list(head), region)
     return found
 
 
@@ -142,40 +147,85 @@ def find_eps_ap_in_points(points, k: int, eps,
 # Least N forcing a monochromatic edge
 # ---------------------------------------------------------------------------
 
-def _good_coloring(N: int, r: int, edges, budget) -> Optional[list]:
-    """Canonical r-coloring of [N] with no monochromatic edge, or None.
+def _edges_ending_at(n: int, k: int, eps, budget) -> list:
+    """Approximate k-progressions of [n] whose largest element is n.
 
-    Backtracking in element order.  Colors are propagated as per-element
-    forbidden sets: color c is forbidden at x when some edge ending at x has
-    all other elements colored c.  Symmetry is broken canonically: element 1
-    gets color 1 and a new color may only follow all smaller ones.
+    Approximate progressions are symmetric under x -> n + 1 - x, so these
+    are the mirror images of the ones whose least element is 1.
     """
-    by_max = [[] for _ in range(N + 1)]
-    for edge in edges:
-        by_max[edge[-1]].append(edge[:-1])
-    colors = [0] * (N + 1)
+    hits = _dfs_eps_aps(range(2, n + 1), k, eps, budget, False, head=(1,))
+    return [tuple(n + 1 - x for x in reversed(s)) for s, _ in hits]
 
-    def backtrack(x: int, used: int) -> bool:
-        budget.spend()
-        if x > N:
-            return True
-        forbidden = set()
-        for rest in by_max[x]:
-            c = colors[rest[0]]
-            if all(colors[y] == c for y in rest[1:]):
-                forbidden.add(c)
-        for c in range(1, min(r, used + 1) + 1):
-            if c in forbidden:
-                continue
-            colors[x] = c
-            if backtrack(x + 1, max(used, c)):
-                return True
-        colors[x] = 0
-        return False
 
-    if backtrack(1, 0):
-        return colors[1:]
-    return None
+def _good_coloring(N: int, r: int, by_max, budget):
+    """Canonical r-coloring with no monochromatic edge of the longest [n], n <= N.
+
+    by_max yields, for x = 1, 2, ..., the edges whose largest element is x.
+    It is read once per x, when the search first reaches x, so edges can be
+    enumerated as they are needed; an exhausted by_max means no more edges.
+    Backtracking in element order on an explicit stack.  Colors are
+    propagated as per-element forbidden sets: color c is forbidden at x when
+    some edge ending at x has all other elements colored c.  Symmetry is
+    broken canonically: element 1 gets color 1 and a new color may only
+    follow all smaller ones.
+
+    The edges of [n] are the edges inside [n], so every coloring the search
+    rejects before it first reaches x = n + 1 fails on [n] too, and the
+    colors it holds then are the canonical good coloring of [n].  The search
+    goes on from there to n + 1: one traversal settles every n <= N.
+    Returns (colors, completed): the good coloring of the largest [n]
+    reached, and False when the budget ran out.  A completed search with
+    n < N proves that [n + 1] has no good coloring.
+    """
+    by_max = iter(by_max)
+    # Indexed by element, and grown as the search first reaches one, so
+    # memory follows the depth reached rather than N.
+    rests = [()]  # rests[x]: the edges ending at x, without x
+    colors = [0]  # 0 while uncolored
+    used = [0]  # used[x]: the largest color on 1..x-1
+    forbidden = [()]
+    good = []
+    x, entering = 1, True
+    try:
+        while x:
+            if entering:
+                budget.spend()
+                if x == len(rests):
+                    good = colors[1:]
+                    if x > N:
+                        break
+                    rests.append([e[:-1] for e in next(by_max, ())])
+                    colors.append(0)
+                    used.append(0)
+                    forbidden.append(())
+                used[x] = max(used[x - 1], colors[x - 1])
+                banned = set()
+                for rest in rests[x]:
+                    c = colors[rest[0]]
+                    for y in rest:
+                        if colors[y] != c:
+                            break
+                    else:
+                        banned.add(c)
+                forbidden[x] = banned
+            c = colors[x] + 1
+            top = min(r, used[x] + 1)
+            while c <= top and c in forbidden[x]:
+                c += 1
+            if c <= top:
+                colors[x] = c
+                x, entering = x + 1, True
+            else:
+                colors[x] = 0
+                x, entering = x - 1, False
+    except SearchCapExceeded:
+        return good, False
+    return good, True
+
+
+def _edges_by_max(k: int, eps, budget):
+    """The by_max stream of _good_coloring for approximate k-progressions."""
+    return (_edges_ending_at(n, k, eps, budget) for n in count(1))
 
 
 def arrow_decision(N: int, k: int, r: int, eps,
@@ -183,18 +233,19 @@ def arrow_decision(N: int, k: int, r: int, eps,
     """Does every r-coloring of [N] contain a monochromatic edge?
 
     Returns (True, None) when forced, else (False, good Coloring).  This is
-    the decision procedure exact_W iterates; it is exposed so minimality
-    witnesses can be re-checked directly.
+    the decision exact_W makes for every N up to its value; it is exposed so
+    minimality witnesses can be re-checked directly.
     """
     from .colorings import Coloring
 
     if r < 1:
         raise ValueError(f"need r >= 1, got r={r}")
     budget = Budget(work_cap)
-    hits = _dfs_eps_aps(tuple(range(1, N + 1)), k,
-                        check_epsilon(eps, set_level=True), budget, False)
-    good = _good_coloring(N, r, tuple(s for s, _ in hits), budget)
-    if good is None:
+    e = check_epsilon(eps, set_level=True)
+    good, completed = _good_coloring(N, r, _edges_by_max(k, e, budget), budget)
+    if not completed:
+        raise SearchCapExceeded(f"search work cap of {work_cap} nodes exceeded")
+    if len(good) < N:
         return True, None
     return False, Coloring.from_list(good, r=r)
 
@@ -203,10 +254,12 @@ def exact_W(k: int, r: int, eps, n_max: int,
             work_cap: int = DEFAULT_WORK_CAP) -> SearchOutcome:
     """Smallest N <= n_max whose every r-coloring has a monochromatic edge.
 
-    A value outcome carries the canonical good coloring of [value - 1].  When
-    no N <= n_max is forcing, or the work cap is hit, the outcome is
-    lower_bound_only with value = the largest N proven non-forcing and its
-    good coloring as witness; a capped run is never reported as a value.
+    One coloring search climbs N = 1, 2, ... (see _good_coloring), listing
+    the edges that end at each N when it first gets there.  A value outcome
+    carries the canonical good coloring of [value - 1].  When no N <= n_max
+    is forcing, or the work cap is hit, the outcome is lower_bound_only with
+    value = the largest N proven non-forcing and its good coloring as
+    witness; a capped run is never reported as a value.
     """
     from .colorings import Coloring
 
@@ -215,38 +268,32 @@ def exact_W(k: int, r: int, eps, n_max: int,
     e = check_epsilon(eps, set_level=True)
     t0 = time.perf_counter()
     budget = Budget(work_cap)
-    last_good = Coloring.from_list([], r=r)
-    for N in range(1, n_max + 1):
-        try:
-            hits = _dfs_eps_aps(tuple(range(1, N + 1)), k, e, budget, False)
-            good = _good_coloring(N, r, tuple(s for s, _ in hits), budget)
-        except SearchCapExceeded:
-            return SearchOutcome("lower_bound_only", N - 1, last_good,
-                                 budget.spent, time.perf_counter() - t0)
-        if good is None:
-            return SearchOutcome("value", N, last_good, budget.spent,
-                                 time.perf_counter() - t0)
-        last_good = Coloring.from_list(good, r=r)
-    return SearchOutcome("lower_bound_only", n_max, last_good, budget.spent,
-                         time.perf_counter() - t0)
+    good, completed = _good_coloring(n_max, r, _edges_by_max(k, e, budget), budget)
+    forced = completed and len(good) < n_max
+    return SearchOutcome("value" if forced else "lower_bound_only",
+                         len(good) + forced, Coloring.from_list(good, r=r),
+                         budget.spent, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
 # Maximum free subsets
 # ---------------------------------------------------------------------------
 
-def _max_free(n: int, closes, budget, incumbent=None):
+def _max_free(n: int, closes, budget, incumbent=None, room=None):
     """Largest set of indices in range(n) closing no edge, lex-first among ties.
 
     closes(i, chosen) tells whether adding index i to the indices marked in
     the bool list `chosen` completes an edge.  Include-first branch and bound
     with one budget unit per node: the first leaf reached is the greedy set
     (also accepted as a preloaded incumbent), incumbents are replaced only on
-    strict improvement, and the count bound prunes branches that cannot
-    strictly improve, so the lex-first optimum survives.  An explicit stack
-    keeps the Python depth constant.  Returns (indices, completed); a capped
-    search returns the best set found so far.
+    strict improvement, and a branch is pruned when it cannot strictly
+    improve, so the lex-first optimum survives.  room[i] bounds how many of
+    the indices i..n-1 a free set can hold; by default it is their count.
+    An explicit stack keeps the Python depth constant.  Returns (indices,
+    completed); a capped search returns the best set found so far.
     """
+    if room is None:
+        room = range(n, -1, -1)
     chosen = [False] * n
     best = () if incumbent is None else tuple(incumbent)
     best_size = -1 if incumbent is None else len(best)
@@ -260,7 +307,7 @@ def _max_free(n: int, closes, budget, incumbent=None):
                 size -= 1
                 continue
             budget.spend()
-            if size + (n - i) <= best_size:
+            if size + room[i] <= best_size:
                 continue
             if i == n:
                 best_size = size
@@ -286,12 +333,19 @@ def _greedy(n: int, closes) -> tuple:
     return tuple(i for i in range(n) if chosen[i])
 
 
-def _max_free_in_interval(N: int, edges, work_cap: int, t0) -> SearchOutcome:
-    """Largest subset of [N] containing no edge, seeded with the greedy set."""
-    by_max = [[] for _ in range(N)]
-    for edge in edges:
-        by_max[edge[-1] - 1].append(tuple(p - 1 for p in edge[:-1]))
+def _forms_exact_ap_ending(x: int, chosen: list, k: int) -> bool:
+    """Does x end an exact k-progression whose other terms are chosen?"""
+    for d in range(1, x // (k - 1) + 1):
+        for y in range(x - d, x - k * d, -d):
+            if not chosen[y]:
+                break
+        else:
+            return True
+    return False
 
+
+def _edge_test(by_max):
+    """closes(i, chosen) for the edges listed by largest index, without it."""
     def closes(i, chosen):
         # plain loops: nested any/all generators cost several times more here
         for rest in by_max[i]:
@@ -301,9 +355,38 @@ def _max_free_in_interval(N: int, edges, work_cap: int, t0) -> SearchOutcome:
             else:
                 return True
         return False
+    return closes
 
+
+def _ladder(N: int, rests_ending_at, greedy, work_cap: int, t0) -> SearchOutcome:
+    """Largest subset of [N] containing no edge, solving [1], [2], ..., [N] in turn.
+
+    The edges must be translation invariant.  rests_ending_at(i) lists those
+    whose largest index is i, without i; it is called once per i, when rung
+    i + 1 is reached.  In rung n the indices i..n-1 are a translate of
+    [n - i], so they hold at most f(n - i) chosen points, the value of an
+    earlier rung (the suffix bound of Gasarch, Glenn and Kruskal, "Finding
+    large 3-free sets I", 2008); rung n's own f(n) is bounded by n until it
+    is solved.  greedy is the greedy set of [N], 0-based; greedy is prefix
+    consistent, so its part below n is rung n's incumbent.  All rungs share
+    one budget, so `nodes` counts every rung.  A capped run reports the
+    greedy set, or a larger set found on the way.
+    """
+    by_max = []
+    closes = _edge_test(by_max)
     budget = Budget(work_cap)
-    best, completed = _max_free(N, closes, budget, incumbent=_greedy(N, closes))
+    f = [0]  # f[n]: the largest free subset of [n], for the rungs solved
+    prev, best, completed = (), (), True
+    for n in range(1, N + 1):
+        by_max.append(rests_ending_at(n - 1))
+        f.append(n)
+        prev = best
+        best, completed = _max_free(n, closes, budget,
+                                    greedy[:bisect_left(greedy, n)], f[::-1])
+        if not completed:
+            best = max(greedy, prev, best, key=len)
+            break
+        f[n] = len(best)
     return SearchOutcome("value" if completed else "lower_bound_only", len(best),
                          tuple(i + 1 for i in best), budget.spent,
                          time.perf_counter() - t0)
@@ -311,17 +394,32 @@ def _max_free_in_interval(N: int, edges, work_cap: int, t0) -> SearchOutcome:
 
 def max_exact_ap_free(N: int, k: int,
                       work_cap: int = DEFAULT_WORK_CAP) -> SearchOutcome:
-    """Largest subset of [N] with no exact k-term progression."""
+    """Largest subset of [N] with no exact k-term progression.
+
+    The progressions ending at each element are listed only when the search
+    reaches it, and the greedy incumbent needs none, so a capped search holds
+    O(N) memory plus the progressions of the rungs it reached.
+    """
+    if N < 0 or k < 2:
+        raise ValueError(f"need N >= 0 and k >= 2, got N={N}, k={k}")
     t0 = time.perf_counter()
-    return _max_free_in_interval(N, enumerate_exact_aps(N, k), work_cap, t0)
+
+    def rests_ending_at(i):
+        return [tuple(range(i - (k - 1) * d, i, d))
+                for d in range(i // (k - 1), 0, -1)]
+
+    greedy = _greedy(N, lambda i, chosen: _forms_exact_ap_ending(i, chosen, k))
+    return _ladder(N, rests_ending_at, greedy, work_cap, t0)
 
 
 def exact_f(N: int, m: int, k: int, eps,
             work_cap: int = DEFAULT_WORK_CAP) -> SearchOutcome:
     """Largest subset of [N]^m with no approximate cube (progression for m=1).
 
-    Branch and bound in lex element order; for m = 1 it is seeded with the
-    greedy set as a sound incumbent.  Hitting the work cap yields
+    Branch and bound in lex element order; for m = 1 it climbs the rungs
+    [1], ..., [N] with the suffix bound (see _ladder), seeded with the greedy
+    set as a sound incumbent.  The cube order of m >= 2 is not translation
+    invariant, so there it keeps the count bound.  Hitting the work cap yields
     lower_bound_only carrying the best incumbent found so far, never a value.
     For m = 1 the edge enumeration gets its own budget of work_cap nodes; if
     it runs out, the outcome is lower_bound_only 0 with the empty set.
@@ -334,7 +432,11 @@ def exact_f(N: int, m: int, k: int, eps,
             edges = enumerate_eps_aps(N, k, eps, work_cap).edges
         except SearchCapExceeded:
             return SearchOutcome("lower_bound_only", 0, (), 0, time.perf_counter() - t0)
-        return _max_free_in_interval(N, edges, work_cap, t0)
+        by_max = [[] for _ in range(N)]
+        for edge in edges:
+            by_max[edge[-1] - 1].append(tuple(p - 1 for p in edge[:-1]))
+        greedy = _greedy(N, _edge_test(by_max))
+        return _ladder(N, by_max.__getitem__, greedy, work_cap, t0)
 
     from .density import verify_cube_free  # density imports this module
 

@@ -6,7 +6,10 @@ systems, or evaluate the margin at every pairwise slope, and the
 enclosing-ball oracles try every pair and triple circle, or run Welzl's
 recursive algorithm with its own Gram-system solver.  The cube-search
 oracle keeps the library's earlier Fraction pruner and shares only the
-numeric recognizer that confirms a complete assignment.
+numeric recognizer that confirms a complete assignment.  The free-set and
+coloring oracles are the library's searches as they stood before they
+climbed a ladder over n: a count-bound branch and bound on [N] alone, and a
+coloring search started afresh for every N; callers hand them the edges.
 """
 
 import math
@@ -15,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
-from epsap.errors import Budget
+from epsap.errors import Budget, SearchCapExceeded
 from epsap.geometry import IndexedGrid, check_epsilon, recognize_cube
 
 
@@ -187,6 +190,124 @@ def lex_first_max_free_set(n, edges):
             chosen = set(sub)
             if not any(chosen.issuperset(e) for e in edges):
                 return sub
+
+
+def count_bound_max_free(n, closes, budget, incumbent=None):
+    """Largest set of indices in range(n) closing no edge, lex-first among ties.
+
+    closes(i, chosen) tells whether adding index i to the indices marked in
+    the bool list `chosen` completes an edge.  Include-first branch and bound
+    with one budget unit per node: the first leaf reached is the greedy set
+    (also accepted as a preloaded incumbent), incumbents are replaced only on
+    strict improvement, and the count bound prunes branches that cannot
+    strictly improve, so the lex-first optimum survives.  An explicit stack
+    keeps the Python depth constant.  Returns (indices, completed); a capped
+    search returns the best set found so far.
+    """
+    chosen = [False] * n
+    best = () if incumbent is None else tuple(incumbent)
+    best_size = -1 if incumbent is None else len(best)
+    size = 0  # number of chosen indices
+    stack = [0]  # indices to visit; ~i undoes the choice of i
+    try:
+        while stack:
+            i = stack.pop()
+            if i < 0:
+                chosen[~i] = False
+                size -= 1
+                continue
+            budget.spend()
+            if size + (n - i) <= best_size:
+                continue
+            if i == n:
+                best_size = size
+                best = tuple(j for j in range(n) if chosen[j])
+                continue
+            stack.append(i + 1)
+            if not closes(i, chosen):
+                chosen[i] = True
+                size += 1
+                stack.append(~i)
+                stack.append(i + 1)
+    except SearchCapExceeded:
+        return best, False
+    return best, True
+
+
+def edge_closes(n, edges):
+    """closes(i, chosen) of the free-set searches, for edges of range(n)."""
+    by_max = [[] for _ in range(n)]
+    for edge in edges:
+        by_max[edge[-1]].append(edge[:-1])
+    return lambda i, chosen: any(all(chosen[j] for j in rest) for rest in by_max[i])
+
+
+def greedy_free_set(N, edges) -> tuple:
+    """The first-fit subset of [N] containing no edge (1-based edges)."""
+    closes = edge_closes(N, [tuple(p - 1 for p in e) for e in edges])
+    chosen = [False] * N
+    for i in range(N):
+        chosen[i] = not closes(i, chosen)
+    return tuple(i + 1 for i in range(N) if chosen[i])
+
+
+def count_bound_free_set(N, edges):
+    """(kind, value, witness) of the largest subset of [N] containing no edge,
+    by one count-bound search on [N] seeded with the greedy set."""
+    closes = edge_closes(N, [tuple(p - 1 for p in e) for e in edges])
+    greedy = tuple(x - 1 for x in greedy_free_set(N, edges))
+    best, completed = count_bound_max_free(N, closes, Budget(10 ** 8), greedy)
+    return ("value" if completed else "lower_bound_only", len(best),
+            tuple(i + 1 for i in best))
+
+
+def recursive_good_coloring(N: int, r: int, edges, budget):
+    """Canonical r-coloring of [N] with no monochromatic edge, or None.
+
+    Backtracking in element order.  Colors are propagated as per-element
+    forbidden sets: color c is forbidden at x when some edge ending at x has
+    all other elements colored c.  Symmetry is broken canonically: element 1
+    gets color 1 and a new color may only follow all smaller ones.
+    """
+    by_max = [[] for _ in range(N + 1)]
+    for edge in edges:
+        by_max[edge[-1]].append(edge[:-1])
+    colors = [0] * (N + 1)
+
+    def backtrack(x: int, used: int) -> bool:
+        budget.spend()
+        if x > N:
+            return True
+        forbidden = set()
+        for rest in by_max[x]:
+            c = colors[rest[0]]
+            if all(colors[y] == c for y in rest[1:]):
+                forbidden.add(c)
+        for c in range(1, min(r, used + 1) + 1):
+            if c in forbidden:
+                continue
+            colors[x] = c
+            if backtrack(x + 1, max(used, c)):
+                return True
+        colors[x] = 0
+        return False
+
+    if backtrack(1, 0):
+        return colors[1:]
+    return None
+
+
+def per_n_least_forcing(r: int, edges_of, n_max: int):
+    """(kind, value, good coloring list) of the least N <= n_max whose every
+    r-coloring has a monochromatic edge, solving each N from scratch;
+    edges_of(N) lists the edges of [N]."""
+    last_good = []
+    for N in range(1, n_max + 1):
+        good = recursive_good_coloring(N, r, edges_of(N), Budget(10 ** 8))
+        if good is None:
+            return "value", N, last_good
+        last_good = good
+    return "lower_bound_only", n_max, last_good
 
 
 _WELZL_SEED = 0x5EB21

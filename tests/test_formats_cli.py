@@ -326,6 +326,24 @@ def test_cli_recognizes_a_1024_point_grid(tmp_path):
     assert payload["status"] == "feasible" and payload["witness"]["certified"] is True
 
 
+def test_cli_finds_the_cube_of_a_32x32_lattice(tmp_path):
+    # the cube search fills k^m = 1024 slots, beyond the recursion limit
+    path = tmp_path / "lattice.txt"
+    path.write_text(formats.write_set([(7 * a, 7 * b)
+                                       for a in range(32) for b in range(32)]))
+    done = subprocess.run(
+        [sys.executable, "-m", "epsap", "verify", "set", "--file", str(path),
+         "--m", "2", "--k", "32", "--eps", "1/5", "--json"],
+        capture_output=True, text=True, timeout=120,
+        env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert (done.returncode, done.stderr) == (1, "")
+    lines = done.stdout.splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["free"] is False
+    assert payload["witness"]["witness"]["certified"] is True
+
+
 def test_cli_density_deep_exact_aps_is_capped_not_crashed(capsys):
     code, out, err = run_cli(capsys, "density", "--N", "1200", "--k", "3",
                              "--exact-aps", "--work-cap", "3000", "--json")

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -19,8 +20,17 @@ from epsap.search import (
     find_eps_ap_in_points,
     max_exact_ap_free,
 )
-from epsap.search import _greedy, _max_free
-from oracles import lex_first_max_free_set, naive_eps_ap_subsets
+from epsap.search import _good_coloring, _greedy, _max_free
+from oracles import (
+    count_bound_free_set,
+    edge_closes,
+    greedy_free_set,
+    has_exact_ap,
+    lex_first_max_free_set,
+    naive_eps_ap_subsets,
+    per_n_least_forcing,
+    recursive_good_coloring,
+)
 
 F = Fraction
 
@@ -131,17 +141,18 @@ def test_find_search_tree_is_pinned(points, k, eps, nodes, hit):
 
 
 @pytest.mark.parametrize("k, r, eps, value, nodes", [
-    (3, 2, F(1, 3), 5, 60),
-    (4, 2, F(1, 5), 17, 4119),
+    (3, 2, F(1, 3), 5, 31),
+    (4, 2, F(1, 5), 17, 1046),
 ])
 def test_w_search_tree_is_pinned(k, r, eps, value, nodes):
-    out = exact_W(k, r, eps, 60)
-    assert (out.kind, out.value, out.nodes) == ("value", value, nodes)
+    out = _assert_spends_exactly(lambda work_cap: exact_W(k, r, eps, 60, work_cap),
+                                 nodes)
+    assert out.value == value
 
 
 @pytest.mark.parametrize("N, k, nodes, witness", [
-    (25, 3, 77672, (1, 2, 4, 10, 11, 14, 15, 22, 23, 25)),
-    (24, 5, 45368, (1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 18, 20, 21, 22, 24)),
+    (25, 3, 11208, (1, 2, 4, 10, 11, 14, 15, 22, 23, 25)),
+    (24, 5, 11713, (1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 18, 20, 21, 22, 24)),
 ])
 def test_max_exact_ap_free_search_tree_is_pinned(N, k, nodes, witness):
     out = _assert_spends_exactly(lambda work_cap: max_exact_ap_free(N, k, work_cap),
@@ -151,7 +162,7 @@ def test_max_exact_ap_free_search_tree_is_pinned(N, k, nodes, witness):
 
 def test_f_search_tree_is_pinned():
     out = _assert_spends_exactly(lambda work_cap: exact_f(20, 1, 3, F(1, 10), work_cap),
-                                 7370)
+                                 705)
     assert (out.value, out.witness) == (8, (1, 2, 4, 5, 11, 12, 14, 15))
 
 
@@ -230,6 +241,37 @@ def test_w_lower_bound_only_when_capped():
 def test_w_cap_never_reports_value():
     out = exact_W(3, 2, F(1, 3), 60, work_cap=30)
     assert out.kind == "lower_bound_only"
+
+
+def test_good_coloring_depth_does_not_grow_with_n():
+    n = 2000  # far beyond the interpreter's recursion limit
+    assert _good_coloring(n, 2, (), Budget(10 ** 6)) == ([1] * n, True)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(k=st.sampled_from((3, 4)), r=st.sampled_from((2, 3)),
+       eps=st.sampled_from((F(1, 20), F(1, 10), F(1, 6), F(1, 5))),
+       n_max=st.integers(1, 30), cap_seed=st.integers(0, 2 ** 20))
+def test_w_traversal_matches_per_n_search(k, r, eps, n_max, cap_seed):
+    """One resumed traversal gives the value and canonical good coloring that
+    solving every N afresh gives; a capped run stops at a canonical good
+    coloring of a smaller N and is never a value."""
+    def edges_of(n):
+        return enumerate_eps_aps(n, k, eps).edges
+
+    full = exact_W(k, r, eps, n_max)
+    assert (full.kind, full.value, full.witness.to_list()) == per_n_least_forcing(
+        r, edges_of, n_max)
+    cap = cap_seed % (full.nodes + 2)
+    out = exact_W(k, r, eps, n_max, work_cap=cap)
+    if cap >= full.nodes:
+        assert (out.kind, out.value, out.witness.to_list(), out.nodes) == (
+            full.kind, full.value, full.witness.to_list(), full.nodes)
+        return
+    assert (out.kind, out.nodes) == ("lower_bound_only", cap)
+    assert out.value <= full.value - (full.kind == "value")
+    assert out.witness.to_list() == recursive_good_coloring(
+        out.value, r, edges_of(out.value), Budget(10 ** 8))
 
 
 # ---------------------------------------------------------------------------
@@ -348,18 +390,11 @@ def _hypergraphs(draw):
     return n, edges
 
 
-def _edge_closes(n, edges):
-    by_max = [[] for _ in range(n)]
-    for e in edges:
-        by_max[e[-1]].append(e[:-1])
-    return lambda i, chosen: any(all(chosen[j] for j in rest) for rest in by_max[i])
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_hypergraphs())
 def test_max_free_is_the_lex_first_maximum(graph):
     n, edges = graph
-    closes = _edge_closes(n, edges)
+    closes = edge_closes(n, edges)
     want = lex_first_max_free_set(n, edges)
     budget = Budget(10 ** 6)
     assert _max_free(n, closes, budget) == (want, True)
@@ -384,6 +419,64 @@ def test_max_free_depth_does_not_grow_with_n():
     best, completed = _max_free(n, lambda i, chosen: False, budget)
     assert completed and best == tuple(range(n))
     assert budget.spent == 2 * n + 1
+
+
+def _assert_capped_run_is_sound(out, full, cap, greedy, edges):
+    """A run capped below the full search is a lower bound at least as large
+    as the greedy set, with a free witness; otherwise it is the full run."""
+    if cap >= full.nodes:
+        assert (out.kind, out.value, out.witness, out.nodes) == (
+            full.kind, full.value, full.witness, full.nodes)
+        return
+    assert (out.kind, out.nodes) == ("lower_bound_only", cap)
+    assert len(greedy) <= out.value == len(out.witness) <= full.value
+    assert not any(set(e) <= set(out.witness) for e in edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(N=st.integers(0, 24), k=st.sampled_from((3, 4, 5)),
+       cap_seed=st.integers(0, 2 ** 20))
+def test_exact_ap_ladder_matches_count_bound_search(N, k, cap_seed):
+    edges = enumerate_exact_aps(N, k)
+    full = max_exact_ap_free(N, k)
+    assert (full.kind, full.value, full.witness) == count_bound_free_set(N, edges)
+    cap = cap_seed % (full.nodes + 2)
+    _assert_capped_run_is_sound(max_exact_ap_free(N, k, work_cap=cap), full, cap,
+                                greedy_free_set(N, edges), edges)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(N=st.integers(0, 20), k=st.sampled_from((3, 4)),
+       eps=st.sampled_from((F(1, 20), F(1, 12), F(1, 10), F(1, 6), F(1, 4))),
+       cap_seed=st.integers(0, 2 ** 20))
+def test_eps_ladder_matches_count_bound_search(N, k, eps, cap_seed):
+    edges = enumerate_eps_aps(N, k, eps).edges
+    full = exact_f(N, 1, k, eps)
+    assert (full.kind, full.value, full.witness) == count_bound_free_set(N, edges)
+    cap = cap_seed % (full.nodes + 2)
+    out = exact_f(N, 1, k, eps, work_cap=cap)
+    try:
+        enumerate_eps_aps(N, k, eps, work_cap=cap)
+    except SearchCapExceeded:
+        # the enumeration has a budget of its own, and ran out
+        assert (out.kind, out.value, out.witness, out.nodes) == (
+            "lower_bound_only", 0, (), 0)
+        return
+    _assert_capped_run_is_sound(out, full, cap, greedy_free_set(N, edges), edges)
+
+
+def test_max_exact_ap_free_memory_stays_flat_when_capped():
+    # The progressions ending at n are listed only when the search reaches
+    # n, so a capped search on [1200] holds only those of the first rungs.
+    tracemalloc.start()
+    try:
+        out = max_exact_ap_free(1200, 3, work_cap=3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (out.kind, out.value, out.nodes) == ("lower_bound_only", 128, 3000)
+    assert not has_exact_ap(out.witness, 3)
+    assert peak < 5 * 2 ** 20
 
 
 def test_max_exact_ap_free_small_values():
