@@ -96,8 +96,10 @@ def _cmd_recognize_cube(args) -> int:
     payload = {
         "command": "recognize cube",
         "status": decision.status,
+        "exact": decision.exact,
         "witness": formats.witness_md_json(
-            decision.witness, args.tol, decision.witness.certifies(grid, args.eps))
+            decision.witness, args.tol,
+            decision.exact or decision.witness.certifies(grid, args.eps))
         if feasible else None,
     }
     text = [decision.status]

@@ -340,7 +340,8 @@ def _check_grid_points(pts, m: int, N: int, name: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
-                     node_cap: int = 20_000_000) -> Optional[tuple]:
+                     node_cap: int = 20_000_000,
+                     budget: Optional[Budget] = None) -> Optional[tuple]:
     """First approximate cube found in S (lex order of assignments), or None.
 
     DFS assigns points to index vectors in lex order.  Each partial
@@ -353,6 +354,10 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
     Because every injective index assignment is tried explicitly, no sorted-
     order disambiguation is needed and any eps accepted by the recognizer is
     allowed (in particular eps = 1/2).
+
+    Each node spends one unit of `budget`, a caller's Budget shared with its
+    own work, or by default a fresh Budget(node_cap); SearchCapExceeded is
+    raised once it is spent.
     """
     e = check_epsilon(eps)
     points = sorted(set(tuple(p) for p in S))
@@ -372,7 +377,8 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
     # geometry.FeasibleRegion2D; hi is None while it is unbounded above.
     p2, q = 2 * e.numerator, e.denominator
     scaled = [tuple(q * c for c in p) for p in points]
-    budget = Budget(node_cap)
+    if budget is None:
+        budget = Budget(node_cap)
 
     def narrowed(rows, x, lo_n, lo_d, hi):
         """Intersect the d interval with the rows (axis, q*y_axis, a, c) of

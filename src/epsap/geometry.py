@@ -21,12 +21,16 @@ The closed feasible region of a partial tuple, which the searches use to
 prune, is kept the same way: its bounds on d are integer pairs compared by
 cross-multiplication.
 
-The m-D recognizer cannot stay rational (the constraints are Euclidean
-balls), so it minimizes g(d) = R(d) - eps*d numerically, where R(d) is the
-smallest-enclosing-ball radius of the translated family {x_v - d*v}.  R is a
-partial minimization of a jointly convex function, hence g is convex, and the
-verdict is three-valued (feasible / infeasible / boundary) with an explicit
-tolerance.
+The m-D recognizer settles almost every grid exactly.  A least-squares
+scale and one smallest enclosing ball give a candidate witness that is
+checked in exact arithmetic; failing that, the exact d intervals of the axis
+lines (the 1-D regions above) and of the corner pairs are intersected, and an
+empty intersection proves the grid infeasible.  Only the grids both leave
+open are decided numerically: it minimizes g(d) = R(d) - eps*d, where R(d)
+is the smallest-enclosing-ball radius of the translated family
+{x_v - d*v}.  R is a partial minimization of a jointly convex function,
+hence g is convex, and that verdict is three-valued (feasible / infeasible /
+boundary) with an explicit tolerance.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, product
 from operator import mul
 from typing import Mapping, Optional, Sequence
 
@@ -511,6 +515,15 @@ class IndexedGrid:
         return [(v, self.assignment[v]) for v in sorted(self.assignment)]
 
 
+def _exact_eps(eps) -> Fraction:
+    """eps as an exact positive Fraction; a float is the binary fraction it is."""
+    if isinstance(eps, float):
+        if not math.isfinite(eps):
+            raise ValueError(f"eps must be finite, got {eps}")
+        eps = Fraction(eps)
+    return check_epsilon(eps)
+
+
 @dataclass(frozen=True)
 class WitnessMD:
     """Numeric certificate for an approximate cube: center a, scale d.
@@ -531,7 +544,7 @@ class WitnessMD:
         over their common denominator L the check is the integer inequality
         q^2 * |L*x_v - L*a - L*d*v|^2 < (p * L*d)^2 for eps = p/q.
         """
-        e = check_epsilon(Fraction(eps) if isinstance(eps, float) else eps)
+        e = _exact_eps(eps)
         ratios = [c.as_integer_ratio() for c in (*self.a, self.d)]
         den = math.lcm(*(q for _, q in ratios))
         *a, d = [n * (den // q) for n, q in ratios]
@@ -551,49 +564,131 @@ class WitnessMD:
 
 @dataclass(frozen=True)
 class CubeDecision:
+    """A cube verdict with the scale d it was reached at and g(d).
+
+    exact is True when the verdict is proved in exact arithmetic: a feasible
+    witness that certifies, or an empty scale interval, reported with d = 0
+    and g = inf.  Every golden-section verdict has exact False.
+    """
+
     status: str  # "feasible" | "infeasible" | "boundary"
     witness: Optional[WitnessMD]
     d: float
     g: float
     d_max: float
+    exact: bool
 
 
-def _cube_eps_float(eps) -> float:
-    if isinstance(eps, float):
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        return eps
-    return float(check_epsilon(eps))
+def _axis_line_bounds(grid: IndexedGrid, eps: Fraction):
+    """The closed d interval (lo, hi) of every axis line, None for an empty one.
+
+    A strict witness (a, d) of the grid is, on coordinate j of an axis-j
+    line, a strict 1-D witness with the same d, so d lies in the open
+    interval (lo, hi) of that line's closed region.
+    """
+    k, m = grid.k, grid.m
+    points = grid.assignment
+    for j in range(m):
+        for rest in product(range(k), repeat=m - 1):
+            region = region_new(k, eps)
+            for i in range(k):
+                region = region_add_point(region, i, points[rest[:j] + (i,) + rest[j:]][j])
+            # region.hi is bounded: eps < (k-1)/2 bounds d by the line's ends
+            yield None if region.degenerate_infeasible else (region.lo, region.hi)
+
+
+_ROOT_BITS = 32  # square roots are bracketed to within 2^-32
+
+
+def _corner_pair_bounds(grid: IndexedGrid, eps: Fraction):
+    """Bounds (lo, hi) on d from every pair of corners of {0, k-1}^m, None
+    when a pair allows no d.
+
+    Points x, y with index vectors v, w lie within eps*d of a + d*v and
+    a + d*w only if |y - x - d*(w - v)| < 2*eps*d.  With eps = p/q that is
+    A*d^2 - 2*B*d + C < 0 for integers A = q^2*|w - v|^2 - 4p^2,
+    B = q^2*(y - x).(w - v) and C = q^2*|y - x|^2.  Two corners differ by
+    k - 1 > 2*eps in some coordinate, so A > 0 and d lies strictly between
+    the roots (B -+ sqrt(B^2 - A*C)) / A.  The square root is rounded
+    outwards, so the bounds stay sound.  This is the Euclidean test the axis
+    lines lack: a rectangle too elongated for the ball passes every line but
+    fails its diagonal.
+    """
+    pp, qq = eps.numerator ** 2, eps.denominator ** 2
+    k = grid.k
+    corners = [(v, grid.assignment[v]) for v in product((0, k - 1), repeat=grid.m)]
+    for (v, x), (w, y) in combinations(corners, 2):
+        dv = [b - a for a, b in zip(v, w)]
+        dx = [b - a for a, b in zip(x, y)]
+        a = qq * sum(c * c for c in dv) - 4 * pp
+        b = qq * sum(map(mul, dx, dv))
+        disc = b * b - a * qq * sum(c * c for c in dx)
+        if disc <= 0:
+            yield None
+            return
+        scaled = disc << 2 * _ROOT_BITS
+        root = math.isqrt(scaled)
+        root += root * root != scaled
+        b <<= _ROOT_BITS
+        a <<= _ROOT_BITS
+        yield (b - root, a), (b + root, a)
+
+
+def _scale_interval(grid: IndexedGrid, eps: Fraction) -> Optional[tuple]:
+    """The open interval of scales d that a strict witness must lie in.
+
+    Intersects the bounds of the axis lines and of the corner pairs, kept as
+    integer pairs (num, den), den > 0.  Returns None once the intersection
+    is empty, which proves the grid infeasible.
+    """
+    lo, hi = (0, 1), None
+    for bounds in chain(_axis_line_bounds(grid, eps), _corner_pair_bounds(grid, eps)):
+        if bounds is None:
+            return None
+        b_lo, b_hi = bounds
+        if b_lo[0] * lo[1] > lo[0] * b_lo[1]:
+            lo = b_lo
+        if hi is None or b_hi[0] * hi[1] < hi[0] * b_hi[1]:
+            hi = b_hi
+        if lo[0] * hi[1] >= hi[0] * lo[1]:
+            return None
+    return lo, hi
 
 
 def recognize_cube(grid: IndexedGrid, eps, tol: float = 1e-9) -> CubeDecision:
     """Three-valued feasibility of an approximate cube witness.
 
-    Minimizes g(d) = R(d) - eps*d over (0, d_max] by golden-section search,
-    where R(d) is the smallest-enclosing-ball radius of {x_v - d*v} and
-    d_max = max_j spread_j / (k - 1 - 2*eps) bounds every feasible scale.
-    Verdicts: feasible when min g < -tol*d_max (with witness), infeasible
-    when min g > +tol*d_max, boundary otherwise.
+    Three stages, each run only if the ones before it left the grid open:
+    1. Probe: d0 is the least-squares scale of x_v ~ a + d*v, and one ball
+       of {x_v - d0*v} gives a candidate center; a witness that certifies
+       exactly is returned as feasible.
+    2. Exact interval: the d intervals of all axis lines and all corner
+       pairs are intersected in integer arithmetic; an empty intersection
+       proves the grid infeasible.
+    3. Fallback: g(d) = R(d) - eps*d, with R(d) the smallest-enclosing-ball
+       radius of {x_v - d*v}, is minimized by golden-section search over the
+       interval of stage 2 clipped to (0, d_max], where
+       d_max = max_j spread_j / (k - 1 - 2*eps) bounds every feasible scale.
+       Feasible when min g < -tol*d_max (with witness), infeasible when
+       min g > +tol*d_max, boundary otherwise.
+    The verdicts of stages 1 and 2 carry exact=True, those of stage 3 False.
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    e = _cube_eps_float(eps)
+    exact_eps = _exact_eps(eps)
+    e = float(exact_eps)
     k, m = grid.k, grid.m
-    pairs = grid.items_in_index_order()
-    pts = [p for _, p in pairs]
-    vecs = [v for v, _ in pairs]
-
-    denom = (k - 1) - 2 * e
-    if denom <= 0:
+    if 2 * exact_eps >= k - 1:
         raise ValueError(
             f"eps={e} too large for the scale bound; recognize_cube needs eps < (k-1)/2"
         )
+    pairs = grid.items_in_index_order()
+    pts = [p for _, p in pairs]
+    vecs = [v for v, _ in pairs]
     spreads = [
         max(p[j] for p in pts) - min(p[j] for p in pts) for j in range(m)
     ]
-    d_max = max(spreads) / denom
-    if d_max <= 0:
-        return CubeDecision("infeasible", None, 0.0, math.inf, 0.0)
+    d_max = max(spreads) / ((k - 1) - 2 * e)
 
     # One processing order serves every ball: nearby scales share most of
     # their support, so each call starts from the previous one's.
@@ -603,12 +698,32 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = 1e-9) -> CubeDecision:
     def shifted(d: float) -> list:
         return list(zip(*[[x - d * u for x, u in zip(xs, us)] for xs, us in axes]))
 
+    # Stage 1: d0 = sum_v x_v.(v - c) / sum_v |v - c|^2 with c the center of
+    # {0..k-1}^m.  The denominator is m*k^m*(k^2 - 1)/12, and the numerator
+    # needs no mean of x because sum_v (v - c) = 0.
+    moment = sum(x * (2 * u - (k - 1)) for v, p in pairs for x, u in zip(p, v))
+    d0 = 6 * moment / (m * k ** m * (k * k - 1))
+    if d0 > 0:
+        center, radius = min_enclosing_ball(shifted(d0), order)
+        if radius < e * d0:
+            witness = WitnessMD(a=center, d=d0, residual=e * d0 - radius)
+            if witness.certifies(grid, exact_eps):
+                return CubeDecision("feasible", witness, d0, -witness.residual, d_max,
+                                    exact=True)
+
+    # Stage 2.
+    interval = _scale_interval(grid, exact_eps)
+    if interval is None:
+        return CubeDecision("infeasible", None, 0.0, math.inf, d_max, exact=True)
+
+    # Stage 3.
     def g_of(d: float) -> float:
         _, radius = min_enclosing_ball(shifted(d), order)
         return radius - e * d
 
-    lo = d_max * 2.0 ** -60
-    hi = d_max
+    (lo_n, lo_d), (hi_n, hi_d) = interval
+    lo = max(lo_n / lo_d, d_max * 2.0 ** -60)
+    hi = min(hi_n / hi_d, d_max)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
@@ -632,10 +747,10 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = 1e-9) -> CubeDecision:
     if best_g < -tol * d_max:
         center, _ = min_enclosing_ball(shifted(best_d), order)
         witness = WitnessMD(a=center, d=best_d, residual=-best_g)
-        return CubeDecision("feasible", witness, best_d, best_g, d_max)
+        return CubeDecision("feasible", witness, best_d, best_g, d_max, exact=False)
     if best_g > tol * d_max:
-        return CubeDecision("infeasible", None, best_d, best_g, d_max)
-    return CubeDecision("boundary", None, best_d, best_g, d_max)
+        return CubeDecision("infeasible", None, best_d, best_g, d_max, exact=False)
+    return CubeDecision("boundary", None, best_d, best_g, d_max, exact=False)
 
 
 def index_grid_points(point_set, m: int, k: int, eps) -> IndexedGrid:

@@ -422,7 +422,9 @@ def exact_f(N: int, m: int, k: int, eps,
     invariant, so there it keeps the count bound.  Hitting the work cap yields
     lower_bound_only carrying the best incumbent found so far, never a value.
     For m = 1 the edge enumeration gets its own budget of work_cap nodes; if
-    it runs out, the outcome is lower_bound_only 0 with the empty set.
+    it runs out, the outcome is lower_bound_only 0 with the empty set.  For
+    m >= 2 the cube checks spend the search's own budget, so `nodes` counts
+    their nodes too.
     """
     if N < 0 or m < 1 or k < 2:
         raise ValueError(f"need N >= 0, m >= 1, k >= 2, got {N}, {m}, {k}")
@@ -450,7 +452,7 @@ def exact_f(N: int, m: int, k: int, eps,
         if len(picked) + 1 < cube:
             return False
         return verify_cube_free(picked + [points[i]], m, k, e,
-                                node_cap=max(budget.left, 1)) is not None
+                                budget=budget) is not None
 
     best, completed = _max_free(len(points), closes, budget)
     return SearchOutcome("value" if completed else "lower_bound_only", len(best),

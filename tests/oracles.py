@@ -10,6 +10,8 @@ numeric recognizer that confirms a complete assignment.  The free-set and
 coloring oracles are the library's searches as they stood before they
 climbed a ladder over n: a count-bound branch and bound on [N] alone, and a
 coloring search started afresh for every N; callers hand them the edges.
+The golden-section cube recognizer is the library's before it gained its
+exact stages; it shares the enclosing ball and the witness type with it.
 """
 
 import math
@@ -19,7 +21,15 @@ from itertools import combinations, product
 from typing import Optional
 
 from epsap.errors import Budget, SearchCapExceeded
-from epsap.geometry import IndexedGrid, check_epsilon, recognize_cube
+from epsap.geometry import (
+    CubeDecision,
+    IndexedGrid,
+    WitnessMD,
+    _welzl_order,
+    check_epsilon,
+    min_enclosing_ball,
+    recognize_cube,
+)
 
 
 def _det3(m):
@@ -476,3 +486,85 @@ def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
         return None
 
     return recurse(0, Fraction(0), None)
+
+
+def _cube_eps_float(eps) -> float:
+    if isinstance(eps, float):
+        if eps <= 0:
+            raise ValueError(f"eps must be positive, got {eps}")
+        return eps
+    return float(check_epsilon(eps))
+
+
+def golden_section_recognize_cube(grid: IndexedGrid, eps,
+                                  tol: float = 1e-9) -> CubeDecision:
+    """The cube recognizer as it stood before its exact stages: golden
+    section over the whole of (0, d_max], every verdict numeric.
+
+    Minimizes g(d) = R(d) - eps*d over (0, d_max] by golden-section search,
+    where R(d) is the smallest-enclosing-ball radius of {x_v - d*v} and
+    d_max = max_j spread_j / (k - 1 - 2*eps) bounds every feasible scale.
+    Verdicts: feasible when min g < -tol*d_max (with witness), infeasible
+    when min g > +tol*d_max, boundary otherwise.
+    """
+    if tol <= 0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    e = _cube_eps_float(eps)
+    k, m = grid.k, grid.m
+    pairs = grid.items_in_index_order()
+    pts = [p for _, p in pairs]
+    vecs = [v for v, _ in pairs]
+
+    denom = (k - 1) - 2 * e
+    if denom <= 0:
+        raise ValueError(
+            f"eps={e} too large for the scale bound; recognize_cube needs eps < (k-1)/2"
+        )
+    spreads = [
+        max(p[j] for p in pts) - min(p[j] for p in pts) for j in range(m)
+    ]
+    d_max = max(spreads) / denom
+    if d_max <= 0:
+        return CubeDecision("infeasible", None, 0.0, math.inf, 0.0, False)
+
+    # One processing order serves every ball: nearby scales share most of
+    # their support, so each call starts from the previous one's.
+    order = _welzl_order(len(pts))
+    axes = [([float(p[j]) for p in pts], [v[j] for v in vecs]) for j in range(m)]
+
+    def shifted(d: float) -> list:
+        return list(zip(*[[x - d * u for x, u in zip(xs, us)] for xs, us in axes]))
+
+    def g_of(d: float) -> float:
+        _, radius = min_enclosing_ball(shifted(d), order)
+        return radius - e * d
+
+    lo = d_max * 2.0 ** -60
+    hi = d_max
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    x1 = hi - inv_phi * (hi - lo)
+    x2 = lo + inv_phi * (hi - lo)
+    f1, f2 = g_of(x1), g_of(x2)
+    best_d, best_g = (x1, f1) if f1 <= f2 else (x2, f2)
+    for _ in range(200):
+        if hi - lo < tol * d_max:
+            break
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - inv_phi * (hi - lo)
+            f1 = g_of(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + inv_phi * (hi - lo)
+            f2 = g_of(x2)
+        for d, f in ((x1, f1), (x2, f2)):
+            if f < best_g:
+                best_d, best_g = d, f
+
+    if best_g < -tol * d_max:
+        center, _ = min_enclosing_ball(shifted(best_d), order)
+        witness = WitnessMD(a=center, d=best_d, residual=-best_g)
+        return CubeDecision("feasible", witness, best_d, best_g, d_max, False)
+    if best_g > tol * d_max:
+        return CubeDecision("infeasible", None, best_d, best_g, d_max, False)
+    return CubeDecision("boundary", None, best_d, best_g, d_max, False)

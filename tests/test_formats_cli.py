@@ -226,7 +226,9 @@ def test_cli_recognize_cube_infeasible(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "recognize", "cube", "--file", str(path),
                            "--m", "2", "--k", "2", "--eps", "1/5", "--json")
     assert code == 1
-    assert json.loads(out)["status"] in ("infeasible", "boundary")
+    payload = json.loads(out)
+    # the pair (1, 5), (9, 1) on the anti-diagonal allows no scale at all
+    assert (payload["status"], payload["exact"]) == ("infeasible", True)
 
 
 def test_cli_verify_coloring_overrides(tmp_path, capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epsap.geometry import (
@@ -15,6 +15,7 @@ from epsap.geometry import (
     WitnessMD,
     _bound,
     _circumsphere,
+    _scale_interval,
     gap_ratio_filter,
     grid_from_points_1d,
     index_grid_points,
@@ -28,6 +29,7 @@ from epsap.geometry import (
 )
 from oracles import (
     _inside,
+    golden_section_recognize_cube,
     lp_vertex_accepts,
     naive_enclosing_circle_2d,
     pairwise_recognize_ap,
@@ -529,11 +531,90 @@ def test_cube_witness_substitutes_into_the_inequalities():
 
 
 def test_cube_boundary_verdict():
-    # (0, 1, 3) at eps = 1/6 has exact maximum slack 0: strictly infeasible,
-    # but the numeric recognizer can only call it a boundary case
+    # (0, 1, 3) at eps = 1/6 has exact maximum slack 0: its line interval is
+    # the single closed point d = 3/2, so the exact stage proves it
+    # infeasible, where golden section alone can only call it a boundary case
     assert recognize_ap((0, 1, 3), F(1, 6)) is None
     decision = recognize_cube(grid_from_points_1d((0, 1, 3)), F(1, 6), tol=1e-9)
-    assert decision.status == "boundary"
+    assert (decision.status, decision.exact) == ("infeasible", True)
+    # the lines and corner pairs of this grid leave an interval of d open,
+    # the probe misses, and min g = 0 at d = 5 up to rounding: a numeric
+    # boundary verdict
+    grid = IndexedGrid(m=2, k=2, assignment={
+        (0, 0): (1, 3), (0, 1): (3, 7), (1, 0): (8, 2), (1, 1): (6, 6)})
+    decision = recognize_cube(grid, F(1, 4), tol=1e-9)
+    assert (decision.status, decision.exact) == ("boundary", False)
+    assert decision.d == pytest.approx(5.0, rel=1e-6)
+
+
+_CUBE_EPS = (F(1, 10), F(1, 6), F(1, 5), F(1, 4), F(1, 3), 0.15, 0.2, 0.3)
+
+
+@st.composite
+def cube_cases(draw):
+    """(grid, eps): k^m points near d*v with clear (0.3 eps*d), near
+    (0.95 eps*d), tight (eps*d, so a point may sit on its sphere) or broken
+    noise (small noise, then one point moved along one axis), or free: any
+    distinct points of the box [0, k*d]^m."""
+    m = draw(st.integers(1, 3))
+    k = draw(st.integers(2, 5))
+    eps = draw(st.sampled_from(_CUBE_EPS))
+    kind = draw(st.sampled_from(("clear", "near", "tight", "broken", "free")))
+    d = draw(st.integers(4, 60))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    slots = list(product(range(k), repeat=m))
+    if kind == "free":
+        pts = []
+        while len(pts) < len(slots):
+            p = tuple(rng.randint(0, k * d) for _ in range(m))
+            if p not in pts:
+                pts.append(p)
+    else:
+        radius = {"clear": 0.3, "near": 0.95, "tight": 1, "broken": 0.1}[kind] * float(eps) * d
+        pts = []
+        for v in slots:
+            while True:
+                u = [rng.randint(-int(radius), int(radius)) for _ in range(m)]
+                if sum(c * c for c in u) <= radius ** 2:
+                    break
+            pts.append(tuple(d * c + n for c, n in zip(v, u)))
+        if kind == "broken":
+            i, axis = rng.randrange(len(slots)), rng.randrange(m)
+            moved = list(pts[i])
+            moved[axis] += rng.choice((-1, 1)) * rng.randint(1, d)
+            pts[i] = tuple(moved)
+            assume(len(set(pts)) == len(pts))
+    return IndexedGrid(m=m, k=k, assignment=dict(zip(slots, pts))), eps
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=cube_cases())
+@example(case=(grid_from_points_1d((0, 1, 3)), F(1, 6)))
+@example(case=(grid_from_points_1d((0, 1, 3)), 1 / 6))
+def test_cube_stages_agree_with_golden_section_oracle(case):
+    grid, eps = case
+    fast = recognize_cube(grid, eps, tol=1e-9)
+    slow = golden_section_recognize_cube(grid, eps, tol=1e-9)
+    if fast.status == "feasible":
+        assert fast.witness.certifies(grid, eps)
+    if fast.exact:
+        assert fast.status in ("feasible", "infeasible")
+    if slow.status == "feasible":
+        assert fast.status != "infeasible"
+    # The probe settles most feasible grids before the exact interval is
+    # built, so the interval is checked on its own: an empty one is never
+    # feasible under the oracle, and it holds the scale of every witness.
+    interval = _scale_interval(grid, F(eps))
+    if interval is None:
+        assert slow.status != "feasible"
+    for w in (fast.witness, slow.witness):
+        if w is not None and w.certifies(grid, eps):
+            assert interval is not None
+            assert F(*interval[0]) < F(w.d) < F(*interval[1])
+    # One axis line is the whole 1-D grid, so its interval decides it exactly.
+    if grid.m == 1 and not lp_vertex_accepts(
+            [x for _, (x,) in grid.items_in_index_order()], F(eps)):
+        assert (fast.status, fast.exact) == ("infeasible", True)
 
 
 def test_cube_depth_does_not_grow_with_the_grid():

@@ -166,18 +166,15 @@ def test_f_search_tree_is_pinned():
     assert (out.value, out.witness) == (8, (1, 2, 4, 5, 11, 12, 14, 15))
 
 
-@pytest.mark.parametrize("eps, fitting_cap", [
-    (F(1, 10), 45), (F(1, 8), 45), (F(1, 6), 46), (F(1, 5), 46),
+@pytest.mark.parametrize("eps, nodes", [
+    (F(1, 10), 177), (F(1, 8), 177), (F(1, 6), 221), (F(1, 5), 221),
 ])
-def test_f_two_dimensional_search_tree_is_pinned(eps, fitting_cap):
-    # The cube checks draw on the cap left over but are not charged to it, so
-    # the smallest cap that completes sits above the 43 nodes spent.
-    out = exact_f(3, 2, 2, eps)
-    assert (out.kind, out.value, out.nodes) == ("value", 7, 43)
-    assert out.witness == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2))
-    fits = exact_f(3, 2, 2, eps, work_cap=fitting_cap)
-    assert (fits.kind, fits.nodes, fits.witness) == ("value", 43, out.witness)
-    assert exact_f(3, 2, 2, eps, work_cap=fitting_cap - 1).kind == "lower_bound_only"
+def test_f_two_dimensional_search_tree_is_pinned(eps, nodes):
+    # 43 of the nodes are the free-set search's own; the cube checks spend
+    # the rest from the same budget.
+    out = _assert_spends_exactly(lambda work_cap: exact_f(3, 2, 2, eps, work_cap), nodes)
+    assert (out.value, out.witness) == (
+        7, ((1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)))
 
 
 # ---------------------------------------------------------------------------
