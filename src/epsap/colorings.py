@@ -299,9 +299,15 @@ class LowerBoundParams:
 
 
 def hypothesis_threshold(r: int, eps) -> float:
-    """Smallest admissible k at level r: 2^r * r! * ln^r(1/(5 eps)) / eps."""
+    """Smallest admissible k at level r: 2^r * r! * ln^r(1/(5 eps)) / eps.
+
+    math.inf when that passes every float, for large r or tiny eps.
+    """
     e = to_fraction(eps)
-    return 2.0 ** r * math.factorial(r) * math.log(1 / (5 * float(e))) ** r / float(e)
+    try:
+        return 2.0 ** r * math.factorial(r) * math.log(1 / (5 * float(e))) ** r / float(e)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
 
 
 def lower_bound_params(k: int, r: int, eps,

@@ -21,6 +21,7 @@ from .geometry import (
     IndexedGrid,
     WitnessMD,
     check_epsilon,
+    check_tol,
     recognize_cube,
 )
 from .rational import ceil_frac, floor_frac, to_fraction
@@ -360,14 +361,15 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
     raised once it is spent.
     """
     e = check_epsilon(eps)
+    check_tol(tol)
     points = sorted(set(tuple(p) for p in S))
-    slots = sorted(product(range(k), repeat=m))
     total = k ** m
     if len(points) < total:
         return None
     for p in points:
         if len(p) != m:
             raise ValueError(f"point {p!r} is not {m}-dimensional")
+    slots = sorted(product(range(k), repeat=m))
 
     # With eps = p/q, the box constraint |dx - d*dv| <= 2*eps*d of a candidate
     # x against an assigned point y on one axis, scaled by q, reads

@@ -89,7 +89,7 @@ def read_coloring(text: str):
         r = int(fields["r"])
         eps = Fraction(fields["eps"])
         k = int(fields["k"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed coloring header: {lines[0]!r}") from exc
     colors = [int(tok) for tok in lines[1:] if tok.strip()]
     if len(colors) != n:
@@ -117,7 +117,7 @@ def read_hypergraph(text: str):
         n = int(fields["N"])
         k = int(fields["k"])
         eps = Fraction(fields["eps"])
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed hypergraph header: {lines[0]!r}") from exc
     edges = []
     for raw in lines[1:]:

@@ -53,6 +53,7 @@ __all__ = [
     "FeasibleRegion2D",
     "IndexingError",
     "check_epsilon",
+    "check_tol",
     "check_points_1d",
     "recognize_ap",
     "gap_ratio_filter",
@@ -87,6 +88,13 @@ def check_epsilon(eps, *, set_level: bool = False) -> Fraction:
             "the index permutation is ambiguous otherwise"
         )
     return e
+
+
+def check_tol(tol) -> None:
+    """Validate a numeric tolerance: a finite positive float.  NaN and inf
+    would leave the golden-section fallback only the verdict 'boundary'."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite positive float, got {tol}")
 
 
 def check_points_1d(points) -> tuple:
@@ -673,8 +681,7 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = 1e-9) -> CubeDecision:
        min g > +tol*d_max, boundary otherwise.
     The verdicts of stages 1 and 2 carry exact=True, those of stage 3 False.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    check_tol(tol)
     exact_eps = _exact_eps(eps)
     e = float(exact_eps)
     k, m = grid.k, grid.m

@@ -1,16 +1,16 @@
 """Exact desk-scale searches: hypergraph enumeration, least forcing N, max free sets.
 
-Everything here is exhaustive and exact.  Enumeration prunes k-tuples with
+Everything here is exhaustive and exact, on explicit stacks.  One lex-order
+stream (_eps_aps) lists approximate progressions: it prunes k-tuples with
 the closed (a, d) region from the geometry module and accepts a full tuple
-exactly when its open region is nonempty, which is the exact recognizer's
-verdict, so pruned output equals naive output.  Coloring
-and subset searches are plain backtracking with canonical tie-breaking, so
-results are deterministic and independent of any scheduling.
+exactly when its open region is nonempty, the exact recognizer's verdict,
+so pruned output equals naive output.  Coloring and subset searches are
+plain backtracking with canonical tie-breaking, so results are
+deterministic; exact_W and exact_f (m = 1) count the listing in `nodes`.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,51 +57,50 @@ class SearchOutcome:
     value: int
     witness: object
     nodes: int
-    seconds: float
 
 
-def _dfs_eps_aps(candidates, k, eps, budget, first_only, head=()):
-    """Lex DFS over increasing k-tuples of candidates with region pruning.
+def _eps_aps(candidates, k, eps, budget, head=()):
+    """Lex-order stream of the approximate k-progressions among candidates.
 
-    Every tuple starts with the fixed points `head`, which lie below the
-    candidates.  Returns (tuple, witness) pairs; the witness is
-    recognize_ap's for first_only searches and None for enumerations, which
-    discard it.
+    Each tuple starts with `head` (fewer than k points, below the
+    candidates).  A prefix is pruned once its closed (a, d) region is empty;
+    a full tuple is yielded when its open region is nonempty.  Depth-first
+    on an explicit stack of candidate streams, one per level being filled;
+    one budget unit per node, the root included.
     """
-    found = []
-    n = len(candidates)
-
-    def recurse(start, chosen, region):
-        budget.spend()
-        depth = len(chosen)
-        if depth == k:
-            if region_open_feasible(region):
-                found.append((tuple(chosen),
-                              recognize_ap(chosen, eps) if first_only else None))
-            return bool(found) and first_only
-        seen = False
-        for idx in range(start, n - (k - depth) + 1):
-            x = candidates[idx]
-            r2 = region_add_point(region, depth, x)
-            if region_closed_empty(r2):
-                # The x keeping the closed region nonempty form an interval
-                # (projection of a convex set), and candidates increase.
-                if seen:
-                    break
-                continue
-            seen = True
-            chosen.append(x)
-            done = recurse(idx + 1, chosen, r2)
-            chosen.pop()
-            if done:
-                return True
-        return False
-
+    candidates = tuple(candidates)  # indexed per candidate: faster than a range
+    n, h = len(candidates), len(head)
+    chosen = list(head) + [None] * (k - h)
     region = region_new(k, eps)
     for i, x in enumerate(head):
         region = region_add_point(region, i, x)
-    recurse(0, list(head), region)
-    return found
+
+    def fits(start, depth, region):  # indices that may fill level depth
+        seen = False
+        for idx in range(start, n - (k - depth) + 1):
+            r2 = region_add_point(region, depth, candidates[idx])
+            if not region_closed_empty(r2):
+                seen = True
+                yield idx, r2
+            elif seen:
+                # The x keeping the closed region nonempty form an interval
+                # (projection of a convex set), and candidates increase.
+                return
+
+    budget.spend()
+    stack = [fits(0, h, region)]
+    while stack:
+        depth = h + len(stack) - 1
+        for idx, r2 in stack[-1]:
+            chosen[depth] = candidates[idx]
+            budget.spend()
+            if depth + 1 < k:
+                stack.append(fits(idx + 1, depth + 1, r2))
+                break
+            if region_open_feasible(r2):
+                yield tuple(chosen)
+        else:
+            stack.pop()
 
 
 def enumerate_eps_aps(N: int, k: int, eps,
@@ -110,9 +109,8 @@ def enumerate_eps_aps(N: int, k: int, eps,
     if N < 0 or k < 2:
         raise ValueError(f"need N >= 0 and k >= 2, got N={N}, k={k}")
     e = check_epsilon(eps, set_level=True)
-    budget = Budget(work_cap)
-    hits = _dfs_eps_aps(tuple(range(1, N + 1)), k, e, budget, first_only=False)
-    return EpsApHypergraph(N=N, k=k, eps=e, edges=tuple(s for s, _ in hits))
+    edges = tuple(_eps_aps(range(1, N + 1), k, e, Budget(work_cap)))
+    return EpsApHypergraph(N=N, k=k, eps=e, edges=edges)
 
 
 def enumerate_exact_aps(N: int, k: int) -> tuple:
@@ -138,31 +136,21 @@ def find_eps_ap_in_points(points, k: int, eps,
         return None
     if any(a >= b for a, b in zip(pts, pts[1:])):
         raise ValueError("candidate points must be strictly increasing")
-    budget = Budget(work_cap)
-    hits = _dfs_eps_aps(pts, k, e, budget, first_only=True)
-    return hits[0] if hits else None
+    hit = next(_eps_aps(pts, k, e, Budget(work_cap)), None)
+    return None if hit is None else (hit, recognize_ap(hit, e))
 
 
 # ---------------------------------------------------------------------------
 # Least N forcing a monochromatic edge
 # ---------------------------------------------------------------------------
 
-def _edges_ending_at(n: int, k: int, eps, budget) -> list:
-    """Approximate k-progressions of [n] whose largest element is n.
-
-    Approximate progressions are symmetric under x -> n + 1 - x, so these
-    are the mirror images of the ones whose least element is 1.
-    """
-    hits = _dfs_eps_aps(range(2, n + 1), k, eps, budget, False, head=(1,))
-    return [tuple(n + 1 - x for x in reversed(s)) for s, _ in hits]
-
-
 def _good_coloring(N: int, r: int, by_max, budget):
     """Canonical r-coloring with no monochromatic edge of the longest [n], n <= N.
 
-    by_max yields, for x = 1, 2, ..., the edges whose largest element is x.
-    It is read once per x, when the search first reaches x, so edges can be
-    enumerated as they are needed; an exhausted by_max means no more edges.
+    by_max yields, for x = 1, 2, ..., the edges whose largest element is x,
+    each without x.  It is read once per x, when the search first reaches x,
+    so edges can be enumerated as they are needed; an exhausted by_max means
+    no more edges.
     Backtracking in element order on an explicit stack.  Colors are
     propagated as per-element forbidden sets: color c is forbidden at x when
     some edge ending at x has all other elements colored c.  Symmetry is
@@ -194,7 +182,7 @@ def _good_coloring(N: int, r: int, by_max, budget):
                     good = colors[1:]
                     if x > N:
                         break
-                    rests.append([e[:-1] for e in next(by_max, ())])
+                    rests.append(next(by_max, ()))
                     colors.append(0)
                     used.append(0)
                     forbidden.append(())
@@ -223,9 +211,17 @@ def _good_coloring(N: int, r: int, by_max, budget):
     return good, True
 
 
-def _edges_by_max(k: int, eps, budget):
-    """The by_max stream of _good_coloring for approximate k-progressions."""
-    return (_edges_ending_at(n, k, eps, budget) for n in count(1))
+def _edges_by_max(k: int, eps, budget, first: int = 1):
+    """The by_max stream of _good_coloring for approximate k-progressions.
+
+    For n = 1, 2, ...: those of [n] ending at n, without n, as the mirror
+    images (x -> n + 1 - x) of the ones starting at 1.  Elements are
+    numbered from `first`; 0 gives the ladder's indices.
+    """
+    for n in count(1):
+        top = n + first  # x -> n + 1 - x, renumbered
+        yield [tuple(top - x for x in reversed(s[1:]))
+               for s in _eps_aps(range(2, n + 1), k, eps, budget, head=(1,))]
 
 
 def arrow_decision(N: int, k: int, r: int, eps,
@@ -266,13 +262,12 @@ def exact_W(k: int, r: int, eps, n_max: int,
     if k < 2 or r < 1 or n_max < 1:
         raise ValueError(f"need k >= 2, r >= 1, n_max >= 1, got {k}, {r}, {n_max}")
     e = check_epsilon(eps, set_level=True)
-    t0 = time.perf_counter()
     budget = Budget(work_cap)
     good, completed = _good_coloring(n_max, r, _edges_by_max(k, e, budget), budget)
     forced = completed and len(good) < n_max
     return SearchOutcome("value" if forced else "lower_bound_only",
                          len(good) + forced, Coloring.from_list(good, r=r),
-                         budget.spent, time.perf_counter() - t0)
+                         budget.spent)
 
 
 # ---------------------------------------------------------------------------
@@ -358,38 +353,48 @@ def _edge_test(by_max):
     return closes
 
 
-def _ladder(N: int, rests_ending_at, greedy, work_cap: int, t0) -> SearchOutcome:
+def _ladder(N: int, rests_ending_at, budget, greedy=None) -> SearchOutcome:
     """Largest subset of [N] containing no edge, solving [1], [2], ..., [N] in turn.
 
     The edges must be translation invariant.  rests_ending_at(i) lists those
     whose largest index is i, without i; it is called once per i, when rung
-    i + 1 is reached.  In rung n the indices i..n-1 are a translate of
-    [n - i], so they hold at most f(n - i) chosen points, the value of an
-    earlier rung (the suffix bound of Gasarch, Glenn and Kruskal, "Finding
-    large 3-free sets I", 2008); rung n's own f(n) is bounded by n until it
-    is solved.  greedy is the greedy set of [N], 0-based; greedy is prefix
-    consistent, so its part below n is rung n's incumbent.  All rungs share
-    one budget, so `nodes` counts every rung.  A capped run reports the
-    greedy set, or a larger set found on the way.
+    i + 1 is reached, and may spend the budget.  In rung n the indices
+    i..n-1 are a translate of [n - i], so they hold at most f(n - i) chosen
+    points, the value of an earlier rung (the suffix bound of Gasarch, Glenn
+    and Kruskal, "Finding large 3-free sets I", 2008); rung n's own f(n) is
+    bounded by n until it is solved.  greedy, the greedy set of [N] 0-based,
+    is grown rung by rung when None; it is prefix consistent, so its part
+    below n is rung n's incumbent.  All rungs share the budget, so `nodes`
+    counts every rung.  A capped run reports the greedy set, or a larger
+    set found on the way.
     """
     by_max = []
     closes = _edge_test(by_max)
-    budget = Budget(work_cap)
+    grow = greedy is None
+    if grow:
+        greedy, in_greedy = [], []
     f = [0]  # f[n]: the largest free subset of [n], for the rungs solved
     prev, best, completed = (), (), True
-    for n in range(1, N + 1):
-        by_max.append(rests_ending_at(n - 1))
-        f.append(n)
-        prev = best
-        best, completed = _max_free(n, closes, budget,
-                                    greedy[:bisect_left(greedy, n)], f[::-1])
-        if not completed:
-            best = max(greedy, prev, best, key=len)
-            break
-        f[n] = len(best)
+    try:
+        for n in range(1, N + 1):
+            by_max.append(rests_ending_at(n - 1))
+            if grow:
+                in_greedy.append(not closes(n - 1, in_greedy))
+                if in_greedy[-1]:
+                    greedy.append(n - 1)
+            f.append(n)
+            prev = best
+            best, completed = _max_free(n, closes, budget,
+                                        greedy[:bisect_left(greedy, n)], f[::-1])
+            if not completed:
+                break
+            f[n] = len(best)
+    except SearchCapExceeded:  # raised by the listing, between rungs
+        completed = False
+    if not completed:
+        best = max(greedy, prev, best, key=len)
     return SearchOutcome("value" if completed else "lower_bound_only", len(best),
-                         tuple(i + 1 for i in best), budget.spent,
-                         time.perf_counter() - t0)
+                         tuple(i + 1 for i in best), budget.spent)
 
 
 def max_exact_ap_free(N: int, k: int,
@@ -402,14 +407,13 @@ def max_exact_ap_free(N: int, k: int,
     """
     if N < 0 or k < 2:
         raise ValueError(f"need N >= 0 and k >= 2, got N={N}, k={k}")
-    t0 = time.perf_counter()
 
     def rests_ending_at(i):
         return [tuple(range(i - (k - 1) * d, i, d))
                 for d in range(i // (k - 1), 0, -1)]
 
     greedy = _greedy(N, lambda i, chosen: _forms_exact_ap_ending(i, chosen, k))
-    return _ladder(N, rests_ending_at, greedy, work_cap, t0)
+    return _ladder(N, rests_ending_at, Budget(work_cap), greedy)
 
 
 def exact_f(N: int, m: int, k: int, eps,
@@ -418,34 +422,28 @@ def exact_f(N: int, m: int, k: int, eps,
 
     Branch and bound in lex element order; for m = 1 it climbs the rungs
     [1], ..., [N] with the suffix bound (see _ladder), seeded with the greedy
-    set as a sound incumbent.  The cube order of m >= 2 is not translation
-    invariant, so there it keeps the count bound.  Hitting the work cap yields
-    lower_bound_only carrying the best incumbent found so far, never a value.
-    For m = 1 the edge enumeration gets its own budget of work_cap nodes; if
-    it runs out, the outcome is lower_bound_only 0 with the empty set.  For
-    m >= 2 the cube checks spend the search's own budget, so `nodes` counts
-    their nodes too.
+    set as a sound incumbent, listing the progressions ending at n on
+    reaching rung n, as exact_W does.  The cube order of m >= 2 is not
+    translation invariant, so there it keeps the count bound.  One budget
+    serves the search, the listing (m = 1) and the cube checks (m >= 2), so
+    `nodes` counts them all.  Hitting the cap yields lower_bound_only
+    carrying the best incumbent found so far, never a value; for m = 1, a
+    cap hit while listing rung n keeps the best set of [n - 1].
     """
     if N < 0 or m < 1 or k < 2:
         raise ValueError(f"need N >= 0, m >= 1, k >= 2, got {N}, {m}, {k}")
-    t0 = time.perf_counter()
+    budget = Budget(work_cap)
     if m == 1:
-        try:
-            edges = enumerate_eps_aps(N, k, eps, work_cap).edges
-        except SearchCapExceeded:
-            return SearchOutcome("lower_bound_only", 0, (), 0, time.perf_counter() - t0)
-        by_max = [[] for _ in range(N)]
-        for edge in edges:
-            by_max[edge[-1] - 1].append(tuple(p - 1 for p in edge[:-1]))
-        greedy = _greedy(N, _edge_test(by_max))
-        return _ladder(N, by_max.__getitem__, greedy, work_cap, t0)
+        e = check_epsilon(eps, set_level=True)
+        by_max = _edges_by_max(k, e, budget, first=0)
+        # the ladder asks for i = 0, 1, ... in turn, as by_max yields them
+        return _ladder(N, lambda _: next(by_max), budget)
 
     from .density import verify_cube_free  # density imports this module
 
     e = check_epsilon(eps)
     points = tuple(product(range(1, N + 1), repeat=m))
     cube = k ** m
-    budget = Budget(work_cap)
 
     def closes(i, chosen):
         picked = [p for p, c in zip(points, chosen) if c]
@@ -456,5 +454,4 @@ def exact_f(N: int, m: int, k: int, eps,
 
     best, completed = _max_free(len(points), closes, budget)
     return SearchOutcome("value" if completed else "lower_bound_only", len(best),
-                         tuple(points[i] for i in best), budget.spent,
-                         time.perf_counter() - t0)
+                         tuple(points[i] for i in best), budget.spent)

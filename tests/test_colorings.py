@@ -163,6 +163,15 @@ def small_case_k() -> int:
             k += 1
 
 
+def test_hypothesis_threshold_is_infinite_past_every_float():
+    from epsap.colorings import hypothesis_threshold
+
+    assert hypothesis_threshold(200, F(1, 1000)) == math.inf
+    assert hypothesis_threshold(2, F(1, 10 ** 400)) == math.inf
+    with pytest.raises(ValueError, match="fails at level r=200"):
+        lower_bound_params(10, 200, F(1, 1000))
+
+
 def test_params_base_level():
     p = lower_bound_params(9, 1, F(1, 100))
     assert p.n1 == 8 and p.child is None

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
@@ -284,6 +285,25 @@ def test_cube_search_digit_product_is_free_h2():
     _, members = build_behrend_digit_set(F(1, 125), 2, one_based=True)
     s = product_free_set(members, 2, 25)
     assert verify_cube_free(s, 2, 3, F(1, 125)) is None
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
+def test_cube_search_rejects_a_bad_tolerance_before_searching(tol):
+    # no complete assignment is reached here, so only the early check sees it
+    with pytest.raises(ValueError, match="finite positive"):
+        verify_cube_free([(1, 1)], 2, 2, F(1, 4), tol=tol)
+
+
+def test_cube_search_with_too_few_points_builds_no_slots():
+    # too few points answer before the k^m slots are listed (160,000 here;
+    # 1050^3 for `verify set --m 3 --k 1050` would not fit in memory)
+    tracemalloc.start()
+    try:
+        assert verify_cube_free([(1, 2), (3, 4)], 2, 400, F(1, 4)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 @st.composite

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from epsap import formats
 from epsap.cli import main
 from epsap.colorings import Coloring, build_simple_r2_coloring, verify_no_mono_ap
-from epsap.search import enumerate_eps_aps
+from epsap.search import EpsApHypergraph, enumerate_eps_aps
 from oracles import has_exact_ap
 
 F = Fraction
@@ -53,6 +53,60 @@ def test_coloring_header_mismatch():
 def test_hypergraph_bad_edge_line():
     with pytest.raises(ValueError):
         formats.read_hypergraph("# N=5 k=3 eps=1/4\n3 2 1\n")
+
+
+_EPS = st.builds(F, st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(m=st.integers(1, 4), data=st.data(), comment=st.text(
+    st.characters(blacklist_categories=("Cs", "Cc")), max_size=20))
+def test_set_round_trip_property(m, data, comment):
+    pts = data.draw(st.lists(st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * m),
+                             max_size=12))
+    text = formats.write_set(pts, comment=comment)
+    back = formats.read_set(text, m=m)
+    assert back == tuple(sorted(set(pts)))
+    assert formats.write_set(back, comment=comment) == formats.write_set(
+        sorted(set(pts)), comment=comment)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(r=st.integers(1, 5), data=st.data(), eps=_EPS, k=st.integers(2, 50))
+def test_coloring_round_trip_property(r, data, eps, k):
+    colors = data.draw(st.lists(st.integers(1, r), max_size=30))
+    text = formats.write_coloring(Coloring.from_list(colors, r=r), eps, k)
+    back, eps_back, k_back = formats.read_coloring(text)
+    assert (back.N, back.r, back.to_list(), eps_back, k_back) == (
+        len(colors), r, colors, eps, k)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(n=st.integers(0, 12), k=st.integers(2, 4), eps=_EPS, data=st.data())
+def test_hypergraph_round_trip_property(n, k, eps, data):
+    edges = data.draw(st.lists(
+        st.lists(st.integers(1, max(n, 1)), min_size=k, max_size=k, unique=True)
+        .map(lambda e: tuple(sorted(e))), max_size=8, unique=True)) if n >= k else []
+    h = EpsApHypergraph(N=n, k=k, eps=eps, edges=tuple(sorted(edges)))
+    assert formats.read_hypergraph(formats.write_hypergraph(h)) == h
+
+
+_BAD_FIELD = st.sampled_from(("", "x", "1/0", "0/0", "1.5/2", "--1", "1/", "/3"))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("coloring", "hypergraph")), data=st.data())
+def test_malformed_headers_are_one_line_errors(kind, data):
+    keys = ("N", "r", "eps", "k") if kind == "coloring" else ("N", "k", "eps")
+    good = {"N": "3", "r": "2", "eps": "1/4", "k": "3"}
+    spoiled = data.draw(st.lists(st.sampled_from(keys), min_size=1, unique=True))
+    dropped = data.draw(st.booleans())
+    fields = {key: data.draw(_BAD_FIELD) if key in spoiled else good[key]
+              for key in keys if not (dropped and key == spoiled[0])}
+    text = "# " + " ".join(f"{key}={val}" for key, val in fields.items()) + "\n"
+    read = formats.read_coloring if kind == "coloring" else formats.read_hypergraph
+    with pytest.raises(ValueError, match=f"^malformed {kind} header: .*$"):
+        read(text + ("1\n2\n1\n" if kind == "coloring" else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +295,14 @@ def test_cli_verify_coloring_overrides(tmp_path, capsys):
                    "--k", "3")[0] == 1
 
 
+def test_cli_coloring_header_dividing_by_zero_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    path.write_text("# N=3 r=2 eps=1/0 k=3\n1\n2\n1\n")
+    code, out, err = run_cli(capsys, "verify", "coloring", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: malformed coloring header: '# N=3 r=2 eps=1/0 k=3'\n"
+
+
 def test_cli_lowerbound_params_only(capsys):
     code, out, _ = run_cli(capsys, "construct", "lowerbound", "--k", "771",
                            "--r", "2", "--eps", "1/30", "--eps0", "1/30",
@@ -389,3 +451,76 @@ def test_cli_density_and_hypergraph_fuzz(capsys, command, n, m, k, exact_aps,
     assert "Traceback" not in err, argv
     if code == 2:
         assert err.count("\n") == 1, (argv, err)
+
+
+# Progressions of 1050 terms are deeper than the interpreter's recursion
+# limit; every 1-D search runs on an explicit stack.
+def test_cli_hypergraph_of_deep_k(capsys):
+    code, out, err = run_cli(capsys, "hypergraph", "--N", "1050", "--k", "1050",
+                             "--eps", "1/3", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["edges"] == [list(range(1, 1051))]
+
+
+def test_cli_wnumber_of_deep_k(capsys):
+    code, out, err = run_cli(capsys, "wnumber", "--k", "1050", "--r", "1",
+                             "--eps", "1/3", "--nmax", "1050", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert (payload["kind"], payload["value"]) == ("value", 1050)
+
+
+def test_cli_verify_set_of_deep_k(tmp_path, capsys):
+    path = tmp_path / "line.txt"
+    path.write_text(formats.write_set([(x,) for x in range(1, 1101)]))
+    code, out, err = run_cli(capsys, "verify", "set", "--file", str(path),
+                             "--m", "1", "--k", "1050", "--eps", "1/3", "--json")
+    assert (code, err) == (1, "")
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["witness"]["points"] == list(range(1, 1051))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(("recognize cube", "verify set", "verify coloring",
+                                "construct lowerbound")),
+       m=st.integers(1, 3), k=st.sampled_from((1, 2, 3, 1050)),
+       r=st.sampled_from((1, 2, 200, 10 ** 4)),
+       eps=st.sampled_from(("1/4", "1/1000", "1/10000", "1/0", "0/0", "0", "x",
+                            "1/" + "9" * 400)),
+       tol=st.sampled_from(("1e-9", "0.5", "1e308", "nan", "inf", "-inf", "0",
+                            "-1", "x")))
+@example(command="recognize cube", m=2, k=2, r=1, eps="1/4", tol="nan")
+@example(command="verify set", m=2, k=2, r=1, eps="1/4", tol="inf")
+@example(command="verify coloring", m=1, k=3, r=2, eps="1/0", tol="1e-9")
+@example(command="construct lowerbound", m=1, k=10, r=200, eps="1/1000", tol="1e-9")
+def test_cli_files_and_constructions_fuzz(tmp_path, capsys, command, m, k, r,
+                                          eps, tol):
+    """Bad tolerances, headers and level parameters: exit 0, 1 or 2, never
+    an uncaught exception, and exit 2 in one line.
+
+    The files are a 2x2 grid, the line 1..1100 and a 3-point coloring, so
+    every example is cheap; k = 1050 reaches past the recursion limit.
+    """
+    if command == "construct lowerbound":
+        argv = ["construct", "lowerbound", "--k", str(k), "--r", str(r),
+                "--eps", eps, "--params-only", "--json"]
+    elif command == "verify coloring":
+        path = tmp_path / "coloring.txt"
+        path.write_text(f"# N=3 r={r} eps={eps} k={k}\n1\n2\n1\n")
+        argv = ["verify", "coloring", "--file", str(path), "--json"]
+    else:
+        path = tmp_path / "points.txt"
+        path.write_text(formats.write_set(
+            [(x,) for x in range(1, 1101)] if m == 1
+            else [(10 * a, 10 * b) for a in range(2) for b in range(2)]))
+        argv = [*command.split(), "--file", str(path), "--m", str(m), "--k", str(k),
+                "--eps", eps, "--tol", tol, "--json"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err, argv
+    if code == 2:
+        assert err.count("\n") == 1, (argv, err)
+    else:
+        assert len(out.splitlines()) == 1, argv

@@ -547,6 +547,14 @@ def test_cube_boundary_verdict():
     assert decision.d == pytest.approx(5.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
+def test_cube_tolerance_must_be_finite_and_positive(tol):
+    # with NaN or inf the fallback could only ever answer "boundary"
+    grid = grid_from_points_1d((0, 1, 3))
+    with pytest.raises(ValueError, match="finite positive"):
+        recognize_cube(grid, F(1, 6), tol=tol)
+
+
 _CUBE_EPS = (F(1, 10), F(1, 6), F(1, 5), F(1, 4), F(1, 3), 0.15, 0.2, 0.3)
 
 

@@ -1,4 +1,5 @@
 import tracemalloc
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -161,8 +162,9 @@ def test_max_exact_ap_free_search_tree_is_pinned(N, k, nodes, witness):
 
 
 def test_f_search_tree_is_pinned():
+    # 487 of the nodes list the progressions ending at each n, rung by rung
     out = _assert_spends_exactly(lambda work_cap: exact_f(20, 1, 3, F(1, 10), work_cap),
-                                 705)
+                                 1192)
     assert (out.value, out.witness) == (8, (1, 2, 4, 5, 11, 12, 14, 15))
 
 
@@ -364,17 +366,37 @@ def test_f_two_dimensional_k3_full_grid_only():
 
 
 def test_f_enumeration_is_capped():
-    # The progressions of [400] cost far more than 10^4 nodes to enumerate.
+    # The progressions of [400] are listed rung by rung on the search's
+    # budget: rungs [1]..[24] take 8,234 nodes, listing included, and [25]
+    # does not fit, so the run keeps the value of [24].
     out = exact_f(400, 1, 3, F(1, 10), work_cap=10 ** 4)
     assert (out.kind, out.value, out.witness, out.nodes) == (
-        "lower_bound_only", 0, (), 0)
+        "lower_bound_only", 8, (1, 2, 4, 5, 11, 12, 14, 15), 10 ** 4)
 
 
 def test_f_cap_after_enumeration_keeps_the_greedy_incumbent():
-    # Enumerating [12] takes 132 nodes and the full search 364.
+    # Rungs [1]..[8] take 131 nodes, listing included, and [1]..[9] 224.
+    # The run keeps the greedy set of the listed prefix, also the optimum
+    # of [8]; the larger greedy set (1, 2, 4, 5, 11, 12) of [12] would need
+    # edges it never listed.
     out = exact_f(12, 1, 3, F(1, 10), work_cap=150)
-    assert (out.kind, out.value, out.witness) == (
-        "lower_bound_only", 6, (1, 2, 4, 5, 11, 12))
+    assert (out.kind, out.value, out.witness, out.nodes) == (
+        "lower_bound_only", 4, (1, 2, 4, 5), 150)
+
+
+@pytest.mark.parametrize("cap, listed", [(80, 7), (100, 8)])
+def test_f_cap_while_listing_keeps_the_listed_prefix(cap, listed):
+    # [1]..[7] take 76 nodes; rung 8 lists its edges in the next 14 and
+    # searches in the 41 after.  A cap of 80 runs out while listing rung 8,
+    # one of 100 in its search: either way the run keeps at least the
+    # greedy set of the prefix whose edges were all listed.
+    out = exact_f(12, 1, 3, F(1, 10), work_cap=cap)
+    edges = enumerate_eps_aps(12, 3, F(1, 10)).edges
+    greedy = greedy_free_set(listed, [e for e in edges if e[-1] <= listed])
+    assert (out.kind, out.value, out.witness, out.nodes) == (
+        "lower_bound_only", 4, (1, 2, 4, 5), cap)
+    assert len(greedy) <= out.value
+    assert not any(set(e) <= set(out.witness) for e in edges)
 
 
 @st.composite
@@ -452,14 +474,13 @@ def test_eps_ladder_matches_count_bound_search(N, k, eps, cap_seed):
     assert (full.kind, full.value, full.witness) == count_bound_free_set(N, edges)
     cap = cap_seed % (full.nodes + 2)
     out = exact_f(N, 1, k, eps, work_cap=cap)
-    try:
-        enumerate_eps_aps(N, k, eps, work_cap=cap)
-    except SearchCapExceeded:
-        # the enumeration has a budget of its own, and ran out
-        assert (out.kind, out.value, out.witness, out.nodes) == (
-            "lower_bound_only", 0, (), 0)
-        return
-    _assert_capped_run_is_sound(out, full, cap, greedy_free_set(N, edges), edges)
+    # The edges are listed on the search's budget as the rungs are reached,
+    # so a capped run has listed [n] only for the n whose rungs fit the cap.
+    n = bisect_left(range(N + 1), True, key=lambda n: exact_f(
+        n, 1, k, eps, work_cap=cap).kind != "value") - 1
+    _assert_capped_run_is_sound(out, full, cap,
+                                greedy_free_set(n, [e for e in edges if e[-1] <= n]),
+                                edges)
 
 
 def test_max_exact_ap_free_memory_stays_flat_when_capped():
