@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 = found / true / value computed, 1 = not found / false,
-2 = usage or runtime error.  All randomized behavior is pinned by --seed and
-JSON output carries no timing, so identical invocations are byte-identical.
+2 = usage or runtime error.  The one randomized mode (translate) is pinned
+by its --seed and JSON output carries no timing, so identical invocations
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -397,8 +398,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         default="text", help="output format")
     parser.add_argument("--json", dest="format", action="store_const",
                         const="json", help="shorthand for --format json")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized modes")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -553,6 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", default="auto",
                    choices=("auto", "deterministic", "randomized"))
+    p.add_argument("--seed", type=int, default=0, help="seed for --mode randomized")
     _add_common(p)
     p.set_defaults(handler=_cmd_translate)
 

@@ -5,6 +5,8 @@ band [2q/5, 3q/5], so consecutive-element gaps are dominated by the leading
 distinct digit; combined with progression-free digit alphabets this kills
 every approximate progression.  The cube blow-up and the translation
 averaging step are the two halves of the density upper bound machinery.
+The cube search (verify_cube_free) prunes with the integer d interval
+update of the geometry module, the one the 1-D progression stream uses.
 """
 
 from __future__ import annotations
@@ -16,12 +18,14 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
+from .colorings import DEFAULT_MATERIALIZE_CAP
 from .errors import Budget, MemoryGuardExceeded, SearchCapExceeded
 from .geometry import (
     IndexedGrid,
     WitnessMD,
     check_epsilon,
     check_tol,
+    narrowed,
     recognize_cube,
 )
 from .rational import ceil_frac, floor_frac, to_fraction
@@ -158,7 +162,9 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
 
     q = floor(1/(25 eps)); the leading digit ranges over a progression-free
     subset of [0, q-1], every other digit over one of [ceil(2q/5),
-    floor(3q/5)].  Requires 0 < eps <= 1/125 so q >= 5.
+    floor(3q/5)].  Requires 0 < eps <= 1/125 so q >= 5.  Raises
+    MemoryGuardExceeded when q or the member count exceeds
+    colorings.DEFAULT_MATERIALIZE_CAP.
     """
     e = check_epsilon(eps)
     if e > Fraction(1, 125):
@@ -167,10 +173,15 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
         raise ValueError(f"need h >= 1, got h={h}")
     if k < 3:
         raise ValueError(f"need k >= 3, got k={k}")
-    q = floor_frac(1 / (25 * e))
+    q, cap = floor_frac(1 / (25 * e)), DEFAULT_MATERIALIZE_CAP
+    if q > cap:
+        raise MemoryGuardExceeded(f"digit base q exceeds materialize cap {cap}")
     head = apk_free_set(0, q - 1, k, provider)
     tail = apk_free_set(ceil_frac(Fraction(2 * q, 5)), floor_frac(Fraction(3 * q, 5)),
                         k, provider)
+    # Two or more tail digits pass the cap within its bit length: clip h there.
+    if len(head) * len(tail) ** min(h - 1, cap.bit_length()) > cap:
+        raise MemoryGuardExceeded(f"digit set size exceeds materialize cap {cap}")
     if h == 1:
         members = head
     else:
@@ -348,9 +359,10 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
     DFS assigns points to index vectors in lex order.  Each partial
     assignment keeps the exact interval of scales d allowed by the
     per-axis box constraints |x_j - (a_j + d*v_j)| <= eps*d (a necessary
-    consequence of the ball constraint); an empty interval prunes.  Complete
-    assignments are confirmed by the numeric ball recognizer; only a
-    'feasible' verdict counts, so boundary candidates are skipped.
+    consequence of the ball constraint), updated by geometry.narrowed; an
+    empty interval prunes.  Complete assignments are confirmed by the
+    numeric ball recognizer; only a 'feasible' verdict counts, so boundary
+    candidates are skipped.
 
     Because every injective index assignment is tried explicitly, no sorted-
     order disambiguation is needed and any eps accepted by the recognizer is
@@ -371,42 +383,11 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
             raise ValueError(f"point {p!r} is not {m}-dimensional")
     slots = sorted(product(range(k), repeat=m))
 
-    # With eps = p/q, the box constraint |dx - d*dv| <= 2*eps*d of a candidate
-    # x against an assigned point y on one axis, scaled by q, reads
-    #     c*d <= q*dx <= a*d,   a = q*dv + 2p,   c = q*dv - 2p,
-    # and only dx depends on the candidate.  The d interval is kept as integer
-    # pairs (num, den), den > 0, compared by cross-multiplication, like
-    # geometry.FeasibleRegion2D; hi is None while it is unbounded above.
+    # Rows (axis, q*y_axis, a, c) of geometry.narrowed, over scaled points.
     p2, q = 2 * e.numerator, e.denominator
     scaled = [tuple(q * c for c in p) for p in points]
     if budget is None:
         budget = Budget(node_cap)
-
-    def narrowed(rows, x, lo_n, lo_d, hi):
-        """Intersect the d interval with the rows (axis, q*y_axis, a, c) of
-        every assigned point against the scaled candidate x; None when the
-        interval empties."""
-        for axis, y, a, c in rows:
-            gap = x[axis] - y
-            if a > 0:
-                if gap * lo_d > lo_n * a:
-                    lo_n, lo_d = gap, a
-            elif a < 0:
-                if hi is None or -gap * hi[1] < hi[0] * -a:
-                    hi = (-gap, -a)
-            elif gap > 0:
-                return None
-            if c > 0:
-                if hi is None or gap * hi[1] < hi[0] * c:
-                    hi = (gap, c)
-            elif c < 0:
-                if -gap * lo_d > lo_n * -c:
-                    lo_n, lo_d = -gap, -c
-            elif gap < 0:
-                return None
-            if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
-                return None
-        return lo_n, lo_d, hi
 
     assigned: list = []
     used: set = set()

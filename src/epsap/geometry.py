@@ -17,9 +17,8 @@ operations each, with eps = p/q and every candidate d = dy/dx kept as an
 integer pair.  A positive maximum is equivalent to strict feasibility, and
 the midrange of {x_i - i*d} at the smallest optimal d gives the intercept a.
 
-The closed feasible region of a partial tuple, which the searches use to
-prune, is kept the same way: its bounds on d are integer pairs compared by
-cross-multiplication.
+Every search prunes by the closed interval of scales d of a partial tuple
+or cube, kept the same way; `narrowed` is the one update of it.
 
 The m-D recognizer settles almost every grid exactly.  A least-squares
 scale and one smallest enclosing ball give a candidate witness that is
@@ -257,23 +256,57 @@ def gap_ratio_filter(points, eps) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Incremental closed feasible region in the (a, d) half-plane
+# The integer interval of scales d, and the closed feasible region in (a, d)
 # ---------------------------------------------------------------------------
+
+# A point x with index vector v of a progression (m = 1) or cube lies in the
+# box |x_j - (a_j + d*v_j)| <= eps*d on each axis j.  Eliminating a_j
+# (Fourier-Motzkin) against an earlier point y with index w leaves, with
+# eps = p/q, dx = x_j - y_j and dv = v_j - w_j, scaled by q,
+#     c*d <= q*dx <= a*d,   a = q*dv + 2p,   c = q*dv - 2p:
+# one row (j, q*y_j, a, c).  Only dx depends on x, so a search builds the
+# rows of a level once.  The d interval is kept as integer pairs (num, den),
+# den > 0, compared by cross-multiplication; hi is None while unbounded.
+
+def narrowed(rows, x, lo_n, lo_d, hi):
+    """Intersect [lo_n/lo_d, hi] with the rows against the scaled candidate
+    x; None as soon as the interval empties."""
+    for axis, y, a, c in rows:
+        gap = x[axis] - y
+        if a > 0:
+            if gap * lo_d > lo_n * a:
+                lo_n, lo_d = gap, a
+        elif a < 0:
+            if hi is None or -gap * hi[1] < hi[0] * -a:
+                hi = (-gap, -a)
+        elif gap > 0:
+            return None
+        if c > 0:
+            if hi is None or gap * hi[1] < hi[0] * c:
+                hi = (gap, c)
+        elif c < 0:
+            if -gap * lo_d > lo_n * -c:
+                lo_n, lo_d = -gap, -c
+        elif gap < 0:
+            return None
+        if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
+            return None
+    return lo_n, lo_d, hi
+
 
 @dataclass(frozen=True, eq=False)
 class FeasibleRegion2D:
     """Closed relaxation of the witness constraints for a partial tuple.
 
-    The region is the set of (a, d), d >= 0, with
-    a + (i - eps)*d <= x_i <= a + (i + eps)*d for every added (i, x_i).
-    It is stored by its exact projection onto the d axis (Fourier-Motzkin
-    elimination of a): the region is nonempty iff d_lo <= d_hi and no
-    degenerate constant constraint failed.  The bounds are kept as integer
-    pairs lo = (num, den) and hi = (num, den), den > 0, compared by
-    cross-multiplication; d_lo and d_hi give them as Fractions.  Emptiness
-    of the closed region is a sound prune; for distinct points the open
-    region (strict inequalities, d > 0) is nonempty exactly when
-    d_lo < d_hi, which is what recognize_ap accepts.
+    The public view of `narrowed` for m = 1.  The region is the set of
+    (a, d), d >= 0, with a + (i - eps)*d <= x_i <= a + (i + eps)*d for every
+    added (i, x_i).  It is stored by its exact projection onto the d axis,
+    the integer pairs lo = (num, den) and hi = (num, den) of `narrowed`;
+    d_lo and d_hi give them as Fractions.  degenerate_infeasible marks a
+    region that some added point emptied; lo and hi then stay those from
+    before that point.  Emptiness of the closed region is a sound prune;
+    for distinct points the open region (strict inequalities, d > 0) is
+    nonempty exactly when d_lo < d_hi, which is what recognize_ap accepts.
     """
 
     k: int
@@ -329,35 +362,13 @@ def region_add_point(region: FeasibleRegion2D, i: int, x_i: int) -> FeasibleRegi
     if region.points and i <= region.points[-1][0]:
         raise ValueError("indices must be added in increasing order")
     p2, q = 2 * region.eps.numerator, region.eps.denominator
-    lo_n, lo_d = region.lo
-    hi = region.hi
-    degenerate = region.degenerate_infeasible
-    # Eliminating a from the box constraints of an earlier (j, y) and of
-    # (i, x_i), with eps = p/q and gap = q*(x_i - y), leaves
-    #     gap <= (q*(i - j) + 2p) * d   and   (q*(i - j) - 2p) * d <= gap.
-    # The first coefficient is positive; the second takes every sign.
-    for j, y in region.points:
-        gap = q * (x_i - y)
-        span = q * (i - j)
-        if gap * lo_d > lo_n * (span + p2):
-            lo_n, lo_d = gap, span + p2
-        c = span - p2
-        if c > 0:
-            if hi is None or gap * hi[1] < hi[0] * c:
-                hi = (gap, c)
-        elif c < 0:
-            if gap * lo_d < lo_n * c:
-                lo_n, lo_d = -gap, -c
-        elif gap < 0:
-            degenerate = True
-    return FeasibleRegion2D(
-        k=region.k,
-        eps=region.eps,
-        points=region.points + ((i, x_i),),
-        lo=(lo_n, lo_d),
-        hi=hi,
-        degenerate_infeasible=degenerate,
-    )
+    shrunk = None if region.degenerate_infeasible else narrowed(
+        [(0, q * y, q * (i - j) + p2, q * (i - j) - p2) for j, y in region.points],
+        (q * x_i,), *region.lo, region.hi)
+    lo_n, lo_d, hi = shrunk or (*region.lo, region.hi)
+    return FeasibleRegion2D(k=region.k, eps=region.eps,
+                            points=region.points + ((i, x_i),), lo=(lo_n, lo_d),
+                            hi=hi, degenerate_infeasible=shrunk is None)
 
 
 def region_closed_empty(region: FeasibleRegion2D) -> bool:

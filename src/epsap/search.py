@@ -1,12 +1,13 @@
 """Exact desk-scale searches: hypergraph enumeration, least forcing N, max free sets.
 
 Everything here is exhaustive and exact, on explicit stacks.  One lex-order
-stream (_eps_aps) lists approximate progressions: it prunes k-tuples with
-the closed (a, d) region from the geometry module and accepts a full tuple
-exactly when its open region is nonempty, the exact recognizer's verdict,
-so pruned output equals naive output.  Coloring and subset searches are
-plain backtracking with canonical tie-breaking, so results are
-deterministic; exact_W and exact_f (m = 1) count the listing in `nodes`.
+stream (_eps_aps) lists approximate progressions: it prunes k-tuples by the
+closed d interval of their prefix (geometry.narrowed, as the cube search
+does) and accepts a full tuple exactly when its open interval is nonempty,
+the exact recognizer's verdict, so pruned output equals naive output.
+Coloring and subset searches are plain backtracking with canonical
+tie-breaking, so results are deterministic; exact_W and exact_f (m = 1)
+count the listing in `nodes`.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ from fractions import Fraction
 from itertools import count, product
 
 from .errors import Budget, SearchCapExceeded
-from .geometry import (
-    check_epsilon,
-    recognize_ap,
-    region_add_point,
-    region_closed_empty,
-    region_new,
-    region_open_feasible,
-)
+from .geometry import check_epsilon, narrowed, recognize_ap
+# Not called here: the benchmark's tracer wraps them on this module by name.
+from .geometry import region_add_point, region_closed_empty  # noqa: F401
 
 __all__ = [
     "EpsApHypergraph",
@@ -63,41 +59,52 @@ def _eps_aps(candidates, k, eps, budget, head=()):
     """Lex-order stream of the approximate k-progressions among candidates.
 
     Each tuple starts with `head` (fewer than k points, below the
-    candidates).  A prefix is pruned once its closed (a, d) region is empty;
-    a full tuple is yielded when its open region is nonempty.  Depth-first
-    on an explicit stack of candidate streams, one per level being filled;
-    one budget unit per node, the root included.
+    candidates).  A prefix is pruned once its closed d interval is empty
+    (geometry.narrowed, with rows built once per level from the prefix); a
+    full tuple is yielded when the open interval is nonempty, which is the
+    exact recognizer's verdict.  Depth-first on an explicit stack of
+    candidate streams, one per level being filled; one budget unit per
+    node, the root included.
     """
+    p2, q = 2 * eps.numerator, eps.denominator
     candidates = tuple(candidates)  # indexed per candidate: faster than a range
+    scaled = [(q * x,) for x in candidates]
     n, h = len(candidates), len(head)
     chosen = list(head) + [None] * (k - h)
-    region = region_new(k, eps)
-    for i, x in enumerate(head):
-        region = region_add_point(region, i, x)
 
-    def fits(start, depth, region):  # indices that may fill level depth
+    def rows(depth):  # the prefix against the point at index depth
+        return [(0, q * y, q * (depth - j) + p2, q * (depth - j) - p2)
+                for j, y in enumerate(chosen[:depth])]
+
+    interval = (0, 1, None)
+    for depth, x in enumerate(head):
+        interval = interval and narrowed(rows(depth), (q * x,), *interval)
+
+    def fits(start, depth, interval):  # indices that may fill level depth
+        level = rows(depth)
         seen = False
         for idx in range(start, n - (k - depth) + 1):
-            r2 = region_add_point(region, depth, candidates[idx])
-            if not region_closed_empty(r2):
+            shrunk = narrowed(level, scaled[idx], *interval)
+            if shrunk is not None:
                 seen = True
-                yield idx, r2
+                yield idx, shrunk
             elif seen:
-                # The x keeping the closed region nonempty form an interval
+                # The x keeping the closed interval nonempty form an interval
                 # (projection of a convex set), and candidates increase.
                 return
 
     budget.spend()
-    stack = [fits(0, h, region)]
+    stack = [fits(0, h, interval)] if interval else []
     while stack:
         depth = h + len(stack) - 1
-        for idx, r2 in stack[-1]:
+        for idx, shrunk in stack[-1]:
             chosen[depth] = candidates[idx]
             budget.spend()
             if depth + 1 < k:
-                stack.append(fits(idx + 1, depth + 1, r2))
+                stack.append(fits(idx + 1, depth + 1, shrunk))
                 break
-            if region_open_feasible(r2):
+            lo_n, lo_d, hi = shrunk
+            if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
                 yield tuple(chosen)
         else:
             stack.pop()

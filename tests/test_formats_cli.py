@@ -156,6 +156,16 @@ def test_cli_alternate_is_capped(capsys):
     assert len(err.splitlines()) == 1 and "exceeds materialize cap" in err
 
 
+@pytest.mark.parametrize("eps, h", [
+    ("1/1" + "0" * 400, "1"),  # q = 4 * 10^398: no float holds it
+    ("1/125", "10000"),  # 4 * 2^9999 members
+])
+def test_cli_behrend_is_capped(capsys, eps, h):
+    code, out, err = run_cli(capsys, "construct", "behrend", "--eps", eps, "--h", h)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "exceeds materialize cap" in err
+
+
 def test_cli_wnumber_pigeonhole(capsys):
     code, out, _ = run_cli(capsys, "wnumber", "--k", "2", "--r", "3",
                            "--eps", "1/4", "--nmax", "10", "--json")
@@ -170,7 +180,7 @@ def test_cli_unknown_command(capsys):
 
 def test_cli_json_deterministic(capsys):
     args = ("wnumber", "--k", "3", "--r", "2", "--eps", "1/3",
-            "--nmax", "20", "--json", "--seed", "7")
+            "--nmax", "20", "--json")
     _, out1, _ = run_cli(capsys, *args)
     _, out2, _ = run_cli(capsys, *args)
     assert out1 == out2

@@ -20,6 +20,7 @@ from epsap.geometry import (
     grid_from_points_1d,
     index_grid_points,
     min_enclosing_ball,
+    narrowed,
     recognize_ap,
     recognize_cube,
     region_add_point,
@@ -323,6 +324,58 @@ def test_region_bounds_match_pointwise_projection():
             assert feasible == inside, (pts, eps, d)
         assert region_closed_empty(r) == (
             r.degenerate_infeasible or (r.d_hi is not None and r.d_hi < r.d_lo))
+
+
+@st.composite
+def _kernel_cases(draw):
+    """Rows (axis, y, a, c) with every sign of a and c, a candidate x and a
+    nonempty start interval [lo, hi], hi None or above lo."""
+    m = draw(st.integers(1, 3))
+    small = st.integers(-6, 6)
+    rows = draw(st.lists(st.tuples(st.integers(0, m - 1), small, small, small),
+                         max_size=5))
+    x = tuple(draw(st.lists(small, min_size=m, max_size=m)))
+    lo_n, lo_d = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+    hi = None
+    if draw(st.booleans()):
+        extra_n, extra_d = draw(st.integers(0, 6)), draw(st.integers(1, 4))
+        hi = (lo_n * extra_d + extra_n * lo_d, lo_d * extra_d)
+    return rows, x, (lo_n, lo_d), hi
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_kernel_cases())
+def test_narrowed_matches_fraction_intersection(case):
+    # Each row asks c*d <= x[axis] - y <= a*d.  Intersect in Fractions,
+    # without early exit, and probe the set pointwise.
+    rows, x, lo, hi = case
+    d_lo, d_hi, ok = F(*lo), None if hi is None else F(*hi), True
+    for axis, y, a, c in rows:
+        gap = x[axis] - y
+        for coef, g in ((a, gap), (-c, -gap)):  # g <= coef*d
+            if coef > 0:
+                d_lo = max(d_lo, F(g, coef))
+            elif coef < 0:
+                d_hi = F(g, coef) if d_hi is None else min(d_hi, F(g, coef))
+            elif g > 0:
+                ok = False
+    got = narrowed(rows, x, *lo, hi)
+    assert (got is not None) == (ok and (d_hi is None or d_lo <= d_hi))
+    if got is not None:
+        lo_n, lo_d, got_hi = got
+        assert lo_d > 0 and F(lo_n, lo_d) == d_lo
+        assert (got_hi is None) == (d_hi is None)
+        if got_hi is not None:
+            assert got_hi[1] > 0 and F(*got_hi) == d_hi
+    probes = {d_lo, d_lo + F(1, 97), d_lo - F(1, 97), F(0), F(1), F(5)}
+    if d_hi is not None:
+        probes |= {d_hi, d_hi + F(1, 97), d_hi - F(1, 97)}
+    for d in probes:
+        member = (F(*lo) <= d and (hi is None or d <= F(*hi))
+                  and all(c * d <= x[axis] - y <= a * d for axis, y, a, c in rows))
+        inside = got is not None and F(got[0], got[1]) <= d and (
+            got[2] is None or d <= F(*got[2]))
+        assert member == inside, (case, d)
 
 
 def test_region_prune_is_sound():
