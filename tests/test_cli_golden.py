@@ -1,0 +1,356 @@
+"""Golden CLI outputs: every subcommand in text, CSV and JSON, byte for byte.
+
+Each case pins four things: the exact stdout, the exit code, the stderr
+and the bytes of the --out file (None: the call writes none).  A case runs
+in-process, in a fresh directory holding FILES, so the paths it prints are
+the relative ones of its argv.  The expected bytes are literals; nothing
+here derives them from the code under test.
+"""
+
+import argparse
+
+import pytest
+
+from epsap.cli import build_parser, main
+
+FILES = {
+    "grid.txt": "0 0\n0 10\n10 0\n10 10\n",  # an exact 2x2 cube of scale 10
+    "skew.txt": "0 0\n1 5\n9 1\n10 9\n",  # no cube for eps = 1/5
+    "line.txt": "1\n2\n4\n",
+    "run.txt": "1\n2\n3\n5\n",
+    "a.txt": "1 1\n2 2\n",
+    "x.txt": "1 1\n1 3\n2 2\n3 1\n3 3\n",
+    "good.txt": "# N=3 r=1 eps=1/5 k=4\n1\n1\n1\n",
+    "mono.txt": "# N=3 r=1 eps=1/5 k=3\n1\n1\n1\n",
+}
+OUT = "out.txt"  # the --out target of every case that has one
+
+# (argv, exit code, stdout, stderr, bytes of OUT or None)
+CASES = [
+    ('recognize ap --points 1,3,6 --eps 1/3', 0,
+     'accepted\na = 3/4\nd = 5/2\nmargin = 7/12\n', '', None),
+    ('recognize ap --points 1,3,6 --eps 1/3 --format csv', 0,
+     'accepted,3/4,5/2,7/12\n', '', None),
+    ('recognize ap --points 1,3,6 --eps 1/3 --json', 0,
+     '{"accepted": true, "command": "recognize ap", '
+     '"witness": {"a": {"den": 4, "num": 3}, "d": {"den": 2, "num": 5}, '
+     '"margin": {"den": 12, "num": 7}}}\n', '', None),
+    ('recognize ap --points 1,3,6 --eps 1/100', 1,
+     'rejected\n', '', None),
+    ('recognize ap --points 1,3,6 --eps 1/100 --format csv', 1,
+     'rejected,,,\n', '', None),
+    ('recognize ap --points 1,3,6 --eps 1/100 --json', 1,
+     '{"accepted": false, "command": "recognize ap", "witness": null}\n', '', None),
+    ('recognize cube --file grid.txt --m 2 --k 2 --eps 1/4', 0,
+     'feasible\nd = 10.0\nresidual = 2.5\n', '', None),
+    ('recognize cube --file grid.txt --m 2 --k 2 --eps 1/4 --format csv', 0,
+     'feasible,10.0,2.5\n', '', None),
+    ('recognize cube --file grid.txt --m 2 --k 2 --eps 1/4 --json', 0,
+     '{"command": "recognize cube", "exact": true, "status": "feasible", '
+     '"witness": {"a": ["0.0", "0.0"], "certified": true, "d": "10.0", '
+     '"residual": "2.5", "tol": "1e-09"}}\n', '', None),
+    ('recognize cube --file skew.txt --m 2 --k 2 --eps 1/5', 1,
+     'infeasible\n', '', None),
+    ('recognize cube --file skew.txt --m 2 --k 2 --eps 1/5 --format csv', 1,
+     'infeasible,,\n', '', None),
+    ('recognize cube --file skew.txt --m 2 --k 2 --eps 1/5 --json', 1,
+     '{"command": "recognize cube", "exact": true, "status": "infeasible", '
+     '"witness": null}\n', '', None),
+    ('construct blowup --k 3 --r 2 --eps 1/4', 0,
+     't = 12\nsize = 9\ndiameter = 26\n0 1 2 12 13 14 24 25 26\n', '', None),
+    ('construct blowup --k 3 --r 2 --eps 1/4 --format csv', 0,
+     '0\n1\n2\n12\n13\n14\n24\n25\n26\n', '', None),
+    ('construct blowup --k 3 --r 2 --eps 1/4 --one-based --json', 0,
+     '{"command": "construct blowup", "diameter": 26, "elements": [1, 2, 3, '
+     '13, 14, 15, 25, 26, 27], "k": 3, "r": 2, "t": 12}\n', '', None),
+    ('construct alternate --r 2 --D 3 --t 2 --offset 1', 0,
+     '-1 -1 -1 +1 +1 +1 -1 -1 -1 +1 +1 +1\n', '', None),
+    ('construct alternate --r 2 --D 3 --t 2 --offset 1 --format csv', 0,
+     '-1,-1,-1,1,1,1,-1,-1,-1,1,1,1\n', '', None),
+    ('construct alternate --r 2 --D 3 --t 2 --offset 1 --json', 0,
+     '{"D": 3, "command": "construct alternate", "labels": [-1, -1, -1, 1, '
+     '1, 1, -1, -1, -1, 1, 1, 1], "offset": 1, "r": 2, "t": 2}\n', '', None),
+    ('construct simple-r2 --k 5 --eps 1/5', 0,
+     '# N=8 r=2 eps=1/5 k=5\n1\n1\n1\n1\n2\n2\n2\n2\n', '', None),
+    ('construct simple-r2 --k 5 --eps 1/5 --format csv', 0,
+     '# N=8 r=2 eps=1/5 k=5\n1\n1\n1\n1\n2\n2\n2\n2\n', '', None),
+    ('construct simple-r2 --k 5 --eps 1/5 --json', 0,
+     '{"N": 8, "colors": [1, 1, 1, 1, 2, 2, 2, 2], '
+     '"command": "construct simple-r2", "r": 2}\n', '', None),
+    ('construct simple-r2 --k 5 --eps 1/5 --out out.txt', 0,
+     'wrote coloring of [8] to out.txt\n',
+     '',
+     b'# N=8 r=2 eps=1/5 k=5\n1\n1\n1\n1\n2\n2\n2\n2\n'),
+    ('construct simple-r2 --k 5 --eps 1/5 --out out.txt --format csv', 0,
+     'wrote coloring of [8] to out.txt\n',
+     '',
+     b'# N=8 r=2 eps=1/5 k=5\n1\n1\n1\n1\n2\n2\n2\n2\n'),
+    ('construct simple-r2 --k 5 --eps 1/5 --out out.txt --json', 0,
+     '{"N": 8, "command": "construct simple-r2", "out": "out.txt", "r": 2}\n',
+     '',
+     b'# N=8 r=2 eps=1/5 k=5\n1\n1\n1\n1\n2\n2\n2\n2\n'),
+    ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30', 0,
+     '# N=7 r=1 eps=1/30 k=8\n1\n1\n1\n1\n1\n1\n1\n', '', None),
+    ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30 --format csv', 0,
+     '# N=7 r=1 eps=1/30 k=8\n1\n1\n1\n1\n1\n1\n1\n', '', None),
+    ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30 --json', 0,
+     '{"N": 7, "colors": [1, 1, 1, 1, 1, 1, 1], '
+     '"command": "construct lowerbound", "r": 1}\n', '', None),
+    ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30 --out out.txt', 0,
+     'wrote coloring of [7] to out.txt\n',
+     '',
+     b'# N=7 r=1 eps=1/30 k=8\n1\n1\n1\n1\n1\n1\n1\n'),
+    ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30'
+     ' --out out.txt --format csv', 0,
+     'wrote coloring of [7] to out.txt\n',
+     '',
+     b'# N=7 r=1 eps=1/30 k=8\n1\n1\n1\n1\n1\n1\n1\n'),
+    ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30 --out out.txt --json', 0,
+     '{"N": 7, "command": "construct lowerbound", "out": "out.txt", "r": 1}\n',
+     '',
+     b'# N=7 r=1 eps=1/30 k=8\n1\n1\n1\n1\n1\n1\n1\n'),
+    ('construct lowerbound --k 771 --r 2 --eps 1/30 --eps0 1/30 --params-only', 0,
+     'level r=2: k=771 s=2 w=4 t=97 blocks=[192] n1=148992\n'
+     'level r=1: k=193 s=0 w=0 t=0 blocks=[] n1=192\n', '', None),
+    ('construct lowerbound --k 771 --r 2 --eps 1/30 --eps0 1/30'
+     ' --params-only --format csv', 0,
+     '2,771,2,4,97,148992\n1,193,0,0,0,192\n', '', None),
+    ('construct lowerbound --k 771 --r 2 --eps 1/30 --eps0 1/30'
+     ' --params-only --json', 0,
+     '{"command": "construct lowerbound", "params": [{"blocks": [192], '
+     '"k": 771, "n0": 192, "n1": 148992, "r": 2, "s": 2, "t": 97, "w": 4}, '
+     '{"blocks": [], "k": 193, "n0": 0, "n1": 192, "r": 1, "s": 0, "t": 0, '
+     '"w": 0}]}\n', '', None),
+    ('construct behrend --eps 1/125 --h 2', 0,
+     'q = 5\nhead = [0, 1, 3, 4]\ntail = [2, 3]\nsize = 8\n'
+     '2 3 7 8 17 18 22 23\n', '', None),
+    ('construct behrend --eps 1/125 --h 2 --format csv', 0,
+     '2\n3\n7\n8\n17\n18\n22\n23\n', '', None),
+    ('construct behrend --eps 1/125 --h 2 --json', 0,
+     '{"command": "construct behrend", "elements": [2, 3, 7, 8, 17, 18, 22, '
+     '23], "h": 2, "head": [0, 1, 3, 4], "k": 3, "q": 5, "size": 8, '
+     '"tail": [2, 3]}\n', '', None),
+    ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2', 0,
+     'r = 2\nt = 12\nn0_bound = 36\n0\n1\n2\n12\n13\n14\n24\n25\n26\n', '', None),
+    ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2 --format csv', 0,
+     '0\n1\n2\n12\n13\n14\n24\n25\n26\n', '', None),
+    ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2 --json', 0,
+     '{"command": "construct cube-blowup", "elements": [[0], [1], [2], '
+     '[12], [13], [14], [24], [25], [26]], "k": 3, "m": 1, "n0_bound": 36, '
+     '"r": 2, "size": 9, "t": 12}\n', '', None),
+    ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2 --out out.txt', 0,
+     'wrote 9 points to out.txt (r=2, t=12)\n',
+     '',
+     b'0\n1\n2\n12\n13\n14\n24\n25\n26\n'),
+    ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2'
+     ' --out out.txt --format csv', 0,
+     'wrote 9 points to out.txt (r=2, t=12)\n',
+     '',
+     b'0\n1\n2\n12\n13\n14\n24\n25\n26\n'),
+    ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2 --out out.txt --json', 0,
+     '{"command": "construct cube-blowup", "elements": [[0], [1], [2], '
+     '[12], [13], [14], [24], [25], [26]], "k": 3, "m": 1, "n0_bound": 36, '
+     '"r": 2, "size": 9, "t": 12}\n',
+     '',
+     b'0\n1\n2\n12\n13\n14\n24\n25\n26\n'),
+    ('construct product --set line.txt --m 2 --N 4', 0,
+     '1 1\n1 2\n1 3\n1 4\n2 1\n2 2\n2 3\n2 4\n4 1\n4 2\n4 3\n4 4\n', '', None),
+    ('construct product --set line.txt --m 2 --N 4 --format csv', 0,
+     '1,1\n1,2\n1,3\n1,4\n2,1\n2,2\n2,3\n2,4\n4,1\n4,2\n4,3\n4,4\n', '', None),
+    ('construct product --set line.txt --m 2 --N 4 --json', 0,
+     '{"N": 4, "command": "construct product", "elements": [[1, 1], [1, 2], '
+     '[1, 3], [1, 4], [2, 1], [2, 2], [2, 3], [2, 4], [4, 1], [4, 2], [4, '
+     '3], [4, 4]], "m": 2, "size": 12}\n', '', None),
+    ('construct product --set line.txt --m 2 --N 4 --out out.txt', 0,
+     'wrote 12 points to out.txt\n',
+     '',
+     b'1 1\n1 2\n1 3\n1 4\n2 1\n2 2\n2 3\n2 4\n4 1\n4 2\n4 3\n4 4\n'),
+    ('construct product --set line.txt --m 2 --N 4 --out out.txt --format csv', 0,
+     'wrote 12 points to out.txt\n',
+     '',
+     b'1 1\n1 2\n1 3\n1 4\n2 1\n2 2\n2 3\n2 4\n4 1\n4 2\n4 3\n4 4\n'),
+    ('construct product --set line.txt --m 2 --N 4 --out out.txt --json', 0,
+     '{"N": 4, "command": "construct product", "elements": [[1, 1], [1, 2], '
+     '[1, 3], [1, 4], [2, 1], [2, 2], [2, 3], [2, 4], [4, 1], [4, 2], [4, '
+     '3], [4, 4]], "m": 2, "size": 12}\n',
+     '',
+     b'1 1\n1 2\n1 3\n1 4\n2 1\n2 2\n2 3\n2 4\n4 1\n4 2\n4 3\n4 4\n'),
+    ('verify coloring --file good.txt', 0,
+     'good: no monochromatic approximate progression\n', '', None),
+    ('verify coloring --file good.txt --format csv', 0,
+     'good\n', '', None),
+    ('verify coloring --file good.txt --json', 0,
+     '{"command": "verify coloring", "free_of_monochromatic_ap": true, '
+     '"witness": null}\n', '', None),
+    ('verify coloring --file mono.txt', 1,
+     'monochromatic: color 1 on [1, 2, 3]\n', '', None),
+    ('verify coloring --file mono.txt --format csv', 1,
+     'monochromatic,1,1 2 3\n', '', None),
+    ('verify coloring --file mono.txt --json', 1,
+     '{"command": "verify coloring", "free_of_monochromatic_ap": false, '
+     '"witness": {"color": 1, "points": [1, 2, 3], '
+     '"witness": {"a": {"den": 1, "num": 1}, "d": {"den": 1, "num": 1}, '
+     '"margin": {"den": 5, "num": 1}}}}\n', '', None),
+    ('verify coloring --file good.txt --k 3 --eps 1/4', 1,
+     'monochromatic: color 1 on [1, 2, 3]\n', '', None),
+    ('verify set --file line.txt --m 1 --k 3 --eps 1/100', 0,
+     'free\n', '', None),
+    ('verify set --file line.txt --m 1 --k 3 --eps 1/100 --format csv', 0,
+     'free\n', '', None),
+    ('verify set --file line.txt --m 1 --k 3 --eps 1/100 --json', 0,
+     '{"command": "verify set", "free": true, "witness": null}\n', '', None),
+    ('verify set --file run.txt --m 1 --k 3 --eps 1/100', 1,
+     'contains approximate structure: [1, 2, 3]\n', '', None),
+    ('verify set --file run.txt --m 1 --k 3 --eps 1/100 --format csv', 1,
+     'contains\n', '', None),
+    ('verify set --file run.txt --m 1 --k 3 --eps 1/100 --json', 1,
+     '{"command": "verify set", "free": false, "witness": {"points": [1, 2, '
+     '3], "witness": {"a": {"den": 1, "num": 1}, "d": {"den": 1, "num": 1}, '
+     '"margin": {"den": 100, "num": 1}}}}\n', '', None),
+    ('verify set --file skew.txt --m 2 --k 2 --eps 1/100', 0,
+     'free\n', '', None),
+    ('verify set --file skew.txt --m 2 --k 2 --eps 1/100 --format csv', 0,
+     'free\n', '', None),
+    ('verify set --file skew.txt --m 2 --k 2 --eps 1/100 --json', 0,
+     '{"command": "verify set", "free": true, "witness": null}\n', '', None),
+    ('verify set --file grid.txt --m 2 --k 2 --eps 1/4', 1,
+     'contains approximate structure: [(0, 0), (0, 10), (10, 0), (10, 10)]\n',
+     '',
+     None),
+    ('verify set --file grid.txt --m 2 --k 2 --eps 1/4 --format csv', 1,
+     'contains\n', '', None),
+    ('verify set --file grid.txt --m 2 --k 2 --eps 1/4 --json', 1,
+     '{"command": "verify set", "free": false, "witness": {"grid": {"(0, '
+     '0)": [0, 0], "(0, 1)": [0, 10], "(1, 0)": [10, 0], "(1, 1)": [10, '
+     '10]}, "witness": {"a": ["0.0", "0.0"], "certified": true, '
+     '"d": "10.0", "residual": "2.5", "tol": "1e-09"}}}\n', '', None),
+    ('wnumber --k 3 --r 2 --eps 1/3 --nmax 20', 0,
+     'value 5\ngood coloring of [4]: [1, 1, 2, 2]\n', '', None),
+    ('wnumber --k 3 --r 2 --eps 1/3 --nmax 20 --format csv', 0,
+     'value,5\n', '', None),
+    ('wnumber --k 3 --r 2 --eps 1/3 --nmax 20 --json', 0,
+     '{"command": "wnumber", "kind": "value", "nodes": 31, "value": 5, '
+     '"witness_coloring": [1, 1, 2, 2]}\n', '', None),
+    ('wnumber --k 3 --r 2 --eps 1/3 --nmax 3', 1,
+     'lower_bound_only 3\ngood coloring of [3]: [1, 1, 2]\n', '', None),
+    ('wnumber --k 3 --r 2 --eps 1/3 --nmax 3 --format csv', 1,
+     'lower_bound_only,3\n', '', None),
+    ('wnumber --k 3 --r 2 --eps 1/3 --nmax 3 --json', 1,
+     '{"command": "wnumber", "kind": "lower_bound_only", "nodes": 9, '
+     '"value": 3, "witness_coloring": [1, 1, 2]}\n', '', None),
+    ('density --N 6 --k 3 --eps 1/10', 0,
+     'value 4\nwitness: [1, 2, 4, 5]\n', '', None),
+    ('density --N 6 --k 3 --eps 1/10 --format csv', 0,
+     'value,4\n', '', None),
+    ('density --N 6 --k 3 --eps 1/10 --json', 0,
+     '{"command": "density", "kind": "value", "nodes": 44, "value": 4, '
+     '"witness_set": [1, 2, 4, 5]}\n', '', None),
+    ('density --N 12 --k 3 --eps 1/10 --work-cap 5', 1,
+     'lower_bound_only 2\nwitness: [1, 2]\n', '', None),
+    ('density --N 12 --k 3 --eps 1/10 --work-cap 5 --format csv', 1,
+     'lower_bound_only,2\n', '', None),
+    ('density --N 12 --k 3 --eps 1/10 --work-cap 5 --json', 1,
+     '{"command": "density", "kind": "lower_bound_only", "nodes": 5, '
+     '"value": 2, "witness_set": [1, 2]}\n', '', None),
+    ('density --N 3 --m 2 --k 2 --eps 1/5', 0,
+     'value 7\n'
+     'witness: [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]\n', '', None),
+    ('density --N 9 --k 3 --exact-aps --json', 0,
+     '{"command": "density", "kind": "value", "nodes": 108, "value": 5, '
+     '"witness_set": [1, 2, 4, 8, 9]}\n', '', None),
+    ('density --N 6 --k 3', 2,
+     '',
+     'error: density needs --eps unless --exact-aps is given\n',
+     None),
+    ('density --N 3 --m 2 --k 2 --eps 1/5 --exact-aps', 2,
+     '',
+     'error: --exact-aps only applies to m=1\n',
+     None),
+    ('hypergraph --N 5 --k 3 --eps 1/10', 0,
+     '# N=5 k=3 eps=1/10\n1 2 3\n1 3 5\n2 3 4\n3 4 5\n', '', None),
+    ('hypergraph --N 5 --k 3 --eps 1/10 --format csv', 0,
+     '1,2,3\n1,3,5\n2,3,4\n3,4,5\n', '', None),
+    ('hypergraph --N 5 --k 3 --eps 1/10 --json', 0,
+     '{"N": 5, "command": "hypergraph", "edge_count": 4, "edges": [[1, 2, '
+     '3], [1, 3, 5], [2, 3, 4], [3, 4, 5]], "k": 3}\n', '', None),
+    ('hypergraph --N 2 --k 3 --eps 1/10', 0,
+     '# N=2 k=3 eps=1/10\n', '', None),
+    ('hypergraph --N 2 --k 3 --eps 1/10 --format csv', 0,
+     '', '', None),
+    ('hypergraph --N 2 --k 3 --eps 1/10 --json', 0,
+     '{"N": 2, "command": "hypergraph", "edge_count": 0, "edges": [], '
+     '"k": 3}\n', '', None),
+    ('hypergraph --N 5 --k 3 --eps 1/10 --out out.txt', 0,
+     'wrote 4 edges to out.txt\n',
+     '',
+     b'# N=5 k=3 eps=1/10\n1 2 3\n1 3 5\n2 3 4\n3 4 5\n'),
+    ('hypergraph --N 5 --k 3 --eps 1/10 --out out.txt --format csv', 0,
+     '1,2,3\n1,3,5\n2,3,4\n3,4,5\n',
+     '',
+     b'# N=5 k=3 eps=1/10\n1 2 3\n1 3 5\n2 3 4\n3 4 5\n'),
+    ('hypergraph --N 5 --k 3 --eps 1/10 --out out.txt --json', 0,
+     '{"N": 5, "command": "hypergraph", "edge_count": 4, "edges": [[1, 2, '
+     '3], [1, 3, 5], [2, 3, 4], [3, 4, 5]], "k": 3}\n',
+     '',
+     b'# N=5 k=3 eps=1/10\n1 2 3\n1 3 5\n2 3 4\n3 4 5\n'),
+    ('hypergraph --N 2 --k 3 --eps 1/10 --out out.txt', 0,
+     'wrote 0 edges to out.txt\n',
+     '',
+     b'# N=2 k=3 eps=1/10\n'),
+    # Exit 1 (bound not met) has no input: the best of all shifts is at
+    # least their average, and the randomized mode draws until it is met.
+    ('translate --set-a a.txt --set-x x.txt --N 3 --m 2', 0,
+     'shift = [0, 0]\ncount = 2 (bound 5/18)\n', '', None),
+    ('translate --set-a a.txt --set-x x.txt --N 3 --m 2 --format csv', 0,
+     '0,0,2\n', '', None),
+    ('translate --set-a a.txt --set-x x.txt --N 3 --m 2 --json', 0,
+     '{"bound": {"den": 18, "num": 5}, "bound_met": true, '
+     '"command": "translate", "count": 2, "mode": "deterministic", '
+     '"shift": [0, 0]}\n', '', None),
+    ('translate --set-a a.txt --set-x x.txt --N 3 --m 2 --mode randomized --seed 7', 0,
+     'shift = [0, 2]\ncount = 1 (bound 5/18)\n', '', None),
+    ('translate --set-a a.txt --set-x x.txt --N 3 --m 2'
+     ' --mode randomized --seed 7 --format csv', 0,
+     '0,2,1\n', '', None),
+    ('translate --set-a a.txt --set-x x.txt --N 3 --m 2'
+     ' --mode randomized --seed 7 --json', 0,
+     '{"bound": {"den": 18, "num": 5}, "bound_met": true, '
+     '"command": "translate", "count": 1, "mode": "randomized", '
+     '"shift": [0, 2]}\n', '', None),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err, written", CASES,
+                         ids=[case[0] for case in CASES])
+def test_cli_golden(tmp_path, monkeypatch, capsys, argv, code, out, err, written):
+    monkeypatch.chdir(tmp_path)
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
+    path = tmp_path / OUT
+    assert (path.read_bytes() if path.exists() else None) == written
+
+
+def _commands(parser, words=()):
+    """The word tuple of every leaf (sub)command under parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield words
+        return
+    for name, child in subs[0].choices.items():
+        yield from _commands(child, words + (name,))
+
+
+def test_every_command_has_golden_cases_in_every_format():
+    commands = set(_commands(build_parser()))
+    covered = set()
+    for argv, *_ in CASES:
+        tokens = argv.split()
+        words = next(c for c in commands if tuple(tokens[:len(c)]) == c)
+        covered.add((words, build_parser().parse_args(tokens).format))
+    missing = sorted({(" ".join(c), fmt) for c in commands
+                      for fmt in ("text", "csv", "json")} - {
+        (" ".join(c), fmt) for c, fmt in covered})
+    assert not missing, f"commands without a golden case: {missing}"
