@@ -45,128 +45,95 @@ def _parse_points(text: str) -> tuple:
         raise ValueError(f"--points must be comma-separated integers, got {text!r}") from exc
 
 
-def _emit(args, payload: dict, text_lines, csv_lines) -> None:
-    if args.format == "json":
-        sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
-    elif args.format == "csv":
-        for row in csv_lines:
-            sys.stdout.write(row + "\n")
-    else:
-        for line in text_lines:
-            sys.stdout.write(line + "\n")
-
-
 def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 
 
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 # ---------------------------------------------------------------------------
-# Command handlers (each returns the exit code)
+# Command handlers.  Each returns its reply (exit code, JSON payload, text
+# lines, CSV rows); main names the command in the payload and prints the one
+# part that --format picks.  Rows with one per item are generators, so a view
+# that is not printed is not built.
 # ---------------------------------------------------------------------------
 
-def _cmd_recognize_ap(args) -> int:
+def _cmd_recognize_ap(args):
     witness = geometry.recognize_ap(_parse_points(args.points), args.eps)
     accepted = witness is not None
     payload = {
-        "command": "recognize ap",
         "accepted": accepted,
         "witness": formats.witness1d_json(witness) if accepted else None,
     }
-    if accepted:
-        text = [
-            "accepted",
-            f"a = {format_fraction(witness.a)}",
-            f"d = {format_fraction(witness.d)}",
-            f"margin = {format_fraction(witness.margin)}",
-        ]
-        csv = [f"accepted,{format_fraction(witness.a)},"
-               f"{format_fraction(witness.d)},{format_fraction(witness.margin)}"]
-    else:
-        text = ["rejected"]
-        csv = ["rejected,,,"]
-    _emit(args, payload, text, csv)
-    return 0 if accepted else 1
+    if not accepted:
+        return 1, payload, ["rejected"], ["rejected,,,"]
+    a, d, margin = (format_fraction(x) for x in (witness.a, witness.d, witness.margin))
+    text = ["accepted", f"a = {a}", f"d = {d}", f"margin = {margin}"]
+    return 0, payload, text, [f"accepted,{a},{d},{margin}"]
 
 
-def _cmd_recognize_cube(args) -> int:
+def _cmd_recognize_cube(args):
     points = formats.read_set(_read_text(args.file), m=args.m)
     grid = geometry.index_grid_points(points, args.m, args.k, args.eps)
     decision = geometry.recognize_cube(grid, args.eps, tol=args.tol)
-    feasible = decision.status == "feasible"
-    payload = {
-        "command": "recognize cube",
-        "status": decision.status,
-        "exact": decision.exact,
-        "witness": formats.witness_md_json(
-            decision.witness, args.tol,
-            decision.exact or decision.witness.certifies(grid, args.eps))
-        if feasible else None,
-    }
-    text = [decision.status]
-    if feasible:
-        text.append(f"d = {decision.witness.d!r}")
-        text.append(f"residual = {decision.witness.residual!r}")
-    csv = [f"{decision.status},"
-           f"{decision.witness.d if feasible else ''},"
-           f"{decision.witness.residual if feasible else ''}"]
-    _emit(args, payload, text, csv)
-    return 0 if feasible else 1
+    payload = {"status": decision.status, "exact": decision.exact, "witness": None}
+    if decision.status != "feasible":
+        return 1, payload, [decision.status], [f"{decision.status},,"]
+    payload["witness"] = formats.witness_md_json(
+        decision.witness, args.tol,
+        decision.exact or decision.witness.certifies(grid, args.eps))
+    d, residual = decision.witness.d, decision.witness.residual
+    text = [decision.status, f"d = {d!r}", f"residual = {residual!r}"]
+    return 0, payload, text, [f"{decision.status},{d},{residual}"]
 
 
-def _cmd_construct_blowup(args) -> int:
+def _cmd_construct_blowup(args):
     spec = colorings.build_blowup_1d(args.k, args.r, args.eps, cap=args.cap)
     elements = spec.one_based() if args.one_based else spec.elements
     payload = {
-        "command": "construct blowup",
         "k": spec.k, "r": spec.r, "t": spec.t,
         "diameter": spec.diameter,
         "elements": list(elements),
     }
     text = [f"t = {spec.t}", f"size = {len(elements)}", f"diameter = {spec.diameter}",
             " ".join(str(e) for e in elements)]
-    csv = [str(e) for e in elements]
-    _emit(args, payload, text, csv)
-    return 0
+    return 0, payload, text, (str(e) for e in elements)
 
 
-def _cmd_construct_alternate(args) -> int:
+def _cmd_construct_alternate(args):
     lab = colorings.build_alternate_labeling(args.r, args.D, args.t, args.offset)
     labels = lab.labels()
     payload = {
-        "command": "construct alternate",
         "r": lab.r, "D": lab.D, "t": lab.t, "offset": lab.offset,
         "labels": list(labels),
     }
     text = [" ".join(f"{v:+d}" for v in labels)]
-    csv = [",".join(str(v) for v in labels)]
-    _emit(args, payload, text, csv)
-    return 0
+    return 0, payload, text, [",".join(str(v) for v in labels)]
 
 
-def _coloring_output(args, coloring, eps, k, command: str) -> int:
+def _coloring_reply(args, coloring, eps, k):
+    """A COLORING file: written to --out with a one-line note as the reply,
+    or shown as the text and CSV reply."""
     body = formats.write_coloring(coloring, eps, k)
+    payload = {"N": coloring.N, "r": coloring.r}
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        _write_text(args.out, body)
         note = f"wrote coloring of [{coloring.N}] to {args.out}"
-        _emit(args, {"command": command, "N": coloring.N, "r": coloring.r,
-                     "out": args.out}, [note], [note])
-    else:
-        if args.format == "json":
-            _emit(args, {"command": command, "N": coloring.N, "r": coloring.r,
-                         "colors": coloring.to_list()}, [], [])
-        else:
-            sys.stdout.write(body)
-    return 0
+        return 0, {**payload, "out": args.out}, [note], [note]
+    lines = body.splitlines()
+    return 0, {**payload, "colors": coloring.to_list()}, lines, lines
 
 
-def _cmd_construct_simple_r2(args) -> int:
+def _cmd_construct_simple_r2(args):
     coloring = colorings.build_simple_r2_coloring(args.k)
-    return _coloring_output(args, coloring, args.eps, args.k, "construct simple-r2")
+    return _coloring_reply(args, coloring, args.eps, args.k)
 
 
-def _cmd_construct_lowerbound(args) -> int:
+def _cmd_construct_lowerbound(args):
     params = colorings.lower_bound_params(args.k, args.r, args.eps, eps0=args.eps0)
     if args.params_only:
         schedule = []
@@ -176,217 +143,181 @@ def _cmd_construct_lowerbound(args) -> int:
                              "t": node.t, "blocks": list(node.blocks),
                              "n0": node.n0, "n1": node.n1})
             node = node.child
-        payload = {"command": "construct lowerbound", "params": schedule}
+        payload = {"params": schedule}
         text = [f"level r={lvl['r']}: k={lvl['k']} s={lvl['s']} w={lvl['w']} "
                 f"t={lvl['t']} blocks={lvl['blocks']} n1={lvl['n1']}"
                 for lvl in schedule]
         csv = [f"{lvl['r']},{lvl['k']},{lvl['s']},{lvl['w']},{lvl['t']},{lvl['n1']}"
                for lvl in schedule]
-        _emit(args, payload, text, csv)
-        return 0
+        return 0, payload, text, csv
     coloring = colorings.build_lower_bound_coloring(
         args.k, args.r, args.eps, eps0=args.eps0, dense=True, cap=args.cap)
-    return _coloring_output(args, coloring, args.eps, args.k, "construct lowerbound")
+    return _coloring_reply(args, coloring, args.eps, args.k)
 
 
-def _cmd_construct_behrend(args) -> int:
+def _cmd_construct_behrend(args):
     provider = density.ApkFreeProvider(mode=args.provider)
     spec, members = density.build_behrend_digit_set(
         args.eps, args.h, args.k, provider, one_based=args.one_based)
     payload = {
-        "command": "construct behrend",
         "q": spec.q, "h": spec.h, "k": spec.k,
         "head": list(spec.head), "tail": list(spec.tail),
         "size": len(members), "elements": list(members),
     }
     text = [f"q = {spec.q}", f"head = {list(spec.head)}", f"tail = {list(spec.tail)}",
             f"size = {len(members)}", " ".join(str(x) for x in members)]
-    csv = [str(x) for x in members]
-    _emit(args, payload, text, csv)
-    return 0
+    return 0, payload, text, (str(x) for x in members)
 
 
-def _cmd_construct_cube_blowup(args) -> int:
+def _set_reply(args, payload, points, head=(), detail=""):
+    """A SET file: written to --out with a one-line note as the reply, or
+    shown, after the `head` lines in text and one point per CSV row."""
+    body = formats.write_set(points)
+    if args.out:
+        _write_text(args.out, body)
+        note = f"wrote {len(points)} points to {args.out}{detail}"
+        return 0, payload, [note], [note]
+    csv = (",".join(str(c) for c in p) for p in points)
+    return 0, payload, [*head, *body.splitlines()], csv
+
+
+def _cmd_construct_cube_blowup(args):
     spec = density.build_cube_blowup(args.m, args.k, args.eps, args.alpha,
                                      cap=args.cap)
     payload = {
-        "command": "construct cube-blowup",
         "m": spec.m, "k": spec.k, "r": spec.r, "t": spec.t,
         "n0_bound": spec.n0_bound, "size": len(spec.elements),
         "elements": [list(p) for p in spec.elements],
     }
-    set_text = formats.write_set(spec.elements)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(set_text)
-        line = f"wrote {len(spec.elements)} points to {args.out} (r={spec.r}, t={spec.t})"
-        _emit(args, payload, [line], [line])
-    else:
-        text = [f"r = {spec.r}", f"t = {spec.t}", f"n0_bound = {spec.n0_bound}"]
-        text.extend(set_text.splitlines())
-        csv = [",".join(str(c) for c in p) for p in spec.elements]
-        _emit(args, payload, text, csv)
-    return 0
+    return _set_reply(args, payload, spec.elements,
+                      [f"r = {spec.r}", f"t = {spec.t}", f"n0_bound = {spec.n0_bound}"],
+                      f" (r={spec.r}, t={spec.t})")
 
 
-def _cmd_construct_product(args) -> int:
+def _cmd_construct_product(args):
     a_rows = formats.read_set(_read_text(args.set), m=1)
     product_set = density.product_free_set([r[0] for r in a_rows], args.m, args.N)
     payload = {
-        "command": "construct product",
         "m": args.m, "N": args.N, "size": len(product_set),
         "elements": [list(p) for p in product_set],
     }
-    set_text = formats.write_set(product_set)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(set_text)
-        line = f"wrote {len(product_set)} points to {args.out}"
-        _emit(args, payload, [line], [line])
-    else:
-        csv = [",".join(str(c) for c in p) for p in product_set]
-        _emit(args, payload, set_text.splitlines(), csv)
-    return 0
+    return _set_reply(args, payload, product_set)
 
 
-def _cmd_verify_coloring(args) -> int:
+def _cmd_verify_coloring(args):
     coloring, eps, k = formats.read_coloring(_read_text(args.file))
     if args.eps is not None:
         eps = args.eps
     if args.k is not None:
         k = args.k
     hit = colorings.verify_no_mono_ap(coloring, k, eps)
-    good = hit is None
-    payload = {
-        "command": "verify coloring",
-        "free_of_monochromatic_ap": good,
-        "witness": None if good else {
-            "color": hit.color,
-            "points": list(hit.points),
-            "witness": formats.witness1d_json(hit.witness),
-        },
+    payload = {"free_of_monochromatic_ap": hit is None, "witness": None}
+    if hit is None:
+        return 0, payload, ["good: no monochromatic approximate progression"], ["good"]
+    payload["witness"] = {
+        "color": hit.color,
+        "points": list(hit.points),
+        "witness": formats.witness1d_json(hit.witness),
     }
-    if good:
-        text = ["good: no monochromatic approximate progression"]
-        csv = ["good"]
-    else:
-        text = [f"monochromatic: color {hit.color} on {list(hit.points)}"]
-        csv = [f"monochromatic,{hit.color}," + " ".join(map(str, hit.points))]
-    _emit(args, payload, text, csv)
-    return 0 if good else 1
+    text = [f"monochromatic: color {hit.color} on {list(hit.points)}"]
+    csv = [f"monochromatic,{hit.color}," + " ".join(map(str, hit.points))]
+    return 1, payload, text, csv
 
 
-def _cmd_verify_set(args) -> int:
+def _cmd_verify_set(args):
     points = formats.read_set(_read_text(args.file), m=args.m)
     if args.m == 1:
         hit = search.find_eps_ap_in_points(tuple(p[0] for p in points),
                                            args.k, args.eps)
-        free = hit is None
-        witness_payload = None if free else {
-            "points": list(hit[0]),
-            "witness": formats.witness1d_json(hit[1]),
-        }
-        found_str = "" if free else str(list(hit[0]))
     else:
         hit = density.verify_cube_free(points, args.m, args.k, args.eps,
                                        tol=args.tol)
-        free = hit is None
-        witness_payload = None if free else {
-            "grid": {str(v): list(p) for v, p in hit[0].items_in_index_order()},
+    payload = {"free": hit is None, "witness": None}
+    if hit is None:
+        return 0, payload, ["free"], ["free"]
+    if args.m == 1:
+        found = list(hit[0])
+        payload["witness"] = {"points": found,
+                              "witness": formats.witness1d_json(hit[1])}
+    else:
+        grid = hit[0].items_in_index_order()
+        found = [p for _, p in grid]
+        payload["witness"] = {
+            "grid": {str(v): list(p) for v, p in grid},
             "witness": formats.witness_md_json(
                 hit[1], args.tol, hit[1].certifies(hit[0], args.eps)),
         }
-        found_str = "" if free else str([p for _, p in hit[0].items_in_index_order()])
-    payload = {
-        "command": "verify set",
-        "free": free,
-        "witness": witness_payload,
-    }
-    text = ["free" if free else f"contains approximate structure: {found_str}"]
-    csv = ["free" if free else "contains"]
-    _emit(args, payload, text, csv)
-    return 0 if free else 1
+    return 1, payload, [f"contains approximate structure: {found}"], ["contains"]
 
 
-def _cmd_wnumber(args) -> int:
-    outcome = search.exact_W(args.k, args.r, args.eps, args.nmax,
-                             work_cap=args.work_cap)
+def _outcome_reply(outcome, witness_key: str, witness, witness_line: str):
+    """An exact search's kind, value and node count; exit 0 only for a value."""
     payload = {
-        "command": "wnumber",
         "kind": outcome.kind,
         "value": outcome.value,
         "nodes": outcome.nodes,
-        "witness_coloring": outcome.witness.to_list(),
+        witness_key: witness,
     }
-    text = [f"{outcome.kind} {outcome.value}",
-            f"good coloring of [{outcome.witness.N}]: {outcome.witness.to_list()}"]
+    text = [f"{outcome.kind} {outcome.value}", witness_line]
     csv = [f"{outcome.kind},{outcome.value}"]
-    _emit(args, payload, text, csv)
-    return 0 if outcome.kind == "value" else 1
+    return 0 if outcome.kind == "value" else 1, payload, text, csv
 
 
-def _cmd_density(args) -> int:
+def _cmd_wnumber(args):
+    outcome = search.exact_W(args.k, args.r, args.eps, args.nmax,
+                             work_cap=args.work_cap)
+    colors = outcome.witness.to_list()
+    return _outcome_reply(outcome, "witness_coloring", colors,
+                          f"good coloring of [{outcome.witness.N}]: {colors}")
+
+
+def _cmd_density(args):
+    if not args.exact_aps and args.eps is None:
+        raise ValueError("density needs --eps unless --exact-aps is given")
+    if args.exact_aps and args.m != 1:
+        raise ValueError("--exact-aps only applies to m=1")
     if args.exact_aps:
         outcome = search.max_exact_ap_free(args.N, args.k, work_cap=args.work_cap)
     else:
         outcome = search.exact_f(args.N, args.m, args.k, args.eps,
                                  work_cap=args.work_cap)
     witness = [list(p) if isinstance(p, tuple) else p for p in outcome.witness]
-    payload = {
-        "command": "density",
-        "kind": outcome.kind,
-        "value": outcome.value,
-        "nodes": outcome.nodes,
-        "witness_set": witness,
-    }
-    text = [f"{outcome.kind} {outcome.value}", f"witness: {list(outcome.witness)}"]
-    csv = [f"{outcome.kind},{outcome.value}"]
-    _emit(args, payload, text, csv)
-    return 0 if outcome.kind == "value" else 1
+    return _outcome_reply(outcome, "witness_set", witness,
+                          f"witness: {list(outcome.witness)}")
 
 
-def _cmd_hypergraph(args) -> int:
+def _cmd_hypergraph(args):
     h = search.enumerate_eps_aps(args.N, args.k, args.eps, work_cap=args.work_cap)
     body = formats.write_hypergraph(h)
+    text = body.splitlines()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
+        _write_text(args.out, body)
+        text = [f"wrote {len(h.edges)} edges to {args.out}"]
     payload = {
-        "command": "hypergraph",
         "N": h.N, "k": h.k,
         "edge_count": len(h.edges),
         "edges": [list(e) for e in h.edges],
     }
-    if args.format == "json":
-        _emit(args, payload, [], [])
-    elif args.format == "csv":
-        _emit(args, payload, [], [",".join(map(str, e)) for e in h.edges])
-    elif not args.out:
-        sys.stdout.write(body)
-    else:
-        sys.stdout.write(f"wrote {len(h.edges)} edges to {args.out}\n")
-    return 0
+    return 0, payload, text, (",".join(map(str, e)) for e in h.edges)
 
 
-def _cmd_translate(args) -> int:
+def _cmd_translate(args):
     a_pts = formats.read_set(_read_text(args.set_a), m=args.m)
     x_pts = formats.read_set(_read_text(args.set_x), m=args.m)
     result = density.find_dense_translate(a_pts, x_pts, args.N, args.m,
                                           mode=args.mode, seed=args.seed)
     met = Fraction(result.count) >= result.bound
     payload = {
-        "command": "translate",
         "shift": list(result.shift),
         "count": result.count,
-        "bound": {"num": result.bound.numerator, "den": result.bound.denominator},
+        "bound": formats.fraction_json(result.bound),
         "mode": result.mode,
         "bound_met": met,
     }
     text = [f"shift = {list(result.shift)}",
             f"count = {result.count} (bound {result.bound})"]
     csv = [",".join(map(str, result.shift)) + f",{result.count}"]
-    _emit(args, payload, text, csv)
-    return 0 if met else 1
+    return 0 if met else 1, payload, text, csv
 
 
 # ---------------------------------------------------------------------------
@@ -565,19 +496,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if getattr(args, "command", None) == "density":
-        if not args.exact_aps and args.eps is None:
-            sys.stderr.write("error: density needs --eps unless --exact-aps is given\n")
-            return 2
-        if args.exact_aps and args.m != 1:
-            sys.stderr.write("error: --exact-aps only applies to m=1\n")
-            return 2
     try:
-        return args.handler(args)
+        code, payload, text, csv = args.handler(args)
+        if args.format == "json":
+            words = (args.command, getattr(args, "what", None))
+            payload["command"] = " ".join(w for w in words if w)
+            lines = [json.dumps(payload, sort_keys=True)]
+        else:
+            lines = csv if args.format == "csv" else text
+        sys.stdout.write("".join(line + "\n" for line in lines))
     except (ValueError, TypeError, OSError, MemoryGuardExceeded,
             SearchCapExceeded, geometry.IndexingError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    return code
 
 
 if __name__ == "__main__":

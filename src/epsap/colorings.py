@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .errors import MemoryGuardExceeded
+from .errors import Budget, MemoryGuardExceeded
 from .geometry import Witness1D, check_epsilon
 from .rational import ceil_frac, to_fraction
 
@@ -402,16 +402,22 @@ def verify_no_mono_ap(coloring: Coloring, k: int, eps,
     """Search every color class for an approximate progression.
 
     Returns the lexicographically smallest (color, point set) hit with its
-    exact witness, or None when the coloring is free of them.
+    exact witness, or None when the coloring is free of them.  One
+    Budget(work_cap) serves every class, so the cap bounds the whole call.
     """
-    from .search import find_eps_ap_in_points
+    # imported per call, where bench/tracer.py may have wrapped recognize_ap
+    from .search import _eps_aps, recognize_ap
 
+    if k < 2:
+        raise ValueError(f"need k >= 2, got k={k}")
     e = check_epsilon(eps, set_level=True)
+    budget = Budget(work_cap)
     for c, pts in sorted(coloring.classes(cap=cap).items()):
-        hit = find_eps_ap_in_points(tuple(pts), k, e, work_cap=work_cap)
+        if len(pts) < k:
+            continue
+        hit = next(_eps_aps(tuple(pts), k, e, budget), None)
         if hit is not None:
-            subset, witness = hit
-            return MonochromeWitness(color=c, points=subset, witness=witness)
+            return MonochromeWitness(color=c, points=hit, witness=recognize_ap(hit, e))
     return None
 
 

@@ -372,6 +372,8 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
     own work, or by default a fresh Budget(node_cap); SearchCapExceeded is
     raised once it is spent.
     """
+    if m < 1 or k < 2:
+        raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
     e = check_epsilon(eps)
     check_tol(tol)
     points = sorted(set(tuple(p) for p in S))

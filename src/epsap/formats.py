@@ -67,6 +67,24 @@ def read_set(text: str, m: int = None) -> tuple:
     return tuple(sorted(set(rows)))
 
 
+def _read_header(lines, kind: str, fields: dict) -> list:
+    """The values of a '# key=value ...' first line, converted per `fields`
+    (key -> type) and in its order; any missing or bad one is a one-line
+    ValueError naming the header."""
+    if not lines or not lines[0].startswith("#"):
+        first, second = list(fields)[:2]
+        raise ValueError(f"{kind} file must start with its "
+                         f"'# {first}=.. {second}=..' header")
+    found = {}
+    for tok in lines[0].lstrip("#").split():
+        key, _, val = tok.partition("=")
+        found[key] = val
+    try:
+        return [convert(found[key]) for key, convert in fields.items()]
+    except (KeyError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed {kind} header: {lines[0]!r}") from exc
+
+
 def write_coloring(coloring, eps, k: int) -> str:
     head = f"# N={coloring.N} r={coloring.r} eps={eps_header(eps)} k={k}"
     body = "\n".join(str(coloring.color(x)) for x in range(1, coloring.N + 1))
@@ -78,19 +96,8 @@ def read_coloring(text: str):
     from .colorings import Coloring
 
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("coloring file must start with its '# N=.. r=..' header")
-    fields = {}
-    for tok in lines[0].lstrip("#").split():
-        key, _, val = tok.partition("=")
-        fields[key] = val
-    try:
-        n = int(fields["N"])
-        r = int(fields["r"])
-        eps = Fraction(fields["eps"])
-        k = int(fields["k"])
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed coloring header: {lines[0]!r}") from exc
+    n, r, eps, k = _read_header(lines, "coloring",
+                                {"N": int, "r": int, "eps": Fraction, "k": int})
     colors = [int(tok) for tok in lines[1:] if tok.strip()]
     if len(colors) != n:
         raise ValueError(f"coloring header says N={n} but file has {len(colors)} colors")
@@ -107,18 +114,7 @@ def read_hypergraph(text: str):
     from .search import EpsApHypergraph
 
     lines = text.splitlines()
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("hypergraph file must start with its '# N=.. k=..' header")
-    fields = {}
-    for tok in lines[0].lstrip("#").split():
-        key, _, val = tok.partition("=")
-        fields[key] = val
-    try:
-        n = int(fields["N"])
-        k = int(fields["k"])
-        eps = Fraction(fields["eps"])
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"malformed hypergraph header: {lines[0]!r}") from exc
+    n, k, eps = _read_header(lines, "hypergraph", {"N": int, "k": int, "eps": Fraction})
     edges = []
     for raw in lines[1:]:
         line = raw.strip()

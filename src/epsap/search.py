@@ -137,6 +137,8 @@ def find_eps_ap_in_points(points, k: int, eps,
 
     Returns (subset, witness) or None.
     """
+    if k < 2:
+        raise ValueError(f"need k >= 2, got k={k}")
     e = check_epsilon(eps, set_level=True)
     pts = tuple(points)
     if len(pts) < k:

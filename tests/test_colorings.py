@@ -16,7 +16,7 @@ from epsap.colorings import (
     lower_bound_params,
     verify_no_mono_ap,
 )
-from epsap.errors import MemoryGuardExceeded
+from epsap.errors import MemoryGuardExceeded, SearchCapExceeded
 from epsap.geometry import recognize_ap
 from epsap.search import find_eps_ap_in_points
 
@@ -293,6 +293,16 @@ def test_verify_matches_brute_force_simple_r2():
 def test_verify_picks_lex_smallest_color_first():
     hit = verify_no_mono_ap(Coloring.from_list([2, 2, 2, 1, 1, 1], r=2), 3, F(1, 4))
     assert hit.color == 1 and hit.points == (4, 5, 6)
+
+
+def test_verify_work_cap_bounds_the_whole_call():
+    # each of the two color classes takes 1,533 nodes to clear
+    coloring = build_simple_r2_coloring(14)
+    with pytest.raises(SearchCapExceeded):
+        verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=1533)
+    with pytest.raises(SearchCapExceeded):
+        verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=3065)
+    assert verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=3066) is None
 
 
 def test_simple_r2_empirical_threshold_report():

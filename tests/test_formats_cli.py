@@ -313,6 +313,24 @@ def test_cli_coloring_header_dividing_by_zero_is_exit_2(tmp_path, capsys):
     assert err == "error: malformed coloring header: '# N=3 r=2 eps=1/0 k=3'\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("verify set --file line.txt --m 1 --eps 1/4 --k 0", "need k >= 2, got k=0"),
+    ("verify set --file line.txt --m 1 --eps 1/4 --k -1", "need k >= 2, got k=-1"),
+    ("verify set --file line.txt --m 1 --eps 1/4 --k 1", "need k >= 2, got k=1"),
+    ("verify coloring --file coloring.txt --k 0", "need k >= 2, got k=0"),
+    ("verify coloring --file coloring.txt --k 1", "need k >= 2, got k=1"),
+    ("verify set --file grid.txt --m 2 --eps 1/4 --k 0",
+     "need m >= 1 and k >= 2, got m=2, k=0"),
+])
+def test_cli_k_below_2_is_a_one_line_exit_2(tmp_path, monkeypatch, capsys, argv,
+                                            message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "line.txt").write_text("1\n2\n4\n")
+    (tmp_path / "grid.txt").write_text("0 0\n0 10\n10 0\n10 10\n")
+    (tmp_path / "coloring.txt").write_text("# N=3 r=1 eps=1/5 k=3\n1\n1\n1\n")
+    assert run_cli(capsys, *argv.split()) == (2, "", f"error: {message}\n")
+
+
 def test_cli_lowerbound_params_only(capsys):
     code, out, _ = run_cli(capsys, "construct", "lowerbound", "--k", "771",
                            "--r", "2", "--eps", "1/30", "--eps0", "1/30",
