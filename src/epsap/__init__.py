@@ -37,7 +37,6 @@ from .geometry import (
     Witness1D,
     WitnessMD,
     gap_ratio_filter,
-    grid_from_points_1d,
     index_grid_points,
     min_enclosing_ball,
     recognize_ap,

@@ -50,11 +50,6 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 # ---------------------------------------------------------------------------
 # Command handlers.  Each returns its reply (exit code, JSON payload, text
 # lines, CSV rows); main names the command in the payload and prints the one
@@ -83,12 +78,18 @@ def _cmd_recognize_cube(args):
     payload = {"status": decision.status, "exact": decision.exact, "witness": None}
     if decision.status != "feasible":
         return 1, payload, [decision.status], [f"{decision.status},,"]
-    payload["witness"] = formats.witness_md_json(
-        decision.witness, args.tol,
-        decision.exact or decision.witness.certifies(grid, args.eps))
+    payload["witness"] = _witness_md_json(args, grid, decision)
     d, residual = decision.witness.d, decision.witness.residual
     text = [decision.status, f"d = {d!r}", f"residual = {residual!r}"]
     return 0, payload, text, [f"{decision.status},{d},{residual}"]
+
+
+def _witness_md_json(args, grid, decision):
+    """The JSON of a feasible cube decision's witness; a witness that is not
+    proved exact gets its exact check here."""
+    witness = decision.witness
+    return formats.witness_md_json(
+        witness, args.tol, decision.exact or witness.certifies(grid, args.eps))
 
 
 def _cmd_construct_blowup(args):
@@ -115,17 +116,27 @@ def _cmd_construct_alternate(args):
     return 0, payload, text, [",".join(str(v) for v in labels)]
 
 
+def _file_reply(args, body, note, payload, text, csv):
+    """A reply whose text and CSV show a file body; with --out the body is
+    written there instead, and the one-line note is both views."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(body)
+        text = csv = [note]
+    return 0, payload, text, csv
+
+
 def _coloring_reply(args, coloring, eps, k):
-    """A COLORING file: written to --out with a one-line note as the reply,
-    or shown as the text and CSV reply."""
+    """A COLORING file; the JSON names the --out path instead of the colors."""
     body = formats.write_coloring(coloring, eps, k)
     payload = {"N": coloring.N, "r": coloring.r}
     if args.out:
-        _write_text(args.out, body)
-        note = f"wrote coloring of [{coloring.N}] to {args.out}"
-        return 0, {**payload, "out": args.out}, [note], [note]
+        payload["out"] = args.out
+    else:
+        payload["colors"] = coloring.to_list()
     lines = body.splitlines()
-    return 0, {**payload, "colors": coloring.to_list()}, lines, lines
+    return _file_reply(args, body, f"wrote coloring of [{coloring.N}] to {args.out}",
+                       payload, lines, lines)
 
 
 def _cmd_construct_simple_r2(args):
@@ -170,15 +181,12 @@ def _cmd_construct_behrend(args):
 
 
 def _set_reply(args, payload, points, head=(), detail=""):
-    """A SET file: written to --out with a one-line note as the reply, or
-    shown, after the `head` lines in text and one point per CSV row."""
+    """A SET file, shown after the `head` lines in text and one point per
+    CSV row."""
     body = formats.write_set(points)
-    if args.out:
-        _write_text(args.out, body)
-        note = f"wrote {len(points)} points to {args.out}{detail}"
-        return 0, payload, [note], [note]
     csv = (",".join(str(c) for c in p) for p in points)
-    return 0, payload, [*head, *body.splitlines()], csv
+    return _file_reply(args, body, f"wrote {len(points)} points to {args.out}{detail}",
+                       payload, [*head, *body.splitlines()], csv)
 
 
 def _cmd_construct_cube_blowup(args):
@@ -244,8 +252,7 @@ def _cmd_verify_set(args):
         found = [p for _, p in grid]
         payload["witness"] = {
             "grid": {str(v): list(p) for v, p in grid},
-            "witness": formats.witness_md_json(
-                hit[1], args.tol, hit[1].certifies(hit[0], args.eps)),
+            "witness": _witness_md_json(args, *hit),
         }
     return 1, payload, [f"contains approximate structure: {found}"], ["contains"]
 
@@ -289,16 +296,13 @@ def _cmd_density(args):
 def _cmd_hypergraph(args):
     h = search.enumerate_eps_aps(args.N, args.k, args.eps, work_cap=args.work_cap)
     body = formats.write_hypergraph(h)
-    text = body.splitlines()
-    if args.out:
-        _write_text(args.out, body)
-        text = [f"wrote {len(h.edges)} edges to {args.out}"]
     payload = {
         "N": h.N, "k": h.k,
         "edge_count": len(h.edges),
         "edges": [list(e) for e in h.edges],
     }
-    return 0, payload, text, (",".join(map(str, e)) for e in h.edges)
+    return _file_reply(args, body, f"wrote {len(h.edges)} edges to {args.out}", payload,
+                       body.splitlines(), (",".join(map(str, e)) for e in h.edges))
 
 
 def _cmd_translate(args):
@@ -306,18 +310,17 @@ def _cmd_translate(args):
     x_pts = formats.read_set(_read_text(args.set_x), m=args.m)
     result = density.find_dense_translate(a_pts, x_pts, args.N, args.m,
                                           mode=args.mode, seed=args.seed)
-    met = Fraction(result.count) >= result.bound
     payload = {
         "shift": list(result.shift),
         "count": result.count,
         "bound": formats.fraction_json(result.bound),
         "mode": result.mode,
-        "bound_met": met,
+        "bound_met": True,  # find_dense_translate returns no count below it
     }
     text = [f"shift = {list(result.shift)}",
             f"count = {result.count} (bound {result.bound})"]
     csv = [",".join(map(str, result.shift)) + f",{result.count}"]
-    return 0 if met else 1, payload, text, csv
+    return 0, payload, text, csv
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,6 @@ class Coloring:
         return cls(N=len(cols), r=r if r is not None else max(cols, default=1),
                    colors=cols)
 
-    @property
-    def is_dense(self) -> bool:
-        return self._colors is not None
-
     def color(self, x: int) -> int:
         if not 1 <= x <= self.N:
             raise ValueError(f"x={x} outside domain 1..{self.N}")

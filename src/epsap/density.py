@@ -22,7 +22,6 @@ from .colorings import DEFAULT_MATERIALIZE_CAP
 from .errors import Budget, MemoryGuardExceeded, SearchCapExceeded
 from .geometry import (
     IndexedGrid,
-    WitnessMD,
     check_epsilon,
     check_tol,
     narrowed,
@@ -294,10 +293,12 @@ def find_dense_translate(A, X, N: int, m: int, mode: str = "auto",
                          max_draws: int = 10_000_000) -> TranslateResult:
     """A shift u in [-N+1, N]^m with |X intersect (A+u)| at least the average.
 
-    Deterministic mode scans all (2N)^m shifts and returns the maximizer
-    (lex-smallest among ties); it refuses to run past shift_cap shifts.
-    Randomized mode samples shifts uniformly with the given seed until the
-    average bound is met, which happens with probability one.
+    Either mode returns a count that meets the bound.  Deterministic mode
+    scans all (2N)^m shifts and returns the maximizer (lex-smallest among
+    ties), which is at least their average, the bound; it refuses to run
+    past shift_cap shifts.  Randomized mode samples shifts uniformly with the
+    given seed until one meets the bound, and raises SearchCapExceeded after
+    max_draws misses.
     """
     a_pts = _check_grid_points(A, m, N, "A")
     x_set = set(_check_grid_points(X, m, N, "X"))
@@ -354,7 +355,8 @@ def _check_grid_points(pts, m: int, N: int, name: str) -> tuple:
 def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
                      node_cap: int = 20_000_000,
                      budget: Optional[Budget] = None) -> Optional[tuple]:
-    """First approximate cube found in S (lex order of assignments), or None.
+    """First approximate cube found in S (lex order of assignments) as
+    (grid, CubeDecision), or None.
 
     DFS assigns points to index vectors in lex order.  Each partial
     assignment keeps the exact interval of scales d allowed by the
@@ -433,6 +435,6 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
         grid = IndexedGrid(m=m, k=k, assignment={v: p for v, p, _ in assigned})
         decision = recognize_cube(grid, e, tol=tol)
         if decision.status == "feasible":
-            return grid, decision.witness
+            return grid, decision
         used.discard(assigned.pop()[1])
     return None

@@ -1,5 +1,7 @@
 """Shared exception types and the work budget that raises one."""
 
+__all__ = ["SearchCapExceeded", "Budget", "MemoryGuardExceeded"]
+
 
 class SearchCapExceeded(RuntimeError):
     """A search exceeded its configured node/work budget."""

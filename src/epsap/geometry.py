@@ -18,18 +18,20 @@ integer pair.  A positive maximum is equivalent to strict feasibility, and
 the midrange of {x_i - i*d} at the smallest optimal d gives the intercept a.
 
 Every search prunes by the closed interval of scales d of a partial tuple
-or cube, kept the same way; `narrowed` is the one update of it.
+or cube, kept the same way; `narrowed` is the one update of it.  The
+region_* functions apply it to one progression at a time, for the axis
+lines of a grid.
 
 The m-D recognizer settles almost every grid exactly.  A least-squares
 scale and one smallest enclosing ball give a candidate witness that is
 checked in exact arithmetic; failing that, the exact d intervals of the axis
-lines (the 1-D regions above) and of the corner pairs are intersected, and an
-empty intersection proves the grid infeasible.  Only the grids both leave
-open are decided numerically: it minimizes g(d) = R(d) - eps*d, where R(d)
-is the smallest-enclosing-ball radius of the translated family
-{x_v - d*v}.  R is a partial minimization of a jointly convex function,
-hence g is convex, and that verdict is three-valued (feasible / infeasible /
-boundary) with an explicit tolerance.
+lines and of the corner pairs are intersected, and an empty intersection
+proves the grid infeasible.  Only the grids both leave open are decided
+numerically: it minimizes g(d) = R(d) - eps*d, where R(d) is the
+smallest-enclosing-ball radius of the translated family {x_v - d*v}.  R is
+a partial minimization of a jointly convex function, hence g is convex, and
+that verdict is three-valued (feasible / infeasible / boundary) with an
+explicit tolerance.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ __all__ = [
     "min_enclosing_ball",
     "recognize_cube",
     "index_grid_points",
-    "grid_from_points_1d",
 ]
 
 
@@ -256,7 +257,7 @@ def gap_ratio_filter(points, eps) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# The integer interval of scales d, and the closed feasible region in (a, d)
+# The integer interval of scales d
 # ---------------------------------------------------------------------------
 
 # A point x with index vector v of a progression (m = 1) or cube lies in the
@@ -298,15 +299,12 @@ def narrowed(rows, x, lo_n, lo_d, hi):
 class FeasibleRegion2D:
     """Closed relaxation of the witness constraints for a partial tuple.
 
-    The public view of `narrowed` for m = 1.  The region is the set of
-    (a, d), d >= 0, with a + (i - eps)*d <= x_i <= a + (i + eps)*d for every
-    added (i, x_i).  It is stored by its exact projection onto the d axis,
-    the integer pairs lo = (num, den) and hi = (num, den) of `narrowed`;
-    d_lo and d_hi give them as Fractions.  degenerate_infeasible marks a
+    The set of (a, d), d >= 0, with a + (i - eps)*d <= x_i <= a + (i + eps)*d
+    for every added (i, x_i), stored by its exact projection onto the d
+    axis: the integer pairs lo and hi of `narrowed`, not reduced, so two
+    equal regions may store different pairs.  degenerate_infeasible marks a
     region that some added point emptied; lo and hi then stay those from
-    before that point.  Emptiness of the closed region is a sound prune;
-    for distinct points the open region (strict inequalities, d > 0) is
-    nonempty exactly when d_lo < d_hi, which is what recognize_ap accepts.
+    before that point.  Emptiness of the closed region is a sound prune.
     """
 
     k: int
@@ -315,37 +313,6 @@ class FeasibleRegion2D:
     lo: tuple  # (num, den): d >= num/den
     hi: Optional[tuple]  # (num, den): d <= num/den; None means unbounded above
     degenerate_infeasible: bool = False
-
-    @property
-    def d_lo(self) -> Fraction:
-        return Fraction(*self.lo)
-
-    @property
-    def d_hi(self) -> Optional[Fraction]:
-        return None if self.hi is None else Fraction(*self.hi)
-
-    # The pairs are not reduced, so equality goes through their values.
-    def _key(self) -> tuple:
-        return (self.k, self.eps, self.points, self.d_lo, self.d_hi,
-                self.degenerate_infeasible)
-
-    def __eq__(self, other):
-        if not isinstance(other, FeasibleRegion2D):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def contains(self, a, d) -> bool:
-        """Exact closed membership test for a candidate (a, d)."""
-        av, dv = to_fraction(a), to_fraction(d)
-        if dv < 0:
-            return False
-        for i, x in self.points:
-            if not (av + (i - self.eps) * dv <= x <= av + (i + self.eps) * dv):
-                return False
-        return True
 
 
 def region_new(k: int, eps) -> FeasibleRegion2D:
@@ -376,15 +343,6 @@ def region_closed_empty(region: FeasibleRegion2D) -> bool:
         return True
     hi = region.hi
     return hi is not None and hi[0] * region.lo[1] < region.lo[0] * hi[1]
-
-
-def region_open_feasible(region: FeasibleRegion2D) -> bool:
-    """Strict feasibility of the added points: d_lo < d_hi and no degenerate
-    failure.  Exact for distinct points, which is all the searches add."""
-    if region.degenerate_infeasible:
-        return False
-    hi = region.hi
-    return hi is None or region.lo[0] * hi[1] < hi[0] * region.lo[1]
 
 
 # ---------------------------------------------------------------------------
@@ -808,11 +766,3 @@ def index_grid_points(point_set, m: int, k: int, eps) -> IndexedGrid:
     if len(assignment) != k ** m:
         raise IndexingError("per-axis clustering produced a non-injective indexing")
     return IndexedGrid(m=m, k=k, assignment=assignment)
-
-
-def grid_from_points_1d(points) -> IndexedGrid:
-    """View sorted 1-D points as a 1-dimensional IndexedGrid."""
-    pts = check_points_1d(points)
-    return IndexedGrid(
-        m=1, k=len(pts), assignment={(i,): (x,) for i, x in enumerate(pts)}
-    )

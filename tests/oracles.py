@@ -405,7 +405,8 @@ def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
                               node_cap: int = 20_000_000) -> Optional[tuple]:
     """The cube search as it stood before its pruner went to integers.
 
-    First approximate cube found in S (lex order of assignments), or None.
+    First approximate cube found in S (lex order of assignments) as
+    (grid, CubeDecision), or None.
 
     DFS assigns points to index vectors in lex order.  Each partial
     assignment keeps the exact interval of scales d allowed by the
@@ -467,7 +468,7 @@ def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
                                assignment={v: p for v, p in assigned})
             decision = recognize_cube(grid, e, tol=tol)
             if decision.status == "feasible":
-                return grid, decision.witness
+                return grid, decision
             return None
         v = slots[slot_idx]
         for p in points:

@@ -285,7 +285,7 @@ CASES = [
      '',
      b'# N=5 k=3 eps=1/10\n1 2 3\n1 3 5\n2 3 4\n3 4 5\n'),
     ('hypergraph --N 5 --k 3 --eps 1/10 --out out.txt --format csv', 0,
-     '1,2,3\n1,3,5\n2,3,4\n3,4,5\n',
+     'wrote 4 edges to out.txt\n',
      '',
      b'# N=5 k=3 eps=1/10\n1 2 3\n1 3 5\n2 3 4\n3 4 5\n'),
     ('hypergraph --N 5 --k 3 --eps 1/10 --out out.txt --json', 0,

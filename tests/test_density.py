@@ -271,8 +271,8 @@ def test_cube_search_finds_standard_lattice():
     s = list(product(range(3), repeat=2))
     hit = verify_cube_free(s, 2, 3, F(1, 4))
     assert hit is not None
-    grid, witness = hit
-    assert witness.residual > 0
+    grid, decision = hit
+    assert decision.exact and decision.witness.residual > 0
 
 
 def test_cube_search_digit_product_is_free():
@@ -344,8 +344,7 @@ def _cube_search_outcome(search, module, pts, m, k, eps, cap):
         except Exception as exc:  # the caller compares type and message
             outcome = type(exc), str(exc)
         else:
-            outcome = hit and (sorted(hit[0].assignment.items()),
-                               hit[1].d, hit[1].residual)
+            outcome = hit and (sorted(hit[0].assignment.items()), hit[1])
     return outcome, [b.spent for b in budgets]
 
 
@@ -363,9 +362,9 @@ def test_cube_search_finds_blowup_transversal():
     transversal = [rng.choice(blk) for _, blk in spec.blocks()]
     hit = verify_cube_free(transversal, 2, 3, F(1, 2))
     assert hit is not None
-    _, witness = hit
+    _, decision = hit
     scale = spec.t ** (spec.r - 1)
-    assert abs(witness.d - scale) <= 0.5 * scale
+    assert abs(decision.witness.d - scale) <= 0.5 * scale
 
 
 def test_density_forcing_dim1_exhaustive():

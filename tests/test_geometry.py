@@ -8,7 +8,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epsap.geometry import (
-    FeasibleRegion2D,
     IndexedGrid,
     IndexingError,
     Witness1D,
@@ -17,7 +16,6 @@ from epsap.geometry import (
     _circumsphere,
     _scale_interval,
     gap_ratio_filter,
-    grid_from_points_1d,
     index_grid_points,
     min_enclosing_ball,
     narrowed,
@@ -26,7 +24,6 @@ from epsap.geometry import (
     region_add_point,
     region_closed_empty,
     region_new,
-    region_open_feasible,
 )
 from oracles import (
     _inside,
@@ -38,6 +35,31 @@ from oracles import (
 )
 
 F = Fraction
+
+
+def grid_from_points_1d(points) -> IndexedGrid:
+    """Increasing 1-D points as a 1-dimensional IndexedGrid."""
+    return IndexedGrid(m=1, k=len(points),
+                       assignment={(i,): (x,) for i, x in enumerate(points)})
+
+
+def d_bounds(region):
+    """The region's closed d interval as Fractions (lo, hi), hi None while
+    unbounded."""
+    return F(*region.lo), None if region.hi is None else F(*region.hi)
+
+
+def open_feasible(region):
+    """Strict feasibility of the added points, exact for distinct points:
+    no degenerate failure and lo < hi."""
+    lo, hi = d_bounds(region)
+    return not region.degenerate_infeasible and (hi is None or lo < hi)
+
+
+def contains(region, a, d):
+    """Exact closed membership of a candidate (a, d) in the region."""
+    return d >= 0 and all(a + (i - region.eps) * d <= x <= a + (i + region.eps) * d
+                          for i, x in region.points)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +221,7 @@ def test_hull_walk_matches_pairwise_oracle(data):
     region = region_new(len(pts), eps)
     for i, x in enumerate(pts):
         region = region_add_point(region, i, x)
-    assert region_open_feasible(region) == (w is not None)
+    assert open_feasible(region) == (w is not None)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -254,7 +276,7 @@ def test_region_for_1_3_6_contains_published_point():
     for i, x in enumerate((1, 3, 6)):
         r = region_add_point(r, i, x)
     assert not region_closed_empty(r)
-    assert r.contains(F(4, 5), F(12, 5))
+    assert contains(r, F(4, 5), F(12, 5))
 
 
 def test_region_for_1_2_10_empties():
@@ -278,25 +300,15 @@ def test_region_bounds_at_large_eps():
     # negative (a lower bound) depending on eps and i - j.
     half = region_new(3, F(1, 2))
     r = region_add_point(region_add_point(half, 0, 3), 1, 5)  # zero, holds
-    assert (r.d_lo, r.d_hi, region_closed_empty(r)) == (F(1), None, False)
+    assert (*d_bounds(r), region_closed_empty(r)) == (F(1), None, False)
     r = region_add_point(r, 2, 6)  # i - j = 2: positive, d <= (6 - 3)/1
-    assert (r.d_lo, r.d_hi, region_closed_empty(r)) == (F(1), F(3), False)
+    assert (*d_bounds(r), region_closed_empty(r)) == (F(1), F(3), False)
     r = region_add_point(region_add_point(half, 0, 5), 1, 3)  # zero, fails
     assert r.degenerate_infeasible and region_closed_empty(r)
-    assert not region_open_feasible(r)
+    assert not open_feasible(r)
     r = region_add_point(region_add_point(region_new(3, F(3, 4)), 0, 5), 1, 3)
-    assert (r.d_lo, r.d_hi) == (F(4), None)  # negative: d >= 2/(3/2 - 1)
-    assert r.contains(2, 4) and not r.contains(2, F(399, 100))
-
-
-def test_region_equality_is_by_value():
-    built = region_add_point(region_add_point(region_new(3, F(1, 4)), 0, 0), 1, 2)
-    assert built.lo == (8, 6)  # stored unreduced
-    direct = FeasibleRegion2D(k=3, eps=F(1, 4), points=((0, 0), (1, 2)),
-                              lo=(4, 3), hi=(4, 1))
-    assert built == direct and hash(built) == hash(direct)
-    assert built != FeasibleRegion2D(k=3, eps=F(1, 4), points=((0, 0), (1, 2)),
-                                     lo=(4, 3), hi=(5, 1))
+    assert d_bounds(r) == (F(4), None)  # negative: d >= 2/(3/2 - 1)
+    assert contains(r, 2, 4) and not contains(r, 2, F(399, 100))
 
 
 def test_region_bounds_match_pointwise_projection():
@@ -311,19 +323,20 @@ def test_region_bounds_match_pointwise_projection():
         r = region_new(k, eps)
         for i, x in pts:
             r = region_add_point(r, i, x)
-        probes = set(ladder) | {r.d_lo, r.d_lo + F(1, 1000)}
-        if r.d_lo > 0:
-            probes.add(r.d_lo - F(1, 1000))
-        if r.d_hi is not None:
-            probes |= {r.d_hi, r.d_hi + F(1, 1000)}
+        d_lo, d_hi = d_bounds(r)
+        probes = set(ladder) | {d_lo, d_lo + F(1, 1000)}
+        if d_lo > 0:
+            probes.add(d_lo - F(1, 1000))
+        if d_hi is not None:
+            probes |= {d_hi, d_hi + F(1, 1000)}
         for d in probes:
             feasible = (max(x - (i + eps) * d for i, x in pts)
                         <= min(x - (i - eps) * d for i, x in pts))
-            inside = (not r.degenerate_infeasible and r.d_lo <= d
-                      and (r.d_hi is None or d <= r.d_hi))
+            inside = (not r.degenerate_infeasible and d_lo <= d
+                      and (d_hi is None or d <= d_hi))
             assert feasible == inside, (pts, eps, d)
         assert region_closed_empty(r) == (
-            r.degenerate_infeasible or (r.d_hi is not None and r.d_hi < r.d_lo))
+            r.degenerate_infeasible or (d_hi is not None and d_hi < d_lo))
 
 
 @st.composite
