@@ -116,27 +116,32 @@ def _cmd_construct_alternate(args):
     return 0, payload, text, [",".join(str(v) for v in labels)]
 
 
-def _file_reply(args, body, note, payload, text, csv):
-    """A reply whose text and CSV show a file body; with --out the body is
-    written there instead, and the one-line note is both views."""
+def _file_reply(args, write, note, payload, head=(), csv=None):
+    """A reply whose text shows the `head` lines and then a file body, and
+    whose CSV is `csv` or else the body.  With --out the body is written there
+    instead, and the one-line note is both views.  write() builds the body,
+    only when --out or a printed view needs it."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(body)
-        text = csv = [note]
-    return 0, payload, text, csv
+            fh.write(write())
+        return 0, payload, [note], [note]
+
+    def lines():
+        yield from head
+        yield from write().splitlines()
+
+    return 0, payload, lines(), lines() if csv is None else csv
 
 
 def _coloring_reply(args, coloring, eps, k):
     """A COLORING file; the JSON names the --out path instead of the colors."""
-    body = formats.write_coloring(coloring, eps, k)
     payload = {"N": coloring.N, "r": coloring.r}
     if args.out:
         payload["out"] = args.out
     else:
         payload["colors"] = coloring.to_list()
-    lines = body.splitlines()
-    return _file_reply(args, body, f"wrote coloring of [{coloring.N}] to {args.out}",
-                       payload, lines, lines)
+    return _file_reply(args, lambda: formats.write_coloring(coloring, eps, k),
+                       f"wrote coloring of [{coloring.N}] to {args.out}", payload)
 
 
 def _cmd_construct_simple_r2(args):
@@ -183,10 +188,10 @@ def _cmd_construct_behrend(args):
 def _set_reply(args, payload, points, head=(), detail=""):
     """A SET file, shown after the `head` lines in text and one point per
     CSV row."""
-    body = formats.write_set(points)
     csv = (",".join(str(c) for c in p) for p in points)
-    return _file_reply(args, body, f"wrote {len(points)} points to {args.out}{detail}",
-                       payload, [*head, *body.splitlines()], csv)
+    return _file_reply(args, lambda: formats.write_set(points),
+                       f"wrote {len(points)} points to {args.out}{detail}",
+                       payload, head, csv)
 
 
 def _cmd_construct_cube_blowup(args):
@@ -295,14 +300,14 @@ def _cmd_density(args):
 
 def _cmd_hypergraph(args):
     h = search.enumerate_eps_aps(args.N, args.k, args.eps, work_cap=args.work_cap)
-    body = formats.write_hypergraph(h)
     payload = {
         "N": h.N, "k": h.k,
         "edge_count": len(h.edges),
-        "edges": [list(e) for e in h.edges],
+        "edges": h.edges,  # json writes the edge tuples as lists
     }
-    return _file_reply(args, body, f"wrote {len(h.edges)} edges to {args.out}", payload,
-                       body.splitlines(), (",".join(map(str, e)) for e in h.edges))
+    return _file_reply(args, lambda: formats.write_hypergraph(h),
+                       f"wrote {len(h.edges)} edges to {args.out}", payload,
+                       csv=(",".join(map(str, e)) for e in h.edges))
 
 
 def _cmd_translate(args):
@@ -475,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
     p.add_argument("--out", help="write HYPERGRAPH file here")
-    p.add_argument("--work-cap", type=int, default=search.DEFAULT_WORK_CAP)
+    p.add_argument("--work-cap", type=int, default=search.DEFAULT_WORK_CAP,
+                   help="cap on the search nodes plus the listed edges")
     _add_common(p)
     p.set_defaults(handler=_cmd_hypergraph)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -163,7 +164,11 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
     subset of [0, q-1], every other digit over one of [ceil(2q/5),
     floor(3q/5)].  Requires 0 < eps <= 1/125 so q >= 5.  Raises
     MemoryGuardExceeded when q or the member count exceeds
-    colorings.DEFAULT_MATERIALIZE_CAP.
+    colorings.DEFAULT_MATERIALIZE_CAP, or, before building anything, when
+    the largest member is sure to have more decimal digits than an int may
+    turn into text (sys.get_int_max_str_digits, or its default when
+    unlimited).
+    Members are built by Horner's rule, one base-q digit per level.
     """
     e = check_epsilon(eps)
     if e > Fraction(1, 125):
@@ -175,20 +180,27 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
     q, cap = floor_frac(1 / (25 * e)), DEFAULT_MATERIALIZE_CAP
     if q > cap:
         raise MemoryGuardExceeded(f"digit base q exceeds materialize cap {cap}")
+    # The head alphabet holds two or more digits (q >= 5), so the largest
+    # member is at least q^(h-1) >= 2^((h-1)(bit_length(q)-1)); from
+    # 10^digits on, an int has more decimal digits than may be printed.
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if (h - 1) * (q.bit_length() - 1) >= (10 ** digits).bit_length():
+        raise MemoryGuardExceeded(
+            f"digit set member of {h} base-{q} digits exceeds materialize cap "
+            f"of {digits} decimal digits")
     head = apk_free_set(0, q - 1, k, provider)
     tail = apk_free_set(ceil_frac(Fraction(2 * q, 5)), floor_frac(Fraction(3 * q, 5)),
                         k, provider)
     # Two or more tail digits pass the cap within its bit length: clip h there.
     if len(head) * len(tail) ** min(h - 1, cap.bit_length()) > cap:
         raise MemoryGuardExceeded(f"digit set size exceeds materialize cap {cap}")
-    if h == 1:
-        members = head
-    else:
-        members = tuple(sorted(
-            top * q ** (h - 1) + sum(dg * q ** i for i, dg in enumerate(rest))
-            for top in head
-            for rest in product(tail, repeat=h - 1)
-        ))
+    # The h - 1 low digits, by Horner's rule; both alphabets are sorted, so
+    # every level, and then the members, come out sorted.
+    lows = [0]
+    for _ in range(h - 1):
+        lows = [low * q + dg for low in lows for dg in tail]
+    scale = q ** (h - 1)
+    members = tuple(top * scale + low for top in head for low in lows)
     spec = DigitConstruction(q=q, h=h, k=k, head=head, tail=tail)
     if one_based:
         members = tuple(x + 1 for x in members)

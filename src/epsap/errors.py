@@ -8,7 +8,7 @@ class SearchCapExceeded(RuntimeError):
 
 
 class Budget:
-    """A work cap spent one unit per search node."""
+    """A work cap spent one unit per search node or listed item."""
 
     __slots__ = ("cap", "left")
 
@@ -20,12 +20,12 @@ class Budget:
     def spent(self) -> int:
         return self.cap - self.left
 
-    def spend(self):
-        """Take one unit, or raise without taking it once the cap is spent,
-        so that `spent` never exceeds `cap`."""
-        if self.left <= 0:
+    def spend(self, units: int = 1):
+        """Take `units` units (one search node, by default), or raise without
+        taking any when fewer are left, so that `spent` never exceeds `cap`."""
+        if self.left < units:
             raise SearchCapExceeded(f"search work cap of {self.cap} nodes exceeded")
-        self.left -= 1
+        self.left -= units
 
 
 class MemoryGuardExceeded(RuntimeError):

@@ -5,9 +5,15 @@ stream (_eps_aps) lists approximate progressions: it prunes k-tuples by the
 closed d interval of their prefix (geometry.narrowed, as the cube search
 does) and accepts a full tuple exactly when its open interval is nonempty,
 the exact recognizer's verdict, so pruned output equals naive output.
-Coloring and subset searches are plain backtracking with canonical
-tie-breaking, so results are deterministic; exact_W and exact_f (m = 1)
-count the listing in `nodes`.
+On [N] the listing is translation invariant: |x_i - (a + i d)| < eps d holds
+for x and a exactly when it holds for x + t and a + t.  So the progressions
+starting at 1 (the shapes, _shapes) are searched once, and those starting at
+s are the shapes shifted by s - 1: enumerate_eps_aps shifts them to every
+start, and the ladders (_edges_by_max) read them mirrored.  Coloring and
+subset searches are plain backtracking with canonical tie-breaking, so
+results are deterministic; exact_W and exact_f (m = 1) count the listing in
+`nodes`.  The free-set ladder of the 1-D searches keeps its chosen and
+blocked indices as bit masks (_max_free_edges).
 """
 
 from __future__ import annotations
@@ -110,14 +116,36 @@ def _eps_aps(candidates, k, eps, budget, head=()):
             stack.pop()
 
 
+def _shapes(N: int, k: int, eps, budget):
+    """Lex-order stream of the approximate k-progressions in [N] starting at 1."""
+    return _eps_aps(range(2, N + 1), k, eps, budget, head=(1,))
+
+
 def enumerate_eps_aps(N: int, k: int, eps,
                       work_cap: int = DEFAULT_WORK_CAP) -> EpsApHypergraph:
-    """Every approximate k-progression inside [N], identical to naive output."""
+    """Every approximate k-progression inside [N], identical to naive output.
+
+    The shapes (the progressions starting at 1) are searched once; those
+    starting at t + 1 are the shapes ending at most at N - t, shifted by t.
+    The shapes are in lex order, so each shift's block is, and the blocks
+    follow their starts: the edges come out in lex order.  The work is one
+    budget unit per node of the shape search, the root included, plus one per
+    listed edge, taken a shift's block at a time.
+    """
     if N < 0 or k < 2:
         raise ValueError(f"need N >= 0 and k >= 2, got N={N}, k={k}")
     e = check_epsilon(eps, set_level=True)
-    edges = tuple(_eps_aps(range(1, N + 1), k, e, Budget(work_cap)))
-    return EpsApHypergraph(N=N, k=k, eps=e, edges=edges)
+    budget = Budget(work_cap)
+    shapes = list(_shapes(N, k, e, budget))
+    edges = []
+    for t in range(N):
+        # a shape that ends past N at shift t does so at every later shift
+        shapes = [s for s in shapes if s[-1] + t <= N]
+        if not shapes:
+            break
+        budget.spend(len(shapes))
+        edges += [tuple(map(t.__add__, s)) for s in shapes]
+    return EpsApHypergraph(N=N, k=k, eps=e, edges=tuple(edges))
 
 
 def enumerate_exact_aps(N: int, k: int) -> tuple:
@@ -230,7 +258,7 @@ def _edges_by_max(k: int, eps, budget, first: int = 1):
     for n in count(1):
         top = n + first  # x -> n + 1 - x, renumbered
         yield [tuple(top - x for x in reversed(s[1:]))
-               for s in _eps_aps(range(2, n + 1), k, eps, budget, head=(1,))]
+               for s in _shapes(n, k, eps, budget)]
 
 
 def arrow_decision(N: int, k: int, r: int, eps,
@@ -328,6 +356,51 @@ def _max_free(n: int, closes, budget, incumbent=None, room=None):
     return best, True
 
 
+def _max_free_edges(n: int, lowers, budget, incumbent, room):
+    """_max_free's search when closes(i, chosen) is "i ends an edge whose
+    other indices are chosen": the same nodes in the same order, the same
+    budget spend and the same (indices, completed).
+
+    Each edge of two or more indices is filed under its second largest index
+    j: lowers[j] maps the bit mask of the edge's indices below j to the mask
+    of the largest indices of the edges filed with it.  Choosing j, when the
+    chosen indices cover such a mask, blocks those largest indices, so a node
+    reads its verdict off one bit of `blocked`.  The state is two ints, saved
+    whole on the stack at each choice, and the budget is counted locally and
+    written back on return (nothing else may spend it meanwhile).
+    """
+    best = tuple(incumbent)
+    best_size = len(best)
+    left = budget.left
+    i = size = chosen = blocked = 0  # chosen and blocked are index bit masks
+    stack = []  # (node, size, chosen, blocked) of the exclude branches to visit
+    push, pop = stack.append, stack.pop
+    lowers = [tuple(by_below.items()) for by_below in lowers]
+    while True:
+        if left <= 0:  # as Budget.spend: raise, in effect, without taking
+            budget.left = left
+            return best, False
+        left -= 1
+        if size + room[i] > best_size:
+            if i < n:
+                if not blocked >> i & 1:
+                    push((i + 1, size, chosen, blocked))
+                    for below, tops in lowers[i]:
+                        if chosen & below == below:
+                            blocked |= tops
+                    chosen |= 1 << i
+                    size += 1
+                i += 1
+                continue
+            best_size = size  # a leaf not pruned: room[n] is 0, so it improves
+            best = tuple(j for j in range(n) if chosen >> j & 1)
+        if not stack:
+            break
+        i, size, chosen, blocked = pop()
+    budget.left = left
+    return best, True
+
+
 def _greedy(n: int, closes) -> tuple:
     """The first leaf of _max_free: include every index that closes no edge."""
     chosen = [False] * n
@@ -348,26 +421,13 @@ def _forms_exact_ap_ending(x: int, chosen: list, k: int) -> bool:
     return False
 
 
-def _edge_test(by_max):
-    """closes(i, chosen) for the edges listed by largest index, without it."""
-    def closes(i, chosen):
-        # plain loops: nested any/all generators cost several times more here
-        for rest in by_max[i]:
-            for j in rest:
-                if not chosen[j]:
-                    break
-            else:
-                return True
-        return False
-    return closes
-
-
 def _ladder(N: int, rests_ending_at, budget, greedy=None) -> SearchOutcome:
     """Largest subset of [N] containing no edge, solving [1], [2], ..., [N] in turn.
 
     The edges must be translation invariant.  rests_ending_at(i) lists those
-    whose largest index is i, without i; it is called once per i, when rung
-    i + 1 is reached, and may spend the budget.  In rung n the indices
+    whose largest index is i, without i, each in increasing order; it is
+    called once per i, when rung i + 1 is reached, and may spend the budget.
+    Each rung is one _max_free_edges search.  In rung n the indices
     i..n-1 are a translate of [n - i], so they hold at most f(n - i) chosen
     points, the value of an earlier rung (the suffix bound of Gasarch, Glenn
     and Kruskal, "Finding large 3-free sets I", 2008); rung n's own f(n) is
@@ -377,24 +437,32 @@ def _ladder(N: int, rests_ending_at, budget, greedy=None) -> SearchOutcome:
     counts every rung.  A capped run reports the greedy set, or a larger
     set found on the way.
     """
-    by_max = []
-    closes = _edge_test(by_max)
+    lowers = []  # the edges by second largest index, see _max_free_edges
     grow = greedy is None
     if grow:
-        greedy, in_greedy = [], []
+        greedy = []
+    in_greedy = 0  # the bit mask of the greedy set grown so far
     f = [0]  # f[n]: the largest free subset of [n], for the rungs solved
     prev, best, completed = (), (), True
     try:
         for n in range(1, N + 1):
-            by_max.append(rests_ending_at(n - 1))
-            if grow:
-                in_greedy.append(not closes(n - 1, in_greedy))
-                if in_greedy[-1]:
-                    greedy.append(n - 1)
+            lowers.append({})
+            closed = False  # does n - 1 end an edge inside the greedy set?
+            for rest in rests_ending_at(n - 1):
+                below = 0
+                for j in rest[:-1]:
+                    below |= 1 << j
+                tops = lowers[rest[-1]]
+                tops[below] = tops.get(below, 0) | 1 << (n - 1)
+                full = below | 1 << rest[-1]
+                closed = closed or in_greedy & full == full
+            if grow and not closed:
+                greedy.append(n - 1)
+                in_greedy |= 1 << (n - 1)
             f.append(n)
             prev = best
-            best, completed = _max_free(n, closes, budget,
-                                        greedy[:bisect_left(greedy, n)], f[::-1])
+            best, completed = _max_free_edges(n, lowers, budget,
+                                              greedy[:bisect_left(greedy, n)], f[::-1])
             if not completed:
                 break
             f[n] = len(best)

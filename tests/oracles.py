@@ -12,6 +12,9 @@ climbed a ladder over n: a count-bound branch and bound on [N] alone, and a
 coloring search started afresh for every N; callers hand them the edges.
 The golden-section cube recognizer is the library's before it gained its
 exact stages; it shares the enclosing ball and the witness type with it.
+The direct listing is the library's hypergraph enumeration before it shifted
+the progressions starting at 1: the library's lex stream, run over all of
+[N] and accepting by its own open-interval test.
 """
 
 import math
@@ -30,6 +33,7 @@ from epsap.geometry import (
     min_enclosing_ball,
     recognize_cube,
 )
+from epsap.search import _eps_aps
 
 
 def _det3(m):
@@ -134,6 +138,11 @@ def naive_eps_ap_subsets(universe, k, eps, recognizer):
     return tuple(
         s for s in combinations(sorted(universe), k) if recognizer(s, eps) is not None
     )
+
+
+def direct_eps_aps_listing(N: int, k: int, eps: Fraction) -> tuple:
+    """Every approximate k-progression inside [N], searched start by start."""
+    return tuple(_eps_aps(range(1, N + 1), k, eps, Budget(10 ** 9)))
 
 
 def has_exact_ap(values, k) -> bool:

@@ -8,6 +8,7 @@ here derives them from the code under test.
 """
 
 import argparse
+import hashlib
 
 import pytest
 
@@ -297,6 +298,12 @@ CASES = [
      'wrote 0 edges to out.txt\n',
      '',
      b'# N=2 k=3 eps=1/10\n'),
+    # The listing's work is 121 search nodes plus 824 edges; a cap of 945
+    # fits (test_cli_hypergraph_fits_its_exact_work_cap).
+    ('hypergraph --N 30 --k 3 --eps 1/10 --work-cap 944 --json', 2,
+     '',
+     'error: search work cap of 944 nodes exceeded\n',
+     None),
     # Exit 1 (bound not met) has no input: the best of all shifts is at
     # least their average, and the randomized mode draws until it is met.
     ('translate --set-a a.txt --set-x x.txt --N 3 --m 2', 0,
@@ -331,6 +338,17 @@ def test_cli_golden(tmp_path, monkeypatch, capsys, argv, code, out, err, written
     assert (captured.out, captured.err) == (out, err)
     path = tmp_path / OUT
     assert (path.read_bytes() if path.exists() else None) == written
+
+
+def test_cli_hypergraph_fits_its_exact_work_cap(tmp_path, monkeypatch, capsys):
+    # 10,951 bytes of JSON, pinned by their SHA-256 rather than as a literal
+    monkeypatch.chdir(tmp_path)
+    argv = "hypergraph --N 30 --k 3 --eps 1/10 --work-cap 945 --json"
+    assert main(argv.split()) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and '"edge_count": 824,' in captured.out
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "941f3ed9eaa4176be91b5ea3b95c67082a92bde54a9595ed05c63e2466fd7c3d")
 
 
 def _commands(parser, words=()):

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -111,6 +112,25 @@ def test_digit_h2_exact_members():
 def test_digit_h1_degenerates_to_head():
     spec, members = build_behrend_digit_set(F(1, 125), 1)
     assert members == spec.head
+
+
+@pytest.mark.parametrize("eps, h", [(F(1, 125), 4), (F(1, 250), 3), (F(1, 150), 6)])
+def test_digit_members_are_the_digit_expansions(eps, h):
+    spec, members = build_behrend_digit_set(eps, h)
+    q = spec.q
+    assert members == tuple(sorted(
+        top * q ** (h - 1) + sum(dg * q ** i for i, dg in enumerate(rest))
+        for top in spec.head for rest in product(spec.tail, repeat=h - 1)))
+
+
+def test_digit_guard_refuses_only_unprintable_members(monkeypatch):
+    # q = 6: the largest member is at least 6^(h-1), past 10^4300 long before
+    # the guard's bound 2^(2(h-1)) is; the guard refuses from h = 7144 on
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    _, members = build_behrend_digit_set(F(1, 150), 7143)
+    assert len(members) == 4 and members[-1] > 10 ** 4300
+    with pytest.raises(MemoryGuardExceeded, match="exceeds materialize cap"):
+        build_behrend_digit_set(F(1, 150), 7144)
 
 
 def test_digit_eps_out_of_range():

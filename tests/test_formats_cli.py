@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -162,9 +163,12 @@ def test_cli_alternate_is_capped(capsys):
 @pytest.mark.parametrize("eps, h", [
     ("1/1" + "0" * 400, "1"),  # q = 4 * 10^398: no float holds it
     ("1/125", "10000"),  # 4 * 2^9999 members
+    ("1/150", "1000000"),  # a one-digit tail: 4 members of ~778,000 digits
 ])
 def test_cli_behrend_is_capped(capsys, eps, h):
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, "construct", "behrend", "--eps", eps, "--h", h)
+    assert time.perf_counter() - start < 1  # refused before anything is built
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "exceeds materialize cap" in err
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsap.colorings import verify_no_mono_ap
@@ -21,9 +21,10 @@ from epsap.search import (
     find_eps_ap_in_points,
     max_exact_ap_free,
 )
-from epsap.search import _good_coloring, _greedy, _max_free
+from epsap.search import _good_coloring, _greedy, _max_free, _max_free_edges
 from oracles import (
     count_bound_free_set,
+    direct_eps_aps_listing,
     edge_closes,
     greedy_free_set,
     has_exact_ap,
@@ -57,6 +58,28 @@ def test_enumerate_equals_naive():
         pruned = enumerate_eps_aps(n, k, eps).edges
         naive = naive_eps_ap_subsets(range(1, n + 1), k, eps, recognize_ap)
         assert pruned == naive, (n, k, eps)
+
+
+@st.composite
+def _listing_inputs(draw):
+    k = draw(st.integers(2, 5))
+    den = draw(st.integers(3, 60))
+    eps = F(draw(st.integers(1, (den - 1) // 2)), den)  # below 1/2
+    return draw(st.integers(0, 40)), k, eps
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_listing_inputs())
+@example((0, 3, F(1, 10)))
+@example((1, 2, F(1, 3)))
+@example((3, 4, F(1, 4)))  # N = k - 1
+@example((1, 2, F(49, 100)))  # N = k - 1 at k = 2
+@example((40, 2, F(49, 100)))
+@example((40, 5, F(1, 20)))
+def test_enumerate_equals_direct_listing(inputs):
+    # the shifted shapes against a lex search from every start of [N]
+    N, k, eps = inputs
+    assert enumerate_eps_aps(N, k, eps).edges == direct_eps_aps_listing(N, k, eps)
 
 
 def test_enumerate_edges_sorted_unique():
@@ -114,11 +137,13 @@ def _assert_spends_exactly(search_call, nodes):
 
 
 @pytest.mark.parametrize("N, k, eps, nodes, edges", [
-    (30, 3, F(1, 10), 1409, 824),
-    (20, 4, F(1, 4), 2265, 1060),
-    (16, 5, F(2, 5), 3798, 2106),
+    (30, 3, F(1, 10), 945, 824),  # 121 shape nodes + 824 listed edges
+    (20, 4, F(1, 4), 1433, 1060),
+    (16, 5, F(2, 5), 3126, 2106),
 ])
 def test_enumerate_search_tree_is_pinned(N, k, eps, nodes, edges):
+    # the nodes of the search for the progressions starting at 1, plus one
+    # unit per edge listed by shifting them
     h = _assert_spends_exactly(lambda work_cap: enumerate_eps_aps(N, k, eps, work_cap),
                                nodes)
     assert len(h.edges) == edges
@@ -430,6 +455,31 @@ def test_max_free_is_the_lex_first_maximum(graph):
     best, completed = _max_free(n, closes, Budget(spent - 1))
     assert not completed and len(best) <= len(want)
     assert not any(set(best).issuperset(e) for e in edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_hypergraphs())
+def test_max_free_edges_walks_the_max_free_tree(graph):
+    """The ladder's bit-mask search visits _max_free's nodes: the same answer
+    and the same spend, in full and at caps that stop it part way."""
+    n, edges = graph
+    edges = [e for e in edges if len(e) >= 2]
+    closes = edge_closes(n, edges)
+    lowers = [{} for _ in range(n)]
+    for e in edges:
+        below = sum(1 << j for j in e[:-2])
+        lowers[e[-2]][below] = lowers[e[-2]].get(below, 0) | 1 << e[-1]
+    # the count bound, and a smaller one that prunes more (room[n] is 0)
+    for room in (range(n, -1, -1), [(n - i + 1) // 2 for i in range(n + 1)]):
+        for incumbent in ((), _greedy(n, closes)):
+            full = Budget(10 ** 6)
+            _max_free(n, closes, full, incumbent, room)
+            spent = full.spent
+            for cap in {0, spent - 1, spent, *range(1, spent, max(1, spent // 12))}:
+                mine, theirs = Budget(cap), Budget(cap)
+                assert (_max_free_edges(n, lowers, mine, incumbent, room)
+                        == _max_free(n, closes, theirs, incumbent, room))
+                assert mine.left == theirs.left
 
 
 def test_max_free_depth_does_not_grow_with_n():
