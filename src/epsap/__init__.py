@@ -36,7 +36,6 @@ from .geometry import (
     IndexingError,
     Witness1D,
     WitnessMD,
-    gap_ratio_filter,
     index_grid_points,
     min_enclosing_ball,
     recognize_ap,

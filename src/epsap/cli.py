@@ -515,7 +515,7 @@ def main(argv=None) -> int:
             lines = csv if args.format == "csv" else text
         sys.stdout.write("".join(line + "\n" for line in lines))
     except (ValueError, TypeError, OSError, MemoryGuardExceeded,
-            SearchCapExceeded, geometry.IndexingError) as exc:
+            SearchCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     return code

@@ -24,6 +24,7 @@ from .errors import Budget, MemoryGuardExceeded, SearchCapExceeded
 from .geometry import (
     IndexedGrid,
     check_epsilon,
+    check_points,
     check_tol,
     narrowed,
     recognize_cube,
@@ -164,10 +165,9 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
     subset of [0, q-1], every other digit over one of [ceil(2q/5),
     floor(3q/5)].  Requires 0 < eps <= 1/125 so q >= 5.  Raises
     MemoryGuardExceeded when q or the member count exceeds
-    colorings.DEFAULT_MATERIALIZE_CAP, or, before building anything, when
-    the largest member is sure to have more decimal digits than an int may
-    turn into text (sys.get_int_max_str_digits, or its default when
-    unlimited).
+    colorings.DEFAULT_MATERIALIZE_CAP, or, before building the members, when
+    the largest member has more decimal digits than an int may turn into
+    text (sys.get_int_max_str_digits, or its default when unlimited).
     Members are built by Horner's rule, one base-q digit per level.
     """
     e = check_epsilon(eps)
@@ -180,17 +180,21 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
     q, cap = floor_frac(1 / (25 * e)), DEFAULT_MATERIALIZE_CAP
     if q > cap:
         raise MemoryGuardExceeded(f"digit base q exceeds materialize cap {cap}")
-    # The head alphabet holds two or more digits (q >= 5), so the largest
-    # member is at least q^(h-1) >= 2^((h-1)(bit_length(q)-1)); from
-    # 10^digits on, an int has more decimal digits than may be printed.
-    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
-    if (h - 1) * (q.bit_length() - 1) >= (10 ** digits).bit_length():
-        raise MemoryGuardExceeded(
-            f"digit set member of {h} base-{q} digits exceeds materialize cap "
-            f"of {digits} decimal digits")
     head = apk_free_set(0, q - 1, k, provider)
     tail = apk_free_set(ceil_frac(Fraction(2 * q, 5)), floor_frac(Fraction(3 * q, 5)),
                         k, provider)
+    # The largest member, by the Horner steps that build the members below:
+    # from 10^digits on, an int has more decimal digits than may be printed.
+    # It grows q >= 5 times a step, so the loop stops within 1.5 * digits
+    # steps, whatever h is.
+    digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    largest, limit = head[-1], 10 ** digits - one_based
+    for _ in range(h - 1):
+        largest = largest * q + tail[-1]
+        if largest >= limit:
+            raise MemoryGuardExceeded(
+                f"digit set member of {h} base-{q} digits exceeds materialize cap "
+                f"of {digits} decimal digits")
     # Two or more tail digits pass the cap within its bit length: clip h there.
     if len(head) * len(tail) ** min(h - 1, cap.bit_length()) > cap:
         raise MemoryGuardExceeded(f"digit set size exceeds materialize cap {cap}")
@@ -351,13 +355,11 @@ def find_dense_translate(A, X, N: int, m: int, mode: str = "auto",
 
 
 def _check_grid_points(pts, m: int, N: int, name: str) -> tuple:
-    out = []
+    pts = check_points(pts, m)
     for p in pts:
-        t = tuple(p)
-        if len(t) != m or any(not 1 <= c <= N for c in t):
-            raise ValueError(f"{name} must lie inside [1, {N}]^{m}, got {t}")
-        out.append(t)
-    return tuple(sorted(set(out)))
+        if not all(1 <= c <= N for c in p):
+            raise ValueError(f"{name} must lie inside [1, {N}]^{m}, got {p}")
+    return pts
 
 
 # ---------------------------------------------------------------------------
@@ -390,13 +392,10 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
         raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
     e = check_epsilon(eps)
     check_tol(tol)
-    points = sorted(set(tuple(p) for p in S))
+    points = check_points(S, m)
     total = k ** m
     if len(points) < total:
         return None
-    for p in points:
-        if len(p) != m:
-            raise ValueError(f"point {p!r} is not {m}-dimensional")
     slots = sorted(product(range(k), repeat=m))
 
     # Rows (axis, q*y_axis, a, c) of geometry.narrowed, over scaled points.

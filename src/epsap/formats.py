@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .geometry import Witness1D, WitnessMD
+from .geometry import Witness1D, WitnessMD, check_points
 from .rational import to_fraction
 
 __all__ = [
@@ -61,10 +61,7 @@ def read_set(text: str, m: int = None) -> tuple:
         if not rows:
             raise ValueError("empty set file needs an explicit dimension")
         m = len(rows[0])
-    for row in rows:
-        if len(row) != m:
-            raise ValueError(f"set file row {row} is not {m}-dimensional")
-    return tuple(sorted(set(rows)))
+    return check_points(rows, m)
 
 
 def _read_header(lines, kind: str, fields: dict) -> list:

@@ -18,9 +18,9 @@ integer pair.  A positive maximum is equivalent to strict feasibility, and
 the midrange of {x_i - i*d} at the smallest optimal d gives the intercept a.
 
 Every search prunes by the closed interval of scales d of a partial tuple
-or cube, kept the same way; `narrowed` is the one update of it.  The
-region_* functions apply it to one progression at a time, for the axis
-lines of a grid.
+or cube, kept the same way; `narrowed` is the one update of it, also for
+the axis lines of a grid.  The region_* functions wrap it for one
+progression at a time; nothing in the package calls them.
 
 The m-D recognizer settles almost every grid exactly.  A least-squares
 scale and one smallest enclosing ball give a candidate witness that is
@@ -56,8 +56,8 @@ __all__ = [
     "check_epsilon",
     "check_tol",
     "check_points_1d",
+    "check_points",
     "recognize_ap",
-    "gap_ratio_filter",
     "region_new",
     "region_add_point",
     "region_closed_empty",
@@ -109,6 +109,22 @@ def check_points_1d(points) -> tuple:
         if a >= b:
             raise ValueError(f"points must be strictly increasing, got {a} >= {b}")
     return pts
+
+
+def check_points(points, m: int) -> tuple:
+    """Validate a set of integer m-tuples, bools excluded, and return it as
+    a sorted tuple of distinct tuples; anything else is a one-line
+    ValueError naming a bad point."""
+    pts = list(map(tuple, points))
+    # One pass over the lengths and one over the coordinate types; a bad
+    # point is looked up only once one is known to exist.
+    if set(map(len, pts)) - {m}:
+        bad = next(p for p in pts if len(p) != m)
+        raise ValueError(f"point {bad!r} is not {m}-dimensional")
+    if set(map(type, chain.from_iterable(pts))) - {int}:
+        bad = next(p for p in pts if any(type(c) is not int for c in p))
+        raise ValueError(f"points must be integer {m}-tuples, got {bad!r}")
+    return tuple(sorted(set(pts)))
 
 
 @dataclass(frozen=True)
@@ -237,23 +253,6 @@ def _unbounded_witness(pts: tuple, e: Fraction) -> Witness1D:
         d = d0 + (1 - m0) / (e - Fraction(k - 1, 2))
         m, hi, lo = _margin_at(pts, e, d)
     return Witness1D(a=Fraction(hi + lo, 2), d=d, margin=m)
-
-
-def gap_ratio_filter(points, eps) -> bool:
-    """Necessary consecutive-gap test for approximate progressions.
-
-    True iff every ratio of consecutive gaps lies strictly inside
-    (1 - 5*eps, 1 + 5*eps).  For eps < 1/10 a False verdict guarantees that
-    recognize_ap rejects; with fewer than 3 points the test is vacuous.
-    """
-    pts = check_points_1d(points)
-    e = check_epsilon(eps)
-    if len(pts) < 3:
-        return True
-    gaps = [b - a for a, b in zip(pts, pts[1:])]
-    hi, lo = max(gaps), min(gaps)
-    five = 5 * e
-    return Fraction(hi, lo) - 1 < five and 1 - Fraction(lo, hi) < five
 
 
 # ---------------------------------------------------------------------------
@@ -475,18 +474,10 @@ class IndexedGrid:
     def __post_init__(self):
         if self.m < 1 or self.k < 2:
             raise ValueError(f"need m >= 1 and k >= 2, got m={self.m}, k={self.k}")
-        expected = self.k ** self.m
-        keys = set(self.assignment)
-        if keys != set(product(range(self.k), repeat=self.m)):
+        if set(self.assignment) != set(product(range(self.k), repeat=self.m)):
             raise ValueError("assignment keys must be exactly {0..k-1}^m")
-        vals = list(self.assignment.values())
-        if len(set(vals)) != expected:
+        if len(check_points(self.assignment.values(), self.m)) != len(self.assignment):
             raise ValueError("assignment must be injective (duplicate points)")
-        for p in vals:
-            if len(p) != self.m or any(
-                isinstance(c, bool) or not isinstance(c, int) for c in p
-            ):
-                raise ValueError(f"grid points must be integer {self.m}-tuples, got {p!r}")
 
     def items_in_index_order(self):
         return [(v, self.assignment[v]) for v in sorted(self.assignment)]
@@ -556,24 +547,6 @@ class CubeDecision:
     exact: bool
 
 
-def _axis_line_bounds(grid: IndexedGrid, eps: Fraction):
-    """The closed d interval (lo, hi) of every axis line, None for an empty one.
-
-    A strict witness (a, d) of the grid is, on coordinate j of an axis-j
-    line, a strict 1-D witness with the same d, so d lies in the open
-    interval (lo, hi) of that line's closed region.
-    """
-    k, m = grid.k, grid.m
-    points = grid.assignment
-    for j in range(m):
-        for rest in product(range(k), repeat=m - 1):
-            region = region_new(k, eps)
-            for i in range(k):
-                region = region_add_point(region, i, points[rest[:j] + (i,) + rest[j:]][j])
-            # region.hi is bounded: eps < (k-1)/2 bounds d by the line's ends
-            yield None if region.degenerate_infeasible else (region.lo, region.hi)
-
-
 _ROOT_BITS = 32  # square roots are bracketed to within 2^-32
 
 
@@ -617,9 +590,29 @@ def _scale_interval(grid: IndexedGrid, eps: Fraction) -> Optional[tuple]:
     Intersects the bounds of the axis lines and of the corner pairs, kept as
     integer pairs (num, den), den > 0.  Returns None once the intersection
     is empty, which proves the grid infeasible.
+
+    A strict witness (a, d) of the grid is, on coordinate j of an axis-j
+    line, a strict 1-D witness with the same d, so d meets the `narrowed`
+    rows of every line read as a 1-D progression: one interval is carried
+    through all of them.  It is bounded above once a line is read, since
+    eps < (k-1)/2 bounds d by the ends of a line.
     """
-    lo, hi = (0, 1), None
-    for bounds in chain(_axis_line_bounds(grid, eps), _corner_pair_bounds(grid, eps)):
+    k, m = grid.k, grid.m
+    points = grid.assignment
+    p2, q = 2 * eps.numerator, eps.denominator
+    interval = (0, 1, None)
+    for j in range(m):
+        for rest in product(range(k), repeat=m - 1):
+            line = [q * points[rest[:j] + (i,) + rest[j:]][j] for i in range(k)]
+            for i in range(1, k):
+                rows = [(0, y, q * (i - h) + p2, q * (i - h) - p2)
+                        for h, y in enumerate(line[:i])]
+                interval = narrowed(rows, (line[i],), *interval)
+                if interval is None:
+                    return None
+    lo_n, lo_d, hi = interval
+    lo = (lo_n, lo_d)
+    for bounds in _corner_pair_bounds(grid, eps):
         if bounds is None:
             return None
         b_lo, b_hi = bounds
@@ -741,12 +734,9 @@ def index_grid_points(point_set, m: int, k: int, eps) -> IndexedGrid:
     e = check_epsilon(eps)
     if e >= Fraction(1, 2):
         raise ValueError(f"index recovery requires eps < 1/2, got {e}")
-    pts = sorted(set(tuple(p) for p in point_set))
+    pts = check_points(point_set, m)
     if len(pts) != k ** m:
         raise ValueError(f"expected {k ** m} distinct points, got {len(pts)}")
-    for p in pts:
-        if len(p) != m:
-            raise ValueError(f"point {p!r} is not {m}-dimensional")
 
     cluster = k ** (m - 1)
     index_of = {p: [] for p in pts}

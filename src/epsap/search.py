@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import count, product
 
 from .errors import Budget, SearchCapExceeded
-from .geometry import check_epsilon, narrowed, recognize_ap
+from .geometry import check_epsilon, check_points_1d, narrowed, recognize_ap
 # Not called here: the benchmark's tracer wraps them on this module by name.
 from .geometry import region_add_point, region_closed_empty  # noqa: F401
 
@@ -171,9 +171,7 @@ def find_eps_ap_in_points(points, k: int, eps,
     pts = tuple(points)
     if len(pts) < k:
         return None
-    if any(a >= b for a, b in zip(pts, pts[1:])):
-        raise ValueError("candidate points must be strictly increasing")
-    hit = next(_eps_aps(pts, k, e, Budget(work_cap)), None)
+    hit = next(_eps_aps(check_points_1d(pts), k, e, Budget(work_cap)), None)
     return None if hit is None else (hit, recognize_ap(hit, e))
 
 

@@ -14,7 +14,11 @@ The golden-section cube recognizer is the library's before it gained its
 exact stages; it shares the enclosing ball and the witness type with it.
 The direct listing is the library's hypergraph enumeration before it shifted
 the progressions starting at 1: the library's lex stream, run over all of
-[N] and accepting by its own open-interval test.
+[N] and accepting by its own open-interval test.  The gap-ratio filter is a
+necessary condition for a 1-D progression that no library code calls.  The
+region scale interval is the cube recognizer's exact stage as it stood when
+every axis line was its own region of the library's 1-D region API; it
+shares the corner-pair bounds with the library.
 """
 
 import math
@@ -28,10 +32,14 @@ from epsap.geometry import (
     CubeDecision,
     IndexedGrid,
     WitnessMD,
+    _corner_pair_bounds,
     _welzl_order,
     check_epsilon,
+    check_points_1d,
     min_enclosing_ball,
     recognize_cube,
+    region_add_point,
+    region_new,
 )
 from epsap.search import _eps_aps
 
@@ -143,6 +151,58 @@ def naive_eps_ap_subsets(universe, k, eps, recognizer):
 def direct_eps_aps_listing(N: int, k: int, eps: Fraction) -> tuple:
     """Every approximate k-progression inside [N], searched start by start."""
     return tuple(_eps_aps(range(1, N + 1), k, eps, Budget(10 ** 9)))
+
+
+def gap_ratio_filter(points, eps) -> bool:
+    """Necessary consecutive-gap test for approximate progressions.
+
+    True iff every ratio of consecutive gaps lies strictly inside
+    (1 - 5*eps, 1 + 5*eps).  For eps < 1/10 a False verdict guarantees that
+    recognize_ap rejects; with fewer than 3 points the test is vacuous.
+    """
+    pts = check_points_1d(points)
+    e = check_epsilon(eps)
+    if len(pts) < 3:
+        return True
+    gaps = [b - a for a, b in zip(pts, pts[1:])]
+    hi, lo = max(gaps), min(gaps)
+    five = 5 * e
+    return Fraction(hi, lo) - 1 < five and 1 - Fraction(lo, hi) < five
+
+
+def region_scale_interval(grid: IndexedGrid, eps: Fraction) -> Optional[tuple]:
+    """The cube recognizer's open d interval, one 1-D region per axis line.
+
+    Each axis line gets a fresh region_new and its k points by
+    region_add_point; its closed interval (lo, hi), or None for an emptied
+    region, is then intersected with the others and with the corner-pair
+    bounds.  Returns ((lo_num, lo_den), (hi_num, hi_den)) or None once the
+    open intersection is empty.
+    """
+    k, m = grid.k, grid.m
+    points = grid.assignment
+
+    def line_bounds():
+        for j in range(m):
+            for rest in product(range(k), repeat=m - 1):
+                region = region_new(k, eps)
+                for i in range(k):
+                    region = region_add_point(
+                        region, i, points[rest[:j] + (i,) + rest[j:]][j])
+                yield None if region.degenerate_infeasible else (region.lo, region.hi)
+
+    lo, hi = (0, 1), None
+    for bounds in (*line_bounds(), *_corner_pair_bounds(grid, eps)):
+        if bounds is None:
+            return None
+        b_lo, b_hi = bounds
+        if b_lo[0] * lo[1] > lo[0] * b_lo[1]:
+            lo = b_lo
+        if hi is None or b_hi[0] * hi[1] < hi[0] * b_hi[1]:
+            hi = b_hi
+        if lo[0] * hi[1] >= hi[0] * lo[1]:
+            return None
+    return lo, hi
 
 
 def has_exact_ap(values, k) -> bool:

@@ -23,7 +23,6 @@ from epsap.errors import MemoryGuardExceeded
 from epsap.geometry import (
     IndexedGrid,
     Witness1D,
-    gap_ratio_filter,
     recognize_ap,
     recognize_cube,
 )
@@ -34,7 +33,7 @@ from epsap.density import (
 )
 from epsap.search import arrow_decision, enumerate_eps_aps, exact_W, exact_f, \
     max_exact_ap_free
-from oracles import lp_vertex_accepts
+from oracles import gap_ratio_filter, lp_vertex_accepts
 
 F = Fraction
 

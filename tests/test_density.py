@@ -124,13 +124,14 @@ def test_digit_members_are_the_digit_expansions(eps, h):
 
 
 def test_digit_guard_refuses_only_unprintable_members(monkeypatch):
-    # q = 6: the largest member is at least 6^(h-1), past 10^4300 long before
-    # the guard's bound 2^(2(h-1)) is; the guard refuses from h = 7144 on
+    # q = 6, head {0, 1, 3, 4}, tail {3}: the largest member has 4300
+    # decimal digits at h = 5526 and 4301 at h = 5527
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
-    _, members = build_behrend_digit_set(F(1, 150), 7143)
-    assert len(members) == 4 and members[-1] > 10 ** 4300
-    with pytest.raises(MemoryGuardExceeded, match="exceeds materialize cap"):
-        build_behrend_digit_set(F(1, 150), 7144)
+    for one_based in (False, True):
+        _, members = build_behrend_digit_set(F(1, 150), 5526, one_based=one_based)
+        assert len(members) == 4 and len(str(members[-1])) == 4300
+        with pytest.raises(MemoryGuardExceeded, match="exceeds materialize cap"):
+            build_behrend_digit_set(F(1, 150), 5527, one_based=one_based)
 
 
 def test_digit_eps_out_of_range():

@@ -164,6 +164,8 @@ def test_cli_alternate_is_capped(capsys):
     ("1/1" + "0" * 400, "1"),  # q = 4 * 10^398: no float holds it
     ("1/125", "10000"),  # 4 * 2^9999 members
     ("1/150", "1000000"),  # a one-digit tail: 4 members of ~778,000 digits
+    ("1/150", "5527"),  # the largest member has 4301 digits, one too many
+    ("1/150", "6000"),
 ])
 def test_cli_behrend_is_capped(capsys, eps, h):
     start = time.perf_counter()
@@ -171,6 +173,13 @@ def test_cli_behrend_is_capped(capsys, eps, h):
     assert time.perf_counter() - start < 1  # refused before anything is built
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "exceeds materialize cap" in err
+
+
+def test_cli_behrend_prints_members_up_to_the_digit_limit(capsys):
+    code, out, err = run_cli(capsys, "construct", "behrend", "--eps", "1/150",
+                             "--h", "5526", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert [len(line) for line in out.splitlines()] == [4300] * 4
 
 
 def test_cli_wnumber_pigeonhole(capsys):

@@ -2,11 +2,14 @@ import math
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from epsap import density, geometry, search
+from epsap.density import find_dense_translate, verify_cube_free
 from epsap.geometry import (
     IndexedGrid,
     IndexingError,
@@ -15,7 +18,6 @@ from epsap.geometry import (
     _bound,
     _circumsphere,
     _scale_interval,
-    gap_ratio_filter,
     index_grid_points,
     min_enclosing_ball,
     narrowed,
@@ -27,11 +29,13 @@ from epsap.geometry import (
 )
 from oracles import (
     _inside,
+    gap_ratio_filter,
     golden_section_recognize_cube,
     lp_vertex_accepts,
     naive_enclosing_circle_2d,
     pairwise_recognize_ap,
     recursive_welzl_ball,
+    region_scale_interval,
 )
 
 F = Fraction
@@ -625,13 +629,13 @@ _CUBE_EPS = (F(1, 10), F(1, 6), F(1, 5), F(1, 4), F(1, 3), 0.15, 0.2, 0.3)
 
 
 @st.composite
-def cube_cases(draw):
+def cube_cases(draw, k_max=5):
     """(grid, eps): k^m points near d*v with clear (0.3 eps*d), near
     (0.95 eps*d), tight (eps*d, so a point may sit on its sphere) or broken
     noise (small noise, then one point moved along one axis), or free: any
     distinct points of the box [0, k*d]^m."""
     m = draw(st.integers(1, 3))
-    k = draw(st.integers(2, 5))
+    k = draw(st.integers(2, k_max))
     eps = draw(st.sampled_from(_CUBE_EPS))
     kind = draw(st.sampled_from(("clear", "near", "tight", "broken", "free")))
     d = draw(st.integers(4, 60))
@@ -689,6 +693,22 @@ def test_cube_stages_agree_with_golden_section_oracle(case):
     if grid.m == 1 and not lp_vertex_accepts(
             [x for _, (x,) in grid.items_in_index_order()], F(eps)):
         assert (fast.status, fast.exact) == ("infeasible", True)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=cube_cases(k_max=4))
+@example(case=(grid_from_points_1d((0, 1, 3)), F(1, 6)))
+def test_scale_interval_matches_the_region_oracle(case):
+    # One interval carried through the rows of every axis line equals, as
+    # rationals, the intersection of one region per line.
+    grid, eps = case
+    got, want = _scale_interval(grid, F(eps)), region_scale_interval(grid, F(eps))
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert [F(*b) for b in got] == [F(*b) for b in want]
+    with mock.patch.object(geometry, "_scale_interval", region_scale_interval):
+        reference = recognize_cube(grid, eps, tol=1e-9)
+    assert recognize_cube(grid, eps, tol=1e-9) == reference
 
 
 def test_cube_depth_does_not_grow_with_the_grid():
@@ -751,6 +771,31 @@ def test_index_recovery_ambiguity_is_an_error():
 def test_index_recovery_wrong_cardinality():
     with pytest.raises(ValueError):
         index_grid_points([(0, 0), (1, 1)], 2, 2, F(1, 4))
+
+
+def _searched(*args):
+    raise AssertionError("a bad point reached the search")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: verify_cube_free([(1, 2, 3)], 2, 2, F(1, 4)), "is not 2-dimensional"),
+    (lambda: verify_cube_free([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)],
+                              2, 2, F(1, 4)), "integer 2-tuples"),
+    (lambda: index_grid_points([(0.5, 0), (0, 10), (10, 0), (10, 10)], 2, 2, F(1, 4)),
+     "integer 2-tuples"),
+    (lambda: index_grid_points([(False, 0), (0, 10), (10, 0), (10, 10)], 2, 2, F(1, 4)),
+     "integer 2-tuples"),
+    (lambda: find_dense_translate([(1.5, 1)], [(1, 1)], 3, 2), "integer 2-tuples"),
+    (lambda: find_dense_translate([(1, 1)], [(True, 1)], 3, 2), "integer 2-tuples"),
+    (lambda: search.find_eps_ap_in_points((1.0, 2.0, 5.0), 3, F(1, 5)),
+     "must be integers"),
+], ids=["cube-search-dimension", "cube-search-float", "index-float", "index-bool",
+        "translate-float", "translate-bool", "points-1d-float"])
+def test_point_sets_are_checked_before_any_search(call, message):
+    with mock.patch.object(density, "narrowed", _searched), \
+            mock.patch.object(search, "_eps_aps", _searched):
+        with pytest.raises((ValueError, TypeError), match=message):
+            call()
 
 
 def test_index_recovery_requires_disjoint_balls():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from epsap.colorings import verify_no_mono_ap
 from epsap.errors import Budget, SearchCapExceeded
 from epsap.formats import read_hypergraph, write_hypergraph
-from epsap.geometry import gap_ratio_filter, recognize_ap
+from epsap.geometry import recognize_ap
 from epsap.search import (
     SearchOutcome,
     arrow_decision,
@@ -26,6 +26,7 @@ from oracles import (
     count_bound_free_set,
     direct_eps_aps_listing,
     edge_closes,
+    gap_ratio_filter,
     greedy_free_set,
     has_exact_ap,
     lex_first_max_free_set,
