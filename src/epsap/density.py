@@ -5,8 +5,9 @@ band [2q/5, 3q/5], so consecutive-element gaps are dominated by the leading
 distinct digit; combined with progression-free digit alphabets this kills
 every approximate progression.  The cube blow-up and the translation
 averaging step are the two halves of the density upper bound machinery.
-The cube search (verify_cube_free) prunes with the integer d interval
-update of the geometry module, the one the 1-D progression stream uses.
+The cube search (_cubes) prunes with the integer d interval update of the
+geometry module, the one the 1-D progression stream uses; verify_cube_free
+returns its first cube, and search.exact_f (m >= 2) lists them all.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .geometry import (
     recognize_cube,
 )
 from .rational import ceil_frac, floor_frac, to_fraction
-from .search import _forms_exact_ap_ending, _greedy, max_exact_ap_free
+from .search import _greedy, max_exact_ap_free
 
 __all__ = [
     "ApkFreeProvider",
@@ -54,12 +55,11 @@ class ApkFreeProvider:
     search is capped by search.DEFAULT_WORK_CAP nodes and raises
     SearchCapExceeded rather than return a set not known to be maximum),
     "behrend3" (sphere digit construction, k = 3 only), "greedy", or "auto"
-    which picks exact up to exact_cap elements, then behrend3 for k = 3,
+    which picks exact up to EXACT_CAP elements, then behrend3 for k = 3,
     else greedy.
     """
 
     mode: str = "auto"
-    exact_cap: int = 60
 
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "behrend3", "greedy"):
@@ -67,6 +67,7 @@ class ApkFreeProvider:
 
 
 DEFAULT_PROVIDER = ApkFreeProvider()
+EXACT_CAP = 60  # the most elements the exact provider takes
 
 
 def _behrend3(n: int) -> tuple:
@@ -112,13 +113,10 @@ def apk_free_set(lo: int, hi: int, k: int,
     n = hi - lo + 1
     mode = provider.mode
     if mode == "auto":
-        mode = "exact" if n <= provider.exact_cap else (
-            "behrend3" if k == 3 else "greedy")
+        mode = "exact" if n <= EXACT_CAP else ("behrend3" if k == 3 else "greedy")
     if mode == "exact":
-        if n > provider.exact_cap:
-            raise ValueError(
-                f"exact mode capped at {provider.exact_cap} elements, interval has {n}"
-            )
+        if n > EXACT_CAP:
+            raise ValueError(f"exact mode capped at {EXACT_CAP} elements, interval has {n}")
         outcome = max_exact_ap_free(n, k)
         if outcome.kind != "value":
             raise SearchCapExceeded(f"exact provider hit the work cap on {n} elements")
@@ -128,7 +126,7 @@ def apk_free_set(lo: int, hi: int, k: int,
             raise ValueError(f"behrend3 provider is only valid for k=3, got k={k}")
         base = _behrend3(n)
     else:
-        base = _greedy(n, lambda x, chosen: _forms_exact_ap_ending(x, chosen, k))
+        base = _greedy(n, k)
     return tuple(x + lo for x in base)
 
 
@@ -215,10 +213,8 @@ def product_free_set(A, m: int, N: int) -> tuple:
     """A x [N]^(m-1) as sorted m-tuples; freeness projects to the first axis."""
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
-    avals = sorted(set(A))
-    if not avals:
-        return ()
-    if any(not 1 <= a <= N for a in avals):
+    avals = [a for a, in check_points([(a,) for a in A], 1)]
+    if avals and not 1 <= avals[0] <= avals[-1] <= N:
         raise ValueError("A must lie inside [1, N]")
     return tuple(sorted(
         (a,) + rest for a in avals for rest in product(range(1, N + 1), repeat=m - 1)
@@ -367,42 +363,45 @@ def _check_grid_points(pts, m: int, N: int, name: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
-                     node_cap: int = 20_000_000,
-                     budget: Optional[Budget] = None) -> Optional[tuple]:
+                     node_cap: int = 20_000_000) -> Optional[tuple]:
     """First approximate cube found in S (lex order of assignments) as
-    (grid, CubeDecision), or None.
-
-    DFS assigns points to index vectors in lex order.  Each partial
-    assignment keeps the exact interval of scales d allowed by the
-    per-axis box constraints |x_j - (a_j + d*v_j)| <= eps*d (a necessary
-    consequence of the ball constraint), updated by geometry.narrowed; an
-    empty interval prunes.  Complete assignments are confirmed by the
-    numeric ball recognizer; only a 'feasible' verdict counts, so boundary
-    candidates are skipped.
+    (grid, CubeDecision), or None: the first item of _cubes, on a fresh
+    Budget(node_cap); SearchCapExceeded is raised once it is spent.
 
     Because every injective index assignment is tried explicitly, no sorted-
     order disambiguation is needed and any eps accepted by the recognizer is
     allowed (in particular eps = 1/2).
-
-    Each node spends one unit of `budget`, a caller's Budget shared with its
-    own work, or by default a fresh Budget(node_cap); SearchCapExceeded is
-    raised once it is spent.
     """
     if m < 1 or k < 2:
         raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
     e = check_epsilon(eps)
     check_tol(tol)
     points = check_points(S, m)
-    total = k ** m
-    if len(points) < total:
+    if len(points) < k ** m:
         return None
+    return next(_cubes(points, m, k, e, tol, Budget(node_cap)), None)
+
+
+def _cubes(points, m: int, k: int, e, tol: float, budget):
+    """Every approximate cube among `points` (distinct, sorted m-tuples), as
+    (grid, CubeDecision), in lex order of assignments.
+
+    DFS assigns points to index vectors in lex order.  Each partial
+    assignment keeps the exact interval of scales d allowed by the
+    per-axis box constraints |x_j - (a_j + d*v_j)| <= eps*d (a necessary
+    consequence of the ball constraint), updated by geometry.narrowed; an
+    empty interval prunes.  Complete assignments are confirmed by the
+    numeric ball recognizer; only a 'feasible' verdict is yielded, so
+    boundary candidates are skipped.  A point set fitting several
+    assignments is yielded once per assignment.  Each node spends one unit
+    of `budget`, the root included.
+    """
+    total = k ** m
     slots = sorted(product(range(k), repeat=m))
 
     # Rows (axis, q*y_axis, a, c) of geometry.narrowed, over scaled points.
     p2, q = 2 * e.numerator, e.denominator
     scaled = [tuple(q * c for c in p) for p in points]
-    if budget is None:
-        budget = Budget(node_cap)
 
     assigned: list = []
     used: set = set()
@@ -425,8 +424,7 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
                 yield (v, p, x), shrunk
 
     # Depth-first on an explicit stack of candidate streams, one per filled
-    # slot plus the next, so the Python depth stays constant; one budget
-    # unit per node, the root included.
+    # slot plus the next, so the Python depth stays constant.
     budget.spend()
     stack = [fits(0, 1, None)]
     while stack:
@@ -446,6 +444,5 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
         grid = IndexedGrid(m=m, k=k, assignment={v: p for v, p, _ in assigned})
         decision = recognize_cube(grid, e, tol=tol)
         if decision.status == "feasible":
-            return grid, decision
+            yield grid, decision
         used.discard(assigned.pop()[1])
-    return None

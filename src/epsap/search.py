@@ -11,9 +11,10 @@ starting at 1 (the shapes, _shapes) are searched once, and those starting at
 s are the shapes shifted by s - 1: enumerate_eps_aps shifts them to every
 start, and the ladders (_edges_by_max) read them mirrored.  Coloring and
 subset searches are plain backtracking with canonical tie-breaking, so
-results are deterministic; exact_W and exact_f (m = 1) count the listing in
-`nodes`.  The free-set ladder of the 1-D searches keeps its chosen and
-blocked indices as bit masks (_max_free_edges).
+results are deterministic; exact_W and exact_f count the listing in
+`nodes`.  Every free-set search is one include-first branch and bound on
+bit masks of chosen and blocked indices (_max_free_edges): the 1-D ladder
+runs it once per rung, and exact_f on m >= 2 once, over the listed cubes.
 """
 
 from __future__ import annotations
@@ -309,63 +310,28 @@ def exact_W(k: int, r: int, eps, n_max: int,
 # Maximum free subsets
 # ---------------------------------------------------------------------------
 
-def _max_free(n: int, closes, budget, incumbent=None, room=None):
-    """Largest set of indices in range(n) closing no edge, lex-first among ties.
-
-    closes(i, chosen) tells whether adding index i to the indices marked in
-    the bool list `chosen` completes an edge.  Include-first branch and bound
-    with one budget unit per node: the first leaf reached is the greedy set
-    (also accepted as a preloaded incumbent), incumbents are replaced only on
-    strict improvement, and a branch is pruned when it cannot strictly
-    improve, so the lex-first optimum survives.  room[i] bounds how many of
-    the indices i..n-1 a free set can hold; by default it is their count.
-    An explicit stack keeps the Python depth constant.  Returns (indices,
-    completed); a capped search returns the best set found so far.
-    """
-    if room is None:
-        room = range(n, -1, -1)
-    chosen = [False] * n
-    best = () if incumbent is None else tuple(incumbent)
-    best_size = -1 if incumbent is None else len(best)
-    size = 0  # number of chosen indices
-    stack = [0]  # indices to visit; ~i undoes the choice of i
-    try:
-        while stack:
-            i = stack.pop()
-            if i < 0:
-                chosen[~i] = False
-                size -= 1
-                continue
-            budget.spend()
-            if size + room[i] <= best_size:
-                continue
-            if i == n:
-                best_size = size
-                best = tuple(j for j in range(n) if chosen[j])
-                continue
-            stack.append(i + 1)
-            if not closes(i, chosen):
-                chosen[i] = True
-                size += 1
-                stack.append(~i)
-                stack.append(i + 1)
-    except SearchCapExceeded:
-        return best, False
-    return best, True
-
-
 def _max_free_edges(n: int, lowers, budget, incumbent, room):
-    """_max_free's search when closes(i, chosen) is "i ends an edge whose
-    other indices are chosen": the same nodes in the same order, the same
-    budget spend and the same (indices, completed).
+    """Largest set of indices in range(n) containing no edge, lex-first
+    among ties.
 
-    Each edge of two or more indices is filed under its second largest index
-    j: lowers[j] maps the bit mask of the edge's indices below j to the mask
-    of the largest indices of the edges filed with it.  Choosing j, when the
-    chosen indices cover such a mask, blocks those largest indices, so a node
-    reads its verdict off one bit of `blocked`.  The state is two ints, saved
-    whole on the stack at each choice, and the budget is counted locally and
-    written back on return (nothing else may spend it meanwhile).
+    Include-first branch and bound with one budget unit per node: the first
+    leaf reached is the greedy set, incumbents (the preloaded one included)
+    are replaced only on strict improvement, and a branch is pruned when it
+    cannot strictly improve, so the lex-first optimum survives.  room[i]
+    bounds how many of the indices i..n-1 a free set can hold, and room[n]
+    is 0.  Returns (indices, completed); a capped search returns the best
+    set found so far.
+
+    Each edge, of two or more indices, is filed under its second largest
+    index j (_file_edge): lowers[j] maps the bit mask of the edge's indices
+    below j to the mask of the largest indices of the edges filed with it.
+    In include-first order every chosen index is below the current one, so
+    index i completes an edge exactly when it is the largest index of one
+    whose other indices are chosen.  Choosing j, when the chosen indices
+    cover such a mask, blocks those largest indices, so a node reads its
+    verdict off one bit of `blocked`.  The state is two ints, saved whole on
+    the stack at each choice, and the budget is counted locally and written
+    back on return (nothing else may spend it meanwhile).
     """
     best = tuple(incumbent)
     best_size = len(best)
@@ -399,24 +365,31 @@ def _max_free_edges(n: int, lowers, budget, incumbent, room):
     return best, True
 
 
-def _greedy(n: int, closes) -> tuple:
-    """The first leaf of _max_free: include every index that closes no edge."""
-    chosen = [False] * n
-    for i in range(n):
-        if not closes(i, chosen):
-            chosen[i] = True
-    return tuple(i for i in range(n) if chosen[i])
+def _file_edge(lowers, rest, top: int) -> int:
+    """File the edge rest + (top,) for _max_free_edges: rest is increasing,
+    nonempty and below top.  Returns the bit mask of rest."""
+    below = 0
+    for j in rest[:-1]:
+        below |= 1 << j
+    tops = lowers[rest[-1]]
+    tops[below] = tops.get(below, 0) | 1 << top
+    return below | 1 << rest[-1]
 
 
-def _forms_exact_ap_ending(x: int, chosen: list, k: int) -> bool:
-    """Does x end an exact k-progression whose other terms are chosen?"""
-    for d in range(1, x // (k - 1) + 1):
-        for y in range(x - d, x - k * d, -d):
-            if not chosen[y]:
+def _greedy(n: int, k: int) -> tuple:
+    """The first-fit subset of range(n) with no exact k-term progression:
+    each index is kept unless it ends one whose other terms are kept."""
+    chosen = [False] * n  # not a bit mask: testing a bit of a q-bit int is O(q)
+    for x in range(n):
+        for d in range(1, x // (k - 1) + 1):
+            for y in range(x - d, x - k * d, -d):
+                if not chosen[y]:
+                    break
+            else:
                 break
         else:
-            return True
-    return False
+            chosen[x] = True
+    return tuple(x for x in range(n) if chosen[x])
 
 
 def _ladder(N: int, rests_ending_at, budget, greedy=None) -> SearchOutcome:
@@ -447,12 +420,7 @@ def _ladder(N: int, rests_ending_at, budget, greedy=None) -> SearchOutcome:
             lowers.append({})
             closed = False  # does n - 1 end an edge inside the greedy set?
             for rest in rests_ending_at(n - 1):
-                below = 0
-                for j in rest[:-1]:
-                    below |= 1 << j
-                tops = lowers[rest[-1]]
-                tops[below] = tops.get(below, 0) | 1 << (n - 1)
-                full = below | 1 << rest[-1]
+                full = _file_edge(lowers, rest, n - 1)
                 closed = closed or in_greedy & full == full
             if grow and not closed:
                 greedy.append(n - 1)
@@ -487,23 +455,24 @@ def max_exact_ap_free(N: int, k: int,
         return [tuple(range(i - (k - 1) * d, i, d))
                 for d in range(i // (k - 1), 0, -1)]
 
-    greedy = _greedy(N, lambda i, chosen: _forms_exact_ap_ending(i, chosen, k))
-    return _ladder(N, rests_ending_at, Budget(work_cap), greedy)
+    return _ladder(N, rests_ending_at, Budget(work_cap), _greedy(N, k))
 
 
 def exact_f(N: int, m: int, k: int, eps,
             work_cap: int = DEFAULT_WORK_CAP) -> SearchOutcome:
     """Largest subset of [N]^m with no approximate cube (progression for m=1).
 
-    Branch and bound in lex element order; for m = 1 it climbs the rungs
-    [1], ..., [N] with the suffix bound (see _ladder), seeded with the greedy
-    set as a sound incumbent, listing the progressions ending at n on
+    Branch and bound in lex element order (_max_free_edges).  For m = 1 it
+    climbs the rungs [1], ..., [N] with the suffix bound (see _ladder),
+    seeded with the greedy set, listing the progressions ending at n on
     reaching rung n, as exact_W does.  The cube order of m >= 2 is not
-    translation invariant, so there it keeps the count bound.  One budget
-    serves the search, the listing (m = 1) and the cube checks (m >= 2), so
-    `nodes` counts them all.  Hitting the cap yields lower_bound_only
-    carrying the best incumbent found so far, never a value; for m = 1, a
-    cap hit while listing rung n keeps the best set of [n - 1].
+    translation invariant, so there every cube of [N]^m is listed first
+    (density._cubes), each point set once, and one count-bound search
+    follows.  One budget serves the listing and the search, so `nodes`
+    counts both.  Hitting the cap yields lower_bound_only carrying the best
+    incumbent found so far, never a value: for m = 1, a cap hit while
+    listing rung n keeps the best set of [n - 1]; for m >= 2, at least the
+    first k^m - 1 points, too few for a cube.
     """
     if N < 0 or m < 1 or k < 2:
         raise ValueError(f"need N >= 0, m >= 1, k >= 2, got {N}, {m}, {k}")
@@ -514,19 +483,24 @@ def exact_f(N: int, m: int, k: int, eps,
         # the ladder asks for i = 0, 1, ... in turn, as by_max yields them
         return _ladder(N, lambda _: next(by_max), budget)
 
-    from .density import verify_cube_free  # density imports this module
+    from .density import _cubes  # density imports this module
 
     e = check_epsilon(eps)
     points = tuple(product(range(1, N + 1), repeat=m))
-    cube = k ** m
-
-    def closes(i, chosen):
-        picked = [p for p, c in zip(points, chosen) if c]
-        if len(picked) + 1 < cube:
-            return False
-        return verify_cube_free(picked + [points[i]], m, k, e,
-                                budget=budget) is not None
-
-    best, completed = _max_free(len(points), closes, budget)
+    index = {p: i for i, p in enumerate(points)}
+    n = len(points)
+    best, completed = (), False
+    try:
+        # verify_cube_free's default tolerance; a set may fit two assignments
+        cubes = {tuple(sorted(map(index.__getitem__, grid.assignment.values())))
+                 for grid, _ in _cubes(points, m, k, e, 1e-9, budget)}
+        lowers = [{} for _ in points]
+        for cube in cubes:
+            _file_edge(lowers, cube[:-1], cube[-1])
+        best, completed = _max_free_edges(n, lowers, budget, (), range(n, -1, -1))
+    except SearchCapExceeded:  # raised by the listing
+        pass
+    if not completed:  # fewer than k^m points hold no cube
+        best = max(best, tuple(range(min(n, k ** m - 1))), key=len)
     return SearchOutcome("value" if completed else "lower_bound_only", len(best),
                          tuple(points[i] for i in best), budget.spent)

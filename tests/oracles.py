@@ -6,10 +6,12 @@ systems, or evaluate the margin at every pairwise slope, and the
 enclosing-ball oracles try every pair and triple circle, or run Welzl's
 recursive algorithm with its own Gram-system solver.  The cube-search
 oracle keeps the library's earlier Fraction pruner and shares only the
-numeric recognizer that confirms a complete assignment.  The free-set and
-coloring oracles are the library's searches as they stood before they
-climbed a ladder over n: a count-bound branch and bound on [N] alone, and a
-coloring search started afresh for every N; callers hand them the edges.
+numeric recognizer that confirms a complete assignment; run on every
+k^m-subset of [N]^m, it lists the cubes the m-D free-set search avoids.  The
+free-set and coloring oracles are the library's searches as they stood
+before they climbed a ladder over n: a branch and bound on [N] alone that
+asks a closes(i, chosen) callback at every node, and a coloring search
+started afresh for every N; callers hand them the edges.
 The golden-section cube recognizer is the library's before it gained its
 exact stages; it shares the enclosing ball and the witness type with it.
 The direct listing is the library's hypergraph enumeration before it shifted
@@ -21,6 +23,7 @@ every axis line was its own region of the library's 1-D region API; it
 shares the corner-pair bounds with the library.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -271,18 +274,22 @@ def lex_first_max_free_set(n, edges):
                 return sub
 
 
-def count_bound_max_free(n, closes, budget, incumbent=None):
+def count_bound_max_free(n, closes, budget, incumbent=None, room=None):
     """Largest set of indices in range(n) closing no edge, lex-first among ties.
 
     closes(i, chosen) tells whether adding index i to the indices marked in
     the bool list `chosen` completes an edge.  Include-first branch and bound
     with one budget unit per node: the first leaf reached is the greedy set
     (also accepted as a preloaded incumbent), incumbents are replaced only on
-    strict improvement, and the count bound prunes branches that cannot
-    strictly improve, so the lex-first optimum survives.  An explicit stack
-    keeps the Python depth constant.  Returns (indices, completed); a capped
-    search returns the best set found so far.
+    strict improvement, and a branch is pruned when it cannot strictly
+    improve, so the lex-first optimum survives.  room[i] bounds how many of
+    the indices i..n-1 a free set can hold; by default it is their count
+    (the count bound).  An explicit stack keeps the Python depth constant.
+    Returns (indices, completed); a capped search returns the best set found
+    so far.
     """
+    if room is None:
+        room = range(n, -1, -1)
     chosen = [False] * n
     best = () if incumbent is None else tuple(incumbent)
     best_size = -1 if incumbent is None else len(best)
@@ -296,7 +303,7 @@ def count_bound_max_free(n, closes, budget, incumbent=None):
                 size -= 1
                 continue
             budget.spend()
-            if size + (n - i) <= best_size:
+            if size + room[i] <= best_size:
                 continue
             if i == n:
                 best_size = size
@@ -321,13 +328,19 @@ def edge_closes(n, edges):
     return lambda i, chosen: any(all(chosen[j] for j in rest) for rest in by_max[i])
 
 
+def first_fit(n, closes) -> tuple:
+    """The indices of range(n) kept in turn when they close no edge with
+    those kept before: the first leaf of the include-first searches."""
+    chosen = [False] * n
+    for i in range(n):
+        chosen[i] = not closes(i, chosen)
+    return tuple(i for i in range(n) if chosen[i])
+
+
 def greedy_free_set(N, edges) -> tuple:
     """The first-fit subset of [N] containing no edge (1-based edges)."""
     closes = edge_closes(N, [tuple(p - 1 for p in e) for e in edges])
-    chosen = [False] * N
-    for i in range(N):
-        chosen[i] = not closes(i, chosen)
-    return tuple(i + 1 for i in range(N) if chosen[i])
+    return tuple(i + 1 for i in first_fit(N, closes))
 
 
 def count_bound_free_set(N, edges):
@@ -556,6 +569,16 @@ def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
         return None
 
     return recurse(0, Fraction(0), None)
+
+
+@functools.cache
+def brute_force_cubes(N: int, m: int, k: int, eps) -> tuple:
+    """The k^m-subsets of [N]^m (lex order) holding an approximate cube, as
+    sorted index tuples into that order: fraction_verify_cube_free on each."""
+    points = list(product(range(1, N + 1), repeat=m))
+    return tuple(c for c in combinations(range(len(points)), k ** m)
+                 if fraction_verify_cube_free([points[i] for i in c], m, k, eps)
+                 is not None)
 
 
 def _cube_eps_float(eps) -> float:

@@ -23,7 +23,7 @@ from epsap.errors import Budget, MemoryGuardExceeded, SearchCapExceeded
 from epsap.geometry import IndexedGrid, recognize_ap, recognize_cube
 from epsap.search import find_eps_ap_in_points
 import oracles
-from oracles import fraction_verify_cube_free, has_exact_ap
+from oracles import brute_force_cubes, fraction_verify_cube_free, has_exact_ap
 
 F = Fraction
 
@@ -54,7 +54,7 @@ def test_exact_provider_is_maximum():
 
 def test_exact_provider_cap():
     with pytest.raises(ValueError):
-        apk_free_set(0, 100, 3, ApkFreeProvider(mode="exact", exact_cap=60))
+        apk_free_set(0, 100, 3, ApkFreeProvider(mode="exact"))
 
 
 def test_exact_provider_refuses_a_capped_search(monkeypatch):
@@ -183,6 +183,12 @@ def test_product_size_and_projection():
 def test_product_validates_range():
     with pytest.raises(ValueError):
         product_free_set([0, 2], 2, 5)
+
+
+@pytest.mark.parametrize("A", [[1.5, True], [2, 2.0], [True]])
+def test_product_refuses_non_integer_points(A):
+    with pytest.raises(ValueError, match="must be integer 1-tuples"):
+        product_free_set(A, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +381,24 @@ def test_cube_search_matches_fraction_oracle(case):
     # Same hit, scale and residual, or the same error, after the same nodes.
     assert (_cube_search_outcome(verify_cube_free, density, *case)
             == _cube_search_outcome(fraction_verify_cube_free, oracles, *case))
+
+
+@pytest.mark.parametrize("N, m, k, eps, found, distinct", [
+    (3, 2, 2, F(1, 10), 5, 5),
+    (3, 2, 2, F(2, 5), 49, 49),
+    (4, 2, 2, F(1, 3), 206, 206),
+    (3, 2, 3, F(9, 10), 37, 1),  # one point set, 37 assignments
+])
+def test_cube_listing_is_every_cube(N, m, k, eps, found, distinct):
+    points = tuple(product(range(1, N + 1), repeat=m))
+    hits = list(density._cubes(points, m, k, eps, 1e-9, Budget(10 ** 6)))
+    sets = {tuple(sorted(grid.assignment.values())) for grid, _ in hits}
+    assert (len(hits), len(sets)) == (found, distinct)
+    assert sets == {tuple(points[i] for i in c)
+                    for c in brute_force_cubes(N, m, k, eps)}
+    assert all(decision.status == "feasible" for _, decision in hits)
+    grid, decision = verify_cube_free(points, m, k, eps)
+    assert (grid.assignment, decision) == (hits[0][0].assignment, hits[0][1])
 
 
 def test_cube_search_finds_blowup_transversal():

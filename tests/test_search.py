@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from epsap.colorings import verify_no_mono_ap
@@ -21,11 +21,14 @@ from epsap.search import (
     find_eps_ap_in_points,
     max_exact_ap_free,
 )
-from epsap.search import _good_coloring, _greedy, _max_free, _max_free_edges
+from epsap.search import _file_edge, _good_coloring, _greedy, _max_free_edges
 from oracles import (
+    brute_force_cubes,
     count_bound_free_set,
+    count_bound_max_free,
     direct_eps_aps_listing,
     edge_closes,
+    first_fit,
     gap_ratio_filter,
     greedy_free_set,
     has_exact_ap,
@@ -195,11 +198,12 @@ def test_f_search_tree_is_pinned():
 
 
 @pytest.mark.parametrize("eps, nodes", [
-    (F(1, 10), 177), (F(1, 8), 177), (F(1, 6), 221), (F(1, 5), 221),
+    (F(1, 10), 72), (F(1, 8), 72), (F(1, 6), 84), (F(1, 5), 84),
 ])
 def test_f_two_dimensional_search_tree_is_pinned(eps, nodes):
-    # 43 of the nodes are the free-set search's own; the cube checks spend
-    # the rest from the same budget.
+    # The last 43 nodes are the free-set search's own; the cube listing
+    # spends the rest (29 at eps 1/10 and 1/8, 41 at 1/6 and 1/5) from the
+    # same budget, before the search.
     out = _assert_spends_exactly(lambda work_cap: exact_f(3, 2, 2, eps, work_cap), nodes)
     assert (out.value, out.witness) == (
         7, ((1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)))
@@ -384,6 +388,44 @@ def test_f_two_dimensional_matches_naive():
     assert verify_cube_free(out.witness, 2, 2, eps) is None
 
 
+# Every grid with N^m <= 16; eps must stay below (k - 1) / 2.
+_SMALL_GRIDS = ((1, 2, 2), (2, 2, 2), (3, 2, 2), (4, 2, 2), (2, 3, 2), (2, 4, 2),
+                (2, 2, 3), (3, 2, 3))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid=st.sampled_from(_SMALL_GRIDS),
+       eps=st.sampled_from((F(1, 10), F(1, 3), F(9, 10))))
+@example(grid=(4, 2, 2), eps=F(1, 3))  # 206 cubes
+@example(grid=(3, 2, 3), eps=F(9, 10))  # one cube, 37 assignments
+def test_f_two_dimensional_is_the_lex_first_maximum(grid, eps):
+    N, m, k = grid
+    assume(2 * eps < k - 1)
+    points = tuple(product(range(1, N + 1), repeat=m))
+    want = lex_first_max_free_set(len(points), brute_force_cubes(N, m, k, eps))
+    out = exact_f(N, m, k, eps)
+    assert (out.kind, out.value, out.witness) == (
+        "value", len(want), tuple(points[i] for i in want))
+
+
+def test_f_two_dimensional_capped_runs_are_sound():
+    # Caps below the full spend stop the cube listing (the first 41 nodes)
+    # or the search after it; either way the run keeps a cube-free set, and
+    # a larger cap never keeps a smaller one.
+    from epsap.density import verify_cube_free
+
+    eps = F(1, 5)
+    full = exact_f(3, 2, 2, eps)
+    values = []
+    for cap in range(full.nodes):
+        out = exact_f(3, 2, 2, eps, work_cap=cap)
+        assert (out.kind, out.nodes) == ("lower_bound_only", cap)
+        assert out.value == len(out.witness) <= full.value
+        assert verify_cube_free(out.witness, 2, 2, eps) is None
+        values.append(out.value)
+    assert values == sorted(values)
+
+
 def test_f_two_dimensional_k3_full_grid_only():
     # in [3]^2 the only 3x3 grid is the whole square, so dropping one point
     # is optimal
@@ -435,25 +477,35 @@ def _hypergraphs(draw):
     return n, edges
 
 
+def _lowers(n, edges):
+    """The edges of two or more indices, filed as the ladder files them."""
+    lowers = [{} for _ in range(n)]
+    for e in edges:
+        _file_edge(lowers, e[:-1], e[-1])
+    return lowers
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_hypergraphs())
 def test_max_free_is_the_lex_first_maximum(graph):
     n, edges = graph
-    closes = edge_closes(n, edges)
+    edges = [e for e in edges if len(e) >= 2]
+    lowers, room = _lowers(n, edges), range(n, -1, -1)
     want = lex_first_max_free_set(n, edges)
     budget = Budget(10 ** 6)
-    assert _max_free(n, closes, budget) == (want, True)
+    assert _max_free_edges(n, lowers, budget, (), room) == (want, True)
     spent = budget.spent
-    greedy = _greedy(n, closes)
-    assert _max_free(n, closes, Budget(10 ** 6), incumbent=greedy) == (want, True)
-    # the greedy set is the first fit: free, and every skipped index closes
-    # an edge among the indices kept before it
+    greedy = first_fit(n, edge_closes(n, edges))
+    assert _max_free_edges(n, lowers, Budget(10 ** 6), greedy, room) == (want, True)
+    # the greedy set is the first leaf, n + 1 nodes in: free, and every
+    # skipped index closes an edge among the indices kept before it
+    assert _max_free_edges(n, lowers, Budget(n + 1), (), room) == (greedy, n == 0)
     kept = set(greedy)
     assert not any(kept.issuperset(e) for e in edges)
     for i in set(range(n)) - kept:
         assert any(e[-1] == i and kept.issuperset(e[:-1]) for e in edges)
     # one node short of the full search, the best set found so far is free
-    best, completed = _max_free(n, closes, Budget(spent - 1))
+    best, completed = _max_free_edges(n, lowers, Budget(spent - 1), (), room)
     assert not completed and len(best) <= len(want)
     assert not any(set(best).issuperset(e) for e in edges)
 
@@ -461,34 +513,37 @@ def test_max_free_is_the_lex_first_maximum(graph):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(_hypergraphs())
 def test_max_free_edges_walks_the_max_free_tree(graph):
-    """The ladder's bit-mask search visits _max_free's nodes: the same answer
-    and the same spend, in full and at caps that stop it part way."""
+    """The ladder's bit-mask search visits the nodes of the count-bound
+    reference in tests/oracles.py: the same answer and the same spend, in
+    full and at caps that stop it part way."""
     n, edges = graph
     edges = [e for e in edges if len(e) >= 2]
-    closes = edge_closes(n, edges)
-    lowers = [{} for _ in range(n)]
-    for e in edges:
-        below = sum(1 << j for j in e[:-2])
-        lowers[e[-2]][below] = lowers[e[-2]].get(below, 0) | 1 << e[-1]
+    closes, lowers = edge_closes(n, edges), _lowers(n, edges)
     # the count bound, and a smaller one that prunes more (room[n] is 0)
     for room in (range(n, -1, -1), [(n - i + 1) // 2 for i in range(n + 1)]):
-        for incumbent in ((), _greedy(n, closes)):
+        for incumbent in ((), first_fit(n, closes)):
             full = Budget(10 ** 6)
-            _max_free(n, closes, full, incumbent, room)
+            count_bound_max_free(n, closes, full, incumbent, room)
             spent = full.spent
             for cap in {0, spent - 1, spent, *range(1, spent, max(1, spent // 12))}:
                 mine, theirs = Budget(cap), Budget(cap)
                 assert (_max_free_edges(n, lowers, mine, incumbent, room)
-                        == _max_free(n, closes, theirs, incumbent, room))
+                        == count_bound_max_free(n, closes, theirs, incumbent, room))
                 assert mine.left == theirs.left
 
 
 def test_max_free_depth_does_not_grow_with_n():
     n = 5000  # far beyond the interpreter's recursion limit
     budget = Budget(10 ** 6)
-    best, completed = _max_free(n, lambda i, chosen: False, budget)
+    best, completed = _max_free_edges(n, [{}] * n, budget, (), range(n, -1, -1))
     assert completed and best == tuple(range(n))
     assert budget.spent == 2 * n + 1
+
+
+@pytest.mark.parametrize("n, k", [(0, 3), (1, 3), (30, 3), (40, 4), (25, 5)])
+def test_greedy_is_the_first_fit_of_the_exact_progressions(n, k):
+    edges = [tuple(x - 1 for x in e) for e in enumerate_exact_aps(n, k)]
+    assert _greedy(n, k) == first_fit(n, edge_closes(n, edges))
 
 
 def _assert_capped_run_is_sound(out, full, cap, greedy, edges):
