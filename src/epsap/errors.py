@@ -13,6 +13,8 @@ class Budget:
     __slots__ = ("cap", "left")
 
     def __init__(self, cap: int):
+        if cap < 0:
+            raise ValueError(f"work cap must be >= 0, got {cap}")
         self.cap = cap
         self.left = cap
 

@@ -6,15 +6,17 @@ closed d interval of their prefix (geometry.narrowed, as the cube search
 does) and accepts a full tuple exactly when its open interval is nonempty,
 the exact recognizer's verdict, so pruned output equals naive output.
 On [N] the listing is translation invariant: |x_i - (a + i d)| < eps d holds
-for x and a exactly when it holds for x + t and a + t.  So the progressions
-starting at 1 (the shapes, _shapes) are searched once, and those starting at
-s are the shapes shifted by s - 1: enumerate_eps_aps shifts them to every
-start, and the ladders (_edges_by_max) read them mirrored.  Coloring and
-subset searches are plain backtracking with canonical tie-breaking, so
-results are deterministic; exact_W and exact_f count the listing in
-`nodes`.  Every free-set search is one include-first branch and bound on
-bit masks of chosen and blocked indices (_max_free_edges): the 1-D ladder
-runs it once per rung, and exact_f on m >= 2 once, over the listed cubes.
+for x and a exactly when it holds for x + t and a + t.  So each progression
+shape is searched once.  enumerate_eps_aps searches the progressions
+starting at 1 (the shapes, _shapes) and shifts them to every start.  The
+ladders (_edges_by_max) list rung n, the progressions of [n] ending at n, as
+rung n - 1 shifted up by one plus the spans of n, the progressions from 1 to
+n, searched with both ends fixed.  Coloring and subset searches are plain
+backtracking with canonical tie-breaking, so results are deterministic;
+exact_W and exact_f count the listing in `nodes`.  Every free-set search is
+one include-first branch and bound on bit masks of chosen and blocked
+indices (_max_free_edges): the 1-D ladder runs it once per rung, and exact_f
+on m >= 2 once, over the listed cubes.
 """
 
 from __future__ import annotations
@@ -62,26 +64,33 @@ class SearchOutcome:
     nodes: int
 
 
-def _eps_aps(candidates, k, eps, budget, head=()):
+def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
     """Lex-order stream of the approximate k-progressions among candidates.
 
     Each tuple starts with `head` (fewer than k points, below the
+    candidates) and, when `tail` is given, ends with it (a point above the
     candidates).  A prefix is pruned once its closed d interval is empty
-    (geometry.narrowed, with rows built once per level from the prefix); a
-    full tuple is yielded when the open interval is nonempty, which is the
-    exact recognizer's verdict.  Depth-first on an explicit stack of
-    candidate streams, one per level being filled; one budget unit per
-    node, the root included.
+    (geometry.narrowed, with rows built once per level from the prefix and
+    the tail, whose index offset is negative); a full tuple is yielded when
+    the open interval is nonempty, which is the exact recognizer's verdict.
+    Depth-first on an explicit stack of candidate streams, one per level
+    being filled; one budget unit per node, the root included.
     """
     p2, q = 2 * eps.numerator, eps.denominator
     candidates = tuple(candidates)  # indexed per candidate: faster than a range
     scaled = [(q * x,) for x in candidates]
     n, h = len(candidates), len(head)
+    last = k if tail is None else k - 1  # levels filled: h .. last - 1
     chosen = list(head) + [None] * (k - h)
+    if tail is not None:
+        chosen[-1] = tail
 
-    def rows(depth):  # the prefix against the point at index depth
-        return [(0, q * y, q * (depth - j) + p2, q * (depth - j) - p2)
-                for j, y in enumerate(chosen[:depth])]
+    def rows(depth):  # the prefix and the tail against the point at index depth
+        level = [(0, q * y, q * (depth - j) + p2, q * (depth - j) - p2)
+                 for j, y in enumerate(chosen[:depth])]
+        if tail is not None:
+            level.append((0, q * tail, q * (depth - last) + p2, q * (depth - last) - p2))
+        return level
 
     interval = (0, 1, None)
     for depth, x in enumerate(head):
@@ -90,7 +99,7 @@ def _eps_aps(candidates, k, eps, budget, head=()):
     def fits(start, depth, interval):  # indices that may fill level depth
         level = rows(depth)
         seen = False
-        for idx in range(start, n - (k - depth) + 1):
+        for idx in range(start, n - (last - depth) + 1):
             shrunk = narrowed(level, scaled[idx], *interval)
             if shrunk is not None:
                 seen = True
@@ -101,13 +110,19 @@ def _eps_aps(candidates, k, eps, budget, head=()):
                 return
 
     budget.spend()
+    if h == last:  # nothing to fill: head and tail are the whole tuple
+        if interval:
+            lo_n, lo_d, hi = interval
+            if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
+                yield tuple(chosen)
+        return
     stack = [fits(0, h, interval)] if interval else []
     while stack:
         depth = h + len(stack) - 1
         for idx, shrunk in stack[-1]:
             chosen[depth] = candidates[idx]
             budget.spend()
-            if depth + 1 < k:
+            if depth + 1 < last:
                 stack.append(fits(idx + 1, depth + 1, shrunk))
                 break
             lo_n, lo_d, hi = shrunk
@@ -250,14 +265,19 @@ def _good_coloring(N: int, r: int, by_max, budget):
 def _edges_by_max(k: int, eps, budget, first: int = 1):
     """The by_max stream of _good_coloring for approximate k-progressions.
 
-    For n = 1, 2, ...: those of [n] ending at n, without n, as the mirror
-    images (x -> n + 1 - x) of the ones starting at 1.  Elements are
-    numbered from `first`; 0 gives the ladder's indices.
+    For n = 1, 2, ...: those of [n] ending at n, without n, elements
+    numbered from `first` (0 gives the ladder's indices).  Such an edge
+    either starts at 1, a span of n, or is an edge of rung n - 1 shifted up
+    by one (the listing is translation invariant).  So each rung shifts the
+    previous one and adds the spans of n, found by one search with both
+    ends fixed; no progression is searched twice.
     """
+    rung = []
     for n in count(1):
-        top = n + first  # x -> n + 1 - x, renumbered
-        yield [tuple(top - x for x in reversed(s[1:]))
-               for s in _shapes(n, k, eps, budget)]
+        spans = _eps_aps(range(2, n), k, eps, budget, head=(1,), tail=n)
+        rung = [tuple(x + 1 for x in rest) for rest in rung]
+        rung += [tuple(x - 1 + first for x in s[:-1]) for s in spans]
+        yield rung
 
 
 def arrow_decision(N: int, k: int, r: int, eps,

@@ -230,21 +230,25 @@ CASES = [
     ('wnumber --k 3 --r 2 --eps 1/3 --nmax 20 --format csv', 0,
      'value,5\n', '', None),
     ('wnumber --k 3 --r 2 --eps 1/3 --nmax 20 --json', 0,
-     '{"command": "wnumber", "kind": "value", "nodes": 31, "value": 5, '
+     '{"command": "wnumber", "kind": "value", "nodes": 21, "value": 5, '
      '"witness_coloring": [1, 1, 2, 2]}\n', '', None),
     ('wnumber --k 3 --r 2 --eps 1/3 --nmax 3', 1,
      'lower_bound_only 3\ngood coloring of [3]: [1, 1, 2]\n', '', None),
     ('wnumber --k 3 --r 2 --eps 1/3 --nmax 3 --format csv', 1,
      'lower_bound_only,3\n', '', None),
     ('wnumber --k 3 --r 2 --eps 1/3 --nmax 3 --json', 1,
-     '{"command": "wnumber", "kind": "lower_bound_only", "nodes": 9, '
+     '{"command": "wnumber", "kind": "lower_bound_only", "nodes": 8, '
      '"value": 3, "witness_coloring": [1, 1, 2]}\n', '', None),
+    ('wnumber --k 3 --r 2 --eps 1/3 --nmax 20 --work-cap -1', 2,
+     '',
+     'error: work cap must be >= 0, got -1\n',
+     None),
     ('density --N 6 --k 3 --eps 1/10', 0,
      'value 4\nwitness: [1, 2, 4, 5]\n', '', None),
     ('density --N 6 --k 3 --eps 1/10 --format csv', 0,
      'value,4\n', '', None),
     ('density --N 6 --k 3 --eps 1/10 --json', 0,
-     '{"command": "density", "kind": "value", "nodes": 44, "value": 4, '
+     '{"command": "density", "kind": "value", "nodes": 30, "value": 4, '
      '"witness_set": [1, 2, 4, 5]}\n', '', None),
     ('density --N 12 --k 3 --eps 1/10 --work-cap 5', 1,
      'lower_bound_only 2\nwitness: [1, 2]\n', '', None),

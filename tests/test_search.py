@@ -21,7 +21,15 @@ from epsap.search import (
     find_eps_ap_in_points,
     max_exact_ap_free,
 )
-from epsap.search import _file_edge, _good_coloring, _greedy, _max_free_edges
+from epsap.search import (
+    _edges_by_max,
+    _eps_aps,
+    _file_edge,
+    _good_coloring,
+    _greedy,
+    _max_free_edges,
+    _shapes,
+)
 from oracles import (
     brute_force_cubes,
     count_bound_free_set,
@@ -86,6 +94,56 @@ def test_enumerate_equals_direct_listing(inputs):
     assert enumerate_eps_aps(N, k, eps).edges == direct_eps_aps_listing(N, k, eps)
 
 
+@st.composite
+def _span_inputs(draw):
+    k = draw(st.integers(2, 5))
+    den = draw(st.integers(3, 60))
+    eps = F(draw(st.integers(1, 9 * den // 20)), den)  # up to 9/20
+    return draw(st.integers(1, 30)), k, eps
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_span_inputs())
+@example((1, 2, F(1, 3)))  # the tail is the head
+@example((2, 2, F(9, 20)))  # nothing between the ends
+@example((30, 5, F(9, 20)))
+@example((30, 3, F(1, 60)))
+def test_spans_equal_direct_listing(inputs):
+    # both ends fixed: the progressions of [n] from 1 to n, in lex order
+    n, k, eps = inputs
+    spans = _eps_aps(range(2, n), k, eps, Budget(10 ** 9), head=(1,), tail=n)
+    assert tuple(spans) == tuple(e for e in direct_eps_aps_listing(n, k, eps)
+                                 if e[0] == 1 and e[-1] == n)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_span_inputs(), st.sampled_from((0, 1)))
+@example((30, 4, F(9, 20)), 0)
+@example((30, 2, F(1, 3)), 1)
+def test_edges_by_max_rungs_equal_direct_listing(inputs, first):
+    # rung n: the progressions of [n] ending at n, without n, numbered from first
+    N, k, eps = inputs
+    edges = direct_eps_aps_listing(N, k, eps)
+    for n, rung in zip(range(1, N + 1), _edges_by_max(k, eps, Budget(10 ** 9), first)):
+        assert sorted(rung) == [tuple(x - 1 + first for x in e[:-1])
+                                for e in edges if e[-1] == n]
+
+
+@pytest.mark.parametrize("k", (3, 4, 5))
+@pytest.mark.parametrize("eps", (F(1, 100), F(1, 10), F(1, 4), F(9, 20)))
+def test_rungs_search_no_more_than_one_shape_listing(k, eps):
+    # Rung n reuses rung n - 1 and searches only the spans of n, so N rungs
+    # cost about one search over the shapes of [N], plus one root per rung.
+    # A search of all of [n] at every rung exceeds this bound.
+    for N in (10, 20, 40):
+        rungs, shapes = Budget(10 ** 9), Budget(10 ** 9)
+        for _ in zip(range(N), _edges_by_max(k, eps, rungs)):
+            pass
+        for _ in _shapes(N, k, eps, shapes):
+            pass
+        assert rungs.spent <= shapes.spent + N, (N, rungs.spent, shapes.spent)
+
+
 def test_enumerate_edges_sorted_unique():
     h = enumerate_eps_aps(10, 3, F(1, 12))
     assert list(h.edges) == sorted(set(h.edges))
@@ -104,6 +162,18 @@ def test_enumerate_rejects_set_level_half():
 def test_enumerate_work_cap():
     with pytest.raises(SearchCapExceeded):
         enumerate_eps_aps(20, 4, F(1, 4), work_cap=50)
+
+
+def test_negative_work_cap_is_refused():
+    # refused, not answered as a capped run (lower_bound_only 0)
+    assert Budget(0).spent == 0
+    with pytest.raises(ValueError, match="work cap must be >= 0, got -1"):
+        Budget(-1)
+    for search_call in (lambda: exact_W(3, 2, F(1, 3), 20, work_cap=-1),
+                        lambda: exact_f(6, 1, 3, F(1, 10), work_cap=-1),
+                        lambda: enumerate_eps_aps(6, 3, F(1, 10), work_cap=-4)):
+        with pytest.raises(ValueError, match="work cap must be >= 0"):
+            search_call()
 
 
 def test_exact_aps_listing():
@@ -171,8 +241,8 @@ def test_find_search_tree_is_pinned(points, k, eps, nodes, hit):
 
 
 @pytest.mark.parametrize("k, r, eps, value, nodes", [
-    (3, 2, F(1, 3), 5, 31),
-    (4, 2, F(1, 5), 17, 1046),
+    (3, 2, F(1, 3), 5, 21),
+    (4, 2, F(1, 5), 17, 341),
 ])
 def test_w_search_tree_is_pinned(k, r, eps, value, nodes):
     out = _assert_spends_exactly(lambda work_cap: exact_W(k, r, eps, 60, work_cap),
@@ -191,9 +261,9 @@ def test_max_exact_ap_free_search_tree_is_pinned(N, k, nodes, witness):
 
 
 def test_f_search_tree_is_pinned():
-    # 487 of the nodes list the progressions ending at each n, rung by rung
+    # 61 of the nodes list the progressions ending at each n, rung by rung
     out = _assert_spends_exactly(lambda work_cap: exact_f(20, 1, 3, F(1, 10), work_cap),
-                                 1192)
+                                 766)
     assert (out.value, out.witness) == (8, (1, 2, 4, 5, 11, 12, 14, 15))
 
 
@@ -268,7 +338,9 @@ def test_w_lower_bound_only_when_capped():
 
 
 def test_w_cap_never_reports_value():
-    out = exact_W(3, 2, F(1, 3), 60, work_cap=30)
+    cap = 15
+    assert cap < exact_W(3, 2, F(1, 3), 60).nodes  # the cap cuts the search
+    out = exact_W(3, 2, F(1, 3), 60, work_cap=cap)
     assert out.kind == "lower_bound_only"
 
 
