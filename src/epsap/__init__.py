@@ -11,8 +11,6 @@ from .colorings import (
     build_blowup_1d,
     build_lower_bound_coloring,
     build_simple_r2_coloring,
-    excluded_difference_check,
-    lcm_range,
     lower_bound_params,
     verify_no_mono_ap,
 )
@@ -47,9 +45,7 @@ from .geometry import (
 from .search import (
     EpsApHypergraph,
     SearchOutcome,
-    arrow_decision,
     enumerate_eps_aps,
-    enumerate_exact_aps,
     exact_W,
     exact_f,
     find_eps_ap_in_points,

@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=geometry.DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(handler=_cmd_recognize_cube)
 
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
     p.add_argument("--one-based", action="store_true")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=colorings.BLOWUP_CAP)
     _add_common(p)
     p.set_defaults(handler=_cmd_construct_blowup)
     p = con_sub.add_parser("alternate", help="periodic +-1 block labeling")
@@ -425,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_parse_eps, required=True)
     p.add_argument("--alpha", type=_parse_eps, required=True,
                    help="density threshold as an exact rational p/q")
-    p.add_argument("--cap", type=int, default=200_000)
+    p.add_argument("--cap", type=int, default=density.CUBE_BLOWUP_CAP)
     p.add_argument("--out", help="write SET file here")
     _add_common(p)
     p.set_defaults(handler=_cmd_construct_cube_blowup)
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=geometry.DEFAULT_TOL)
     _add_common(p)
     p.set_defaults(handler=_cmd_verify_set)
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .errors import Budget, MemoryGuardExceeded
+from .errors import Budget, MemoryGuardExceeded, check_cap
 from .geometry import Witness1D, check_epsilon
 from .rational import ceil_frac, to_fraction
 
@@ -27,17 +27,16 @@ __all__ = [
     "MonochromeWitness",
     "build_blowup_1d",
     "build_alternate_labeling",
-    "excluded_difference_check",
     "build_simple_r2_coloring",
     "lower_bound_params",
     "hypothesis_threshold",
     "build_lower_bound_coloring",
     "verify_no_mono_ap",
-    "lcm_range",
 ]
 
 DEFAULT_EPS0 = Fraction(1, 1000)
 DEFAULT_MATERIALIZE_CAP = 50_000_000
+BLOWUP_CAP = 1_000_000  # the most elements build_blowup_1d materializes
 
 
 class Coloring:
@@ -136,12 +135,13 @@ class BlowupSpec:
         return [(i, tuple(sorted(w + i * step for w in prefix))) for i in range(self.k)]
 
 
-def build_blowup_1d(k: int, r: int, eps, cap: int = 1_000_000) -> BlowupSpec:
+def build_blowup_1d(k: int, r: int, eps, cap: int = BLOWUP_CAP) -> BlowupSpec:
     """The r-fold blow-up of {0..k-1} with scale t = ceil(k/eps).
 
     Element count k^r is capped; digit collisions (possible only for eps
     large enough that t < k) are rejected so |elements| = k^r always holds.
     """
+    check_cap(cap)
     if k < 2 or r < 1:
         raise ValueError(f"need k >= 2 and r >= 1, got k={k}, r={r}")
     e = check_epsilon(eps)
@@ -168,8 +168,8 @@ class AlternateLabeling:
     """Periodic +-1 labeling: r-1 blocks of +1 of length D, then one of -1.
 
     offset selects which of the r distinct phase shifts (in multiples of D)
-    is used.  The domain is [1, r*t*D]; label_at extends to arbitrary
-    rationals by the same period, matching the real-line definition.
+    is used.  The domain is [1, r*t*D]; label_at extends the labeling to
+    every integer by the same period.
     """
 
     r: int
@@ -181,16 +181,12 @@ class AlternateLabeling:
     def domain_size(self) -> int:
         return self.r * self.t * self.D
 
-    def label_at(self, y) -> int:
-        """Label of a point on the extended periodic labeling.
-
-        Uses the representative of y - offset*D in (0, r*D]: +1 on the first
-        (r-1)*D of each period, -1 on the last D.
-        """
-        yy = to_fraction(y) - self.offset * self.D
-        period = self.r * self.D
-        rep = yy - (ceil_frac(yy / period) - 1) * period  # in (0, period]
-        return 1 if rep <= (self.r - 1) * self.D else -1
+    def label_at(self, x: int) -> int:
+        """Label of an integer on the extended periodic labeling: +1 on the
+        first (r-1)*D of each period that starts at offset*D + 1, -1 on the
+        last D."""
+        rep = (x - 1 - self.offset * self.D) % (self.r * self.D)  # in [0, r*D)
+        return 1 if rep < (self.r - 1) * self.D else -1
 
     def label(self, x: int) -> int:
         if not 1 <= x <= self.domain_size:
@@ -211,28 +207,6 @@ def build_alternate_labeling(r: int, D: int, t: int, offset: int) -> AlternateLa
     if not 0 <= offset < r:
         raise ValueError(f"offset must be in 0..{r - 1}, got {offset}")
     return AlternateLabeling(r=r, D=D, t=t, offset=offset)
-
-
-def excluded_difference_check(d, r: int, D: int, delta) -> bool:
-    """True iff d avoids every interval ((i/q - delta)rD, (i/q + delta)rD).
-
-    Exact: d is inside the excluded set for denominator q iff the distance
-    from d*q/(r*D) to the nearest integer is strictly below q*delta.
-    """
-    if r < 1 or D < 1:
-        raise ValueError(f"need r >= 1 and D >= 1, got r={r}, D={D}")
-    dv = to_fraction(d)
-    dl = to_fraction(delta)
-    if dl <= 0:
-        raise ValueError(f"delta must be positive, got {dl}")
-    period = r * D
-    for q in range(1, r + 1):
-        z = dv * q / period
-        frac = z - (z.numerator // z.denominator)
-        dist = min(frac, 1 - frac)
-        if dist < q * dl:
-            return False
-    return True
 
 
 def build_simple_r2_coloring(k: int) -> Coloring:
@@ -373,6 +347,7 @@ def build_lower_bound_coloring(k: int, r: int, eps, eps0=DEFAULT_EPS0,
     result is function-backed; pass dense=True to materialize (guarded by
     cap, since n1 grows very fast).
     """
+    check_cap(cap)
     params = lower_bound_params(k, r, eps, eps0=eps0)
     palette = tuple(range(1, r + 1))
     coloring = Coloring(N=params.n1, r=r, fn=lambda x: _color_at(params, palette, x))
@@ -382,7 +357,7 @@ def build_lower_bound_coloring(k: int, r: int, eps, eps0=DEFAULT_EPS0,
 
 
 # ---------------------------------------------------------------------------
-# Verification and small number theory
+# Verification
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -416,9 +391,3 @@ def verify_no_mono_ap(coloring: Coloring, k: int, eps,
             return MonochromeWitness(color=c, points=hit, witness=recognize_ap(hit, e))
     return None
 
-
-def lcm_range(a: int, b: int) -> int:
-    """Exact lcm of {a, ..., b}."""
-    if not 1 <= a <= b:
-        raise ValueError(f"need 1 <= a <= b, got a={a}, b={b}")
-    return math.lcm(*range(a, b + 1))

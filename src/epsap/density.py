@@ -21,8 +21,9 @@ from itertools import product
 from typing import Optional
 
 from .colorings import DEFAULT_MATERIALIZE_CAP
-from .errors import Budget, MemoryGuardExceeded, SearchCapExceeded
+from .errors import Budget, MemoryGuardExceeded, SearchCapExceeded, check_cap
 from .geometry import (
+    DEFAULT_TOL,
     IndexedGrid,
     check_epsilon,
     check_points,
@@ -31,7 +32,7 @@ from .geometry import (
     recognize_cube,
 )
 from .rational import ceil_frac, floor_frac, to_fraction
-from .search import _greedy, max_exact_ap_free
+from .search import DEFAULT_WORK_CAP, _greedy, max_exact_ap_free
 
 __all__ = [
     "ApkFreeProvider",
@@ -68,6 +69,7 @@ class ApkFreeProvider:
 
 DEFAULT_PROVIDER = ApkFreeProvider()
 EXACT_CAP = 60  # the most elements the exact provider takes
+CUBE_BLOWUP_CAP = 200_000  # the most points build_cube_blowup materializes
 
 
 def _behrend3(n: int) -> tuple:
@@ -259,8 +261,9 @@ class CubeBlowupSpec:
 
 
 def build_cube_blowup(m: int, k: int, eps, alpha,
-                      cap: int = 200_000) -> CubeBlowupSpec:
+                      cap: int = CUBE_BLOWUP_CAP) -> CubeBlowupSpec:
     """Blow-up iterated r = ceil(log(1/alpha) / log(k^m/(k^m-1))) times."""
+    check_cap(cap)
     if m < 1 or k < 3:
         raise ValueError(f"need m >= 1 and k >= 3, got m={m}, k={k}")
     e = check_epsilon(eps)
@@ -362,8 +365,8 @@ def _check_grid_points(pts, m: int, N: int, name: str) -> tuple:
 # Cube search
 # ---------------------------------------------------------------------------
 
-def verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
-                     node_cap: int = 20_000_000) -> Optional[tuple]:
+def verify_cube_free(S, m: int, k: int, eps, tol: float = DEFAULT_TOL,
+                     node_cap: int = DEFAULT_WORK_CAP) -> Optional[tuple]:
     """First approximate cube found in S (lex order of assignments) as
     (grid, CubeDecision), or None: the first item of _cubes, on a fresh
     Budget(node_cap); SearchCapExceeded is raised once it is spent.

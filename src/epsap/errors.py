@@ -1,6 +1,7 @@
-"""Shared exception types and the work budget that raises one."""
+"""Shared exception types, the work budget that raises one, and the check
+of a materialize cap."""
 
-__all__ = ["SearchCapExceeded", "Budget", "MemoryGuardExceeded"]
+__all__ = ["SearchCapExceeded", "Budget", "MemoryGuardExceeded", "check_cap"]
 
 
 class SearchCapExceeded(RuntimeError):
@@ -32,3 +33,10 @@ class Budget:
 
 class MemoryGuardExceeded(RuntimeError):
     """Materializing an object would exceed its configured size cap."""
+
+
+def check_cap(cap: int) -> None:
+    """Refuse a negative materialize cap as bad input, before it can be
+    reported as a size limit."""
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, got {cap}")

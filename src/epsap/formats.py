@@ -2,11 +2,12 @@
 
 SET        optional '#' comment lines, then one point per line as m
            whitespace-separated base-10 integers, sorted lexicographically,
-           newline-terminated.
+           newline-terminated.  Read and written; the writer adds no
+           comments.
 COLORING   header '# N=<N> r=<r> eps=<p>/<q> k=<k>', then N lines, line i
-           holding the color of integer i.
+           holding the color of integer i.  Read and written.
 HYPERGRAPH header '# N=<N> k=<k> eps=<p>/<q>', then one edge per line as k
-           sorted integers.
+           sorted integers.  Written only, for external solvers.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "write_coloring",
     "read_coloring",
     "write_hypergraph",
-    "read_hypergraph",
     "fraction_json",
     "witness1d_json",
     "witness_md_json",
@@ -35,18 +35,15 @@ def eps_header(eps) -> str:
     return f"{e.numerator}/{e.denominator}"
 
 
-def write_set(points, comment: str = "") -> str:
+def write_set(points) -> str:
+    """The SET file of the points, one line each, in sorted order."""
     rows = sorted(tuple(p) for p in points)
-    lines = []
-    if comment:
-        for part in comment.splitlines():
-            lines.append(f"# {part}")
-    for row in rows:
-        lines.append(" ".join(str(c) for c in row))
-    return "\n".join(lines) + "\n"
+    return "\n".join(" ".join(str(c) for c in row) for row in rows) + "\n"
 
 
-def read_set(text: str, m: int = None) -> tuple:
+def read_set(text: str, m: int) -> tuple:
+    """The validated m-D points of a SET file (geometry.check_points), with
+    its '#' comment lines and blank lines skipped."""
     rows = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -57,10 +54,6 @@ def read_set(text: str, m: int = None) -> tuple:
         except ValueError as exc:
             raise ValueError(f"set file line {ln}: {raw!r} is not integers") from exc
         rows.append(row)
-    if m is None:
-        if not rows:
-            raise ValueError("empty set file needs an explicit dimension")
-        m = len(rows[0])
     return check_points(rows, m)
 
 
@@ -105,23 +98,6 @@ def write_hypergraph(h) -> str:
     head = f"# N={h.N} k={h.k} eps={eps_header(h.eps)}"
     body = "\n".join(" ".join(str(x) for x in edge) for edge in h.edges)
     return head + ("\n" + body if h.edges else "") + "\n"
-
-
-def read_hypergraph(text: str):
-    from .search import EpsApHypergraph
-
-    lines = text.splitlines()
-    n, k, eps = _read_header(lines, "hypergraph", {"N": int, "k": int, "eps": Fraction})
-    edges = []
-    for raw in lines[1:]:
-        line = raw.strip()
-        if not line:
-            continue
-        edge = tuple(int(tok) for tok in line.split())
-        if len(edge) != k or any(a >= b for a, b in zip(edge, edge[1:])):
-            raise ValueError(f"bad edge line {raw!r}: need {k} sorted integers")
-        edges.append(edge)
-    return EpsApHypergraph(N=n, k=k, eps=eps, edges=tuple(edges))
 
 
 def fraction_json(x: Fraction) -> dict:

@@ -66,6 +66,8 @@ __all__ = [
     "index_grid_points",
 ]
 
+DEFAULT_TOL = 1e-9  # the numeric cube verdicts' default tolerance
+
 
 class IndexingError(ValueError):
     """A point set cannot be unambiguously indexed as a grid."""
@@ -625,7 +627,7 @@ def _scale_interval(grid: IndexedGrid, eps: Fraction) -> Optional[tuple]:
     return lo, hi
 
 
-def recognize_cube(grid: IndexedGrid, eps, tol: float = 1e-9) -> CubeDecision:
+def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDecision:
     """Three-valued feasibility of an approximate cube witness.
 
     Three stages, each run only if the ones before it left the grid open:

@@ -27,7 +27,7 @@ from fractions import Fraction
 from itertools import count, product
 
 from .errors import Budget, SearchCapExceeded
-from .geometry import check_epsilon, check_points_1d, narrowed, recognize_ap
+from .geometry import DEFAULT_TOL, check_epsilon, check_points_1d, narrowed, recognize_ap
 # Not called here: the benchmark's tracer wraps them on this module by name.
 from .geometry import region_add_point, region_closed_empty  # noqa: F401
 
@@ -35,9 +35,7 @@ __all__ = [
     "EpsApHypergraph",
     "SearchOutcome",
     "enumerate_eps_aps",
-    "enumerate_exact_aps",
     "find_eps_ap_in_points",
-    "arrow_decision",
     "exact_W",
     "exact_f",
     "max_exact_ap_free",
@@ -164,17 +162,6 @@ def enumerate_eps_aps(N: int, k: int, eps,
     return EpsApHypergraph(N=N, k=k, eps=e, edges=tuple(edges))
 
 
-def enumerate_exact_aps(N: int, k: int) -> tuple:
-    """All exact k-term progressions inside [N], lex sorted."""
-    if N < 0 or k < 2:
-        raise ValueError(f"need N >= 0 and k >= 2, got N={N}, k={k}")
-    edges = []
-    for a in range(1, N + 1):
-        for d in range(1, (N - a) // (k - 1) + 1):
-            edges.append(tuple(a + i * d for i in range(k)))
-    return tuple(sorted(edges))
-
-
 def find_eps_ap_in_points(points, k: int, eps,
                           work_cap: int = DEFAULT_WORK_CAP):
     """Lex-first approximate k-progression among sorted candidate points.
@@ -278,28 +265,6 @@ def _edges_by_max(k: int, eps, budget, first: int = 1):
         rung = [tuple(x + 1 for x in rest) for rest in rung]
         rung += [tuple(x - 1 + first for x in s[:-1]) for s in spans]
         yield rung
-
-
-def arrow_decision(N: int, k: int, r: int, eps,
-                   work_cap: int = DEFAULT_WORK_CAP):
-    """Does every r-coloring of [N] contain a monochromatic edge?
-
-    Returns (True, None) when forced, else (False, good Coloring).  This is
-    the decision exact_W makes for every N up to its value; it is exposed so
-    minimality witnesses can be re-checked directly.
-    """
-    from .colorings import Coloring
-
-    if r < 1:
-        raise ValueError(f"need r >= 1, got r={r}")
-    budget = Budget(work_cap)
-    e = check_epsilon(eps, set_level=True)
-    good, completed = _good_coloring(N, r, _edges_by_max(k, e, budget), budget)
-    if not completed:
-        raise SearchCapExceeded(f"search work cap of {work_cap} nodes exceeded")
-    if len(good) < N:
-        return True, None
-    return False, Coloring.from_list(good, r=r)
 
 
 def exact_W(k: int, r: int, eps, n_max: int,
@@ -412,8 +377,10 @@ def _greedy(n: int, k: int) -> tuple:
     return tuple(x for x in range(n) if chosen[x])
 
 
-def _ladder(N: int, rests_ending_at, budget, greedy=None) -> SearchOutcome:
-    """Largest subset of [N] containing no edge, solving [1], [2], ..., [N] in turn.
+def _ladder(N: int, rests_ending_at, budget, greedy=None):
+    """Largest set of indices in range(N) containing no edge, solving [1],
+    [2], ..., [N] in turn; returns (indices, completed), as _max_free_edges
+    does.
 
     The edges must be translation invariant.  rests_ending_at(i) lists those
     whose largest index is i, without i, each in increasing order; it is
@@ -425,7 +392,7 @@ def _ladder(N: int, rests_ending_at, budget, greedy=None) -> SearchOutcome:
     bounded by n until it is solved.  greedy, the greedy set of [N] 0-based,
     is grown rung by rung when None; it is prefix consistent, so its part
     below n is rung n's incumbent.  All rungs share the budget, so `nodes`
-    counts every rung.  A capped run reports the greedy set, or a larger
+    counts every rung.  A capped run returns the greedy set, or a larger
     set found on the way.
     """
     lowers = []  # the edges by second largest index, see _max_free_edges
@@ -456,8 +423,7 @@ def _ladder(N: int, rests_ending_at, budget, greedy=None) -> SearchOutcome:
         completed = False
     if not completed:
         best = max(greedy, prev, best, key=len)
-    return SearchOutcome("value" if completed else "lower_bound_only", len(best),
-                         tuple(i + 1 for i in best), budget.spent)
+    return best, completed
 
 
 def max_exact_ap_free(N: int, k: int,
@@ -475,7 +441,10 @@ def max_exact_ap_free(N: int, k: int,
         return [tuple(range(i - (k - 1) * d, i, d))
                 for d in range(i // (k - 1), 0, -1)]
 
-    return _ladder(N, rests_ending_at, Budget(work_cap), _greedy(N, k))
+    budget = Budget(work_cap)
+    best, completed = _ladder(N, rests_ending_at, budget, _greedy(N, k))
+    return SearchOutcome("value" if completed else "lower_bound_only", len(best),
+                         tuple(i + 1 for i in best), budget.spent)
 
 
 def exact_f(N: int, m: int, k: int, eps,
@@ -490,37 +459,37 @@ def exact_f(N: int, m: int, k: int, eps,
     (density._cubes), each point set once, and one count-bound search
     follows.  One budget serves the listing and the search, so `nodes`
     counts both.  Hitting the cap yields lower_bound_only carrying the best
-    incumbent found so far, never a value: for m = 1, a cap hit while
-    listing rung n keeps the best set of [n - 1]; for m >= 2, at least the
-    first k^m - 1 points, too few for a cube.
+    incumbent found so far, never a value, and at least the first
+    min(N^m, k^m - 1) points of [N]^m, too few for a cube.
     """
     if N < 0 or m < 1 or k < 2:
         raise ValueError(f"need N >= 0, m >= 1, k >= 2, got {N}, {m}, {k}")
     budget = Budget(work_cap)
     if m == 1:
         e = check_epsilon(eps, set_level=True)
+        points = range(1, N + 1)
         by_max = _edges_by_max(k, e, budget, first=0)
         # the ladder asks for i = 0, 1, ... in turn, as by_max yields them
-        return _ladder(N, lambda _: next(by_max), budget)
+        best, completed = _ladder(N, lambda _: next(by_max), budget)
+    else:
+        from .density import _cubes  # density imports this module
 
-    from .density import _cubes  # density imports this module
-
-    e = check_epsilon(eps)
-    points = tuple(product(range(1, N + 1), repeat=m))
-    index = {p: i for i, p in enumerate(points)}
-    n = len(points)
-    best, completed = (), False
-    try:
-        # verify_cube_free's default tolerance; a set may fit two assignments
-        cubes = {tuple(sorted(map(index.__getitem__, grid.assignment.values())))
-                 for grid, _ in _cubes(points, m, k, e, 1e-9, budget)}
-        lowers = [{} for _ in points]
-        for cube in cubes:
-            _file_edge(lowers, cube[:-1], cube[-1])
-        best, completed = _max_free_edges(n, lowers, budget, (), range(n, -1, -1))
-    except SearchCapExceeded:  # raised by the listing
-        pass
-    if not completed:  # fewer than k^m points hold no cube
-        best = max(best, tuple(range(min(n, k ** m - 1))), key=len)
+        e = check_epsilon(eps)
+        points = tuple(product(range(1, N + 1), repeat=m))
+        index = {p: i for i, p in enumerate(points)}
+        n = len(points)
+        best, completed = (), False
+        try:
+            # a set may fit two assignments
+            cubes = {tuple(sorted(map(index.__getitem__, grid.assignment.values())))
+                     for grid, _ in _cubes(points, m, k, e, DEFAULT_TOL, budget)}
+            lowers = [{} for _ in points]
+            for cube in cubes:
+                _file_edge(lowers, cube[:-1], cube[-1])
+            best, completed = _max_free_edges(n, lowers, budget, (), range(n, -1, -1))
+        except SearchCapExceeded:  # raised by the listing
+            pass
+    if not completed:  # fewer than k^m points hold no cube (progression for m=1)
+        best = max(best, tuple(range(min(len(points), k ** m - 1))), key=len)
     return SearchOutcome("value" if completed else "lower_bound_only", len(best),
                          tuple(points[i] for i in best), budget.spent)

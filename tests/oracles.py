@@ -17,10 +17,13 @@ exact stages; it shares the enclosing ball and the witness type with it.
 The direct listing is the library's hypergraph enumeration before it shifted
 the progressions starting at 1: the library's lex stream, run over all of
 [N] and accepting by its own open-interval test.  The gap-ratio filter is a
-necessary condition for a 1-D progression that no library code calls.  The
-region scale interval is the cube recognizer's exact stage as it stood when
-every axis line was its own region of the library's 1-D region API; it
-shares the corner-pair bounds with the library.
+necessary condition for a 1-D progression that no library code calls, and
+so are the exact-progression listing, the excluded-difference test of the
+alternate labelings and the HYPERGRAPH reader: the library's former public
+functions of those names, kept here as test preconditions and reference
+listings.  The region scale interval is the cube recognizer's exact stage
+as it stood when every axis line was its own region of the library's 1-D
+region API; it shares the corner-pair bounds with the library.
 """
 
 import functools
@@ -44,7 +47,7 @@ from epsap.geometry import (
     region_add_point,
     region_new,
 )
-from epsap.search import _eps_aps
+from epsap.search import EpsApHypergraph, _eps_aps
 
 
 def _det3(m):
@@ -154,6 +157,41 @@ def naive_eps_ap_subsets(universe, k, eps, recognizer):
 def direct_eps_aps_listing(N: int, k: int, eps: Fraction) -> tuple:
     """Every approximate k-progression inside [N], searched start by start."""
     return tuple(_eps_aps(range(1, N + 1), k, eps, Budget(10 ** 9)))
+
+
+def enumerate_exact_aps(N: int, k: int) -> tuple:
+    """All exact k-term progressions inside [N], lex sorted."""
+    edges = []
+    for a in range(1, N + 1):
+        for d in range(1, (N - a) // (k - 1) + 1):
+            edges.append(tuple(a + i * d for i in range(k)))
+    return tuple(sorted(edges))
+
+
+def excluded_difference_check(d, r: int, D: int, delta) -> bool:
+    """True iff d avoids every interval ((i/q - delta)rD, (i/q + delta)rD).
+
+    Exact: d is inside the excluded set for denominator q iff the distance
+    from d*q/(r*D) to the nearest integer is strictly below q*delta.
+    """
+    dv, dl = Fraction(d), Fraction(delta)
+    period = r * D
+    for q in range(1, r + 1):
+        z = dv * q / period
+        frac = z - (z.numerator // z.denominator)
+        if min(frac, 1 - frac) < q * dl:
+            return False
+    return True
+
+
+def read_hypergraph(text: str) -> EpsApHypergraph:
+    """The hypergraph of a HYPERGRAPH file as the library writes it: a
+    '# N=<N> k=<k> eps=<p>/<q>' header, then one edge per line."""
+    head, *rows = text.splitlines()
+    fields = dict(tok.split("=") for tok in head.lstrip("#").split())
+    edges = tuple(tuple(int(x) for x in row.split()) for row in rows if row.strip())
+    return EpsApHypergraph(N=int(fields["N"]), k=int(fields["k"]),
+                           eps=Fraction(fields["eps"]), edges=edges)
 
 
 def gap_ratio_filter(points, eps) -> bool:

@@ -64,6 +64,10 @@ CASES = [
     ('construct blowup --k 3 --r 2 --eps 1/4 --one-based --json', 0,
      '{"command": "construct blowup", "diameter": 26, "elements": [1, 2, 3, '
      '13, 14, 15, 25, 26, 27], "k": 3, "r": 2, "t": 12}\n', '', None),
+    ('construct blowup --k 3 --r 2 --eps 1/10 --cap -1', 2,
+     '',
+     'error: cap must be >= 0, got -1\n',
+     None),
     ('construct alternate --r 2 --D 3 --t 2 --offset 1', 0,
      '-1 -1 -1 +1 +1 +1 -1 -1 -1 +1 +1 +1\n', '', None),
     ('construct alternate --r 2 --D 3 --t 2 --offset 1 --format csv', 0,
@@ -122,6 +126,10 @@ CASES = [
      '"k": 771, "n0": 192, "n1": 148992, "r": 2, "s": 2, "t": 97, "w": 4}, '
      '{"blocks": [], "k": 193, "n0": 0, "n1": 192, "r": 1, "s": 0, "t": 0, '
      '"w": 0}]}\n', '', None),
+    ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30 --cap -1', 2,
+     '',
+     'error: cap must be >= 0, got -1\n',
+     None),
     ('construct behrend --eps 1/125 --h 2', 0,
      'q = 5\nhead = [0, 1, 3, 4]\ntail = [2, 3]\nsize = 8\n'
      '2 3 7 8 17 18 22 23\n', '', None),
@@ -154,6 +162,10 @@ CASES = [
      '"r": 2, "size": 9, "t": 12}\n',
      '',
      b'0\n1\n2\n12\n13\n14\n24\n25\n26\n'),
+    ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2 --cap -1', 2,
+     '',
+     'error: cap must be >= 0, got -1\n',
+     None),
     ('construct product --set line.txt --m 2 --N 4', 0,
      '1 1\n1 2\n1 3\n1 4\n2 1\n2 2\n2 3\n2 4\n4 1\n4 2\n4 3\n4 4\n', '', None),
     ('construct product --set line.txt --m 2 --N 4 --format csv', 0,
@@ -256,6 +268,9 @@ CASES = [
      'lower_bound_only,2\n', '', None),
     ('density --N 12 --k 3 --eps 1/10 --work-cap 5 --json', 1,
      '{"command": "density", "kind": "lower_bound_only", "nodes": 5, '
+     '"value": 2, "witness_set": [1, 2]}\n', '', None),
+    ('density --N 12 --k 3 --eps 1/10 --work-cap 0 --json', 1,
+     '{"command": "density", "kind": "lower_bound_only", "nodes": 0, '
      '"value": 2, "witness_set": [1, 2]}\n', '', None),
     ('density --N 3 --m 2 --k 2 --eps 1/5', 0,
      'value 7\n'

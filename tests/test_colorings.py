@@ -11,14 +11,13 @@ from epsap.colorings import (
     build_blowup_1d,
     build_lower_bound_coloring,
     build_simple_r2_coloring,
-    excluded_difference_check,
-    lcm_range,
     lower_bound_params,
     verify_no_mono_ap,
 )
 from epsap.errors import MemoryGuardExceeded, SearchCapExceeded
 from epsap.geometry import recognize_ap
 from epsap.search import find_eps_ap_in_points
+from oracles import excluded_difference_check
 
 F = Fraction
 
@@ -104,6 +103,18 @@ def test_alternate_labeling_validation():
         build_alternate_labeling(1, 2, 2, 0)
     with pytest.raises(ValueError):
         build_alternate_labeling(2, 2, 2, 2)
+
+
+def test_label_at_is_the_periodic_extension():
+    # x is in the r-th block of length D of its period, counted from
+    # offset*D + 1, exactly when the label is -1; x <= 0 included.
+    for r in range(2, 6):
+        for D in range(1, 6):
+            for offset in range(r):
+                lab = build_alternate_labeling(r, D, 1, offset)
+                for x in range(-60, 120):
+                    block = math.ceil(F(x - offset * D, D))
+                    assert lab.label_at(x) == (-1 if block % r == 0 else 1), (r, D, x)
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +391,3 @@ def test_dblock_concentration_on_found_progressions():
             assert best * (r - 1) >= ell, (r, D, sub)
     assert found_any  # the property was exercised on real instances
 
-
-# ---------------------------------------------------------------------------
-# lcm
-# ---------------------------------------------------------------------------
-
-def test_lcm_examples():
-    assert lcm_range(1, 1) == 1
-    assert lcm_range(4, 6) == 60
-    assert lcm_range(1, 10) == 2520
-    assert lcm_range(6, 10) == lcm_range(1, 10)
-
-
-def test_lcm_validation():
-    with pytest.raises(ValueError):
-        lcm_range(3, 2)
-    with pytest.raises(ValueError):
-        lcm_range(0, 5)

@@ -9,13 +9,11 @@ from hypothesis import strategies as st
 
 from epsap.colorings import verify_no_mono_ap
 from epsap.errors import Budget, SearchCapExceeded
-from epsap.formats import read_hypergraph, write_hypergraph
+from epsap.formats import write_hypergraph
 from epsap.geometry import recognize_ap
 from epsap.search import (
     SearchOutcome,
-    arrow_decision,
     enumerate_eps_aps,
-    enumerate_exact_aps,
     exact_W,
     exact_f,
     find_eps_ap_in_points,
@@ -36,6 +34,7 @@ from oracles import (
     count_bound_max_free,
     direct_eps_aps_listing,
     edge_closes,
+    enumerate_exact_aps,
     first_fit,
     gap_ratio_filter,
     greedy_free_set,
@@ -43,6 +42,7 @@ from oracles import (
     lex_first_max_free_set,
     naive_eps_ap_subsets,
     per_n_least_forcing,
+    read_hypergraph,
     recursive_good_coloring,
 )
 
@@ -302,10 +302,7 @@ def test_w_value_witnesses_check_out():
     # (a) returned coloring of [value-1] is good
     assert out.witness.N == out.value - 1
     assert verify_no_mono_ap(out.witness, 3, F(1, 3)) is None
-    # (b) the decision procedure reports the forcing at N = value
-    forced, _ = arrow_decision(out.value, 3, 2, F(1, 3))
-    assert forced
-    # (c) independent exhaustive check over all colorings at value and value-1
+    # (b) independent exhaustive check over all colorings at value and value-1
     edges = enumerate_eps_aps(out.value, 3, F(1, 3)).edges
     for bits in range(2 ** out.value):
         classes = ([x + 1 for x in range(out.value) if bits >> x & 1],
@@ -537,6 +534,17 @@ def test_f_cap_while_listing_keeps_the_listed_prefix(cap, listed):
         "lower_bound_only", 4, (1, 2, 4, 5), cap)
     assert len(greedy) <= out.value
     assert not any(set(e) <= set(out.witness) for e in edges)
+
+
+@pytest.mark.parametrize("N, m, k, floor", [
+    (12, 1, 3, (1, 2)), (1, 1, 3, (1,)), (12, 1, 5, (1, 2, 3, 4)),
+    (3, 2, 2, ((1, 1), (1, 2), (1, 3)))])
+def test_f_cap_keeps_the_first_points_too_few_for_a_hit(N, m, k, floor):
+    # Fewer than k^m points hold no progression or cube, so a run capped
+    # before it lists anything still keeps the first min(N^m, k^m - 1).
+    out = exact_f(N, m, k, F(1, 10), work_cap=0)
+    assert (out.kind, out.value, out.witness, out.nodes) == (
+        "lower_bound_only", len(floor), floor, 0)
 
 
 @st.composite
