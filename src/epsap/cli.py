@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import colorings, density, formats, geometry, search
-from .errors import MemoryGuardExceeded, SearchCapExceeded
+from .errors import DEFAULT_WORK_CAP, MemoryGuardExceeded, SearchCapExceeded
 from .rational import format_fraction
 
 __all__ = ["main"]
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--work-cap", type=int, default=search.DEFAULT_WORK_CAP)
+    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
     _add_common(p)
     p.set_defaults(handler=_cmd_wnumber)
 
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit together with --exact-aps for the exact-progression case")
     p.add_argument("--exact-aps", action="store_true",
                    help="measure exact progressions instead (m=1 only)")
-    p.add_argument("--work-cap", type=int, default=search.DEFAULT_WORK_CAP)
+    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
     _add_common(p)
     p.set_defaults(handler=_cmd_density)
 
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
     p.add_argument("--out", help="write HYPERGRAPH file here")
-    p.add_argument("--work-cap", type=int, default=search.DEFAULT_WORK_CAP,
+    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP,
                    help="cap on the search nodes plus the listed edges")
     _add_common(p)
     p.set_defaults(handler=_cmd_hypergraph)

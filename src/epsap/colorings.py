@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Optional, Sequence
 
-from .errors import Budget, MemoryGuardExceeded, check_cap
+from .errors import DEFAULT_WORK_CAP, Budget, MemoryGuardExceeded, check_cap
 from .geometry import Witness1D, check_epsilon
 from .rational import ceil_frac, to_fraction
 
@@ -369,7 +369,7 @@ class MonochromeWitness:
 
 def verify_no_mono_ap(coloring: Coloring, k: int, eps,
                       cap: int = DEFAULT_MATERIALIZE_CAP,
-                      work_cap: int = 50_000_000) -> Optional[MonochromeWitness]:
+                      work_cap: int = DEFAULT_WORK_CAP) -> Optional[MonochromeWitness]:
     """Search every color class for an approximate progression.
 
     Returns the lexicographically smallest (color, point set) hit with its

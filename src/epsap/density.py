@@ -6,8 +6,10 @@ distinct digit; combined with progression-free digit alphabets this kills
 every approximate progression.  The cube blow-up and the translation
 averaging step are the two halves of the density upper bound machinery.
 The cube search (_cubes) prunes with the integer d interval update of the
-geometry module, the one the 1-D progression stream uses; verify_cube_free
-returns its first cube, and search.exact_f (m >= 2) lists them all.
+geometry module, the one the 1-D progression stream uses, and tries at each
+slot only the points inside the window that the axis-0 constraints allow;
+verify_cube_free returns its first cube, and search.exact_f (m >= 2) lists
+them all.
 """
 
 from __future__ import annotations
@@ -15,16 +17,23 @@ from __future__ import annotations
 import math
 import random
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Optional
 
 from .colorings import DEFAULT_MATERIALIZE_CAP
-from .errors import Budget, MemoryGuardExceeded, SearchCapExceeded, check_cap
+from .errors import (
+    DEFAULT_WORK_CAP,
+    Budget,
+    MemoryGuardExceeded,
+    SearchCapExceeded,
+    check_cap,
+)
 from .geometry import (
     DEFAULT_TOL,
-    IndexedGrid,
+    _trusted_grid,
     check_epsilon,
     check_points,
     check_tol,
@@ -32,7 +41,7 @@ from .geometry import (
     recognize_cube,
 )
 from .rational import ceil_frac, floor_frac, to_fraction
-from .search import DEFAULT_WORK_CAP, _greedy, max_exact_ap_free
+from .search import _greedy, max_exact_ap_free
 
 __all__ = [
     "ApkFreeProvider",
@@ -53,7 +62,7 @@ class ApkFreeProvider:
     """Source of k-progression-free subsets of an interval.
 
     modes: "exact" (maximum set by branch and bound, lex-smallest tie; the
-    search is capped by search.DEFAULT_WORK_CAP nodes and raises
+    search is capped by errors.DEFAULT_WORK_CAP nodes and raises
     SearchCapExceeded rather than return a set not known to be maximum),
     "behrend3" (sphere digit construction, k = 3 only), "greedy", or "auto"
     which picks exact up to EXACT_CAP elements, then behrend3 for k = 3,
@@ -393,11 +402,14 @@ def _cubes(points, m: int, k: int, e, tol: float, budget):
     assignment keeps the exact interval of scales d allowed by the
     per-axis box constraints |x_j - (a_j + d*v_j)| <= eps*d (a necessary
     consequence of the ball constraint), updated by geometry.narrowed; an
-    empty interval prunes.  Complete assignments are confirmed by the
-    numeric ball recognizer; only a 'feasible' verdict is yielded, so
-    boundary candidates are skipped.  A point set fitting several
-    assignments is yielded once per assignment.  Each node spends one unit
-    of `budget`, the root included.
+    empty interval prunes.  Only the points whose first coordinate lies in
+    the window that the axis-0 constraints allow over the current interval
+    are tried: `points` are sorted, so the window is a slice, found by
+    bisection, and every point outside it would empty the interval.
+    Complete assignments are confirmed by the numeric ball recognizer; only
+    a 'feasible' verdict is yielded, so boundary candidates are skipped.  A
+    point set fitting several assignments is yielded once per assignment.
+    Each node spends one unit of `budget`, the root included.
     """
     total = k ** m
     slots = sorted(product(range(k), repeat=m))
@@ -405,6 +417,7 @@ def _cubes(points, m: int, k: int, e, tol: float, budget):
     # Rows (axis, q*y_axis, a, c) of geometry.narrowed, over scaled points.
     p2, q = 2 * e.numerator, e.denominator
     scaled = [tuple(q * c for c in p) for p in points]
+    firsts = [x[0] for x in scaled]  # sorted, as points are
 
     assigned: list = []
     used: set = set()
@@ -419,9 +432,23 @@ def _cubes(points, m: int, k: int, e, tol: float, budget):
             for v2, _, y in assigned
             for axis, span in enumerate([q * (c - c2) for c, c2 in zip(v, v2)])
         ]
-        for p, x in zip(points, scaled):
+        # An axis-0 row (every m-th) c*d <= x_0 - y <= a*d met by some d in
+        # [lo, hi] puts x_0 in [y + min(c*lo, c*hi), y + a*hi]: a > 0, as
+        # slots come in lex order.  An end that needs hi stays open while
+        # hi is None.
+        lower, upper = -math.inf, math.inf
+        for _, y, a, c in rows[::m]:
+            if c >= 0:
+                lower = max(lower, y - (-c * lo_n // lo_d))
+            elif hi is not None:
+                lower = max(lower, y - (-c * hi[0] // hi[1]))
+            if hi is not None:
+                upper = min(upper, y + a * hi[0] // hi[1])
+        for i in range(bisect_left(firsts, lower), bisect_right(firsts, upper)):
+            p = points[i]
             if p in used:
                 continue
+            x = scaled[i]
             shrunk = narrowed(rows, x, lo_n, lo_d, hi)
             if shrunk is not None:
                 yield (v, p, x), shrunk
@@ -444,7 +471,8 @@ def _cubes(points, m: int, k: int, e, tol: float, budget):
         if len(assigned) < total:
             stack.append(fits(*shrunk))
             continue
-        grid = IndexedGrid(m=m, k=k, assignment={v: p for v, p, _ in assigned})
+        # the points are checked and the slots are {0..k-1}^m, filled once
+        grid = _trusted_grid(m, k, {v: p for v, p, _ in assigned})
         decision = recognize_cube(grid, e, tol=tol)
         if decision.status == "feasible":
             yield grid, decision

@@ -1,7 +1,10 @@
-"""Shared exception types, the work budget that raises one, and the check
-of a materialize cap."""
+"""Shared exception types, the work budget that raises one with its default
+cap, and the check of a materialize cap."""
 
-__all__ = ["SearchCapExceeded", "Budget", "MemoryGuardExceeded", "check_cap"]
+__all__ = ["SearchCapExceeded", "Budget", "DEFAULT_WORK_CAP", "MemoryGuardExceeded",
+           "check_cap"]
+
+DEFAULT_WORK_CAP = 20_000_000  # the default Budget of every search
 
 
 class SearchCapExceeded(RuntimeError):

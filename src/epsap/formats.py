@@ -50,7 +50,7 @@ def read_set(text: str, m: int) -> tuple:
         if not line or line.startswith("#"):
             continue
         try:
-            row = tuple(int(tok) for tok in line.split())
+            row = tuple(map(int, line.split()))
         except ValueError as exc:
             raise ValueError(f"set file line {ln}: {raw!r} is not integers") from exc
         rows.append(row)

@@ -36,12 +36,13 @@ explicit tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
-from operator import mul
+from operator import itemgetter, mul
 from typing import Mapping, Optional, Sequence
 
 from .rational import to_fraction
@@ -113,10 +114,20 @@ def check_points_1d(points) -> tuple:
     return pts
 
 
+class _Points(tuple):
+    """A point set that check_points returned: a sorted tuple of distinct
+    integer tuples of one length."""
+
+    __slots__ = ()
+
+
 def check_points(points, m: int) -> tuple:
     """Validate a set of integer m-tuples, bools excluded, and return it as
     a sorted tuple of distinct tuples; anything else is a one-line
-    ValueError naming a bad point."""
+    ValueError naming a bad point.  A set this function returned passes
+    again at once, so a set read at the boundary is checked only there."""
+    if type(points) is _Points and (not points or len(points[0]) == m):
+        return points
     pts = list(map(tuple, points))
     # One pass over the lengths and one over the coordinate types; a bad
     # point is looked up only once one is known to exist.
@@ -126,7 +137,7 @@ def check_points(points, m: int) -> tuple:
     if set(map(type, chain.from_iterable(pts))) - {int}:
         bad = next(p for p in pts if any(type(c) is not int for c in p))
         raise ValueError(f"points must be integer {m}-tuples, got {bad!r}")
-    return tuple(sorted(set(pts)))
+    return _Points(sorted(set(pts)))
 
 
 @dataclass(frozen=True)
@@ -395,11 +406,17 @@ def _circumsphere(boundary):
     return center, math.dist(center, p0)
 
 
-def _welzl_order(n: int) -> list:
-    """The default processing order: range(n) in a fixed-seed shuffle."""
+@functools.lru_cache(maxsize=16)
+def _welzl_shuffle(n: int) -> tuple:
     order = list(range(n))
     random.Random(_WELZL_SEED).shuffle(order)
-    return order
+    return tuple(order)
+
+
+def _welzl_order(n: int) -> list:
+    """The default processing order: range(n) in a fixed-seed shuffle,
+    shuffled once per n.  A fresh list, as _mtf_ball reorders it in place."""
+    return list(_welzl_shuffle(n))
 
 
 def _bound(radius: float) -> float:
@@ -483,6 +500,15 @@ class IndexedGrid:
 
     def items_in_index_order(self):
         return [(v, self.assignment[v]) for v in sorted(self.assignment)]
+
+
+def _trusted_grid(m: int, k: int, assignment: Mapping) -> IndexedGrid:
+    """An IndexedGrid built without __post_init__'s checks, for package code
+    whose assignment already maps {0..k-1}^m one to one onto checked
+    points."""
+    grid = object.__new__(IndexedGrid)
+    grid.__dict__.update(m=m, k=k, assignment=assignment)
+    return grid
 
 
 def _exact_eps(eps) -> Fraction:
@@ -743,7 +769,7 @@ def index_grid_points(point_set, m: int, k: int, eps) -> IndexedGrid:
     cluster = k ** (m - 1)
     index_of = {p: [] for p in pts}
     for axis in range(m):
-        order = sorted(pts, key=lambda p: (p[axis], p))
+        order = sorted(pts, key=itemgetter(axis))  # stable: pts is sorted
         coords = [p[axis] for p in order]
         for c in range(1, k):
             if coords[c * cluster - 1] == coords[c * cluster]:
@@ -757,4 +783,6 @@ def index_grid_points(point_set, m: int, k: int, eps) -> IndexedGrid:
     assignment = {tuple(idx): p for p, idx in index_of.items()}
     if len(assignment) != k ** m:
         raise IndexingError("per-axis clustering produced a non-injective indexing")
-    return IndexedGrid(m=m, k=k, assignment=assignment)
+    if m < 1 or k < 2:  # IndexedGrid's one check that the steps above leave
+        raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
+    return _trusted_grid(m, k, assignment)

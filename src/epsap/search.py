@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
 
-from .errors import Budget, SearchCapExceeded
+from .errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded
 from .geometry import DEFAULT_TOL, check_epsilon, check_points_1d, narrowed, recognize_ap
 # Not called here: the benchmark's tracer wraps them on this module by name.
 from .geometry import region_add_point, region_closed_empty  # noqa: F401
@@ -40,8 +40,6 @@ __all__ = [
     "exact_f",
     "max_exact_ap_free",
 ]
-
-DEFAULT_WORK_CAP = 20_000_000
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,9 @@ recursive algorithm with its own Gram-system solver.  The cube-search
 oracle keeps the library's earlier Fraction pruner and shares only the
 numeric recognizer that confirms a complete assignment; run on every
 k^m-subset of [N]^m, it lists the cubes the m-D free-set search avoids.  The
+unwindowed cube listing is the library's integer cube search as it stood
+before it windowed its candidates on axis 0: it tries every unused point at
+every slot, and shares the interval update and the recognizer.  The
 free-set and coloring oracles are the library's searches as they stood
 before they climbed a ladder over n: a branch and bound on [N] alone that
 asks a closes(i, chosen) callback at every node, and a coloring search
@@ -43,6 +46,7 @@ from epsap.geometry import (
     check_epsilon,
     check_points_1d,
     min_enclosing_ball,
+    narrowed,
     recognize_cube,
     region_add_point,
     region_new,
@@ -607,6 +611,56 @@ def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
         return None
 
     return recurse(0, Fraction(0), None)
+
+
+def unwindowed_cubes(points, m: int, k: int, e, tol: float, budget):
+    """Every approximate cube among `points` (distinct, sorted m-tuples), as
+    (grid, CubeDecision), in lex order of assignments: density._cubes with
+    every unused point tried at every slot, each node spending one unit of
+    `budget`, the root included."""
+    total = k ** m
+    slots = sorted(product(range(k), repeat=m))
+    p2, q = 2 * e.numerator, e.denominator
+    scaled = [tuple(q * c for c in p) for p in points]
+
+    assigned: list = []
+    used: set = set()
+
+    def fits(lo_n, lo_d, hi):
+        v = slots[len(assigned)]
+        rows = [
+            (axis, y[axis], span + p2, span - p2)
+            for v2, _, y in assigned
+            for axis, span in enumerate([q * (c - c2) for c, c2 in zip(v, v2)])
+        ]
+        for p, x in zip(points, scaled):
+            if p in used:
+                continue
+            shrunk = narrowed(rows, x, lo_n, lo_d, hi)
+            if shrunk is not None:
+                yield (v, p, x), shrunk
+
+    budget.spend()
+    stack = [fits(0, 1, None)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if assigned:
+                used.discard(assigned.pop()[1])
+            continue
+        slot, shrunk = step
+        assigned.append(slot)
+        used.add(slot[1])
+        budget.spend()
+        if len(assigned) < total:
+            stack.append(fits(*shrunk))
+            continue
+        grid = IndexedGrid(m=m, k=k, assignment={v: p for v, p, _ in assigned})
+        decision = recognize_cube(grid, e, tol=tol)
+        if decision.status == "feasible":
+            yield grid, decision
+        used.discard(assigned.pop()[1])
 
 
 @functools.cache

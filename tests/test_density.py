@@ -20,7 +20,7 @@ from epsap.density import (
     verify_cube_free,
 )
 from epsap.errors import Budget, MemoryGuardExceeded, SearchCapExceeded
-from epsap.geometry import IndexedGrid, recognize_ap, recognize_cube
+from epsap.geometry import IndexedGrid, check_points, narrowed, recognize_ap, recognize_cube
 from epsap.search import find_eps_ap_in_points
 import oracles
 from oracles import brute_force_cubes, fraction_verify_cube_free, has_exact_ap
@@ -381,6 +381,60 @@ def test_cube_search_matches_fraction_oracle(case):
     # Same hit, scale and residual, or the same error, after the same nodes.
     assert (_cube_search_outcome(verify_cube_free, density, *case)
             == _cube_search_outcome(fraction_verify_cube_free, oracles, *case))
+
+
+@st.composite
+def _cube_listing_inputs(draw):
+    """The cube search's inputs, or as many random points in a small box,
+    as the sorted distinct points a listing takes, with caps that stop some
+    listings and leave others whole."""
+    pts, m, k, eps, _ = draw(_cube_search_inputs())
+    if draw(st.booleans()):
+        box = st.integers(0, draw(st.integers(k, 3 * k)))
+        pts = draw(st.lists(st.tuples(*[box] * m), min_size=k ** m, max_size=k ** m + 6))
+    cap = draw(st.sampled_from([2, 10, 60, 400, 3000]))
+    return check_points(pts, m), m, k, eps, cap
+
+
+def _cube_listing(cubes, points, m, k, eps, cap):
+    """The (assignment, status) pairs a listing yields, then the error that
+    ends it, if any, with the nodes it spent."""
+    budget = Budget(cap)
+    out = []
+    try:
+        for grid, decision in cubes(points, m, k, eps, 1e-9, budget):
+            out.append((sorted(grid.assignment.items()), decision.status))
+    except Exception as exc:  # the caller compares type and message
+        out.append((type(exc), str(exc)))
+    return out, budget.spent
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_cube_listing_inputs())
+def test_cube_window_matches_unwindowed_listing(case):
+    # The axis-0 window skips only points the interval update would refuse,
+    # so the same cubes come out after the same nodes, capped or not.
+    assert (_cube_listing(density._cubes, *case)
+            == _cube_listing(oracles.unwindowed_cubes, *case))
+
+
+@pytest.mark.parametrize("m, N, nodes, calls", [
+    (3, 5, 852, 30_000),  # 80,206 calls unwindowed, 24,951 windowed
+    (2, 6, 139, 1_200),  # 2,970 unwindowed, 966 windowed
+])
+def test_cube_window_cuts_interval_updates(m, N, nodes, calls):
+    counted = []
+
+    def counting(*args):
+        counted.append(None)
+        return narrowed(*args)
+
+    budget = Budget(10 ** 6)
+    with mock.patch.object(density, "narrowed", counting):
+        hits = list(density._cubes(product_free_set([1, 2, 4, 5], m, N), m, 3,
+                                   F(1, 125), 1e-9, budget))
+    assert (hits, budget.spent) == ([], nodes)
+    assert len(counted) <= calls
 
 
 @pytest.mark.parametrize("N, m, k, eps, found, distinct", [

@@ -253,6 +253,19 @@ def test_cli_recognize_cube_from_file(tmp_path, capsys):
     assert payload["witness"]["certified"] is True
 
 
+def test_cli_recognize_cube_repeats_byte_for_byte(tmp_path, capsys):
+    # The ball search reorders its processing order in place; on this grid
+    # a call that started from the order a previous call left would print
+    # other last digits in the witness.
+    path = tmp_path / "grid.txt"
+    path.write_text(formats.write_set([(-5, 64), (-3, 25), (2, -4), (25, -2), (32, 63),
+                                       (35, 25), (59, 56), (60, 35), (64, 2)]))
+    argv = ("recognize", "cube", "--file", str(path), "--m", "2", "--k", "3",
+            "--eps", "1/5", "--json")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0 and run_cli(capsys, *argv) == first
+
+
 def test_cli_translate(tmp_path, capsys):
     a_path = tmp_path / "a.txt"
     x_path = tmp_path / "x.txt"

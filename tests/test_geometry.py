@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from epsap import density, geometry, search
+from epsap import cli, density, geometry, search
 from epsap.density import find_dense_translate, verify_cube_free
 from epsap.geometry import (
     IndexedGrid,
@@ -796,6 +796,62 @@ def test_point_sets_are_checked_before_any_search(call, message):
             mock.patch.object(search, "_eps_aps", _searched):
         with pytest.raises((ValueError, TypeError), match=message):
             call()
+
+
+_BAD_SQUARES = {
+    "duplicate": [(0, 0), (0, 10), (10, 0), (0, 0)],
+    "float": [(0.5, 0), (0, 10), (10, 0), (10, 10)],
+    "bool": [(False, 0), (0, 10), (10, 0), (10, 10)],
+    "dimension": [(0, 0, 0), (0, 10), (10, 0), (10, 10)],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_SQUARES))
+def test_public_grid_builders_check_their_points(bad):
+    # The package builds its grids unchecked from checked points; a caller
+    # of the public constructors still has every point checked.
+    pts = _BAD_SQUARES[bad]
+    with pytest.raises(ValueError):
+        IndexedGrid(m=2, k=2, assignment=dict(zip(product(range(2), repeat=2), pts)))
+    with pytest.raises(ValueError):
+        index_grid_points(pts, 2, 2, F(1, 4))
+
+
+def test_a_checked_set_is_checked_again_in_another_dimension():
+    square = geometry.check_points([(0, 0), (0, 10), (10, 0), (10, 10)], 2)
+    assert geometry.check_points(square, 2) is square
+    with pytest.raises(ValueError, match="is not 3-dimensional"):
+        geometry.check_points(square, 3)
+    with pytest.raises(ValueError, match="integer 2-tuples"):
+        geometry.check_points(tuple([(0.5, 0)]), 2)
+
+
+_BAD_SET_FILES = [
+    ("0 0\n0 10\n10 0\n10.0 10\n", "set file line 4: '10.0 10' is not integers"),
+    ("0 0\n0 10\n10 0\nTrue 10\n", "set file line 4: 'True 10' is not integers"),
+    ("0 0\n0 10\n10 0\n10 10 10\n", "point (10, 10, 10) is not 2-dimensional"),
+]
+
+
+# A repeated line is one point of a set, which only a grid of k^m points
+# refuses.
+@pytest.mark.parametrize("command, text, message", [
+    *[("recognize cube", *row) for row in _BAD_SET_FILES],
+    ("recognize cube", "0 0\n0 10\n10 0\n0 0\n", "expected 4 distinct points, got 3"),
+    *[("verify set", *row) for row in _BAD_SET_FILES],
+], ids=["cube-float", "cube-bool", "cube-dimension", "cube-duplicate",
+        "set-float", "set-bool", "set-dimension"])
+def test_cli_checks_set_files_before_any_search(tmp_path, capsys, command, text,
+                                                 message):
+    path = tmp_path / "grid.txt"
+    path.write_text(text)
+    argv = command.split() + ["--file", str(path), "--m", "2", "--k", "2",
+                              "--eps", "1/4"]
+    with mock.patch.object(density, "narrowed", _searched), \
+            mock.patch.object(geometry, "recognize_cube", _searched):
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
 
 def test_index_recovery_requires_disjoint_balls():

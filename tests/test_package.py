@@ -2,16 +2,19 @@
 used by the package itself, and the package root imports only names that
 their module lists in __all__, so a name deleted from one list and left in
 another is caught.  The 1-D region API is kept for callers outside the
-package only, so deleting it later touches no package code."""
+package only, so deleting it later touches no package code.  Every public
+search takes errors.DEFAULT_WORK_CAP as its default work cap."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import epsap
+from epsap.errors import DEFAULT_WORK_CAP
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(epsap.__path__)
                  if info.name != "__main__")
@@ -62,6 +65,20 @@ def test_every_public_name_is_used_in_the_package():
               for n in importlib.import_module(f"epsap.{name}").__all__
               if n not in used | UNCALLED_BY_DESIGN]
     assert unused == []
+
+
+def test_every_work_cap_defaults_to_the_shared_one():
+    defaults = {}
+    for name in MODULES:
+        module = importlib.import_module(f"epsap.{name}")
+        for fn_name in module.__all__:
+            fn = getattr(module, fn_name)
+            if inspect.isfunction(fn):
+                for param in inspect.signature(fn).parameters.values():
+                    if param.name in ("work_cap", "node_cap"):
+                        defaults[f"{name}.{fn_name}"] = param.default
+    assert "colorings.verify_no_mono_ap" in defaults
+    assert {fn for fn, cap in defaults.items() if cap != DEFAULT_WORK_CAP} == set()
 
 
 def test_package_calls_no_region_api():
