@@ -17,9 +17,12 @@ asks a closes(i, chosen) callback at every node, and a coloring search
 started afresh for every N; callers hand them the edges.
 The golden-section cube recognizer is the library's before it gained its
 exact stages; it shares the enclosing ball and the witness type with it.
-The direct listing is the library's hypergraph enumeration before it shifted
-the progressions starting at 1: the library's lex stream, run over all of
-[N] and accepting by its own open-interval test.  The gap-ratio filter is a
+The unwindowed progression stream is the library's 1-D lex stream as it
+stood before it windowed its candidates: it tries every remaining candidate
+at every level, and shares the interval update.  The direct listing is the
+library's hypergraph enumeration before it shifted the progressions
+starting at 1: that stream, run over all of [N] and accepting by its own
+open-interval test.  The gap-ratio filter is a
 necessary condition for a 1-D progression that no library code calls, and
 so are the exact-progression listing, the excluded-difference test of the
 alternate labelings and the HYPERGRAPH reader: the library's former public
@@ -51,7 +54,7 @@ from epsap.geometry import (
     region_add_point,
     region_new,
 )
-from epsap.search import EpsApHypergraph, _eps_aps
+from epsap.search import EpsApHypergraph
 
 
 def _det3(m):
@@ -158,9 +161,74 @@ def naive_eps_ap_subsets(universe, k, eps, recognizer):
     )
 
 
+def unwindowed_eps_aps(candidates, k, eps, budget, head=(), tail=None):
+    """Lex-order stream of the approximate k-progressions among candidates:
+    search._eps_aps with every remaining candidate tried at every level,
+    until one empties the interval after another has kept it.
+
+    Each tuple starts with `head` (fewer than k points, below the
+    candidates) and, when `tail` is given, ends with it (a point above the
+    candidates).  One budget unit per node, the root included.
+    """
+    p2, q = 2 * eps.numerator, eps.denominator
+    candidates = tuple(candidates)
+    scaled = [(q * x,) for x in candidates]
+    n, h = len(candidates), len(head)
+    last = k if tail is None else k - 1  # levels filled: h .. last - 1
+    chosen = list(head) + [None] * (k - h)
+    if tail is not None:
+        chosen[-1] = tail
+
+    def rows(depth):  # the prefix and the tail against the point at index depth
+        level = [(0, q * y, q * (depth - j) + p2, q * (depth - j) - p2)
+                 for j, y in enumerate(chosen[:depth])]
+        if tail is not None:
+            level.append((0, q * tail, q * (depth - last) + p2, q * (depth - last) - p2))
+        return level
+
+    interval = (0, 1, None)
+    for depth, x in enumerate(head):
+        interval = interval and narrowed(rows(depth), (q * x,), *interval)
+
+    def fits(start, depth, interval):  # indices that may fill level depth
+        level = rows(depth)
+        seen = False
+        for idx in range(start, n - (last - depth) + 1):
+            shrunk = narrowed(level, scaled[idx], *interval)
+            if shrunk is not None:
+                seen = True
+                yield idx, shrunk
+            elif seen:
+                # The x keeping the closed interval nonempty form an interval
+                # (projection of a convex set), and candidates increase.
+                return
+
+    budget.spend()
+    if h == last:  # nothing to fill: head and tail are the whole tuple
+        if interval:
+            lo_n, lo_d, hi = interval
+            if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
+                yield tuple(chosen)
+        return
+    stack = [fits(0, h, interval)] if interval else []
+    while stack:
+        depth = h + len(stack) - 1
+        for idx, shrunk in stack[-1]:
+            chosen[depth] = candidates[idx]
+            budget.spend()
+            if depth + 1 < last:
+                stack.append(fits(idx + 1, depth + 1, shrunk))
+                break
+            lo_n, lo_d, hi = shrunk
+            if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
+                yield tuple(chosen)
+        else:
+            stack.pop()
+
+
 def direct_eps_aps_listing(N: int, k: int, eps: Fraction) -> tuple:
     """Every approximate k-progression inside [N], searched start by start."""
-    return tuple(_eps_aps(range(1, N + 1), k, eps, Budget(10 ** 9)))
+    return tuple(unwindowed_eps_aps(range(1, N + 1), k, eps, Budget(10 ** 9)))
 
 
 def enumerate_exact_aps(N: int, k: int) -> tuple:
