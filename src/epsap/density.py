@@ -39,6 +39,7 @@ from .geometry import (
     check_tol,
     narrowed,
     recognize_cube,
+    window,
 )
 from .rational import ceil_frac, floor_frac, to_fraction
 from .search import _greedy, max_exact_ap_free
@@ -404,8 +405,9 @@ def _cubes(points, m: int, k: int, e, tol: float, budget):
     consequence of the ball constraint), updated by geometry.narrowed; an
     empty interval prunes.  Only the points whose first coordinate lies in
     the window that the axis-0 constraints allow over the current interval
-    are tried: `points` are sorted, so the window is a slice, found by
-    bisection, and every point outside it would empty the interval.
+    (geometry.window) are tried: `points` are sorted, so the window is a
+    slice, found by bisection, and every point outside it would empty the
+    interval.
     Complete assignments are confirmed by the numeric ball recognizer; only
     a 'feasible' verdict is yielded, so boundary candidates are skipped.  A
     point set fitting several assignments is yielded once per assignment.
@@ -432,18 +434,7 @@ def _cubes(points, m: int, k: int, e, tol: float, budget):
             for v2, _, y in assigned
             for axis, span in enumerate([q * (c - c2) for c, c2 in zip(v, v2)])
         ]
-        # An axis-0 row (every m-th) c*d <= x_0 - y <= a*d met by some d in
-        # [lo, hi] puts x_0 in [y + min(c*lo, c*hi), y + a*hi]: a > 0, as
-        # slots come in lex order.  An end that needs hi stays open while
-        # hi is None.
-        lower, upper = -math.inf, math.inf
-        for _, y, a, c in rows[::m]:
-            if c >= 0:
-                lower = max(lower, y - (-c * lo_n // lo_d))
-            elif hi is not None:
-                lower = max(lower, y - (-c * hi[0] // hi[1]))
-            if hi is not None:
-                upper = min(upper, y + a * hi[0] // hi[1])
+        lower, upper = window(rows[::m], lo_n, lo_d, hi)  # axis 0: every m-th row
         for i in range(bisect_left(firsts, lower), bisect_right(firsts, upper)):
             p = points[i]
             if p in used:

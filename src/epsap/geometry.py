@@ -19,7 +19,8 @@ the midrange of {x_i - i*d} at the smallest optimal d gives the intercept a.
 
 Every search prunes by the closed interval of scales d of a partial tuple
 or cube, kept the same way; `narrowed` is the one update of it, also for
-the axis lines of a grid.  The region_* functions wrap it for one
+the axis lines of a grid, and `window` bounds the coordinates of the
+candidates that can keep it nonempty.  The region_* functions wrap it for one
 progression at a time; nothing in the package calls them.
 
 The m-D recognizer settles almost every grid exactly.  A least-squares
@@ -305,6 +306,38 @@ def narrowed(rows, x, lo_n, lo_d, hi):
         if hi is not None and lo_n * hi[1] > hi[0] * lo_d:
             return None
     return lo_n, lo_d, hi
+
+
+def window(rows, lo_n, lo_d, hi):
+    """The scaled coordinates x[axis] that can keep [lo_n/lo_d, hi] nonempty
+    under the rows, as integer ends (lower, upper); an end that needs hi is
+    infinite while hi is None.
+
+    Row (axis, y, a, c) asks c*d <= x[axis] - y <= a*d, so some d in the
+    interval meets it only when x[axis] >= y + min(c*lo, c*hi) (ceil) and
+    x[axis] <= y + max(a*lo, a*hi) (floor).  `narrowed` empties the interval
+    on every x outside the window.
+    """
+    lower, upper = -math.inf, math.inf
+    hi_n, hi_d = hi or (None, None)
+    for _, y, a, c in rows:  # comparisons, not max and min: this runs per node
+        if c >= 0:
+            end = y - (-c * lo_n // lo_d)
+            if end > lower:
+                lower = end
+        elif hi is not None:
+            end = y - (-c * hi_n // hi_d)
+            if end > lower:
+                lower = end
+        if a <= 0:
+            end = y + a * lo_n // lo_d
+            if end < upper:
+                upper = end
+        elif hi is not None:
+            end = y + a * hi_n // hi_d
+            if end < upper:
+                upper = end
+    return lower, upper
 
 
 @dataclass(frozen=True, eq=False)

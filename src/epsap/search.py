@@ -1,10 +1,13 @@
 """Exact desk-scale searches: hypergraph enumeration, least forcing N, max free sets.
 
 Everything here is exhaustive and exact, on explicit stacks.  One lex-order
-stream (_eps_aps) lists approximate progressions: it prunes k-tuples by the
-closed d interval of their prefix (geometry.narrowed, as the cube search
-does) and accepts a full tuple exactly when its open interval is nonempty,
-the exact recognizer's verdict, so pruned output equals naive output.
+stream (_eps_aps) lists approximate progressions: each level tries only the
+candidates inside the window that the closed d interval of the prefix
+allows (geometry.window, as the cube search does), and every one outside it
+would empty that interval (geometry.narrowed).  Without a fixed tail every
+candidate tried becomes a node.  It accepts a full tuple exactly when its
+open interval is nonempty, the exact recognizer's verdict, so pruned output
+equals naive output.
 On [N] the listing is translation invariant: |x_i - (a + i d)| < eps d holds
 for x and a exactly when it holds for x + t and a + t.  So each progression
 shape is searched once.  enumerate_eps_aps searches the progressions
@@ -21,13 +24,14 @@ on m >= 2 once, over the listed cubes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
 
 from .errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded
-from .geometry import DEFAULT_TOL, check_epsilon, check_points_1d, narrowed, recognize_ap
+from .geometry import (DEFAULT_TOL, check_epsilon, check_points_1d, narrowed, recognize_ap,
+                       window)
 # Not called here: the benchmark's tracer wraps them on this module by name.
 from .geometry import region_add_point, region_closed_empty  # noqa: F401
 
@@ -65,16 +69,22 @@ def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
 
     Each tuple starts with `head` (fewer than k points, below the
     candidates) and, when `tail` is given, ends with it (a point above the
-    candidates).  A prefix is pruned once its closed d interval is empty
-    (geometry.narrowed, with rows built once per level from the prefix and
-    the tail, whose index offset is negative); a full tuple is yielded when
-    the open interval is nonempty, which is the exact recognizer's verdict.
-    Depth-first on an explicit stack of candidate streams, one per level
-    being filled; one budget unit per node, the root included.
+    candidates).  A level tries only the candidates inside the window that
+    its rows (built once per level from the prefix and the tail, whose
+    index offset is negative) allow over the prefix's closed d interval
+    (geometry.window): the candidates are sorted, so the window is a slice,
+    found by bisection at both ends, and every candidate outside it would
+    empty the interval.  Each candidate tried narrows the interval
+    (geometry.narrowed) and becomes a node when it stays nonempty; a full
+    tuple is yielded when the open interval is nonempty, which is the exact
+    recognizer's verdict.  Depth-first on an explicit stack of candidate
+    streams, one per level being filled and none for a level whose window
+    is empty; one budget unit per node, the root included.
     """
     p2, q = 2 * eps.numerator, eps.denominator
     candidates = tuple(candidates)  # indexed per candidate: faster than a range
-    scaled = [(q * x,) for x in candidates]
+    keys = [q * x for x in candidates]  # sorted, as candidates are
+    scaled = [(x,) for x in keys]
     n, h = len(candidates), len(head)
     last = k if tail is None else k - 1  # levels filled: h .. last - 1
     chosen = list(head) + [None] * (k - h)
@@ -92,18 +102,19 @@ def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
     for depth, x in enumerate(head):
         interval = interval and narrowed(rows(depth), (q * x,), *interval)
 
-    def fits(start, depth, interval):  # indices that may fill level depth
+    def fits(start, depth, interval):
+        """The indices from start on that may fill level depth, with the
+        interval each leaves, or None when the window holds none."""
         level = rows(depth)
-        seen = False
-        for idx in range(start, n - (last - depth) + 1):
-            shrunk = narrowed(level, scaled[idx], *interval)
-            if shrunk is not None:
-                seen = True
-                yield idx, shrunk
-            elif seen:
-                # The x keeping the closed interval nonempty form an interval
-                # (projection of a convex set), and candidates increase.
-                return
+        lower, upper = window(level, *interval)
+        # leave a candidate for each later level; bisect reads hi = -1 as len
+        stop = max(start, n - (last - depth) + 1)
+        begin = bisect_left(keys, lower, start, stop)
+        end = bisect_right(keys, upper, begin, stop)
+        if begin < end:
+            return ((idx, shrunk) for idx in range(begin, end)
+                    if (shrunk := narrowed(level, scaled[idx], *interval)) is not None)
+        return None
 
     budget.spend()
     if h == last:  # nothing to fill: head and tail are the whole tuple
@@ -112,15 +123,19 @@ def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
             if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
                 yield tuple(chosen)
         return
-    stack = [fits(0, h, interval)] if interval else []
+    tries = interval and fits(0, h, interval)
+    stack = [tries] if tries else []
     while stack:
         depth = h + len(stack) - 1
         for idx, shrunk in stack[-1]:
             chosen[depth] = candidates[idx]
             budget.spend()
             if depth + 1 < last:
-                stack.append(fits(idx + 1, depth + 1, shrunk))
-                break
+                tries = fits(idx + 1, depth + 1, shrunk)
+                if tries:
+                    stack.append(tries)
+                    break
+                continue
             lo_n, lo_d, hi = shrunk
             if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
                 yield tuple(chosen)

@@ -241,6 +241,17 @@ def test_cli_verify_set_catches_lattice(tmp_path, capsys):
     assert json.loads(out)["witness"]["witness"]["certified"] is True
 
 
+@pytest.mark.parametrize("k, hit", [(3, [-20, -10, -1]), (4, [-20, -10, -1, 11])])
+def test_cli_verify_set_finds_the_lex_first_hit_through_zero(tmp_path, capsys, k, hit):
+    # negative and zero coordinates: the candidate window rounds both ways
+    path = tmp_path / "set.txt"
+    path.write_text("".join(f"{x}\n" for x in (-20, -10, -1, 0, 1, 11)))
+    code, out, _ = run_cli(capsys, "verify", "set", "--file", str(path),
+                           "--m", "1", "--eps", "1/10", "--k", str(k))
+    assert code == 1
+    assert out.strip() == f"contains approximate structure: {hit}"
+
+
 def test_cli_recognize_cube_from_file(tmp_path, capsys):
     path = tmp_path / "grid.txt"
     path.write_text(formats.write_set(

@@ -2,15 +2,17 @@ import tracemalloc
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from epsap.colorings import verify_no_mono_ap
+from epsap import search
+from epsap.colorings import build_simple_r2_coloring, verify_no_mono_ap
 from epsap.errors import Budget, SearchCapExceeded
 from epsap.formats import write_hypergraph
-from epsap.geometry import recognize_ap
+from epsap.geometry import narrowed, recognize_ap
 from epsap.search import (
     SearchOutcome,
     enumerate_eps_aps,
@@ -44,6 +46,7 @@ from oracles import (
     per_n_least_forcing,
     read_hypergraph,
     recursive_good_coloring,
+    unwindowed_eps_aps,
 )
 
 F = Fraction
@@ -127,6 +130,48 @@ def test_edges_by_max_rungs_equal_direct_listing(inputs, first):
     for n, rung in zip(range(1, N + 1), _edges_by_max(k, eps, Budget(10 ** 9), first)):
         assert sorted(rung) == [tuple(x - 1 + first for x in e[:-1])
                                 for e in edges if e[-1] == n]
+
+
+@st.composite
+def _stream_inputs(draw):
+    """Sparse sorted points in [-60, 60], split into a head, the candidates
+    and an optional tail, with k in 2..6, eps < 1/2 and a work cap."""
+    k = draw(st.integers(2, 6))
+    den = draw(st.integers(3, 80))
+    eps = F(draw(st.integers(1, (den - 1) // 2)), den)
+    size = draw(st.integers(0, 40))
+    points = sorted(draw(st.sets(st.integers(-60, 60), min_size=size, max_size=size)))
+    tail = points.pop() if points and draw(st.booleans()) else None
+    last = k if tail is None else k - 1
+    h = draw(st.integers(0, min(last, len(points))))
+    cap = draw(st.sampled_from([5000, 600, 100, 20, 5, 2, 1]))
+    return tuple(points[h:]), k, eps, cap, tuple(points[:h]), tail
+
+
+def _stream(stream, candidates, k, eps, cap, head, tail):
+    """The tuples a stream yields, then the error that ends it, if any, with
+    the nodes it spent."""
+    budget = Budget(cap)
+    out = []
+    try:
+        out.extend(stream(candidates, k, eps, budget, head, tail))
+    except SearchCapExceeded as exc:
+        out.append((type(exc), str(exc)))
+    return out, budget.spent
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_stream_inputs())
+@example(((-20, -10, -1, 0, 1, 11), 3, F(1, 10), 5000, (), None))
+@example(((0,), 3, F(1, 3), 1, (), None))  # fewer candidates than levels
+@example(((), 2, F(1, 3), 1, (-1,), 0))  # nothing between the ends
+# a node on the tail's lower end, then on its upper end
+@example(((-30, -10, 20), 5, F(1, 6), 5000, (-60,), 60))
+@example(((-41, 15, 47), 4, F(3, 8), 5000, (), 55))
+def test_window_matches_unwindowed_stream(case):
+    # The window skips only candidates the interval update would refuse, so
+    # the same tuples come out after the same nodes, capped or not.
+    assert _stream(_eps_aps, *case) == _stream(unwindowed_eps_aps, *case)
 
 
 @pytest.mark.parametrize("k", (3, 4, 5))
@@ -238,6 +283,26 @@ def test_find_search_tree_is_pinned(points, k, eps, nodes, hit):
     else:
         subset, w = found
         assert (subset, (w.a, w.d, w.margin)) == hit
+
+
+def test_window_cuts_interval_updates():
+    # Every candidate the window lets through becomes a node; the
+    # unwindowed stream made 458,412 narrowed calls here.
+    counted = []
+
+    def counting(*args):
+        counted.append(None)
+        return narrowed(*args)
+
+    coloring = build_simple_r2_coloring(20)
+
+    def verify(work_cap):
+        return verify_no_mono_ap(coloring, 20, F(1, 100), work_cap=work_cap)
+
+    with mock.patch.object(search, "narrowed", counting):
+        assert verify(10 ** 6) is None
+    assert len(counted) <= 25_000
+    _assert_spends_exactly(verify, 24_544)
 
 
 @pytest.mark.parametrize("k, r, eps, value, nodes", [
