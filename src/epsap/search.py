@@ -18,8 +18,12 @@ n, searched with both ends fixed.  Coloring and subset searches are plain
 backtracking with canonical tie-breaking, so results are deterministic;
 exact_W and exact_f count the listing in `nodes`.  Every free-set search is
 one include-first branch and bound on bit masks of chosen and blocked
-indices (_max_free_edges): the 1-D ladder runs it once per rung, and exact_f
-on m >= 2 once, over the listed cubes.
+indices (_max_free_edges): exact_f on m >= 2 runs it once, over the listed
+cubes, with the count bound.  The 1-D ladder (_ladder) runs it once per
+rung as a decision: f(n) is f(n - 1) or f(n - 1) + 1, so rung n asks
+whether [n] holds a free set of f(n - 1) + 1 points, and stops at the
+first one, the lex-first.  Its bounds force both ends of [n] into such a
+set.
 """
 
 from __future__ import annotations
@@ -317,8 +321,13 @@ def _max_free_edges(n: int, lowers, budget, incumbent, room):
     are replaced only on strict improvement, and a branch is pruned when it
     cannot strictly improve, so the lex-first optimum survives.  room[i]
     bounds how many of the indices i..n-1 a free set can hold, and room[n]
-    is 0.  Returns (indices, completed); a capped search returns the best
-    set found so far.
+    is 0.  room[0] may be a target rather than the count: the search stops
+    at the first leaf that reaches it, in include-first order the lex-first
+    set of that size.  room[1] must also bound the indices 0..n-2 (it does
+    for translation invariant edges, and for the count bound), so once it
+    cannot beat the incumbent, index n-1 is forced: an include that blocks
+    n-1 is pruned at once.  Returns (indices, completed); a capped search
+    returns the best set found so far.
 
     Each edge, of two or more indices, is filed under its second largest
     index j (_file_edge): lowers[j] maps the bit mask of the edge's indices
@@ -333,6 +342,7 @@ def _max_free_edges(n: int, lowers, budget, incumbent, room):
     """
     best = tuple(incumbent)
     best_size = len(best)
+    last = 1 << n >> 1  # the bit of index n - 1 (0 when n is 0)
     left = budget.left
     i = size = chosen = blocked = 0  # chosen and blocked are index bit masks
     stack = []  # (node, size, chosen, blocked) of the exclude branches to visit
@@ -346,16 +356,21 @@ def _max_free_edges(n: int, lowers, budget, incumbent, room):
         if size + room[i] > best_size:
             if i < n:
                 if not blocked >> i & 1:
-                    push((i + 1, size, chosen, blocked))
+                    grown = blocked
                     for below, tops in lowers[i]:
                         if chosen & below == below:
-                            blocked |= tops
-                    chosen |= 1 << i
-                    size += 1
+                            grown |= tops
+                    if not (grown & last and room[1] <= best_size):
+                        push((i + 1, size, chosen, blocked))
+                        chosen |= 1 << i
+                        blocked = grown
+                        size += 1
                 i += 1
                 continue
             best_size = size  # a leaf not pruned: room[n] is 0, so it improves
             best = tuple(j for j in range(n) if chosen >> j & 1)
+            if size >= room[0]:
+                break
         if not stack:
             break
         i, size, chosen, blocked = pop()
@@ -390,31 +405,34 @@ def _greedy(n: int, k: int) -> tuple:
     return tuple(x for x in range(n) if chosen[x])
 
 
-def _ladder(N: int, rests_ending_at, budget, greedy=None):
-    """Largest set of indices in range(N) containing no edge, solving [1],
-    [2], ..., [N] in turn; returns (indices, completed), as _max_free_edges
-    does.
+def _ladder(N: int, rests_ending_at, budget):
+    """Largest set of indices in range(N) containing no edge, lex-first
+    among ties, solving [1], [2], ..., [N] in turn; returns (indices,
+    completed), as _max_free_edges does.
 
     The edges must be translation invariant.  rests_ending_at(i) lists those
     whose largest index is i, without i, each in increasing order; it is
     called once per i, when rung i + 1 is reached, and may spend the budget.
-    Each rung is one _max_free_edges search.  In rung n the indices
+    The greedy set is grown as the edges are filed.  In rung n the indices
     i..n-1 are a translate of [n - i], so they hold at most f(n - i) chosen
     points, the value of an earlier rung (the suffix bound of Gasarch, Glenn
-    and Kruskal, "Finding large 3-free sets I", 2008); rung n's own f(n) is
-    bounded by n until it is solved.  greedy, the greedy set of [N] 0-based,
-    is grown rung by rung when None; it is prefix consistent, so its part
-    below n is rung n's incumbent.  All rungs share the budget, so `nodes`
-    counts every rung.  A capped run returns the greedy set, or a larger
-    set found on the way.
+    and Kruskal, "Finding large 3-free sets I", 2008).  f(n) is f(n - 1) or
+    f(n - 1) + 1, so rung n is one _max_free_edges search that decides
+    whether [n] holds a free set of f(n - 1) + 1 points: room[0] is that
+    size, the incumbent is the previous rung's set (or the greedy set of
+    [n], when that already answers yes), and the search stops at its first
+    leaf of that size, the lex-first.  room[1] = f(n - 1) then forces index
+    0 into the set and, as [n - 1] is a translate of the indices 1..n-1,
+    index n - 1 too.  When rung N answers no, the witness is the first leaf
+    of size f(N): the greedy set when it is that large, or else the find of
+    a second search seeded with it, with f(N) as room[0].  All searches
+    share the budget, so `nodes` counts every rung.  A capped run returns
+    the greedy set of the rungs reached, or a larger set found on the way.
     """
     lowers = []  # the edges by second largest index, see _max_free_edges
-    grow = greedy is None
-    if grow:
-        greedy = []
-    in_greedy = 0  # the bit mask of the greedy set grown so far
+    greedy, in_greedy = [], 0  # the greedy set grown so far, and its bit mask
     f = [0]  # f[n]: the largest free subset of [n], for the rungs solved
-    prev, best, completed = (), (), True
+    best, completed = (), True  # best: a largest free set of the last rung
     try:
         for n in range(1, N + 1):
             lowers.append({})
@@ -422,30 +440,38 @@ def _ladder(N: int, rests_ending_at, budget, greedy=None):
             for rest in rests_ending_at(n - 1):
                 full = _file_edge(lowers, rest, n - 1)
                 closed = closed or in_greedy & full == full
-            if grow and not closed:
+            if not closed:
                 greedy.append(n - 1)
                 in_greedy |= 1 << (n - 1)
-            f.append(n)
-            prev = best
+            f.append(f[-1] + 1)  # room[0] of rung n: the one size it asks for
             best, completed = _max_free_edges(n, lowers, budget,
-                                              greedy[:bisect_left(greedy, n)], f[::-1])
+                                              max(best, tuple(greedy), key=len), f[::-1])
             if not completed:
                 break
             f[n] = len(best)
     except SearchCapExceeded:  # raised by the listing, between rungs
         completed = False
+    if completed and N and f[N] == f[N - 1]:  # rung N answered no
+        if len(greedy) == f[N]:
+            best = tuple(greedy)
+        else:
+            found, completed = _max_free_edges(N, lowers, budget, greedy, f[::-1])
+            if completed:
+                best = found
     if not completed:
-        best = max(greedy, prev, best, key=len)
+        best = max(tuple(greedy), best, key=len)
     return best, completed
 
 
 def max_exact_ap_free(N: int, k: int,
                       work_cap: int = DEFAULT_WORK_CAP) -> SearchOutcome:
-    """Largest subset of [N] with no exact k-term progression.
+    """Largest subset of [N] with no exact k-term progression (see _ladder).
 
-    The progressions ending at each element are listed only when the search
-    reaches it, and the greedy incumbent needs none, so a capped search holds
-    O(N) memory plus the progressions of the rungs it reached.
+    The progressions ending at each element are listed, free of charge, only
+    when the search reaches it, and the greedy incumbent is grown from them,
+    so a capped search holds and does only the work of the rungs it
+    reached.  It keeps at least the first k - 1 points, too few for a
+    progression.
     """
     if N < 0 or k < 2:
         raise ValueError(f"need N >= 0 and k >= 2, got N={N}, k={k}")
@@ -455,7 +481,9 @@ def max_exact_ap_free(N: int, k: int,
                 for d in range(i // (k - 1), 0, -1)]
 
     budget = Budget(work_cap)
-    best, completed = _ladder(N, rests_ending_at, budget, _greedy(N, k))
+    best, completed = _ladder(N, rests_ending_at, budget)
+    if not completed:  # fewer than k points hold no progression
+        best = max(best, tuple(range(min(N, k - 1))), key=len)
     return SearchOutcome("value" if completed else "lower_bound_only", len(best),
                          tuple(i + 1 for i in best), budget.spent)
 
@@ -465,15 +493,15 @@ def exact_f(N: int, m: int, k: int, eps,
     """Largest subset of [N]^m with no approximate cube (progression for m=1).
 
     Branch and bound in lex element order (_max_free_edges).  For m = 1 it
-    climbs the rungs [1], ..., [N] with the suffix bound (see _ladder),
-    seeded with the greedy set, listing the progressions ending at n on
-    reaching rung n, as exact_W does.  The cube order of m >= 2 is not
-    translation invariant, so there every cube of [N]^m is listed first
-    (density._cubes), each point set once, and one count-bound search
-    follows.  One budget serves the listing and the search, so `nodes`
-    counts both.  Hitting the cap yields lower_bound_only carrying the best
-    incumbent found so far, never a value, and at least the first
-    min(N^m, k^m - 1) points of [N]^m, too few for a cube.
+    climbs the rungs [1], ..., [N], one decision each (see _ladder),
+    listing the progressions ending at n on reaching rung n, as exact_W
+    does.  The cube order of m >= 2 is not translation invariant, so there
+    every cube of [N]^m is listed first (density._cubes), each point set
+    once, and one count-bound search follows.  One budget serves the
+    listing and the search, so `nodes` counts both.  Hitting the cap yields
+    lower_bound_only carrying the best incumbent found so far, never a
+    value, and at least the first min(N^m, k^m - 1) points of [N]^m, too
+    few for a cube.
     """
     if N < 0 or m < 1 or k < 2:
         raise ValueError(f"need N >= 0, m >= 1, k >= 2, got {N}, {m}, {k}")

@@ -394,9 +394,11 @@ def count_bound_max_free(n, closes, budget, incumbent=None, room=None):
     strict improvement, and a branch is pruned when it cannot strictly
     improve, so the lex-first optimum survives.  room[i] bounds how many of
     the indices i..n-1 a free set can hold; by default it is their count
-    (the count bound).  An explicit stack keeps the Python depth constant.
-    Returns (indices, completed); a capped search returns the best set found
-    so far.
+    (the count bound).  The search stops at the first leaf that reaches
+    room[0], and once room[1] cannot beat the best set, an include after
+    which n - 1 would close an edge is skipped.  An explicit stack keeps
+    the Python depth constant.  Returns (indices, completed); a capped
+    search returns the best set found so far.
     """
     if room is None:
         room = range(n, -1, -1)
@@ -418,10 +420,15 @@ def count_bound_max_free(n, closes, budget, incumbent=None, room=None):
             if i == n:
                 best_size = size
                 best = tuple(j for j in range(n) if chosen[j])
+                if size >= room[0]:
+                    break
                 continue
             stack.append(i + 1)
             if not closes(i, chosen):
                 chosen[i] = True
+                if room[1] <= best_size and closes(n - 1, chosen):
+                    chosen[i] = False
+                    continue
                 size += 1
                 stack.append(~i)
                 stack.append(i + 1)

@@ -260,7 +260,7 @@ CASES = [
     ('density --N 6 --k 3 --eps 1/10 --format csv', 0,
      'value,4\n', '', None),
     ('density --N 6 --k 3 --eps 1/10 --json', 0,
-     '{"command": "density", "kind": "value", "nodes": 30, "value": 4, '
+     '{"command": "density", "kind": "value", "nodes": 24, "value": 4, '
      '"witness_set": [1, 2, 4, 5]}\n', '', None),
     ('density --N 12 --k 3 --eps 1/10 --work-cap 5', 1,
      'lower_bound_only 2\nwitness: [1, 2]\n', '', None),
@@ -276,7 +276,7 @@ CASES = [
      'value 7\n'
      'witness: [(1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)]\n', '', None),
     ('density --N 9 --k 3 --exact-aps --json', 0,
-     '{"command": "density", "kind": "value", "nodes": 108, "value": 5, '
+     '{"command": "density", "kind": "value", "nodes": 60, "value": 5, '
      '"witness_set": [1, 2, 4, 8, 9]}\n', '', None),
     ('density --N 6 --k 3', 2,
      '',

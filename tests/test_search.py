@@ -1,5 +1,5 @@
+import time
 import tracemalloc
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
@@ -316,8 +316,10 @@ def test_w_search_tree_is_pinned(k, r, eps, value, nodes):
 
 
 @pytest.mark.parametrize("N, k, nodes, witness", [
-    (25, 3, 11208, (1, 2, 4, 10, 11, 14, 15, 22, 23, 25)),
-    (24, 5, 11713, (1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 18, 20, 21, 22, 24)),
+    (25, 3, 5298, (1, 2, 4, 10, 11, 14, 15, 22, 23, 25)),
+    (24, 5, 6370, (1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 18, 20, 21, 22, 24)),
+    # 52,979 nodes when every rung was solved as a full optimisation
+    (35, 3, 21446, (1, 2, 4, 8, 9, 11, 19, 22, 23, 26, 28, 31, 32)),
 ])
 def test_max_exact_ap_free_search_tree_is_pinned(N, k, nodes, witness):
     out = _assert_spends_exactly(lambda work_cap: max_exact_ap_free(N, k, work_cap),
@@ -328,7 +330,7 @@ def test_max_exact_ap_free_search_tree_is_pinned(N, k, nodes, witness):
 def test_f_search_tree_is_pinned():
     # 61 of the nodes list the progressions ending at each n, rung by rung
     out = _assert_spends_exactly(lambda work_cap: exact_f(20, 1, 3, F(1, 10), work_cap),
-                                 766)
+                                 475)
     assert (out.value, out.witness) == (8, (1, 2, 4, 5, 11, 12, 14, 15))
 
 
@@ -569,28 +571,29 @@ def test_f_two_dimensional_k3_full_grid_only():
 
 def test_f_enumeration_is_capped():
     # The progressions of [400] are listed rung by rung on the search's
-    # budget: rungs [1]..[24] take 8,234 nodes, listing included, and [25]
-    # does not fit, so the run keeps the value of [24].
+    # budget: rungs [1]..[33] take 9,791 nodes, listing included, and [34]
+    # does not fit, so the run keeps the witness of [33].
     out = exact_f(400, 1, 3, F(1, 10), work_cap=10 ** 4)
     assert (out.kind, out.value, out.witness, out.nodes) == (
-        "lower_bound_only", 8, (1, 2, 4, 5, 11, 12, 14, 15), 10 ** 4)
+        "lower_bound_only", 10, (1, 2, 4, 5, 11, 12, 29, 30, 32, 33), 10 ** 4)
 
 
 def test_f_cap_after_enumeration_keeps_the_greedy_incumbent():
-    # Rungs [1]..[8] take 131 nodes, listing included, and [1]..[9] 224.
-    # The run keeps the greedy set of the listed prefix, also the optimum
-    # of [8]; the larger greedy set (1, 2, 4, 5, 11, 12) of [12] would need
-    # edges it never listed.
-    out = exact_f(12, 1, 3, F(1, 10), work_cap=150)
+    # Rungs [1]..[8] take 52 nodes, listing included, and [1]..[9] 86, of
+    # which rung 9's search takes the last 32.  A cap of 70 stops in that
+    # search, and the run keeps the greedy set of the listed prefix, also
+    # the optimum of [8]; the larger greedy set (1, 2, 4, 5, 11, 12) of [12]
+    # would need edges it never listed.
+    out = exact_f(12, 1, 3, F(1, 10), work_cap=70)
     assert (out.kind, out.value, out.witness, out.nodes) == (
-        "lower_bound_only", 4, (1, 2, 4, 5), 150)
+        "lower_bound_only", 4, (1, 2, 4, 5), 70)
 
 
-@pytest.mark.parametrize("cap, listed", [(80, 7), (100, 8)])
+@pytest.mark.parametrize("cap, listed", [(38, 7), (45, 8)])
 def test_f_cap_while_listing_keeps_the_listed_prefix(cap, listed):
-    # [1]..[7] take 76 nodes; rung 8 lists its edges in the next 14 and
-    # searches in the 41 after.  A cap of 80 runs out while listing rung 8,
-    # one of 100 in its search: either way the run keeps at least the
+    # [1]..[7] take 36 nodes; rung 8 lists its edges in the next 3 and
+    # searches in the 13 after.  A cap of 38 runs out while listing rung 8,
+    # one of 45 in its search: either way the run keeps at least the
     # greedy set of the prefix whose edges were all listed.
     out = exact_f(12, 1, 3, F(1, 10), work_cap=cap)
     edges = enumerate_eps_aps(12, 3, F(1, 10)).edges
@@ -606,10 +609,14 @@ def test_f_cap_while_listing_keeps_the_listed_prefix(cap, listed):
     (3, 2, 2, ((1, 1), (1, 2), (1, 3)))])
 def test_f_cap_keeps_the_first_points_too_few_for_a_hit(N, m, k, floor):
     # Fewer than k^m points hold no progression or cube, so a run capped
-    # before it lists anything still keeps the first min(N^m, k^m - 1).
-    out = exact_f(N, m, k, F(1, 10), work_cap=0)
-    assert (out.kind, out.value, out.witness, out.nodes) == (
-        "lower_bound_only", len(floor), floor, 0)
+    # before it lists anything still keeps the first min(N^m, k^m - 1);
+    # so does a capped run on exact progressions.
+    runs = [exact_f(N, m, k, F(1, 10), work_cap=0)]
+    if m == 1:
+        runs.append(max_exact_ap_free(N, k, work_cap=0))
+    for out in runs:
+        assert (out.kind, out.value, out.witness, out.nodes) == (
+            "lower_bound_only", len(floor), floor, 0)
 
 
 @st.composite
@@ -643,8 +650,9 @@ def test_max_free_is_the_lex_first_maximum(graph):
     greedy = first_fit(n, edge_closes(n, edges))
     assert _max_free_edges(n, lowers, Budget(10 ** 6), greedy, room) == (want, True)
     # the greedy set is the first leaf, n + 1 nodes in: free, and every
-    # skipped index closes an edge among the indices kept before it
-    assert _max_free_edges(n, lowers, Budget(n + 1), (), room) == (greedy, n == 0)
+    # skipped index closes an edge among the indices kept before it; the
+    # search stops there when it holds all n, room[0]
+    assert _max_free_edges(n, lowers, Budget(n + 1), (), room) == (greedy, len(greedy) == n)
     kept = set(greedy)
     assert not any(kept.issuperset(e) for e in edges)
     for i in set(range(n)) - kept:
@@ -682,13 +690,19 @@ def test_max_free_depth_does_not_grow_with_n():
     budget = Budget(10 ** 6)
     best, completed = _max_free_edges(n, [{}] * n, budget, (), range(n, -1, -1))
     assert completed and best == tuple(range(n))
-    assert budget.spent == 2 * n + 1
+    assert budget.spent == n + 1  # the first leaf reaches room[0]: it stops there
 
 
 @pytest.mark.parametrize("n, k", [(0, 3), (1, 3), (30, 3), (40, 4), (25, 5)])
 def test_greedy_is_the_first_fit_of_the_exact_progressions(n, k):
     edges = [tuple(x - 1 for x in e) for e in enumerate_exact_aps(n, k)]
     assert _greedy(n, k) == first_fit(n, edge_closes(n, edges))
+
+
+def _listed_prefix(run, N, cap):
+    """The largest n <= N whose run fits the cap: a run on [N] capped at
+    cap solved the rungs [1]..[n] too, so it listed their edges."""
+    return max(n for n in range(N + 1) if run(n, work_cap=cap).kind == "value")
 
 
 def _assert_capped_run_is_sound(out, full, cap, greedy, edges):
@@ -711,8 +725,12 @@ def test_exact_ap_ladder_matches_count_bound_search(N, k, cap_seed):
     full = max_exact_ap_free(N, k)
     assert (full.kind, full.value, full.witness) == count_bound_free_set(N, edges)
     cap = cap_seed % (full.nodes + 2)
+    # The progressions are filed as the rungs are reached, and the greedy
+    # incumbent is grown from them.
+    n = _listed_prefix(lambda n, work_cap: max_exact_ap_free(n, k, work_cap), N, cap)
     _assert_capped_run_is_sound(max_exact_ap_free(N, k, work_cap=cap), full, cap,
-                                greedy_free_set(N, edges), edges)
+                                greedy_free_set(n, [e for e in edges if e[-1] <= n]),
+                                edges)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -727,8 +745,7 @@ def test_eps_ladder_matches_count_bound_search(N, k, eps, cap_seed):
     out = exact_f(N, 1, k, eps, work_cap=cap)
     # The edges are listed on the search's budget as the rungs are reached,
     # so a capped run has listed [n] only for the n whose rungs fit the cap.
-    n = bisect_left(range(N + 1), True, key=lambda n: exact_f(
-        n, 1, k, eps, work_cap=cap).kind != "value") - 1
+    n = _listed_prefix(lambda n, work_cap: exact_f(n, 1, k, eps, work_cap), N, cap)
     _assert_capped_run_is_sound(out, full, cap,
                                 greedy_free_set(n, [e for e in edges if e[-1] <= n]),
                                 edges)
@@ -743,9 +760,40 @@ def test_max_exact_ap_free_memory_stays_flat_when_capped():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (out.kind, out.value, out.nodes) == ("lower_bound_only", 128, 3000)
+    # the witness of the last rung solved, [20]
+    assert (out.kind, out.value, out.witness, out.nodes) == (
+        "lower_bound_only", 9, (1, 2, 6, 7, 9, 14, 15, 18, 20), 3000)
     assert not has_exact_ap(out.witness, 3)
     assert peak < 5 * 2 ** 20
+
+
+def test_max_exact_ap_free_cap_bounds_all_its_work():
+    # The greedy incumbent is grown rung by rung, so a capped run on [10^6]
+    # does only the work of the rungs its cap reaches.
+    start = time.perf_counter()
+    out = max_exact_ap_free(10 ** 6, 3, work_cap=100)
+    assert time.perf_counter() - start < 0.5
+    assert (out.kind, out.nodes) == ("lower_bound_only", 100)
+    assert not has_exact_ap(out.witness, 3)
+
+
+@pytest.mark.parametrize("N, grows, greedy_is_optimal", [
+    (20, True, False),  # f(20) = f(19) + 1: rung 20 finds the witness
+    (19, False, True),  # f(19) = f(18), and the greedy set is that large
+    (25, False, False),  # f(25) = f(24), the greedy set is smaller
+])
+def test_last_rung_ends_each_way(N, grows, greedy_is_optimal):
+    # One decision search per rung; a second search only when rung N answers
+    # no and the greedy set is smaller than f(N - 1).
+    searches = mock.Mock(wraps=search._max_free_edges)
+    with mock.patch.object(search, "_max_free_edges", searches):
+        out = max_exact_ap_free(N, 3)
+    edges = enumerate_exact_aps(N, 3)
+    greedy = tuple(x + 1 for x in _greedy(N, 3))
+    assert (out.kind, out.value, out.witness) == count_bound_free_set(N, edges)
+    assert out.value == max_exact_ap_free(N - 1, 3).value + grows
+    assert (out.witness == greedy) == greedy_is_optimal
+    assert searches.call_count == N + (not grows and not greedy_is_optimal)
 
 
 def test_max_exact_ap_free_small_values():
