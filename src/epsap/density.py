@@ -65,9 +65,10 @@ class ApkFreeProvider:
     modes: "exact" (maximum set by branch and bound, lex-smallest tie; the
     search is capped by errors.DEFAULT_WORK_CAP nodes and raises
     SearchCapExceeded rather than return a set not known to be maximum),
-    "behrend3" (sphere digit construction, k = 3 only), "greedy", or "auto"
-    which picks exact up to EXACT_CAP elements, then behrend3 for k = 3,
-    else greedy.
+    "behrend3" (sphere digit construction, k = 3 only), "greedy" (first fit,
+    which raises SearchCapExceeded past errors.DEFAULT_WORK_CAP differences
+    tried), or "auto" which picks exact up to EXACT_CAP elements, then
+    behrend3 for k = 3, else greedy.
     """
 
     mode: str = "auto"
@@ -138,7 +139,7 @@ def apk_free_set(lo: int, hi: int, k: int,
             raise ValueError(f"behrend3 provider is only valid for k=3, got k={k}")
         base = _behrend3(n)
     else:
-        base = _greedy(n, k)
+        base = _greedy(n, k, Budget(DEFAULT_WORK_CAP))
     return tuple(x + lo for x in base)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .colorings import Coloring
 from .geometry import Witness1D, WitnessMD, check_points
 from .rational import to_fraction
 
@@ -83,8 +84,6 @@ def write_coloring(coloring, eps, k: int) -> str:
 
 def read_coloring(text: str):
     """Returns (Coloring, eps, k)."""
-    from .colorings import Coloring
-
     lines = text.splitlines()
     n, r, eps, k = _read_header(lines, "coloring",
                                 {"N": int, "r": int, "eps": Fraction, "k": int})

@@ -101,11 +101,11 @@ def check_tol(tol) -> None:
         raise ValueError(f"tol must be a finite positive float, got {tol}")
 
 
-def check_points_1d(points) -> tuple:
-    """Validate a strictly increasing sequence of at least two integers."""
+def check_points_1d(points, fewest: int = 2) -> tuple:
+    """Validate a strictly increasing sequence of at least `fewest` integers."""
     pts = tuple(points)
-    if len(pts) < 2:
-        raise ValueError(f"need at least 2 points, got {len(pts)}")
+    if len(pts) < fewest:
+        raise ValueError(f"need at least {fewest} points, got {len(pts)}")
     for p in pts:
         if isinstance(p, bool) or not isinstance(p, int):
             raise TypeError(f"points must be integers, got {p!r}")

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
 
+from .colorings import Coloring
 from .errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded
 from .geometry import (DEFAULT_TOL, check_epsilon, check_points_1d, narrowed, recognize_ap,
                        window)
@@ -183,15 +184,15 @@ def find_eps_ap_in_points(points, k: int, eps,
                           work_cap: int = DEFAULT_WORK_CAP):
     """Lex-first approximate k-progression among sorted candidate points.
 
-    Returns (subset, witness) or None.
+    Returns (subset, witness) or None, which fewer than k points give.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     e = check_epsilon(eps, set_level=True)
-    pts = tuple(points)
+    pts = check_points_1d(points, fewest=0)
     if len(pts) < k:
         return None
-    hit = next(_eps_aps(check_points_1d(pts), k, e, Budget(work_cap)), None)
+    hit = next(_eps_aps(pts, k, e, Budget(work_cap)), None)
     return None if hit is None else (hit, recognize_ap(hit, e))
 
 
@@ -295,8 +296,6 @@ def exact_W(k: int, r: int, eps, n_max: int,
     value = the largest N proven non-forcing and its good coloring as
     witness; a capped run is never reported as a value.
     """
-    from .colorings import Coloring
-
     if k < 2 or r < 1 or n_max < 1:
         raise ValueError(f"need k >= 2, r >= 1, n_max >= 1, got {k}, {r}, {n_max}")
     e = check_epsilon(eps, set_level=True)
@@ -389,11 +388,13 @@ def _file_edge(lowers, rest, top: int) -> int:
     return below | 1 << rest[-1]
 
 
-def _greedy(n: int, k: int) -> tuple:
+def _greedy(n: int, k: int, budget) -> tuple:
     """The first-fit subset of range(n) with no exact k-term progression:
-    each index is kept unless it ends one whose other terms are kept."""
+    each index is kept unless it ends one whose other terms are kept.  One
+    budget unit per difference tried."""
     chosen = [False] * n  # not a bit mask: testing a bit of a q-bit int is O(q)
     for x in range(n):
+        d = 0  # the differences tried: up to the one that closes a progression
         for d in range(1, x // (k - 1) + 1):
             for y in range(x - d, x - k * d, -d):
                 if not chosen[y]:
@@ -402,6 +403,7 @@ def _greedy(n: int, k: int) -> tuple:
                 break
         else:
             chosen[x] = True
+        budget.spend(d)
     return tuple(x for x in range(n) if chosen[x])
 
 
@@ -420,14 +422,15 @@ def _ladder(N: int, rests_ending_at, budget):
     f(n - 1) + 1, so rung n is one _max_free_edges search that decides
     whether [n] holds a free set of f(n - 1) + 1 points: room[0] is that
     size, the incumbent is the previous rung's set (or the greedy set of
-    [n], when that already answers yes), and the search stops at its first
-    leaf of that size, the lex-first.  room[1] = f(n - 1) then forces index
-    0 into the set and, as [n - 1] is a translate of the indices 1..n-1,
-    index n - 1 too.  When rung N answers no, the witness is the first leaf
-    of size f(N): the greedy set when it is that large, or else the find of
-    a second search seeded with it, with f(N) as room[0].  All searches
-    share the budget, so `nodes` counts every rung.  A capped run returns
-    the greedy set of the rungs reached, or a larger set found on the way.
+    [n], when that is as large), and the search stops at its first leaf of
+    that size, the lex-first.  room[1] = f(n - 1) then forces index 0 into
+    the set and, as [n - 1] is a translate of the indices 1..n-1, index
+    n - 1 too.  Rung N starts a point lower, from the previous rung's set
+    less its last point, unless the greedy set, the first leaf, holds
+    f(N - 1) points: its first leaf of f(N - 1) points is then the
+    lex-first, the witness if it answers no.  All searches share the
+    budget, so `nodes` counts every rung.  A capped run returns the greedy
+    set of the rungs reached, or the previous rung's set when larger.
     """
     lowers = []  # the edges by second largest index, see _max_free_edges
     greedy, in_greedy = [], 0  # the greedy set grown so far, and its bit mask
@@ -443,21 +446,17 @@ def _ladder(N: int, rests_ending_at, budget):
             if not closed:
                 greedy.append(n - 1)
                 in_greedy |= 1 << (n - 1)
+            seed = max(tuple(greedy), best, key=len)
+            if n == N and len(greedy) < len(best):
+                seed = best[:-1]
             f.append(f[-1] + 1)  # room[0] of rung n: the one size it asks for
-            best, completed = _max_free_edges(n, lowers, budget,
-                                              max(best, tuple(greedy), key=len), f[::-1])
+            found, completed = _max_free_edges(n, lowers, budget, seed, f[::-1])
             if not completed:
                 break
+            best = found
             f[n] = len(best)
     except SearchCapExceeded:  # raised by the listing, between rungs
         completed = False
-    if completed and N and f[N] == f[N - 1]:  # rung N answered no
-        if len(greedy) == f[N]:
-            best = tuple(greedy)
-        else:
-            found, completed = _max_free_edges(N, lowers, budget, greedy, f[::-1])
-            if completed:
-                best = found
     if not completed:
         best = max(tuple(greedy), best, key=len)
     return best, completed

@@ -73,6 +73,18 @@ def test_greedy_provider_is_free():
     assert not has_exact_ap(got, 4)
 
 
+def test_greedy_provider_is_capped(monkeypatch):
+    # First fit on [0, 59] for k = 4 tries 440 differences, each one unit
+    # of a budget that every call gets anew.
+    greedy = ApkFreeProvider(mode="greedy")
+    full = apk_free_set(0, 59, 4, greedy)
+    monkeypatch.setattr(density, "DEFAULT_WORK_CAP", 440)
+    assert apk_free_set(0, 59, 4, greedy) == apk_free_set(0, 59, 4, greedy) == full
+    monkeypatch.setattr(density, "DEFAULT_WORK_CAP", 439)
+    with pytest.raises(SearchCapExceeded):
+        apk_free_set(0, 59, 4, greedy)
+
+
 def test_behrend3_provider_is_free():
     provider = ApkFreeProvider(mode="behrend3")
     for n in (10, 50, 200):

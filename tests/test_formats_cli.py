@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from epsap import cli, formats
+from epsap import cli, density, formats
 from epsap.cli import main
 from epsap.colorings import Coloring, build_simple_r2_coloring, verify_no_mono_ap
 from epsap.geometry import CubeDecision, IndexedGrid, WitnessMD
@@ -167,6 +167,19 @@ def test_cli_behrend_is_capped(capsys, eps, h):
     assert time.perf_counter() - start < 1  # refused before anything is built
     assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and "exceeds materialize cap" in err
+
+
+def test_cli_behrend_greedy_alphabet_is_capped(capsys, monkeypatch):
+    # q = 10^6 and k = 4: the leading digit's alphabet is the first-fit set
+    # of [0, q - 1], whose differences tried are charged to the work cap.
+    # 10^5 of them run out near n = 1,000; the default 2 * 10^7 near 16,000.
+    monkeypatch.setattr(density, "DEFAULT_WORK_CAP", 10 ** 5)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "construct", "behrend", "--eps", "1/25000000",
+                             "--h", "1", "--k", "4")
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "work cap of 100000" in err
 
 
 def test_cli_behrend_prints_members_up_to_the_digit_limit(capsys):

@@ -92,3 +92,20 @@ def test_package_calls_no_region_api():
                 if name in region_api:
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+# The two function-level imports that a module-level one would make
+# circular: search imports colorings and density imports search.
+DEFERRED_IMPORTS = {("colorings", "verify_no_mono_ap", "search"),
+                    ("search", "exact_f", "density")}
+
+
+def test_only_circular_imports_are_deferred():
+    deferred = set()
+    for path in Path(epsap.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for fn in ast.walk(stmt):
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    deferred |= {(path.stem, fn.name, node.module) for node in ast.walk(fn)
+                                 if isinstance(node, ast.ImportFrom) and node.level}
+    assert deferred == DEFERRED_IMPORTS

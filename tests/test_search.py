@@ -231,6 +231,19 @@ def test_find_in_points_lex_first():
     hit = find_eps_ap_in_points((1, 2, 3, 4, 5), 3, F(1, 4))
     assert hit is not None and hit[0] == (1, 2, 3)
     assert find_eps_ap_in_points((1, 2, 10), 3, F(1, 10)) is None
+    for too_few in ((), (7,), (1, 5)):
+        assert find_eps_ap_in_points(too_few, 3, F(1, 10)) is None
+
+
+@pytest.mark.parametrize("points, error", [
+    ([3, 1], ValueError), ([2, 2], ValueError), ([1.5, 2], TypeError),
+    ([True, 2], TypeError), ([1.0], TypeError), ([3, 1, 2], ValueError),
+    ([True, 2, 3], TypeError),
+])
+def test_find_in_points_checks_every_length(points, error):
+    # fewer points than k hold no progression, but are still checked
+    with pytest.raises(error):
+        find_eps_ap_in_points(points, 3, F(1, 10))
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +329,10 @@ def test_w_search_tree_is_pinned(k, r, eps, value, nodes):
 
 
 @pytest.mark.parametrize("N, k, nodes, witness", [
-    (25, 3, 5298, (1, 2, 4, 10, 11, 14, 15, 22, 23, 25)),
+    (25, 3, 5083, (1, 2, 4, 10, 11, 14, 15, 22, 23, 25)),
     (24, 5, 6370, (1, 2, 3, 4, 6, 7, 8, 9, 11, 12, 13, 14, 18, 20, 21, 22, 24)),
     # 52,979 nodes when every rung was solved as a full optimisation
-    (35, 3, 21446, (1, 2, 4, 8, 9, 11, 19, 22, 23, 26, 28, 31, 32)),
+    (35, 3, 20839, (1, 2, 4, 8, 9, 11, 19, 22, 23, 26, 28, 31, 32)),
 ])
 def test_max_exact_ap_free_search_tree_is_pinned(N, k, nodes, witness):
     out = _assert_spends_exactly(lambda work_cap: max_exact_ap_free(N, k, work_cap),
@@ -696,7 +709,25 @@ def test_max_free_depth_does_not_grow_with_n():
 @pytest.mark.parametrize("n, k", [(0, 3), (1, 3), (30, 3), (40, 4), (25, 5)])
 def test_greedy_is_the_first_fit_of_the_exact_progressions(n, k):
     edges = [tuple(x - 1 for x in e) for e in enumerate_exact_aps(n, k)]
-    assert _greedy(n, k) == first_fit(n, edge_closes(n, edges))
+    assert _greedy(n, k, Budget(10 ** 6)) == first_fit(n, edge_closes(n, edges))
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (30, 3), (40, 4), (25, 5)])
+def test_greedy_spends_one_unit_per_difference_tried(n, k):
+    # each index tries the differences up to the first that closes a
+    # progression on kept indices, or all of them when it is kept
+    chosen = set(_greedy(n, k, Budget(10 ** 6)))
+    tried = 0
+    for x in range(n):
+        ds = range(1, x // (k - 1) + 1)
+        closing = [d for d in ds if all(x - i * d in chosen for i in range(1, k))]
+        tried += closing[0] if closing else len(ds)
+    budget = Budget(tried)
+    _greedy(n, k, budget)
+    assert budget.left == 0
+    if tried:
+        with pytest.raises(SearchCapExceeded):
+            _greedy(n, k, Budget(tried - 1))
 
 
 def _listed_prefix(run, N, cap):
@@ -783,17 +814,26 @@ def test_max_exact_ap_free_cap_bounds_all_its_work():
     (25, False, False),  # f(25) = f(24), the greedy set is smaller
 ])
 def test_last_rung_ends_each_way(N, grows, greedy_is_optimal):
-    # One decision search per rung; a second search only when rung N answers
-    # no and the greedy set is smaller than f(N - 1).
+    # One search per rung, the last one included, whichever way it answers.
     searches = mock.Mock(wraps=search._max_free_edges)
     with mock.patch.object(search, "_max_free_edges", searches):
         out = max_exact_ap_free(N, 3)
     edges = enumerate_exact_aps(N, 3)
-    greedy = tuple(x + 1 for x in _greedy(N, 3))
+    greedy = tuple(x + 1 for x in _greedy(N, 3, Budget(10 ** 6)))
     assert (out.kind, out.value, out.witness) == count_bound_free_set(N, edges)
     assert out.value == max_exact_ap_free(N - 1, 3).value + grows
     assert (out.witness == greedy) == greedy_is_optimal
-    assert searches.call_count == N + (not grows and not greedy_is_optimal)
+    assert [c.args[0] for c in searches.call_args_list] == list(range(1, N + 1))
+
+
+def test_cap_in_the_last_rung_keeps_the_previous_rungs_set():
+    # Rungs [1]..[24] take 3,201 nodes and [25] the next 1,882.  Rung 25's
+    # search starts from f(24) - 1 = 9 points, but a cap that stops it
+    # keeps the 10 points of [24].
+    out = max_exact_ap_free(25, 3, work_cap=3211)
+    before = max_exact_ap_free(24, 3)
+    assert (out.kind, out.value, out.witness, out.nodes) == (
+        "lower_bound_only", before.value, before.witness, 3211)
 
 
 def test_max_exact_ap_free_small_values():
