@@ -15,7 +15,6 @@ from .colorings import (
     verify_no_mono_ap,
 )
 from .density import (
-    ApkFreeProvider,
     CubeBlowupSpec,
     DigitConstruction,
     TranslateResult,

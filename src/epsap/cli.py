@@ -172,9 +172,8 @@ def _cmd_construct_lowerbound(args):
 
 
 def _cmd_construct_behrend(args):
-    provider = density.ApkFreeProvider(mode=args.provider)
     spec, members = density.build_behrend_digit_set(
-        args.eps, args.h, args.k, provider, one_based=args.one_based)
+        args.eps, args.h, args.k, args.provider, one_based=args.one_based)
     payload = {
         "q": spec.q, "h": spec.h, "k": spec.k,
         "head": list(spec.head), "tail": list(spec.tail),

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .errors import DEFAULT_WORK_CAP, Budget, MemoryGuardExceeded, check_cap
@@ -106,6 +105,28 @@ class Coloring:
 # Blow-ups
 # ---------------------------------------------------------------------------
 
+def _digit_set(base: int, alphabets) -> tuple:
+    """Every number whose base-`base` digits, most significant first, come
+    from `alphabets` in turn, by Horner's rule.  The alphabets are sorted and
+    lie in [0, base), so no digit carries and the numbers come out
+    increasing."""
+    out = [0]
+    for digits in alphabets:
+        out = [x * base + dg for x in out for dg in digits]
+    return tuple(out)
+
+
+def _blowup_blocks(k: int, r: int, t: int, eps) -> list:
+    """The r-fold base-t blow-up of {0..k-1} as its k blocks: block i holds
+    the members with leading digit i, a translate of the (r-1)-fold blow-up.
+    Refuses t < k, where digits would collide."""
+    if t < k:
+        raise ValueError(
+            f"eps={eps} gives digit base t={t} < k={k}; blow-up digits would collide"
+        )
+    return [_digit_set(t, [(i,)] + [range(k)] * (r - 1)) for i in range(k)]
+
+
 @dataclass(frozen=True)
 class BlowupSpec:
     """Iterated base-t digit expansion of {0..k-1}, one digit per color round."""
@@ -125,14 +146,7 @@ class BlowupSpec:
 
     def blocks(self) -> list:
         """Partition into the k translated copies of the (r-1)-fold blow-up."""
-        step = self.t ** (self.r - 1)
-        if self.r == 1:
-            return [(i, (i,)) for i in range(self.k)]
-        prefix = [
-            sum(b * self.t ** p for p, b in enumerate(bs))
-            for bs in product(range(self.k), repeat=self.r - 1)
-        ]
-        return [(i, tuple(sorted(w + i * step for w in prefix))) for i in range(self.k)]
+        return list(enumerate(_blowup_blocks(self.k, self.r, self.t, self.eps)))
 
 
 def build_blowup_1d(k: int, r: int, eps, cap: int = BLOWUP_CAP) -> BlowupSpec:
@@ -148,15 +162,8 @@ def build_blowup_1d(k: int, r: int, eps, cap: int = BLOWUP_CAP) -> BlowupSpec:
     if k ** r > cap:
         raise MemoryGuardExceeded(f"blow-up size k^r = {k ** r} exceeds cap {cap}")
     t = ceil_frac(Fraction(k) / e)
-    if t < k:
-        raise ValueError(
-            f"eps={e} gives digit base t={t} < k={k}; blow-up digits would collide"
-        )
-    elements = sorted(
-        sum(b * t ** p for p, b in enumerate(bs))
-        for bs in product(range(k), repeat=r)
-    )
-    return BlowupSpec(k=k, r=r, eps=e, t=t, elements=tuple(elements))
+    elements = tuple(x for block in _blowup_blocks(k, r, t, e) for x in block)
+    return BlowupSpec(k=k, r=r, eps=e, t=t, elements=elements)
 
 
 # ---------------------------------------------------------------------------

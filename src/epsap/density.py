@@ -5,6 +5,11 @@ band [2q/5, 3q/5], so consecutive-element gaps are dominated by the leading
 distinct digit; combined with progression-free digit alphabets this kills
 every approximate progression.  The cube blow-up and the translation
 averaging step are the two halves of the density upper bound machinery.
+Both digit constructions come from the one builder of colorings: the digit
+set's members are colorings._digit_set over the head and tail alphabets,
+and the cube blow-up is the m-fold product of the 1-D blow-up
+(colorings._blowup_blocks, which refuses a base t < k), its block u the
+product of the 1-D blocks u_1, ..., u_m.
 The cube search (_cubes) prunes with the integer d interval update of the
 geometry module, the one the 1-D progression stream uses, and tries at each
 slot only the points inside the window that the axis-0 constraints allow;
@@ -23,7 +28,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from .colorings import DEFAULT_MATERIALIZE_CAP
+from .colorings import DEFAULT_MATERIALIZE_CAP, _blowup_blocks, _digit_set
 from .errors import (
     DEFAULT_WORK_CAP,
     Budget,
@@ -45,7 +50,6 @@ from .rational import ceil_frac, floor_frac, to_fraction
 from .search import _greedy, max_exact_ap_free
 
 __all__ = [
-    "ApkFreeProvider",
     "DigitConstruction",
     "CubeBlowupSpec",
     "TranslateResult",
@@ -58,27 +62,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ApkFreeProvider:
-    """Source of k-progression-free subsets of an interval.
-
-    modes: "exact" (maximum set by branch and bound, lex-smallest tie; the
-    search is capped by errors.DEFAULT_WORK_CAP nodes and raises
-    SearchCapExceeded rather than return a set not known to be maximum),
-    "behrend3" (sphere digit construction, k = 3 only), "greedy" (first fit,
-    which raises SearchCapExceeded past errors.DEFAULT_WORK_CAP differences
-    tried), or "auto" which picks exact up to EXACT_CAP elements, then
-    behrend3 for k = 3, else greedy.
-    """
-
-    mode: str = "auto"
-
-    def __post_init__(self):
-        if self.mode not in ("auto", "exact", "behrend3", "greedy"):
-            raise ValueError(f"unknown provider mode {self.mode!r}")
-
-
-DEFAULT_PROVIDER = ApkFreeProvider()
 EXACT_CAP = 60  # the most elements the exact provider takes
 CUBE_BLOWUP_CAP = 200_000  # the most points build_cube_blowup materializes
 
@@ -112,19 +95,26 @@ def _behrend3(n: int) -> tuple:
     return best
 
 
-def apk_free_set(lo: int, hi: int, k: int,
-                 provider: ApkFreeProvider = DEFAULT_PROVIDER) -> tuple:
+def apk_free_set(lo: int, hi: int, k: int, mode: str = "auto") -> tuple:
     """A subset of [lo, hi] with no exact k-term progression.
 
     Computed canonically on {0..hi-lo} and shifted, so translated intervals
-    give translated sets.
+    give translated sets.  Provider modes: "exact" (maximum set by branch
+    and bound, lex-smallest tie; the search is capped by
+    errors.DEFAULT_WORK_CAP nodes and raises SearchCapExceeded rather than
+    return a set not known to be maximum), "behrend3" (sphere digit
+    construction, k = 3 only), "greedy" (first fit, which raises
+    SearchCapExceeded past errors.DEFAULT_WORK_CAP differences tried), or
+    "auto", which picks exact up to EXACT_CAP elements, then behrend3 for
+    k = 3, else greedy.
     """
+    if mode not in ("auto", "exact", "behrend3", "greedy"):
+        raise ValueError(f"unknown provider mode {mode!r}")
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     if k < 3:
         raise ValueError(f"need k >= 3, got k={k}")
     n = hi - lo + 1
-    mode = provider.mode
     if mode == "auto":
         mode = "exact" if n <= EXACT_CAP else ("behrend3" if k == 3 else "greedy")
     if mode == "exact":
@@ -139,7 +129,12 @@ def apk_free_set(lo: int, hi: int, k: int,
             raise ValueError(f"behrend3 provider is only valid for k=3, got k={k}")
         base = _behrend3(n)
     else:
-        base = _greedy(n, k, Budget(DEFAULT_WORK_CAP))
+        try:
+            base = _greedy(n, k, Budget(DEFAULT_WORK_CAP))
+        except SearchCapExceeded:
+            raise SearchCapExceeded(
+                f"greedy provider hit the work cap of {DEFAULT_WORK_CAP} differences "
+                f"tried on {n} elements") from None
     return tuple(x + lo for x in base)
 
 
@@ -168,18 +163,18 @@ class DigitConstruction:
 
 
 def build_behrend_digit_set(eps, h: int, k: int = 3,
-                            provider: ApkFreeProvider = DEFAULT_PROVIDER,
-                            one_based: bool = False):
+                            mode: str = "auto", one_based: bool = False):
     """Digit set in [0, q^h - 1] free of approximate k-progressions.
 
     q = floor(1/(25 eps)); the leading digit ranges over a progression-free
     subset of [0, q-1], every other digit over one of [ceil(2q/5),
-    floor(3q/5)].  Requires 0 < eps <= 1/125 so q >= 5.  Raises
-    MemoryGuardExceeded when q or the member count exceeds
-    colorings.DEFAULT_MATERIALIZE_CAP, or, before building the members, when
-    the largest member has more decimal digits than an int may turn into
-    text (sys.get_int_max_str_digits, or its default when unlimited).
-    Members are built by Horner's rule, one base-q digit per level.
+    floor(3q/5)], both from apk_free_set in the given provider mode.
+    Requires 0 < eps <= 1/125 so q >= 5.  Raises MemoryGuardExceeded when q
+    or the member count exceeds colorings.DEFAULT_MATERIALIZE_CAP, or,
+    before building the members, when the largest member has more decimal
+    digits than an int may turn into text (sys.get_int_max_str_digits, or
+    its default when unlimited).  Members are built by Horner's rule, one
+    base-q digit per level (colorings._digit_set).
     """
     e = check_epsilon(eps)
     if e > Fraction(1, 125):
@@ -191,9 +186,9 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
     q, cap = floor_frac(1 / (25 * e)), DEFAULT_MATERIALIZE_CAP
     if q > cap:
         raise MemoryGuardExceeded(f"digit base q exceeds materialize cap {cap}")
-    head = apk_free_set(0, q - 1, k, provider)
+    head = apk_free_set(0, q - 1, k, mode)
     tail = apk_free_set(ceil_frac(Fraction(2 * q, 5)), floor_frac(Fraction(3 * q, 5)),
-                        k, provider)
+                        k, mode)
     # The largest member, by the Horner steps that build the members below:
     # from 10^digits on, an int has more decimal digits than may be printed.
     # It grows q >= 5 times a step, so the loop stops within 1.5 * digits
@@ -209,13 +204,7 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
     # Two or more tail digits pass the cap within its bit length: clip h there.
     if len(head) * len(tail) ** min(h - 1, cap.bit_length()) > cap:
         raise MemoryGuardExceeded(f"digit set size exceeds materialize cap {cap}")
-    # The h - 1 low digits, by Horner's rule; both alphabets are sorted, so
-    # every level, and then the members, come out sorted.
-    lows = [0]
-    for _ in range(h - 1):
-        lows = [low * q + dg for low in lows for dg in tail]
-    scale = q ** (h - 1)
-    members = tuple(top * scale + low for top in head for low in lows)
+    members = _digit_set(q, [head] + [tail] * (h - 1))
     spec = DigitConstruction(q=q, h=h, k=k, head=head, tail=tail)
     if one_based:
         members = tuple(x + 1 for x in members)
@@ -252,28 +241,18 @@ class CubeBlowupSpec:
     n0_bound: int  # bounding box: elements fit in [0, n0_bound - 1]^m
 
     def blocks(self):
-        """The k^m translated copies of the (r-1)-fold blow-up, keyed by u."""
-        step = self.t ** (self.r - 1)
-        if self.r == 1:
-            prefix = [(0,) * self.m]
-        else:
-            axis = [
-                sum(b * self.t ** p for p, b in enumerate(bs))
-                for bs in product(range(self.k), repeat=self.r - 1)
-            ]
-            prefix = list(product(axis, repeat=self.m))
-        out = []
-        for u in product(range(self.k), repeat=self.m):
-            shift = tuple(step * c for c in u)
-            out.append((u, tuple(sorted(
-                tuple(w + s for w, s in zip(p, shift)) for p in prefix
-            ))))
-        return out
+        """The k^m translated copies of the (r-1)-fold blow-up, keyed by u:
+        block u is the product of the 1-D blocks u_1, ..., u_m."""
+        line = _blowup_blocks(self.k, self.r, self.t, self.eps)
+        return [(u, tuple(product(*(line[c] for c in u))))
+                for u in product(range(self.k), repeat=self.m)]
 
 
 def build_cube_blowup(m: int, k: int, eps, alpha,
                       cap: int = CUBE_BLOWUP_CAP) -> CubeBlowupSpec:
-    """Blow-up iterated r = ceil(log(1/alpha) / log(k^m/(k^m-1))) times."""
+    """Blow-up iterated r = ceil(log(1/alpha) / log(k^m/(k^m-1))) times.
+
+    Refuses a digit base t < k, as build_blowup_1d does."""
     check_cap(cap)
     if m < 1 or k < 3:
         raise ValueError(f"need m >= 1 and k >= 3, got m={m}, k={k}")
@@ -293,11 +272,8 @@ def build_cube_blowup(m: int, k: int, eps, alpha,
         t = ceil_frac(Fraction(k * root) / e)
     else:
         t = math.ceil(k * math.sqrt(m) / float(e))
-    axis = [
-        sum(b * t ** p for p, b in enumerate(bs))
-        for bs in product(range(k), repeat=r)
-    ]
-    elements = tuple(sorted(product(sorted(axis), repeat=m)))
+    axis = [x for block in _blowup_blocks(k, r, t, e) for x in block]
+    elements = tuple(product(axis, repeat=m))
     return CubeBlowupSpec(m=m, k=k, eps=e, alpha=a, r=r, t=t,
                           elements=elements, n0_bound=k * t ** (r - 1))
 

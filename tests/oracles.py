@@ -29,7 +29,11 @@ alternate labelings and the HYPERGRAPH reader: the library's former public
 functions of those names, kept here as test preconditions and reference
 listings.  The region scale interval is the cube recognizer's exact stage
 as it stood when every axis line was its own region of the library's 1-D
-region API; it shares the corner-pair bounds with the library.
+region API; it shares the corner-pair bounds with the library.  The
+power-sum builders are the library's digit-set builders as they stood
+before they went through one Horner's-rule builder: each member of the
+blow-ups, their blocks and the base-q digit set is summed digit by digit,
+then sorted.
 """
 
 import functools
@@ -828,3 +832,53 @@ def golden_section_recognize_cube(grid: IndexedGrid, eps,
     if best_g > tol * d_max:
         return CubeDecision("infeasible", None, best_d, best_g, d_max, False)
     return CubeDecision("boundary", None, best_d, best_g, d_max, False)
+
+
+def _power_sums(k: int, r: int, t: int) -> list:
+    """sum b_p t^p over every digit vector in {0..k-1}^r, unsorted."""
+    return [sum(b * t ** p for p, b in enumerate(bs)) for bs in product(range(k), repeat=r)]
+
+
+def power_sum_blowup(k: int, r: int, t: int) -> tuple:
+    """The r-fold base-t blow-up of {0..k-1}, sorted."""
+    return tuple(sorted(_power_sums(k, r, t)))
+
+
+def power_sum_blowup_blocks(k: int, r: int, t: int) -> list:
+    """The k blocks (i, members) of the blow-up: the (r-1)-fold blow-up
+    shifted by i t^(r-1)."""
+    step = t ** (r - 1)
+    if r == 1:
+        return [(i, (i,)) for i in range(k)]
+    prefix = _power_sums(k, r - 1, t)
+    return [(i, tuple(sorted(w + i * step for w in prefix))) for i in range(k)]
+
+
+def power_sum_cube_blowup(m: int, k: int, r: int, t: int) -> tuple:
+    """The m-fold product of the blow-up, as sorted m-tuples."""
+    return tuple(sorted(product(sorted(_power_sums(k, r, t)), repeat=m)))
+
+
+def power_sum_cube_blocks(m: int, k: int, r: int, t: int) -> list:
+    """The k^m blocks (u, members) of the cube blow-up: the m-fold product of
+    the (r-1)-fold blow-up shifted by t^(r-1) u."""
+    step = t ** (r - 1)
+    if r == 1:
+        prefix = [(0,) * m]
+    else:
+        prefix = list(product(_power_sums(k, r - 1, t), repeat=m))
+    out = []
+    for u in product(range(k), repeat=m):
+        shift = tuple(step * c for c in u)
+        out.append((u, tuple(sorted(
+            tuple(w + s for w, s in zip(p, shift)) for p in prefix
+        ))))
+    return out
+
+
+def power_sum_digit_set(q: int, h: int, head, tail) -> tuple:
+    """The h-digit base-q numbers with leading digit in head and every other
+    digit in tail, sorted."""
+    return tuple(sorted(
+        top * q ** (h - 1) + sum(dg * q ** i for i, dg in enumerate(rest))
+        for top in head for rest in product(tail, repeat=h - 1)))

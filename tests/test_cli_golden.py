@@ -166,6 +166,10 @@ CASES = [
      '',
      'error: cap must be >= 0, got -1\n',
      None),
+    ('construct cube-blowup --m 2 --k 3 --eps 5/2 --alpha 4/5', 2,
+     '',
+     'error: eps=5/2 gives digit base t=2 < k=3; blow-up digits would collide\n',
+     None),
     ('construct product --set line.txt --m 2 --N 4', 0,
      '1 1\n1 2\n1 3\n1 4\n2 1\n2 2\n2 3\n2 4\n4 1\n4 2\n4 3\n4 4\n', '', None),
     ('construct product --set line.txt --m 2 --N 4 --format csv', 0,

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -17,7 +17,7 @@ from epsap.colorings import (
 from epsap.errors import MemoryGuardExceeded, SearchCapExceeded
 from epsap.geometry import recognize_ap
 from epsap.search import find_eps_ap_in_points
-from oracles import excluded_difference_check
+from oracles import excluded_difference_check, power_sum_blowup, power_sum_blowup_blocks
 
 F = Fraction
 
@@ -61,6 +61,22 @@ def test_blowup_blocks_are_translates():
     blocks = dict(spec.blocks())
     assert blocks[0] == (0, 1, 2)
     assert blocks[2] == (18, 19, 20)
+
+
+def test_blowup_equals_the_power_sums():
+    epsilons = (F(1, 5), F(1, 3), F(1, 2), F(1), F(3, 2))
+    for k, r, eps in product(range(2, 6), range(1, 5), epsilons):
+        t = math.ceil(k / eps)
+        if t < k:
+            with pytest.raises(ValueError, match=(
+                    f"^eps={eps} gives digit base t={t} < k={k}; "
+                    "blow-up digits would collide$")):
+                build_blowup_1d(k, r, eps)
+            continue
+        spec = build_blowup_1d(k, r, eps)
+        assert spec.t == t
+        assert spec.elements == power_sum_blowup(k, r, t)
+        assert spec.blocks() == power_sum_blowup_blocks(k, r, t)
 
 
 # ---------------------------------------------------------------------------

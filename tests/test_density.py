@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from epsap import density
 from epsap.density import (
-    ApkFreeProvider,
     apk_free_set,
     build_behrend_digit_set,
     build_cube_blowup,
@@ -54,7 +53,7 @@ def test_exact_provider_is_maximum():
 
 def test_exact_provider_cap():
     with pytest.raises(ValueError):
-        apk_free_set(0, 100, 3, ApkFreeProvider(mode="exact"))
+        apk_free_set(0, 100, 3, "exact")
 
 
 def test_exact_provider_refuses_a_capped_search(monkeypatch):
@@ -63,39 +62,46 @@ def test_exact_provider_refuses_a_capped_search(monkeypatch):
 
     monkeypatch.setattr(density, "max_exact_ap_free",
                         lambda n, k: max_exact_ap_free(n, k, work_cap=100))
-    assert apk_free_set(0, 4, 3, ApkFreeProvider(mode="exact")) == (0, 1, 3, 4)
+    assert apk_free_set(0, 4, 3, "exact") == (0, 1, 3, 4)
     with pytest.raises(SearchCapExceeded):
-        apk_free_set(0, 20, 3, ApkFreeProvider(mode="exact"))
+        apk_free_set(0, 20, 3, "exact")
 
 
 def test_greedy_provider_is_free():
-    got = apk_free_set(0, 59, 4, ApkFreeProvider(mode="greedy"))
+    got = apk_free_set(0, 59, 4, "greedy")
     assert not has_exact_ap(got, 4)
 
 
 def test_greedy_provider_is_capped(monkeypatch):
     # First fit on [0, 59] for k = 4 tries 440 differences, each one unit
     # of a budget that every call gets anew.
-    greedy = ApkFreeProvider(mode="greedy")
-    full = apk_free_set(0, 59, 4, greedy)
+    full = apk_free_set(0, 59, 4, "greedy")
     monkeypatch.setattr(density, "DEFAULT_WORK_CAP", 440)
-    assert apk_free_set(0, 59, 4, greedy) == apk_free_set(0, 59, 4, greedy) == full
+    assert apk_free_set(0, 59, 4, "greedy") == apk_free_set(0, 59, 4, "greedy") == full
     monkeypatch.setattr(density, "DEFAULT_WORK_CAP", 439)
-    with pytest.raises(SearchCapExceeded):
-        apk_free_set(0, 59, 4, greedy)
+    with pytest.raises(SearchCapExceeded) as info:
+        apk_free_set(0, 59, 4, "greedy")
+    assert str(info.value) == (
+        "greedy provider hit the work cap of 439 differences tried on 60 elements")
+
+
+def test_unknown_provider_mode_is_refused():
+    for call in (lambda: apk_free_set(0, 4, 3, "first-fit"),
+                 lambda: build_behrend_digit_set(F(1, 125), 2, mode="first-fit")):
+        with pytest.raises(ValueError, match="unknown provider mode 'first-fit'"):
+            call()
 
 
 def test_behrend3_provider_is_free():
-    provider = ApkFreeProvider(mode="behrend3")
     for n in (10, 50, 200):
-        got = apk_free_set(0, n - 1, 3, provider)
+        got = apk_free_set(0, n - 1, 3, "behrend3")
         assert got and not has_exact_ap(got, 3)
         assert all(0 <= x < n for x in got)
 
 
 def test_behrend3_requires_k3():
     with pytest.raises(ValueError):
-        apk_free_set(0, 100, 4, ApkFreeProvider(mode="behrend3"))
+        apk_free_set(0, 100, 4, "behrend3")
 
 
 def test_auto_provider_dispatch():
@@ -129,10 +135,15 @@ def test_digit_h1_degenerates_to_head():
 @pytest.mark.parametrize("eps, h", [(F(1, 125), 4), (F(1, 250), 3), (F(1, 150), 6)])
 def test_digit_members_are_the_digit_expansions(eps, h):
     spec, members = build_behrend_digit_set(eps, h)
-    q = spec.q
-    assert members == tuple(sorted(
-        top * q ** (h - 1) + sum(dg * q ** i for i, dg in enumerate(rest))
-        for top in spec.head for rest in product(spec.tail, repeat=h - 1)))
+    assert members == oracles.power_sum_digit_set(spec.q, h, spec.head, spec.tail)
+
+
+def test_digit_members_equal_the_power_sums():
+    for eps, h, k, one_based in product((F(1, 125), F(1, 250), F(1, 500), F(1, 2500)),
+                                        (1, 2, 3), (3, 4), (False, True)):
+        spec, members = build_behrend_digit_set(eps, h, k, one_based=one_based)
+        want = oracles.power_sum_digit_set(spec.q, h, spec.head, spec.tail)
+        assert members == tuple(x + one_based for x in want)
 
 
 def test_digit_guard_refuses_only_unprintable_members(monkeypatch):
@@ -241,6 +252,31 @@ def test_cube_blowup_matches_1d_blowup():
 def test_cube_blowup_cap_names_r():
     with pytest.raises(MemoryGuardExceeded, match="r="):
         build_cube_blowup(2, 3, F(1, 2), F(1, 2), cap=1000)
+
+
+def test_cube_blowup_refuses_colliding_digits():
+    # t = ceil(3 sqrt(2) / (5/2)) = 2 < k: the 81 digit vectors give 49 points
+    with pytest.raises(ValueError, match=(
+            "^eps=5/2 gives digit base t=2 < k=3; blow-up digits would collide$")):
+        build_cube_blowup(2, 3, F(5, 2), F(4, 5))
+
+
+def test_cube_blowup_equals_the_power_sums():
+    built = refused = 0
+    for m, k, eps, alpha in product((1, 2, 3), (3, 4), (F(1, 4), F(1, 2), F(1), F(5, 2)),
+                                    (F(1, 2), F(4, 5), F(9, 10))):
+        try:
+            spec = build_cube_blowup(m, k, eps, alpha)
+        except MemoryGuardExceeded:
+            continue
+        except ValueError as err:
+            assert "blow-up digits would collide" in str(err)
+            refused += 1
+            continue
+        built += 1
+        assert spec.elements == oracles.power_sum_cube_blowup(m, k, spec.r, spec.t)
+        assert spec.blocks() == oracles.power_sum_cube_blocks(m, k, spec.r, spec.t)
+    assert (built, refused) == (34, 10)
 
 
 def test_cube_blowup_transversals_recognized_dim1():
