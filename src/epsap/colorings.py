@@ -108,8 +108,8 @@ class Coloring:
 def _digit_set(base: int, alphabets) -> tuple:
     """Every number whose base-`base` digits, most significant first, come
     from `alphabets` in turn, by Horner's rule.  The alphabets are sorted and
-    lie in [0, base), so no digit carries and the numbers come out
-    increasing."""
+    every one after the first lies in [0, base), so no digit carries and the
+    numbers come out increasing."""
     out = [0]
     for digits in alphabets:
         out = [x * base + dg for x in out for dg in digits]
@@ -119,8 +119,8 @@ def _digit_set(base: int, alphabets) -> tuple:
 def _blowup_blocks(k: int, r: int, t: int, eps) -> list:
     """The r-fold base-t blow-up of {0..k-1} as its k blocks: block i holds
     the members with leading digit i, a translate of the (r-1)-fold blow-up.
-    Refuses t < k, where digits would collide."""
-    if t < k:
+    Refuses t < k when r > 1, where digits would collide; one digit cannot."""
+    if r > 1 and t < k:
         raise ValueError(
             f"eps={eps} gives digit base t={t} < k={k}; blow-up digits would collide"
         )
@@ -152,8 +152,9 @@ class BlowupSpec:
 def build_blowup_1d(k: int, r: int, eps, cap: int = BLOWUP_CAP) -> BlowupSpec:
     """The r-fold blow-up of {0..k-1} with scale t = ceil(k/eps).
 
-    Element count k^r is capped; digit collisions (possible only for eps
-    large enough that t < k) are rejected so |elements| = k^r always holds.
+    Element count k^r is capped; digit collisions (possible only for r > 1
+    and eps large enough that t < k) are rejected so |elements| = k^r always
+    holds.
     """
     check_cap(cap)
     if k < 2 or r < 1:

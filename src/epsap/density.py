@@ -8,8 +8,8 @@ averaging step are the two halves of the density upper bound machinery.
 Both digit constructions come from the one builder of colorings: the digit
 set's members are colorings._digit_set over the head and tail alphabets,
 and the cube blow-up is the m-fold product of the 1-D blow-up
-(colorings._blowup_blocks, which refuses a base t < k), its block u the
-product of the 1-D blocks u_1, ..., u_m.
+(colorings._blowup_blocks, which refuses a base t < k when r > 1), its
+block u the product of the 1-D blocks u_1, ..., u_m.
 The cube search (_cubes) prunes with the integer d interval update of the
 geometry module, the one the 1-D progression stream uses, and tries at each
 slot only the points inside the window that the axis-0 constraints allow;
@@ -252,7 +252,7 @@ def build_cube_blowup(m: int, k: int, eps, alpha,
                       cap: int = CUBE_BLOWUP_CAP) -> CubeBlowupSpec:
     """Blow-up iterated r = ceil(log(1/alpha) / log(k^m/(k^m-1))) times.
 
-    Refuses a digit base t < k, as build_blowup_1d does."""
+    Refuses a digit base t < k when r > 1, as build_blowup_1d does."""
     check_cap(cap)
     if m < 1 or k < 3:
         raise ValueError(f"need m >= 1 and k >= 3, got m={m}, k={k}")

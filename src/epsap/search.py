@@ -4,10 +4,16 @@ Everything here is exhaustive and exact, on explicit stacks.  One lex-order
 stream (_eps_aps) lists approximate progressions: each level tries only the
 candidates inside the window that the closed d interval of the prefix
 allows (geometry.window, as the cube search does), and every one outside it
-would empty that interval (geometry.narrowed).  Without a fixed tail every
-candidate tried becomes a node.  It accepts a full tuple exactly when its
-open interval is nonempty, the exact recognizer's verdict, so pruned output
-equals naive output.
+would empty that interval (geometry.narrowed).  A level with another between
+it and the last also looks ahead to the last one (forward checking: Haralick
+and Elliott, "Increasing tree search efficiency for constraint satisfaction
+problems", 1980).  A candidate is dropped before it becomes a node when the
+last level's window, over the interval the candidate leaves, holds no
+candidate far enough past it.  No tuple is lost: a deeper interval lies
+inside this one, the window shrinks with the interval, and the rows of the
+levels between only narrow it.  The stream accepts a full tuple exactly
+when its open interval is nonempty, the exact recognizer's verdict, so
+pruned output equals naive output.
 On [N] the listing is translation invariant: |x_i - (a + i d)| < eps d holds
 for x and a exactly when it holds for x + t and a + t.  So each progression
 shape is searched once.  enumerate_eps_aps searches the progressions
@@ -80,11 +86,21 @@ def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
     (geometry.window): the candidates are sorted, so the window is a slice,
     found by bisection at both ends, and every candidate outside it would
     empty the interval.  Each candidate tried narrows the interval
-    (geometry.narrowed) and becomes a node when it stays nonempty; a full
-    tuple is yielded when the open interval is nonempty, which is the exact
-    recognizer's verdict.  Depth-first on an explicit stack of candidate
-    streams, one per level being filled and none for a level whose window
-    is empty; one budget unit per node, the root included.
+    (geometry.narrowed).  At a level j < last - 2 (levels h .. last - 1 are
+    filled) a candidate at index idx that keeps it nonempty then looks
+    ahead: the last level's rows (the prefix's and the tail's, built once
+    per level, plus the candidate's own) give a window over the narrowed
+    interval, and the candidate is dropped unless a candidate at an index
+    >= idx + (last - 1 - j) lies inside it.  Every tuple through it puts
+    its last point there: the interval that point meets lies inside this
+    one, the window is monotone in the interval, and the rows of the
+    levels between only narrow it.  The level before the last needs no
+    lookahead, as the last level's own window is the same check.  A
+    candidate kept becomes a node; a full tuple is yielded when the open
+    interval is nonempty, which is the exact recognizer's verdict.
+    Depth-first on an explicit stack of candidate streams, one per level
+    being filled and none for a level whose window is empty; one budget
+    unit per node, the root included.
     """
     p2, q = 2 * eps.numerator, eps.denominator
     candidates = tuple(candidates)  # indexed per candidate: faster than a range
@@ -96,30 +112,49 @@ def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
     if tail is not None:
         chosen[-1] = tail
 
-    def rows(depth):  # the prefix and the tail against the point at index depth
-        level = [(0, q * y, q * (depth - j) + p2, q * (depth - j) - p2)
+    def rows(depth, at):  # chosen[:depth] and the tail against the point at index `at`
+        level = [(0, q * y, q * (at - j) + p2, q * (at - j) - p2)
                  for j, y in enumerate(chosen[:depth])]
         if tail is not None:
-            level.append((0, q * tail, q * (depth - last) + p2, q * (depth - last) - p2))
+            level.append((0, q * tail, q * (at - last) + p2, q * (at - last) - p2))
         return level
 
     interval = (0, 1, None)
     for depth, x in enumerate(head):
-        interval = interval and narrowed(rows(depth), (q * x,), *interval)
+        interval = interval and narrowed(rows(depth, depth), (q * x,), *interval)
 
     def fits(start, depth, interval):
         """The indices from start on that may fill level depth, with the
         interval each leaves, or None when the window holds none."""
-        level = rows(depth)
+        level = rows(depth, depth)
         lower, upper = window(level, *interval)
         # leave a candidate for each later level; bisect reads hi = -1 as len
         stop = max(start, n - (last - depth) + 1)
         begin = bisect_left(keys, lower, start, stop)
         end = bisect_right(keys, upper, begin, stop)
-        if begin < end:
+        if begin == end:
+            return None
+        if depth + 2 >= last:  # no level between this one and the last
             return ((idx, shrunk) for idx in range(begin, end)
                     if (shrunk := narrowed(level, scaled[idx], *interval)) is not None)
-        return None
+        return ahead(level, begin, end, depth, interval)
+
+    def ahead(level, begin, end, depth, interval):
+        """fits' candidates whose interval leaves the last level a candidate
+        inside its window, past one candidate for each level between."""
+        gap = last - 1 - depth
+        far = rows(depth, last - 1)  # each candidate's own row is appended in turn
+        a, c = q * gap + p2, q * gap - p2
+        for idx in range(begin, end):
+            shrunk = narrowed(level, scaled[idx], *interval)
+            if shrunk is None:
+                continue
+            far.append((0, keys[idx], a, c))
+            lower, upper = window(far, *shrunk)
+            far.pop()
+            first = bisect_left(keys, lower, idx + gap)
+            if first < n and keys[first] <= upper:
+                yield idx, shrunk
 
     budget.spend()
     if h == last:  # nothing to fill: head and tail are the whole tuple

@@ -64,6 +64,8 @@ CASES = [
     ('construct blowup --k 3 --r 2 --eps 1/4 --one-based --json', 0,
      '{"command": "construct blowup", "diameter": 26, "elements": [1, 2, 3, '
      '13, 14, 15, 25, 26, 27], "k": 3, "r": 2, "t": 12}\n', '', None),
+    ('construct blowup --k 3 --r 1 --eps 3', 0,  # t = 1 < k, but one digit
+     't = 1\nsize = 3\ndiameter = 2\n0 1 2\n', '', None),
     ('construct blowup --k 3 --r 2 --eps 1/10 --cap -1', 2,
      '',
      'error: cap must be >= 0, got -1\n',

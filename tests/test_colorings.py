@@ -64,19 +64,24 @@ def test_blowup_blocks_are_translates():
 
 
 def test_blowup_equals_the_power_sums():
+    # one digit (r = 1) cannot collide, so only r > 1 refuses t < k
     epsilons = (F(1, 5), F(1, 3), F(1, 2), F(1), F(3, 2))
+    built = refused = 0
     for k, r, eps in product(range(2, 6), range(1, 5), epsilons):
         t = math.ceil(k / eps)
-        if t < k:
+        if r > 1 and t < k:
             with pytest.raises(ValueError, match=(
                     f"^eps={eps} gives digit base t={t} < k={k}; "
                     "blow-up digits would collide$")):
                 build_blowup_1d(k, r, eps)
+            refused += 1
             continue
         spec = build_blowup_1d(k, r, eps)
+        built += 1
         assert spec.t == t
         assert spec.elements == power_sum_blowup(k, r, t)
         assert spec.blocks() == power_sum_blowup_blocks(k, r, t)
+    assert (built, refused) == (71, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +328,13 @@ def test_verify_picks_lex_smallest_color_first():
 
 
 def test_verify_work_cap_bounds_the_whole_call():
-    # each of the two color classes takes 1,533 nodes to clear
+    # each of the two color classes takes 85 nodes to clear
     coloring = build_simple_r2_coloring(14)
     with pytest.raises(SearchCapExceeded):
-        verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=1533)
+        verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=85)
     with pytest.raises(SearchCapExceeded):
-        verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=3065)
-    assert verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=3066) is None
+        verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=169)
+    assert verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=170) is None
 
 
 def test_simple_r2_empirical_threshold_report():

@@ -28,7 +28,6 @@ from epsap.search import (
     _good_coloring,
     _greedy,
     _max_free_edges,
-    _shapes,
 )
 from oracles import (
     brute_force_cubes,
@@ -132,6 +131,11 @@ def test_edges_by_max_rungs_equal_direct_listing(inputs, first):
                                 for e in edges if e[-1] == n]
 
 
+_CAPS = (5000, 600, 100, 20, 5, 2, 1)
+# a color class with no 14-progression at eps = 1/70: every node a dead end
+_SIMPLE_R2_CLASS = tuple(build_simple_r2_coloring(14).classes()[1])
+
+
 @st.composite
 def _stream_inputs(draw):
     """Sparse sorted points in [-60, 60], split into a head, the candidates
@@ -144,7 +148,7 @@ def _stream_inputs(draw):
     tail = points.pop() if points and draw(st.booleans()) else None
     last = k if tail is None else k - 1
     h = draw(st.integers(0, min(last, len(points))))
-    cap = draw(st.sampled_from([5000, 600, 100, 20, 5, 2, 1]))
+    cap = draw(st.sampled_from(_CAPS))
     return tuple(points[h:]), k, eps, cap, tuple(points[:h]), tail
 
 
@@ -168,23 +172,43 @@ def _stream(stream, candidates, k, eps, cap, head, tail):
 # a node on the tail's lower end, then on its upper end
 @example(((-30, -10, 20), 5, F(1, 6), 5000, (-60,), 60))
 @example(((-41, 15, 47), 4, F(3, 8), 5000, (), 55))
+@example((_SIMPLE_R2_CLASS, 14, F(1, 70), 5000, (), None))
+# last points on the lookahead window's closed ends
+@example(((-11, 2, 3, 7, 9, 20), 5, F(1, 3), 5000, (), 23))
+@example(((-23, -13, -12, 4, 7, 8, 9, 13, 16, 22, 23, 25), 4, F(1, 3), 5000, (), None))
 def test_window_matches_unwindowed_stream(case):
-    # The window skips only candidates the interval update would refuse, so
-    # the same tuples come out after the same nodes, capped or not.
-    assert _stream(_eps_aps, *case) == _stream(unwindowed_eps_aps, *case)
+    # The window skips only candidates the interval update would refuse, and
+    # the lookahead only those that leave the last level none, so the same
+    # tuples come out after at most the oracle's nodes.  Every cap is
+    # checked, the drawn one included: a capped stream yields a prefix of
+    # them, then its cap error.
+    candidates, k, eps, _, head, tail = case
+    full, spent = _stream(_eps_aps, candidates, k, eps, 10 ** 9, head, tail)
+    oracle, oracle_spent = _stream(unwindowed_eps_aps, candidates, k, eps, 10 ** 9, head,
+                                   tail)
+    assert full == oracle and spent <= oracle_spent
+    for cap in _CAPS:
+        out, capped = _stream(_eps_aps, candidates, k, eps, cap, head, tail)
+        assert capped <= min(cap, oracle_spent)  # the oracle's spent at this cap
+        if cap >= spent:
+            assert out == full
+        else:
+            assert out[:-1] == full[:len(out) - 1]
+            assert out[-1][0] is SearchCapExceeded
 
 
 @pytest.mark.parametrize("k", (3, 4, 5))
 @pytest.mark.parametrize("eps", (F(1, 100), F(1, 10), F(1, 4), F(9, 20)))
 def test_rungs_search_no_more_than_one_shape_listing(k, eps):
     # Rung n reuses rung n - 1 and searches only the spans of n, so N rungs
-    # cost about one search over the shapes of [N], plus one root per rung.
-    # A search of all of [n] at every rung exceeds this bound.
+    # cost at most one unpruned search over the shapes of [N] (the oracle's:
+    # the lookahead prunes the spans and the shapes differently), plus one
+    # root per rung.  A search of all of [n] at every rung exceeds this bound.
     for N in (10, 20, 40):
         rungs, shapes = Budget(10 ** 9), Budget(10 ** 9)
         for _ in zip(range(N), _edges_by_max(k, eps, rungs)):
             pass
-        for _ in _shapes(N, k, eps, shapes):
+        for _ in unwindowed_eps_aps(range(2, N + 1), k, eps, shapes, head=(1,)):
             pass
         assert rungs.spent <= shapes.spent + N, (N, rungs.spent, shapes.spent)
 
@@ -270,8 +294,8 @@ def _assert_spends_exactly(search_call, nodes):
 
 @pytest.mark.parametrize("N, k, eps, nodes, edges", [
     (30, 3, F(1, 10), 945, 824),  # 121 shape nodes + 824 listed edges
-    (20, 4, F(1, 4), 1433, 1060),
-    (16, 5, F(2, 5), 3126, 2106),
+    (20, 4, F(1, 4), 1412, 1060),
+    (16, 5, F(2, 5), 3030, 2106),
 ])
 def test_enumerate_search_tree_is_pinned(N, k, eps, nodes, edges):
     # the nodes of the search for the progressions starting at 1, plus one
@@ -283,9 +307,9 @@ def test_enumerate_search_tree_is_pinned(N, k, eps, nodes, edges):
 
 @pytest.mark.parametrize("points, k, eps, nodes, hit", [
     (tuple(3 ** i for i in range(14)), 3, F(1, 10), 91, None),
-    ((1, 2, 4, 8, 9, 13, 17, 30, 31, 33, 50), 4, F(1, 5), 7,
+    ((1, 2, 4, 8, 9, 13, 17, 30, 31, 33, 50), 4, F(1, 5), 5,
      ((1, 4, 8, 13), (F(1, 2), F(4), F(3, 10)))),
-    (tuple(i ** 3 for i in range(1, 30)), 4, F(1, 20), 19,
+    (tuple(i ** 3 for i in range(1, 30)), 4, F(1, 20), 12,
      ((1, 1331, 2744, 4096), (F(-79, 4), F(2743, 2), F(1913, 40)))),
 ])
 def test_find_search_tree_is_pinned(points, k, eps, nodes, hit):
@@ -299,8 +323,9 @@ def test_find_search_tree_is_pinned(points, k, eps, nodes, hit):
 
 
 def test_window_cuts_interval_updates():
-    # Every candidate the window lets through becomes a node; the
-    # unwindowed stream made 458,412 narrowed calls here.
+    # The unwindowed stream made 458,412 narrowed calls here, and the window
+    # alone 24,542 for 24,544 nodes.  The lookahead drops the candidates
+    # that leave the last level no candidate before they become nodes.
     counted = []
 
     def counting(*args):
@@ -314,8 +339,8 @@ def test_window_cuts_interval_updates():
 
     with mock.patch.object(search, "narrowed", counting):
         assert verify(10 ** 6) is None
-    assert len(counted) <= 25_000
-    _assert_spends_exactly(verify, 24_544)
+    assert len(counted) <= 10_000
+    _assert_spends_exactly(verify, 740)
 
 
 @pytest.mark.parametrize("k, r, eps, value, nodes", [
