@@ -30,7 +30,7 @@ class Budget:
         """Take `units` units (one search node, by default), or raise without
         taking any when fewer are left, so that `spent` never exceeds `cap`."""
         if self.left < units:
-            raise SearchCapExceeded(f"search work cap of {self.cap} nodes exceeded")
+            raise SearchCapExceeded(f"search work cap of {self.cap} exceeded")
         self.left -= units
 
 

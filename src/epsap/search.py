@@ -20,16 +20,17 @@ shape is searched once.  enumerate_eps_aps searches the progressions
 starting at 1 (the shapes, _shapes) and shifts them to every start.  The
 ladders (_edges_by_max) list rung n, the progressions of [n] ending at n, as
 rung n - 1 shifted up by one plus the spans of n, the progressions from 1 to
-n, searched with both ends fixed.  Coloring and subset searches are plain
-backtracking with canonical tie-breaking, so results are deterministic;
-exact_W and exact_f count the listing in `nodes`.  Every free-set search is
-one include-first branch and bound on bit masks of chosen and blocked
-indices (_max_free_edges): exact_f on m >= 2 runs it once, over the listed
-cubes, with the count bound.  The 1-D ladder (_ladder) runs it once per
-rung as a decision: f(n) is f(n - 1) or f(n - 1) + 1, so rung n asks
-whether [n] holds a free set of f(n - 1) + 1 points, and stops at the
-first one, the lex-first.  Its bounds force both ends of [n] into such a
-set.
+n, searched with both ends fixed.  Every edge a search reads is an int bit
+mask, bit i for element i + 1 (index i), made where the edge is listed.
+Coloring and subset searches are plain backtracking with canonical
+tie-breaking, so results are deterministic; exact_W and exact_f count the
+listing in `nodes`.  Every free-set search is one include-first branch and
+bound on bit masks of chosen and blocked indices (_max_free_edges): exact_f
+on m >= 2 runs it once, over the listed cubes, with the count bound.  The
+1-D ladder (_ladder) runs it once per rung as a decision: f(n) is f(n - 1)
+or f(n - 1) + 1, so rung n asks whether [n] holds a free set of f(n - 1) + 1
+points, and stops at the first one, the lex-first.  Its bounds force both
+ends of [n] into such a set.
 """
 
 from __future__ import annotations
@@ -238,15 +239,16 @@ def find_eps_ap_in_points(points, k: int, eps,
 def _good_coloring(N: int, r: int, by_max, budget):
     """Canonical r-coloring with no monochromatic edge of the longest [n], n <= N.
 
-    by_max yields, for x = 1, 2, ..., the edges whose largest element is x,
-    each without x.  It is read once per x, when the search first reaches x,
-    so edges can be enumerated as they are needed; an exhausted by_max means
-    no more edges.
-    Backtracking in element order on an explicit stack.  Colors are
-    propagated as per-element forbidden sets: color c is forbidden at x when
-    some edge ending at x has all other elements colored c.  Symmetry is
-    broken canonically: element 1 gets color 1 and a new color may only
-    follow all smaller ones.
+    by_max yields, for x = 1, 2, ..., the bit masks of the edges whose
+    largest element is x, without x.  It is read once per x, when the search
+    first reaches x, so edges are listed as they are needed; an exhausted
+    by_max means no more edges.
+    Backtracking in element order on an explicit stack, holding the bit mask
+    of the elements of each color in use.  On entering x, color c is banned
+    there when an edge ending at x has its other elements colored c: c is
+    the color of the edge's least element, and the edge lies inside c's
+    mask.  Symmetry is broken canonically: element 1 gets color 1 and a new
+    color may only follow all smaller ones, so no state is sized by r.
 
     The edges of [n] are the edges inside [n], so every coloring the search
     rejects before it first reaches x = n + 1 fails on [n] too, and the
@@ -260,63 +262,63 @@ def _good_coloring(N: int, r: int, by_max, budget):
     # Indexed by element, and grown as the search first reaches one, so
     # memory follows the depth reached rather than N.
     rests = [()]  # rests[x]: the edges ending at x, without x
-    colors = [0]  # 0 while uncolored
-    used = [0]  # used[x]: the largest color on 1..x-1
-    forbidden = [()]
-    good = []
-    x, entering = 1, True
+    colors = [0, 0]  # 0 while uncolored; one slot past the last element reached
+    banned = [0]  # banned[x]: bit c set when color c is banned at x
+    members = [0]  # members[c]: the elements colored c, for c = 1, 2, ...
+    good, x = [], 1
     try:
         while x:
-            if entering:
+            c = colors[x]
+            if c:  # back from x + 1: uncolor x
+                members[c] ^= 1 << x >> 1
+                if not members[c]:  # c was new at x, so it is the last
+                    members.pop()
+            else:
                 budget.spend()
                 if x == len(rests):
-                    good = colors[1:]
+                    good = colors[1:x]
                     if x > N:
                         break
                     rests.append(next(by_max, ()))
                     colors.append(0)
-                    used.append(0)
-                    forbidden.append(())
-                used[x] = max(used[x - 1], colors[x - 1])
-                banned = set()
+                    banned.append(0)
+                banned[x] = 0
                 for rest in rests[x]:
-                    c = colors[rest[0]]
-                    for y in rest:
-                        if colors[y] != c:
-                            break
-                    else:
-                        banned.add(c)
-                forbidden[x] = banned
-            c = colors[x] + 1
-            top = min(r, used[x] + 1)
-            while c <= top and c in forbidden[x]:
+                    d = colors[(rest & -rest).bit_length()]
+                    if members[d] & rest == rest:
+                        banned[x] |= 1 << d
+            c += 1
+            top = min(r, len(members))
+            while c <= top and banned[x] >> c & 1:
                 c += 1
             if c <= top:
                 colors[x] = c
-                x, entering = x + 1, True
+                if c == len(members):
+                    members.append(0)
+                members[c] |= 1 << x >> 1
+                x += 1
             else:
                 colors[x] = 0
-                x, entering = x - 1, False
+                x -= 1
     except SearchCapExceeded:
         return good, False
     return good, True
 
 
-def _edges_by_max(k: int, eps, budget, first: int = 1):
+def _edges_by_max(k: int, eps, budget):
     """The by_max stream of _good_coloring for approximate k-progressions.
 
-    For n = 1, 2, ...: those of [n] ending at n, without n, elements
-    numbered from `first` (0 gives the ladder's indices).  Such an edge
-    either starts at 1, a span of n, or is an edge of rung n - 1 shifted up
-    by one (the listing is translation invariant).  So each rung shifts the
-    previous one and adds the spans of n, found by one search with both
-    ends fixed; no progression is searched twice.
+    For n = 1, 2, ...: the bit masks of those of [n] ending at n, without
+    n.  Such an edge either starts at 1, a span of n, or is an edge of rung
+    n - 1 shifted up by one bit (the listing is translation invariant).  So
+    each rung shifts the previous one and adds the spans of n, found by one
+    search with both ends fixed; no progression is searched twice.
     """
     rung = []
     for n in count(1):
         spans = _eps_aps(range(2, n), k, eps, budget, head=(1,), tail=n)
-        rung = [tuple(x + 1 for x in rest) for rest in rung]
-        rung += [tuple(x - 1 + first for x in s[:-1]) for s in spans]
+        rung = [rest << 1 for rest in rung]
+        rung += [sum(1 << x for x in s[:-1]) >> 1 for s in spans]
         yield rung
 
 
@@ -412,15 +414,12 @@ def _max_free_edges(n: int, lowers, budget, incumbent, room):
     return best, True
 
 
-def _file_edge(lowers, rest, top: int) -> int:
-    """File the edge rest + (top,) for _max_free_edges: rest is increasing,
-    nonempty and below top.  Returns the bit mask of rest."""
-    below = 0
-    for j in rest[:-1]:
-        below |= 1 << j
-    tops = lowers[rest[-1]]
-    tops[below] = tops.get(below, 0) | 1 << top
-    return below | 1 << rest[-1]
+def _file_edge(lowers, rest: int, top: int) -> None:
+    """File the edge of top and the indices in the bit mask rest (nonempty,
+    below top) for _max_free_edges, under rest's largest index j."""
+    j = rest.bit_length() - 1
+    below = rest ^ 1 << j
+    lowers[j][below] = lowers[j].get(below, 0) | 1 << top
 
 
 def _greedy(n: int, k: int, budget) -> tuple:
@@ -447,9 +446,9 @@ def _ladder(N: int, rests_ending_at, budget):
     among ties, solving [1], [2], ..., [N] in turn; returns (indices,
     completed), as _max_free_edges does.
 
-    The edges must be translation invariant.  rests_ending_at(i) lists those
-    whose largest index is i, without i, each in increasing order; it is
-    called once per i, when rung i + 1 is reached, and may spend the budget.
+    The edges must be translation invariant.  rests_ending_at(i) lists the
+    bit masks of those whose largest index is i, without i; it is called
+    once per i, when rung i + 1 is reached, and may spend the budget.
     The greedy set is grown as the edges are filed.  In rung n the indices
     i..n-1 are a translate of [n - i], so they hold at most f(n - i) chosen
     points, the value of an earlier rung (the suffix bound of Gasarch, Glenn
@@ -476,8 +475,8 @@ def _ladder(N: int, rests_ending_at, budget):
             lowers.append({})
             closed = False  # does n - 1 end an edge inside the greedy set?
             for rest in rests_ending_at(n - 1):
-                full = _file_edge(lowers, rest, n - 1)
-                closed = closed or in_greedy & full == full
+                _file_edge(lowers, rest, n - 1)
+                closed = closed or in_greedy & rest == rest
             if not closed:
                 greedy.append(n - 1)
                 in_greedy |= 1 << (n - 1)
@@ -511,7 +510,7 @@ def max_exact_ap_free(N: int, k: int,
         raise ValueError(f"need N >= 0 and k >= 2, got N={N}, k={k}")
 
     def rests_ending_at(i):
-        return [tuple(range(i - (k - 1) * d, i, d))
+        return [sum(1 << j for j in range(i - (k - 1) * d, i, d))
                 for d in range(i // (k - 1), 0, -1)]
 
     budget = Budget(work_cap)
@@ -543,24 +542,27 @@ def exact_f(N: int, m: int, k: int, eps,
     if m == 1:
         e = check_epsilon(eps, set_level=True)
         points = range(1, N + 1)
-        by_max = _edges_by_max(k, e, budget, first=0)
+        by_max = _edges_by_max(k, e, budget)
         # the ladder asks for i = 0, 1, ... in turn, as by_max yields them
         best, completed = _ladder(N, lambda _: next(by_max), budget)
     else:
         from .density import _cubes  # density imports this module
 
         e = check_epsilon(eps)
+        if 2 * e >= k - 1:  # refused before listing, whatever the cap
+            raise ValueError(f"eps={e} too large; recognize_cube needs eps < (k-1)/2")
         points = tuple(product(range(1, N + 1), repeat=m))
         index = {p: i for i, p in enumerate(points)}
         n = len(points)
         best, completed = (), False
         try:
             # a set may fit two assignments
-            cubes = {tuple(sorted(map(index.__getitem__, grid.assignment.values())))
+            cubes = {sum(1 << index[p] for p in grid.assignment.values())
                      for grid, _ in _cubes(points, m, k, e, DEFAULT_TOL, budget)}
             lowers = [{} for _ in points]
             for cube in cubes:
-                _file_edge(lowers, cube[:-1], cube[-1])
+                top = cube.bit_length() - 1
+                _file_edge(lowers, cube ^ 1 << top, top)
             best, completed = _max_free_edges(n, lowers, budget, (), range(n, -1, -1))
         except SearchCapExceeded:  # raised by the listing
             pass

@@ -284,6 +284,16 @@ CASES = [
     ('density --N 9 --k 3 --exact-aps --json', 0,
      '{"command": "density", "kind": "value", "nodes": 60, "value": 5, '
      '"witness_set": [1, 2, 4, 8, 9]}\n', '', None),
+    # 2 eps >= k - 1 is refused before the cube listing, so a cap that
+    # stops the listing first does not hide it
+    ('density --N 3 --m 2 --k 2 --eps 3', 2,
+     '',
+     'error: eps=3 too large; recognize_cube needs eps < (k-1)/2\n',
+     None),
+    ('density --N 3 --m 2 --k 2 --eps 3 --work-cap 1', 2,
+     '',
+     'error: eps=3 too large; recognize_cube needs eps < (k-1)/2\n',
+     None),
     ('density --N 6 --k 3', 2,
      '',
      'error: density needs --eps unless --exact-aps is given\n',
@@ -327,7 +337,7 @@ CASES = [
     # fits (test_cli_hypergraph_fits_its_exact_work_cap).
     ('hypergraph --N 30 --k 3 --eps 1/10 --work-cap 944 --json', 2,
      '',
-     'error: search work cap of 944 nodes exceeded\n',
+     'error: search work cap of 944 exceeded\n',
      None),
     # Exit 1 (bound not met) has no input: the best of all shifts is at
     # least their average, and the randomized mode draws until it is met.

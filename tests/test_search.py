@@ -119,16 +119,17 @@ def test_spans_equal_direct_listing(inputs):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(_span_inputs(), st.sampled_from((0, 1)))
-@example((30, 4, F(9, 20)), 0)
-@example((30, 2, F(1, 3)), 1)
-def test_edges_by_max_rungs_equal_direct_listing(inputs, first):
-    # rung n: the progressions of [n] ending at n, without n, numbered from first
+@given(_span_inputs())
+@example((30, 4, F(9, 20)))
+@example((30, 2, F(1, 3)))
+def test_edges_by_max_rungs_equal_direct_listing(inputs):
+    # rung n: the progressions of [n] ending at n, without n, as bit masks
+    # (bit i for element i + 1)
     N, k, eps = inputs
     edges = direct_eps_aps_listing(N, k, eps)
-    for n, rung in zip(range(1, N + 1), _edges_by_max(k, eps, Budget(10 ** 9), first)):
-        assert sorted(rung) == [tuple(x - 1 + first for x in e[:-1])
-                                for e in edges if e[-1] == n]
+    for n, rung in zip(range(1, N + 1), _edges_by_max(k, eps, Budget(10 ** 9))):
+        assert sorted(rung) == sorted(sum(1 << (x - 1) for x in e[:-1])
+                                      for e in edges if e[-1] == n)
 
 
 _CAPS = (5000, 600, 100, 20, 5, 2, 1)
@@ -451,8 +452,18 @@ def test_good_coloring_depth_does_not_grow_with_n():
     assert _good_coloring(n, 2, (), Budget(10 ** 6)) == ([1] * n, True)
 
 
+def test_good_coloring_is_not_sized_by_r():
+    # The search holds one entry per color in use, never one per color
+    # allowed: r = 10^12 walks the 244 nodes that r = 8 walks, and its good
+    # coloring of [40] is r = 8's, on colors 1..8.
+    out = exact_W(3, 10 ** 12, F(1, 10), 40)
+    assert (out.kind, out.value, out.nodes) == ("lower_bound_only", 40, 244)
+    assert out.witness.to_list() == exact_W(3, 8, F(1, 10), 40).witness.to_list()
+    assert max(out.witness.to_list()) == 8
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
-@given(k=st.sampled_from((3, 4)), r=st.sampled_from((2, 3)),
+@given(k=st.sampled_from((3, 4)), r=st.sampled_from((2, 3, 4)),
        eps=st.sampled_from((F(1, 20), F(1, 10), F(1, 6), F(1, 5))),
        n_max=st.integers(1, 30), cap_seed=st.integers(0, 2 ** 20))
 def test_w_traversal_matches_per_n_search(k, r, eps, n_max, cap_seed):
@@ -668,10 +679,11 @@ def _hypergraphs(draw):
 
 
 def _lowers(n, edges):
-    """The edges of two or more indices, filed as the ladder files them."""
+    """The edges of two or more indices, filed as the ladder files them: the
+    bit mask of all but the largest index, and that index."""
     lowers = [{} for _ in range(n)]
     for e in edges:
-        _file_edge(lowers, e[:-1], e[-1])
+        _file_edge(lowers, sum(1 << i for i in e[:-1]), e[-1])
     return lowers
 
 
