@@ -10,9 +10,8 @@ so that structure can be checked without materializing billions of entries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DEFAULT_WORK_CAP, Budget, MemoryGuardExceeded, check_cap
 from .geometry import Witness1D, check_epsilon
@@ -127,8 +126,7 @@ def _blowup_blocks(k: int, r: int, t: int, eps) -> list:
     return [_digit_set(t, [(i,)] + [range(k)] * (r - 1)) for i in range(k)]
 
 
-@dataclass(frozen=True)
-class BlowupSpec:
+class BlowupSpec(NamedTuple):
     """Iterated base-t digit expansion of {0..k-1}, one digit per color round."""
 
     k: int
@@ -171,8 +169,7 @@ def build_blowup_1d(k: int, r: int, eps, cap: int = BLOWUP_CAP) -> BlowupSpec:
 # Alternate labelings
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlternateLabeling:
+class AlternateLabeling(NamedTuple):
     """Periodic +-1 labeling: r-1 blocks of +1 of length D, then one of -1.
 
     offset selects which of the r distinct phase shifts (in multiples of D)
@@ -236,8 +233,7 @@ def build_simple_r2_coloring(k: int) -> Coloring:
 # Recursive lower-bound coloring
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LowerBoundParams:
+class LowerBoundParams(NamedTuple):
     """Rounded parameter schedule for one level of the recursive coloring.
 
     At the base level (r = 1) only n1 = k - 1 is meaningful.  Above it,
@@ -368,8 +364,7 @@ def build_lower_bound_coloring(k: int, r: int, eps, eps0=DEFAULT_EPS0,
 # Verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MonochromeWitness:
+class MonochromeWitness(NamedTuple):
     color: int
     points: tuple
     witness: Witness1D

@@ -23,10 +23,9 @@ import math
 import random
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .colorings import DEFAULT_MATERIALIZE_CAP, _blowup_blocks, _digit_set
 from .errors import (
@@ -142,8 +141,7 @@ def apk_free_set(lo: int, hi: int, k: int, mode: str = "auto") -> tuple:
 # Digit sets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DigitConstruction:
+class DigitConstruction(NamedTuple):
     """Parameters of the base-q digit set: head alphabet for the leading digit,
     middle-band tail alphabet for all others."""
 
@@ -227,8 +225,7 @@ def product_free_set(A, m: int, N: int) -> tuple:
 # Cube blow-up
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CubeBlowupSpec:
+class CubeBlowupSpec(NamedTuple):
     """m-fold product of the 1-D blow-up with scale t = ceil(k sqrt(m)/eps)."""
 
     m: int
@@ -282,8 +279,7 @@ def build_cube_blowup(m: int, k: int, eps, alpha,
 # Translation averaging
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TranslateResult:
+class TranslateResult(NamedTuple):
     shift: tuple
     count: int
     bound: Fraction  # the guaranteed average |X||A| / (2N)^m
@@ -360,16 +356,27 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = DEFAULT_TOL,
 
     Because every injective index assignment is tried explicitly, no sorted-
     order disambiguation is needed and any eps accepted by the recognizer is
-    allowed (in particular eps = 1/2).
+    allowed (in particular eps = 1/2); one it refuses (2 eps >= k - 1) is
+    refused before the points are counted.
     """
     if m < 1 or k < 2:
         raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
-    e = check_epsilon(eps)
+    e = _check_cube_eps(eps, k)
     check_tol(tol)
     points = check_points(S, m)
     if len(points) < k ** m:
         return None
     return next(_cubes(points, m, k, e, tol, Budget(node_cap)), None)
+
+
+def _check_cube_eps(eps, k: int) -> Fraction:
+    """eps as a checked Fraction, refused when 2 eps >= k - 1, where
+    recognize_cube has no scale bound: a cube search refuses it up front,
+    whatever its points or cap."""
+    e = check_epsilon(eps)
+    if 2 * e >= k - 1:
+        raise ValueError(f"eps={e} too large; recognize_cube needs eps < (k-1)/2")
+    return e
 
 
 def _cubes(points, m: int, k: int, e, tol: float, budget):

@@ -40,11 +40,10 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, product
 from operator import itemgetter, mul
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .rational import to_fraction
 
@@ -141,8 +140,7 @@ def check_points(points, m: int) -> tuple:
     return _Points(sorted(set(pts)))
 
 
-@dataclass(frozen=True)
-class Witness1D:
+class Witness1D(NamedTuple):
     """An exact certificate (a, d) for a 1-D approximate progression.
 
     margin = eps*d - spread(d)/2 where spread(d) is the range of the offsets
@@ -340,8 +338,7 @@ def window(rows, lo_n, lo_d, hi):
     return lower, upper
 
 
-@dataclass(frozen=True, eq=False)
-class FeasibleRegion2D:
+class FeasibleRegion2D(NamedTuple):
     """Closed relaxation of the witness constraints for a partial tuple.
 
     The set of (a, d), d >= 0, with a + (i - eps)*d <= x_i <= a + (i + eps)*d
@@ -358,6 +355,11 @@ class FeasibleRegion2D:
     lo: tuple  # (num, den): d >= num/den
     hi: Optional[tuple]  # (num, den): d <= num/den; None means unbounded above
     degenerate_infeasible: bool = False
+
+    # identity equality, as equal regions may store different pairs
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def region_new(k: int, eps) -> FeasibleRegion2D:
@@ -515,33 +517,35 @@ def min_enclosing_ball(points, order: Optional[list] = None):
     return tuple(map(float, center)), float(radius)
 
 
-@dataclass(frozen=True)
-class IndexedGrid:
-    """k^m integer points indexed by vectors v in {0..k-1}^m."""
-
+class _GridFields(NamedTuple):
     m: int
     k: int
     assignment: Mapping
 
-    def __post_init__(self):
-        if self.m < 1 or self.k < 2:
-            raise ValueError(f"need m >= 1 and k >= 2, got m={self.m}, k={self.k}")
-        if set(self.assignment) != set(product(range(self.k), repeat=self.m)):
+
+class IndexedGrid(_GridFields):
+    """k^m integer points indexed by vectors v in {0..k-1}^m."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, k: int, assignment: Mapping):
+        if m < 1 or k < 2:
+            raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
+        if set(assignment) != set(product(range(k), repeat=m)):
             raise ValueError("assignment keys must be exactly {0..k-1}^m")
-        if len(check_points(self.assignment.values(), self.m)) != len(self.assignment):
+        if len(check_points(assignment.values(), m)) != len(assignment):
             raise ValueError("assignment must be injective (duplicate points)")
+        return tuple.__new__(cls, (m, k, assignment))
 
     def items_in_index_order(self):
         return [(v, self.assignment[v]) for v in sorted(self.assignment)]
 
 
 def _trusted_grid(m: int, k: int, assignment: Mapping) -> IndexedGrid:
-    """An IndexedGrid built without __post_init__'s checks, for package code
+    """An IndexedGrid built without __new__'s checks, for package code
     whose assignment already maps {0..k-1}^m one to one onto checked
     points."""
-    grid = object.__new__(IndexedGrid)
-    grid.__dict__.update(m=m, k=k, assignment=assignment)
-    return grid
+    return tuple.__new__(IndexedGrid, (m, k, assignment))
 
 
 def _exact_eps(eps) -> Fraction:
@@ -553,8 +557,7 @@ def _exact_eps(eps) -> Fraction:
     return check_epsilon(eps)
 
 
-@dataclass(frozen=True)
-class WitnessMD:
+class WitnessMD(NamedTuple):
     """Numeric certificate for an approximate cube: center a, scale d.
 
     residual = eps*d - R(d) with R the enclosing-ball radius of {x_v - d*v};
@@ -591,8 +594,7 @@ class WitnessMD:
         return True
 
 
-@dataclass(frozen=True)
-class CubeDecision:
+class CubeDecision(NamedTuple):
     """A cube verdict with the scale d it was reached at and g(d).
 
     exact is True when the verdict is proved in exact arithmetic: a feasible

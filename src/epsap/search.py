@@ -36,9 +36,9 @@ ends of [n] into such a set.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, product
+from typing import NamedTuple
 
 from .colorings import Coloring
 from .errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EpsApHypergraph:
+class EpsApHypergraph(NamedTuple):
     """All k-subsets of [N] accepted by the recognizer, in lex order."""
 
     N: int
@@ -68,8 +67,7 @@ class EpsApHypergraph:
     edges: tuple
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     kind: str  # "value" | "lower_bound_only"
     value: int
     witness: object
@@ -212,7 +210,7 @@ def enumerate_eps_aps(N: int, k: int, eps,
         if not shapes:
             break
         budget.spend(len(shapes))
-        edges += [tuple(map(t.__add__, s)) for s in shapes]
+        edges += zip(*[[x + t for x in col] for col in zip(*shapes)])
     return EpsApHypergraph(N=N, k=k, eps=e, edges=tuple(edges))
 
 
@@ -546,11 +544,9 @@ def exact_f(N: int, m: int, k: int, eps,
         # the ladder asks for i = 0, 1, ... in turn, as by_max yields them
         best, completed = _ladder(N, lambda _: next(by_max), budget)
     else:
-        from .density import _cubes  # density imports this module
+        from .density import _check_cube_eps, _cubes  # density imports this module
 
-        e = check_epsilon(eps)
-        if 2 * e >= k - 1:  # refused before listing, whatever the cap
-            raise ValueError(f"eps={e} too large; recognize_cube needs eps < (k-1)/2")
+        e = _check_cube_eps(eps, k)  # refused before listing, whatever the cap
         points = tuple(product(range(1, N + 1), repeat=m))
         index = {p: i for i, p in enumerate(points)}
         n = len(points)

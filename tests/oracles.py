@@ -620,9 +620,12 @@ def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
 
     Because every injective index assignment is tried explicitly, no sorted-
     order disambiguation is needed and any eps accepted by the recognizer is
-    allowed (in particular eps = 1/2).
+    allowed (in particular eps = 1/2); one the recognizer refuses
+    (2 eps >= k - 1) is refused first, whatever the points.
     """
     e = check_epsilon(eps)
+    if 2 * e >= k - 1:
+        raise ValueError(f"eps={e} too large; recognize_cube needs eps < (k-1)/2")
     points = sorted(set(tuple(p) for p in S))
     slots = sorted(product(range(k), repeat=m))
     total = k ** m

@@ -16,6 +16,7 @@ from epsap.cli import build_parser, main
 
 FILES = {
     "grid.txt": "0 0\n0 10\n10 0\n10 10\n",  # an exact 2x2 cube of scale 10
+    "one.txt": "0 0\n",  # fewer points than any 2x2 grid
     "skew.txt": "0 0\n1 5\n9 1\n10 9\n",  # no cube for eps = 1/5
     "line.txt": "1\n2\n4\n",
     "run.txt": "1\n2\n3\n5\n",
@@ -243,6 +244,16 @@ CASES = [
      '0)": [0, 0], "(0, 1)": [0, 10], "(1, 0)": [10, 0], "(1, 1)": [10, '
      '10]}, "witness": {"a": ["0.0", "0.0"], "certified": true, '
      '"d": "10.0", "residual": "2.5", "tol": "1e-09"}}}\n', '', None),
+    # 2 eps >= k - 1 is refused whatever the set holds, too few points
+    # for a grid included
+    ('verify set --file one.txt --m 2 --k 2 --eps 3', 2,
+     '',
+     'error: eps=3 too large; recognize_cube needs eps < (k-1)/2\n',
+     None),
+    ('verify set --file grid.txt --m 2 --k 2 --eps 3', 2,
+     '',
+     'error: eps=3 too large; recognize_cube needs eps < (k-1)/2\n',
+     None),
     ('wnumber --k 3 --r 2 --eps 1/3 --nmax 20', 0,
      'value 5\ngood coloring of [4]: [1, 1, 2, 2]\n', '', None),
     ('wnumber --k 3 --r 2 --eps 1/3 --nmax 20 --format csv', 0,
