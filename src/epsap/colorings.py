@@ -13,8 +13,9 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import DEFAULT_WORK_CAP, Budget, MemoryGuardExceeded, check_cap
-from .geometry import Witness1D, check_epsilon
+from . import geometry
+from .errors import DEFAULT_WORK_CAP, Budget, MemoryGuardExceeded, check_cap, power_exceeds
+from .geometry import Witness1D, _eps_aps, check_epsilon
 from .rational import ceil_frac, to_fraction
 
 __all__ = [
@@ -150,16 +151,16 @@ class BlowupSpec(NamedTuple):
 def build_blowup_1d(k: int, r: int, eps, cap: int = BLOWUP_CAP) -> BlowupSpec:
     """The r-fold blow-up of {0..k-1} with scale t = ceil(k/eps).
 
-    Element count k^r is capped; digit collisions (possible only for r > 1
-    and eps large enough that t < k) are rejected so |elements| = k^r always
-    holds.
+    Element count k^r is capped, checked without building a power past the
+    cap; digit collisions (possible only for r > 1 and eps large enough that
+    t < k) are rejected so |elements| = k^r always holds.
     """
     check_cap(cap)
     if k < 2 or r < 1:
         raise ValueError(f"need k >= 2 and r >= 1, got k={k}, r={r}")
     e = check_epsilon(eps)
-    if k ** r > cap:
-        raise MemoryGuardExceeded(f"blow-up size k^r = {k ** r} exceeds cap {cap}")
+    if power_exceeds(k, r, cap):
+        raise MemoryGuardExceeded(f"blow-up size k^r = {k}^{r} exceeds cap {cap}")
     t = ceil_frac(Fraction(k) / e)
     elements = tuple(x for block in _blowup_blocks(k, r, t, e) for x in block)
     return BlowupSpec(k=k, r=r, eps=e, t=t, elements=elements)
@@ -379,9 +380,6 @@ def verify_no_mono_ap(coloring: Coloring, k: int, eps,
     exact witness, or None when the coloring is free of them.  One
     Budget(work_cap) serves every class, so the cap bounds the whole call.
     """
-    # imported per call, where bench/tracer.py may have wrapped recognize_ap
-    from .search import _eps_aps, recognize_ap
-
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     e = check_epsilon(eps, set_level=True)
@@ -391,6 +389,8 @@ def verify_no_mono_ap(coloring: Coloring, k: int, eps,
             continue
         hit = next(_eps_aps(tuple(pts), k, e, budget), None)
         if hit is not None:
-            return MonochromeWitness(color=c, points=hit, witness=recognize_ap(hit, e))
+            # through the module, where bench/tracer.py wraps recognize_ap
+            return MonochromeWitness(color=c, points=hit,
+                                     witness=geometry.recognize_ap(hit, e))
     return None
 

@@ -10,11 +10,8 @@ set's members are colorings._digit_set over the head and tail alphabets,
 and the cube blow-up is the m-fold product of the 1-D blow-up
 (colorings._blowup_blocks, which refuses a base t < k when r > 1), its
 block u the product of the 1-D blocks u_1, ..., u_m.
-The cube search (_cubes) prunes with the integer d interval update of the
-geometry module, the one the 1-D progression stream uses, and tries at each
-slot only the points inside the window that the axis-0 constraints allow;
-verify_cube_free returns its first cube, and search.exact_f (m >= 2) lists
-them all.
+verify_cube_free returns the first cube of the geometry module's cube
+listing (geometry._cubes), and search.exact_f (m >= 2) lists them all.
 """
 
 from __future__ import annotations
@@ -22,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import product
 from typing import NamedTuple, Optional
@@ -34,19 +30,14 @@ from .errors import (
     MemoryGuardExceeded,
     SearchCapExceeded,
     check_cap,
+    power_exceeds,
 )
-from .geometry import (
-    DEFAULT_TOL,
-    _trusted_grid,
-    check_epsilon,
-    check_points,
-    check_tol,
-    narrowed,
-    recognize_cube,
-    window,
-)
+from .geometry import (DEFAULT_TOL, _check_cube_eps, _cubes, check_epsilon, check_points,
+                       check_tol)
+# Not called here: bench/tracer.py wraps it on this module by name.
+from .geometry import recognize_cube  # noqa: F401
 from .rational import ceil_frac, floor_frac, to_fraction
-from .search import _greedy, max_exact_ap_free
+from .search import max_exact_ap_free
 
 __all__ = [
     "DigitConstruction",
@@ -137,6 +128,25 @@ def apk_free_set(lo: int, hi: int, k: int, mode: str = "auto") -> tuple:
     return tuple(x + lo for x in base)
 
 
+def _greedy(n: int, k: int, budget) -> tuple:
+    """The first-fit subset of range(n) with no exact k-term progression:
+    each index is kept unless it ends one whose other terms are kept.  One
+    budget unit per difference tried."""
+    chosen = [False] * n  # not a bit mask: testing a bit of a q-bit int is O(q)
+    for x in range(n):
+        d = 0  # the differences tried: up to the one that closes a progression
+        for d in range(1, x // (k - 1) + 1):
+            for y in range(x - d, x - k * d, -d):
+                if not chosen[y]:
+                    break
+            else:
+                break
+        else:
+            chosen[x] = True
+        budget.spend(d)
+    return tuple(x for x in range(n) if chosen[x])
+
+
 # ---------------------------------------------------------------------------
 # Digit sets
 # ---------------------------------------------------------------------------
@@ -210,12 +220,20 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
 
 
 def product_free_set(A, m: int, N: int) -> tuple:
-    """A x [N]^(m-1) as sorted m-tuples; freeness projects to the first axis."""
+    """A x [N]^(m-1) as sorted m-tuples; freeness projects to the first axis.
+
+    Raises MemoryGuardExceeded, before building any, when the |A| N^(m-1)
+    tuples exceed colorings.DEFAULT_MATERIALIZE_CAP."""
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
     avals = [a for a, in check_points([(a,) for a in A], 1)]
     if avals and not 1 <= avals[0] <= avals[-1] <= N:
         raise ValueError("A must lie inside [1, N]")
+    cap = DEFAULT_MATERIALIZE_CAP
+    if avals and power_exceeds(N, m - 1, cap // len(avals)):
+        raise MemoryGuardExceeded(
+            f"product size |A|*N^(m-1) = {len(avals)}*{N}^{m - 1} exceeds materialize "
+            f"cap {cap}")
     return tuple(sorted(
         (a,) + rest for a in avals for rest in product(range(1, N + 1), repeat=m - 1)
     ))
@@ -247,9 +265,12 @@ class CubeBlowupSpec(NamedTuple):
 
 def build_cube_blowup(m: int, k: int, eps, alpha,
                       cap: int = CUBE_BLOWUP_CAP) -> CubeBlowupSpec:
-    """Blow-up iterated r = ceil(log(1/alpha) / log(k^m/(k^m-1))) times.
+    """Blow-up iterated r = ceil(log(1/alpha) / log(k^m/(k^m-1))) times,
+    that is the fewest r >= 1 with (1 - 1/k^m)^r <= alpha, found in integers.
 
-    Refuses a digit base t < k when r > 1, as build_blowup_1d does."""
+    Refuses k^m > cap before it looks for r, and k^(r*m) > cap, without
+    building a power past the cap.  Refuses a digit base t < k when r > 1,
+    as build_blowup_1d does."""
     check_cap(cap)
     if m < 1 or k < 3:
         raise ValueError(f"need m >= 1 and k >= 3, got m={m}, k={k}")
@@ -257,13 +278,18 @@ def build_cube_blowup(m: int, k: int, eps, alpha,
     a = to_fraction(alpha)
     if not 0 < a < 1:
         raise ValueError(f"need 0 < alpha < 1, got {a}")
-    loss = math.log(k ** m / (k ** m - 1))
-    r = max(1, math.ceil(math.log(1 / float(a)) / loss))
-    count = k ** (r * m)
-    if count > cap:
-        raise MemoryGuardExceeded(
-            f"blow-up needs r={r} iterations, k^(r*m) = {count} exceeds cap {cap}"
-        )
+    if power_exceeds(k, m, cap):
+        raise MemoryGuardExceeded(f"blow-up size k^m = {k}^{m} exceeds cap {cap}")
+    size = k ** m
+    r = 1
+    while (size - 1) ** r * a.denominator > a.numerator * size ** r:
+        r += 1
+        if power_exceeds(k, r * m, cap):
+            # r now only names the refusal: the logarithms give it, no power
+            loss = -math.log1p(-1 / size)
+            r = max(r, math.ceil((math.log(a.denominator) - math.log(a.numerator)) / loss))
+            raise MemoryGuardExceeded(
+                f"blow-up needs r={r} iterations, k^(r*m) = {k}^{r * m} exceeds cap {cap}")
     root = math.isqrt(m)
     if root * root == m:
         t = ceil_frac(Fraction(k * root) / e)
@@ -367,88 +393,3 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = DEFAULT_TOL,
     if len(points) < k ** m:
         return None
     return next(_cubes(points, m, k, e, tol, Budget(node_cap)), None)
-
-
-def _check_cube_eps(eps, k: int) -> Fraction:
-    """eps as a checked Fraction, refused when 2 eps >= k - 1, where
-    recognize_cube has no scale bound: a cube search refuses it up front,
-    whatever its points or cap."""
-    e = check_epsilon(eps)
-    if 2 * e >= k - 1:
-        raise ValueError(f"eps={e} too large; recognize_cube needs eps < (k-1)/2")
-    return e
-
-
-def _cubes(points, m: int, k: int, e, tol: float, budget):
-    """Every approximate cube among `points` (distinct, sorted m-tuples), as
-    (grid, CubeDecision), in lex order of assignments.
-
-    DFS assigns points to index vectors in lex order.  Each partial
-    assignment keeps the exact interval of scales d allowed by the
-    per-axis box constraints |x_j - (a_j + d*v_j)| <= eps*d (a necessary
-    consequence of the ball constraint), updated by geometry.narrowed; an
-    empty interval prunes.  Only the points whose first coordinate lies in
-    the window that the axis-0 constraints allow over the current interval
-    (geometry.window) are tried: `points` are sorted, so the window is a
-    slice, found by bisection, and every point outside it would empty the
-    interval.
-    Complete assignments are confirmed by the numeric ball recognizer; only
-    a 'feasible' verdict is yielded, so boundary candidates are skipped.  A
-    point set fitting several assignments is yielded once per assignment.
-    Each node spends one unit of `budget`, the root included.
-    """
-    total = k ** m
-    slots = sorted(product(range(k), repeat=m))
-
-    # Rows (axis, q*y_axis, a, c) of geometry.narrowed, over scaled points.
-    p2, q = 2 * e.numerator, e.denominator
-    scaled = [tuple(q * c for c in p) for p in points]
-    firsts = [x[0] for x in scaled]  # sorted, as points are
-
-    assigned: list = []
-    used: set = set()
-
-    def fits(lo_n, lo_d, hi):
-        """The points that may fill the next slot, with the d interval each
-        leaves.  Read lazily, so the rows and `used` are the ones in force
-        whenever the search comes back to this slot."""
-        v = slots[len(assigned)]
-        rows = [
-            (axis, y[axis], span + p2, span - p2)
-            for v2, _, y in assigned
-            for axis, span in enumerate([q * (c - c2) for c, c2 in zip(v, v2)])
-        ]
-        lower, upper = window(rows[::m], lo_n, lo_d, hi)  # axis 0: every m-th row
-        for i in range(bisect_left(firsts, lower), bisect_right(firsts, upper)):
-            p = points[i]
-            if p in used:
-                continue
-            x = scaled[i]
-            shrunk = narrowed(rows, x, lo_n, lo_d, hi)
-            if shrunk is not None:
-                yield (v, p, x), shrunk
-
-    # Depth-first on an explicit stack of candidate streams, one per filled
-    # slot plus the next, so the Python depth stays constant.
-    budget.spend()
-    stack = [fits(0, 1, None)]
-    while stack:
-        step = next(stack[-1], None)
-        if step is None:
-            stack.pop()
-            if assigned:
-                used.discard(assigned.pop()[1])
-            continue
-        slot, shrunk = step
-        assigned.append(slot)
-        used.add(slot[1])
-        budget.spend()
-        if len(assigned) < total:
-            stack.append(fits(*shrunk))
-            continue
-        # the points are checked and the slots are {0..k-1}^m, filled once
-        grid = _trusted_grid(m, k, {v: p for v, p, _ in assigned})
-        decision = recognize_cube(grid, e, tol=tol)
-        if decision.status == "feasible":
-            yield grid, decision
-        used.discard(assigned.pop()[1])

@@ -1,8 +1,8 @@
 """Shared exception types, the work budget that raises one with its default
-cap, and the check of a materialize cap."""
+cap, and the checks of a materialize cap."""
 
 __all__ = ["SearchCapExceeded", "Budget", "DEFAULT_WORK_CAP", "MemoryGuardExceeded",
-           "check_cap"]
+           "check_cap", "power_exceeds"]
 
 DEFAULT_WORK_CAP = 20_000_000  # the default Budget of every search
 
@@ -43,3 +43,17 @@ def check_cap(cap: int) -> None:
     reported as a size limit."""
     if cap < 0:
         raise ValueError(f"cap must be >= 0, got {cap}")
+
+
+def power_exceeds(base: int, exp: int, cap: int) -> bool:
+    """Whether base ** exp > cap, for base, exp >= 0, decided without
+    building a power larger than cap, in at most log_base(cap) + 1 steps
+    whatever exp is."""
+    if base < 2:
+        return base ** min(exp, 1) > cap
+    power = 1
+    for _ in range(exp):
+        if power > cap // base:
+            return True
+        power *= base
+    return power > cap

@@ -1,4 +1,5 @@
-"""Exact and numeric recognizers for approximate progressions and cubes.
+"""Exact and numeric recognizers for approximate progressions and cubes, and
+the listings of both.
 
 The 1-D recognizer decides, in exact rational arithmetic, whether k strictly
 increasing integers fit inside open balls of radius eps*d around some real
@@ -17,11 +18,30 @@ operations each, with eps = p/q and every candidate d = dy/dx kept as an
 integer pair.  A positive maximum is equivalent to strict feasibility, and
 the midrange of {x_i - i*d} at the smallest optimal d gives the intercept a.
 
-Every search prunes by the closed interval of scales d of a partial tuple
+Both listings prune by the closed interval of scales d of a partial tuple
 or cube, kept the same way; `narrowed` is the one update of it, also for
 the axis lines of a grid, and `window` bounds the coordinates of the
-candidates that can keep it nonempty.  The region_* functions wrap it for one
-progression at a time; nothing in the package calls them.
+candidates that can keep it nonempty.  No other module reads the rows or
+the interval.  The region_* functions wrap it for one progression at a
+time; nothing in the package calls them.
+
+One lex-order stream (_eps_aps) lists approximate progressions: each level
+tries only the candidates inside the window that the closed d interval of
+the prefix allows, and every one outside it would empty that interval.  A
+level with another between it and the last also looks ahead to the last
+one (forward checking: Haralick and Elliott, "Increasing tree search
+efficiency for constraint satisfaction problems", 1980).  A candidate is
+dropped before it becomes a node when the last level's window, over the
+interval the candidate leaves, holds no candidate far enough past it.  No
+tuple is lost: a deeper interval lies inside this one, the window shrinks
+with the interval, and the rows of the levels between only narrow it.  The
+stream accepts a full tuple exactly when its open interval is nonempty,
+the exact recognizer's verdict, so pruned output equals naive output.  The
+cube listing (_cubes) assigns points to index vectors in lex order under
+the same update, tries at each slot only the points inside the axis-0
+window, and yields the full assignments that recognize_cube finds
+feasible.  The searches of the search and density modules optimize over
+these two listings.
 
 The m-D recognizer settles almost every grid exactly.  A least-squares
 scale and one smallest enclosing ball give a candidate witness that is
@@ -40,6 +60,7 @@ from __future__ import annotations
 import functools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import chain, combinations, product
 from operator import itemgetter, mul
@@ -338,6 +359,114 @@ def window(rows, lo_n, lo_d, hi):
     return lower, upper
 
 
+def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
+    """Lex-order stream of the approximate k-progressions among candidates.
+
+    Each tuple starts with `head` (fewer than k points, below the
+    candidates) and, when `tail` is given, ends with it (a point above the
+    candidates).  A level tries only the candidates inside the window that
+    its rows (built once per level from the prefix and the tail, whose
+    index offset is negative) allow over the prefix's closed d interval
+    (`window`): the candidates are sorted, so the window is a slice, found
+    by bisection at both ends, and every candidate outside it would empty
+    the interval.  Each candidate tried narrows the interval (`narrowed`).
+    At a level j < last - 2 (levels h .. last - 1 are filled) a candidate
+    at index idx that keeps it nonempty then looks ahead: the last level's
+    rows (the prefix's and the tail's, built once per level, plus the
+    candidate's own) give a window over the narrowed interval, and the
+    candidate is dropped unless a candidate at an index
+    >= idx + (last - 1 - j) lies inside it.  Every tuple through it puts
+    its last point there: the interval that point meets lies inside this
+    one, the window is monotone in the interval, and the rows of the
+    levels between only narrow it.  The level before the last needs no
+    lookahead, as the last level's own window is the same check.  A
+    candidate kept becomes a node; a full tuple is yielded when the open
+    interval is nonempty, which is the exact recognizer's verdict.
+    Depth-first on an explicit stack of candidate streams, one per level
+    being filled and none for a level whose window is empty; one budget
+    unit per node, the root included.
+    """
+    p2, q = 2 * eps.numerator, eps.denominator
+    candidates = tuple(candidates)  # indexed per candidate: faster than a range
+    keys = [q * x for x in candidates]  # sorted, as candidates are
+    scaled = [(x,) for x in keys]
+    n, h = len(candidates), len(head)
+    last = k if tail is None else k - 1  # levels filled: h .. last - 1
+    chosen = list(head) + [None] * (k - h)
+    if tail is not None:
+        chosen[-1] = tail
+
+    def rows(depth, at):  # chosen[:depth] and the tail against the point at index `at`
+        level = [(0, q * y, q * (at - j) + p2, q * (at - j) - p2)
+                 for j, y in enumerate(chosen[:depth])]
+        if tail is not None:
+            level.append((0, q * tail, q * (at - last) + p2, q * (at - last) - p2))
+        return level
+
+    interval = (0, 1, None)
+    for depth, x in enumerate(head):
+        interval = interval and narrowed(rows(depth, depth), (q * x,), *interval)
+
+    def fits(start, depth, interval):
+        """The indices from start on that may fill level depth, with the
+        interval each leaves, or None when the window holds none."""
+        level = rows(depth, depth)
+        lower, upper = window(level, *interval)
+        # leave a candidate for each later level; bisect reads hi = -1 as len
+        stop = max(start, n - (last - depth) + 1)
+        begin = bisect_left(keys, lower, start, stop)
+        end = bisect_right(keys, upper, begin, stop)
+        if begin == end:
+            return None
+        if depth + 2 >= last:  # no level between this one and the last
+            return ((idx, shrunk) for idx in range(begin, end)
+                    if (shrunk := narrowed(level, scaled[idx], *interval)) is not None)
+        return ahead(level, begin, end, depth, interval)
+
+    def ahead(level, begin, end, depth, interval):
+        """fits' candidates whose interval leaves the last level a candidate
+        inside its window, past one candidate for each level between."""
+        gap = last - 1 - depth
+        far = rows(depth, last - 1)  # each candidate's own row is appended in turn
+        a, c = q * gap + p2, q * gap - p2
+        for idx in range(begin, end):
+            shrunk = narrowed(level, scaled[idx], *interval)
+            if shrunk is None:
+                continue
+            far.append((0, keys[idx], a, c))
+            lower, upper = window(far, *shrunk)
+            far.pop()
+            first = bisect_left(keys, lower, idx + gap)
+            if first < n and keys[first] <= upper:
+                yield idx, shrunk
+
+    budget.spend()
+    if h == last:  # nothing to fill: head and tail are the whole tuple
+        if interval:
+            lo_n, lo_d, hi = interval
+            if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
+                yield tuple(chosen)
+        return
+    tries = interval and fits(0, h, interval)
+    stack = [tries] if tries else []
+    while stack:
+        depth = h + len(stack) - 1
+        for idx, shrunk in stack[-1]:
+            chosen[depth] = candidates[idx]
+            budget.spend()
+            if depth + 1 < last:
+                tries = fits(idx + 1, depth + 1, shrunk)
+                if tries:
+                    stack.append(tries)
+                    break
+                continue
+            lo_n, lo_d, hi = shrunk
+            if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
+                yield tuple(chosen)
+        else:
+            stack.pop()
+
+
 class FeasibleRegion2D(NamedTuple):
     """Closed relaxation of the witness constraints for a partial tuple.
 
@@ -536,6 +665,11 @@ class IndexedGrid(_GridFields):
         if len(check_points(assignment.values(), m)) != len(assignment):
             raise ValueError("assignment must be injective (duplicate points)")
         return tuple.__new__(cls, (m, k, assignment))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through __new__'s checks; _replace builds its grid here too."""
+        return cls(*iterable)
 
     def items_in_index_order(self):
         return [(v, self.assignment[v]) for v in sorted(self.assignment)]
@@ -783,6 +917,91 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
     if best_g > tol * d_max:
         return CubeDecision("infeasible", None, best_d, best_g, d_max, exact=False)
     return CubeDecision("boundary", None, best_d, best_g, d_max, exact=False)
+
+
+def _check_cube_eps(eps, k: int) -> Fraction:
+    """eps as a checked Fraction, refused when 2 eps >= k - 1, where
+    recognize_cube has no scale bound: a cube search refuses it up front,
+    whatever its points or cap."""
+    e = check_epsilon(eps)
+    if 2 * e >= k - 1:
+        raise ValueError(f"eps={e} too large; recognize_cube needs eps < (k-1)/2")
+    return e
+
+
+def _cubes(points, m: int, k: int, e, tol: float, budget):
+    """Every approximate cube among `points` (distinct, sorted m-tuples), as
+    (grid, CubeDecision), in lex order of assignments.
+
+    DFS assigns points to index vectors in lex order.  Each partial
+    assignment keeps the exact interval of scales d allowed by the
+    per-axis box constraints |x_j - (a_j + d*v_j)| <= eps*d (a necessary
+    consequence of the ball constraint), updated by `narrowed`; an empty
+    interval prunes.  Only the points whose first coordinate lies in the
+    window that the axis-0 constraints allow over the current interval
+    (`window`) are tried: `points` are sorted, so the window is a
+    slice, found by bisection, and every point outside it would empty the
+    interval.
+    Complete assignments are confirmed by the numeric ball recognizer; only
+    a 'feasible' verdict is yielded, so boundary candidates are skipped.  A
+    point set fitting several assignments is yielded once per assignment.
+    Each node spends one unit of `budget`, the root included.
+    """
+    total = k ** m
+    slots = sorted(product(range(k), repeat=m))
+
+    # Rows (axis, q*y_axis, a, c) of `narrowed`, over scaled points.
+    p2, q = 2 * e.numerator, e.denominator
+    scaled = [tuple(q * c for c in p) for p in points]
+    firsts = [x[0] for x in scaled]  # sorted, as points are
+
+    assigned: list = []
+    used: set = set()
+
+    def fits(lo_n, lo_d, hi):
+        """The points that may fill the next slot, with the d interval each
+        leaves.  Read lazily, so the rows and `used` are the ones in force
+        whenever the search comes back to this slot."""
+        v = slots[len(assigned)]
+        rows = [
+            (axis, y[axis], span + p2, span - p2)
+            for v2, _, y in assigned
+            for axis, span in enumerate([q * (c - c2) for c, c2 in zip(v, v2)])
+        ]
+        lower, upper = window(rows[::m], lo_n, lo_d, hi)  # axis 0: every m-th row
+        for i in range(bisect_left(firsts, lower), bisect_right(firsts, upper)):
+            p = points[i]
+            if p in used:
+                continue
+            x = scaled[i]
+            shrunk = narrowed(rows, x, lo_n, lo_d, hi)
+            if shrunk is not None:
+                yield (v, p, x), shrunk
+
+    # Depth-first on an explicit stack of candidate streams, one per filled
+    # slot plus the next, so the Python depth stays constant.
+    budget.spend()
+    stack = [fits(0, 1, None)]
+    while stack:
+        step = next(stack[-1], None)
+        if step is None:
+            stack.pop()
+            if assigned:
+                used.discard(assigned.pop()[1])
+            continue
+        slot, shrunk = step
+        assigned.append(slot)
+        used.add(slot[1])
+        budget.spend()
+        if len(assigned) < total:
+            stack.append(fits(*shrunk))
+            continue
+        # the points are checked and the slots are {0..k-1}^m, filled once
+        grid = _trusted_grid(m, k, {v: p for v, p, _ in assigned})
+        decision = recognize_cube(grid, e, tol=tol)
+        if decision.status == "feasible":
+            yield grid, decision
+        used.discard(assigned.pop()[1])
 
 
 def index_grid_points(point_set, m: int, k: int, eps) -> IndexedGrid:

@@ -1,19 +1,8 @@
 """Exact desk-scale searches: hypergraph enumeration, least forcing N, max free sets.
 
-Everything here is exhaustive and exact, on explicit stacks.  One lex-order
-stream (_eps_aps) lists approximate progressions: each level tries only the
-candidates inside the window that the closed d interval of the prefix
-allows (geometry.window, as the cube search does), and every one outside it
-would empty that interval (geometry.narrowed).  A level with another between
-it and the last also looks ahead to the last one (forward checking: Haralick
-and Elliott, "Increasing tree search efficiency for constraint satisfaction
-problems", 1980).  A candidate is dropped before it becomes a node when the
-last level's window, over the interval the candidate leaves, holds no
-candidate far enough past it.  No tuple is lost: a deeper interval lies
-inside this one, the window shrinks with the interval, and the rows of the
-levels between only narrow it.  The stream accepts a full tuple exactly
-when its open interval is nonempty, the exact recognizer's verdict, so
-pruned output equals naive output.
+Everything here is exhaustive and exact, on explicit stacks, over the
+listings of the geometry module: its lex-order stream of approximate
+progressions (geometry._eps_aps) and its cube listing (geometry._cubes).
 On [N] the listing is translation invariant: |x_i - (a + i d)| < eps d holds
 for x and a exactly when it holds for x + t and a + t.  So each progression
 shape is searched once.  enumerate_eps_aps searches the progressions
@@ -35,15 +24,14 @@ ends of [n] into such a set.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import count, product
+from itertools import count, islice, product
 from typing import NamedTuple
 
 from .colorings import Coloring
-from .errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded
-from .geometry import (DEFAULT_TOL, check_epsilon, check_points_1d, narrowed, recognize_ap,
-                       window)
+from .errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded, power_exceeds
+from .geometry import (DEFAULT_TOL, _check_cube_eps, _cubes, _eps_aps, check_epsilon,
+                       check_points_1d, recognize_ap)
 # Not called here: the benchmark's tracer wraps them on this module by name.
 from .geometry import region_add_point, region_closed_empty  # noqa: F401
 
@@ -74,114 +62,6 @@ class SearchOutcome(NamedTuple):
     nodes: int
 
 
-def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
-    """Lex-order stream of the approximate k-progressions among candidates.
-
-    Each tuple starts with `head` (fewer than k points, below the
-    candidates) and, when `tail` is given, ends with it (a point above the
-    candidates).  A level tries only the candidates inside the window that
-    its rows (built once per level from the prefix and the tail, whose
-    index offset is negative) allow over the prefix's closed d interval
-    (geometry.window): the candidates are sorted, so the window is a slice,
-    found by bisection at both ends, and every candidate outside it would
-    empty the interval.  Each candidate tried narrows the interval
-    (geometry.narrowed).  At a level j < last - 2 (levels h .. last - 1 are
-    filled) a candidate at index idx that keeps it nonempty then looks
-    ahead: the last level's rows (the prefix's and the tail's, built once
-    per level, plus the candidate's own) give a window over the narrowed
-    interval, and the candidate is dropped unless a candidate at an index
-    >= idx + (last - 1 - j) lies inside it.  Every tuple through it puts
-    its last point there: the interval that point meets lies inside this
-    one, the window is monotone in the interval, and the rows of the
-    levels between only narrow it.  The level before the last needs no
-    lookahead, as the last level's own window is the same check.  A
-    candidate kept becomes a node; a full tuple is yielded when the open
-    interval is nonempty, which is the exact recognizer's verdict.
-    Depth-first on an explicit stack of candidate streams, one per level
-    being filled and none for a level whose window is empty; one budget
-    unit per node, the root included.
-    """
-    p2, q = 2 * eps.numerator, eps.denominator
-    candidates = tuple(candidates)  # indexed per candidate: faster than a range
-    keys = [q * x for x in candidates]  # sorted, as candidates are
-    scaled = [(x,) for x in keys]
-    n, h = len(candidates), len(head)
-    last = k if tail is None else k - 1  # levels filled: h .. last - 1
-    chosen = list(head) + [None] * (k - h)
-    if tail is not None:
-        chosen[-1] = tail
-
-    def rows(depth, at):  # chosen[:depth] and the tail against the point at index `at`
-        level = [(0, q * y, q * (at - j) + p2, q * (at - j) - p2)
-                 for j, y in enumerate(chosen[:depth])]
-        if tail is not None:
-            level.append((0, q * tail, q * (at - last) + p2, q * (at - last) - p2))
-        return level
-
-    interval = (0, 1, None)
-    for depth, x in enumerate(head):
-        interval = interval and narrowed(rows(depth, depth), (q * x,), *interval)
-
-    def fits(start, depth, interval):
-        """The indices from start on that may fill level depth, with the
-        interval each leaves, or None when the window holds none."""
-        level = rows(depth, depth)
-        lower, upper = window(level, *interval)
-        # leave a candidate for each later level; bisect reads hi = -1 as len
-        stop = max(start, n - (last - depth) + 1)
-        begin = bisect_left(keys, lower, start, stop)
-        end = bisect_right(keys, upper, begin, stop)
-        if begin == end:
-            return None
-        if depth + 2 >= last:  # no level between this one and the last
-            return ((idx, shrunk) for idx in range(begin, end)
-                    if (shrunk := narrowed(level, scaled[idx], *interval)) is not None)
-        return ahead(level, begin, end, depth, interval)
-
-    def ahead(level, begin, end, depth, interval):
-        """fits' candidates whose interval leaves the last level a candidate
-        inside its window, past one candidate for each level between."""
-        gap = last - 1 - depth
-        far = rows(depth, last - 1)  # each candidate's own row is appended in turn
-        a, c = q * gap + p2, q * gap - p2
-        for idx in range(begin, end):
-            shrunk = narrowed(level, scaled[idx], *interval)
-            if shrunk is None:
-                continue
-            far.append((0, keys[idx], a, c))
-            lower, upper = window(far, *shrunk)
-            far.pop()
-            first = bisect_left(keys, lower, idx + gap)
-            if first < n and keys[first] <= upper:
-                yield idx, shrunk
-
-    budget.spend()
-    if h == last:  # nothing to fill: head and tail are the whole tuple
-        if interval:
-            lo_n, lo_d, hi = interval
-            if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
-                yield tuple(chosen)
-        return
-    tries = interval and fits(0, h, interval)
-    stack = [tries] if tries else []
-    while stack:
-        depth = h + len(stack) - 1
-        for idx, shrunk in stack[-1]:
-            chosen[depth] = candidates[idx]
-            budget.spend()
-            if depth + 1 < last:
-                tries = fits(idx + 1, depth + 1, shrunk)
-                if tries:
-                    stack.append(tries)
-                    break
-                continue
-            lo_n, lo_d, hi = shrunk
-            if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
-                yield tuple(chosen)
-        else:
-            stack.pop()
-
-
 def _shapes(N: int, k: int, eps, budget):
     """Lex-order stream of the approximate k-progressions in [N] starting at 1."""
     return _eps_aps(range(2, N + 1), k, eps, budget, head=(1,))
@@ -196,12 +76,16 @@ def enumerate_eps_aps(N: int, k: int, eps,
     The shapes are in lex order, so each shift's block is, and the blocks
     follow their starts: the edges come out in lex order.  The work is one
     budget unit per node of the shape search, the root included, plus one per
-    listed edge, taken a shift's block at a time.
+    listed edge, taken a shift's block at a time.  The root and the exact
+    progressions (t + 1, ..., t + k) alone take N - k + 2 units, so a cap
+    below that is refused before the candidates are listed.
     """
     if N < 0 or k < 2:
         raise ValueError(f"need N >= 0 and k >= 2, got N={N}, k={k}")
     e = check_epsilon(eps, set_level=True)
     budget = Budget(work_cap)
+    if N - k + 2 > work_cap:
+        budget.spend(N - k + 2)  # raises, as the listing would
     shapes = list(_shapes(N, k, e, budget))
     edges = []
     for t in range(N):
@@ -420,25 +304,6 @@ def _file_edge(lowers, rest: int, top: int) -> None:
     lowers[j][below] = lowers[j].get(below, 0) | 1 << top
 
 
-def _greedy(n: int, k: int, budget) -> tuple:
-    """The first-fit subset of range(n) with no exact k-term progression:
-    each index is kept unless it ends one whose other terms are kept.  One
-    budget unit per difference tried."""
-    chosen = [False] * n  # not a bit mask: testing a bit of a q-bit int is O(q)
-    for x in range(n):
-        d = 0  # the differences tried: up to the one that closes a progression
-        for d in range(1, x // (k - 1) + 1):
-            for y in range(x - d, x - k * d, -d):
-                if not chosen[y]:
-                    break
-            else:
-                break
-        else:
-            chosen[x] = True
-        budget.spend(d)
-    return tuple(x for x in range(n) if chosen[x])
-
-
 def _ladder(N: int, rests_ending_at, budget):
     """Largest set of indices in range(N) containing no edge, lex-first
     among ties, solving [1], [2], ..., [N] in turn; returns (indices,
@@ -527,12 +392,13 @@ def exact_f(N: int, m: int, k: int, eps,
     climbs the rungs [1], ..., [N], one decision each (see _ladder),
     listing the progressions ending at n on reaching rung n, as exact_W
     does.  The cube order of m >= 2 is not translation invariant, so there
-    every cube of [N]^m is listed first (density._cubes), each point set
+    every cube of [N]^m is listed first (geometry._cubes), each point set
     once, and one count-bound search follows.  One budget serves the
     listing and the search, so `nodes` counts both.  Hitting the cap yields
     lower_bound_only carrying the best incumbent found so far, never a
     value, and at least the first min(N^m, k^m - 1) points of [N]^m, too
-    few for a cube.
+    few for a cube.  The listing's root and each point at its first slot
+    are nodes, so a cap of at most N^m is answered so before [N]^m is built.
     """
     if N < 0 or m < 1 or k < 2:
         raise ValueError(f"need N >= 0, m >= 1, k >= 2, got {N}, {m}, {k}")
@@ -544,9 +410,12 @@ def exact_f(N: int, m: int, k: int, eps,
         # the ladder asks for i = 0, 1, ... in turn, as by_max yields them
         best, completed = _ladder(N, lambda _: next(by_max), budget)
     else:
-        from .density import _check_cube_eps, _cubes  # density imports this module
-
         e = _check_cube_eps(eps, k)  # refused before listing, whatever the cap
+        if power_exceeds(N, m, work_cap - 1):
+            # the first k^m - 1 points use no coordinate above k^m - 1
+            side = range(1, min(N, k ** m - 1) + 1)
+            floor = tuple(islice(product(side, repeat=m), k ** m - 1))
+            return SearchOutcome("lower_bound_only", len(floor), floor, work_cap)
         points = tuple(product(range(1, N + 1), repeat=m))
         index = {p: i for i, p in enumerate(points)}
         n = len(points)

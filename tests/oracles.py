@@ -167,7 +167,7 @@ def naive_eps_ap_subsets(universe, k, eps, recognizer):
 
 def unwindowed_eps_aps(candidates, k, eps, budget, head=(), tail=None):
     """Lex-order stream of the approximate k-progressions among candidates:
-    search._eps_aps with every remaining candidate tried at every level,
+    geometry._eps_aps with every remaining candidate tried at every level,
     until one empties the interval after another has kept it.
 
     Each tuple starts with `head` (fewer than k points, below the
@@ -697,7 +697,7 @@ def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
 
 def unwindowed_cubes(points, m: int, k: int, e, tol: float, budget):
     """Every approximate cube among `points` (distinct, sorted m-tuples), as
-    (grid, CubeDecision), in lex order of assignments: density._cubes with
+    (grid, CubeDecision), in lex order of assignments: geometry._cubes with
     every unused point tried at every slot, each node spending one unit of
     `budget`, the root included."""
     total = k ** m

@@ -9,6 +9,7 @@ here derives them from the code under test.
 
 import argparse
 import hashlib
+import time
 
 import pytest
 
@@ -384,6 +385,42 @@ def test_cli_golden(tmp_path, monkeypatch, capsys, argv, code, out, err, written
     assert (captured.out, captured.err) == (out, err)
     path = tmp_path / OUT
     assert (path.read_bytes() if path.exists() else None) == written
+
+
+# Inputs whose objects could never be built: each is refused, or answered
+# as capped, from its sizes alone, with no power past its cap built.
+HUGE_CASES = [
+    ('construct blowup --k 3 --r 100000000 --eps 1/3', 2, '',
+     'error: blow-up size k^r = 3^100000000 exceeds cap 1000000\n'),
+    ('construct blowup --k 3 --r 10000 --eps 1/3', 2, '',
+     'error: blow-up size k^r = 3^10000 exceeds cap 1000000\n'),
+    ('construct cube-blowup --m 14 --k 3 --eps 1/2 --alpha 4/5', 2, '',
+     'error: blow-up size k^m = 3^14 exceeds cap 200000\n'),
+    ('construct cube-blowup --m 16 --k 3 --eps 1/2 --alpha 4/5', 2, '',
+     'error: blow-up size k^m = 3^16 exceeds cap 200000\n'),
+    ('construct cube-blowup --m 100 --k 3 --eps 1/2 --alpha 4/5', 2, '',
+     'error: blow-up size k^m = 3^100 exceeds cap 200000\n'),
+    ('hypergraph --N 100000000000 --k 3 --eps 1/4 --work-cap 100', 2, '',
+     'error: search work cap of 100 exceeded\n'),
+    ('density --N 100000000000 --m 2 --k 2 --eps 1/4 --work-cap 10 --json', 1,
+     '{"command": "density", "kind": "lower_bound_only", "nodes": 10, "value": 3, '
+     '"witness_set": [[1, 1], [1, 2], [1, 3]]}\n', ''),
+    ('construct product --set line.txt --m 3 --N 100000', 2, '',
+     'error: product size |A|*N^(m-1) = 3*100000^2 exceeds materialize cap 50000000\n'),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", HUGE_CASES,
+                         ids=[case[0] for case in HUGE_CASES])
+def test_cli_huge_inputs_answer_within_a_second(tmp_path, monkeypatch, capsys,
+                                                 argv, code, out, err):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "line.txt").write_text(FILES["line.txt"])
+    start = time.perf_counter()
+    assert main(argv.split()) == code
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, err)
 
 
 def test_cli_hypergraph_fits_its_exact_work_cap(tmp_path, monkeypatch, capsys):

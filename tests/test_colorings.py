@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epsap.colorings import (
     Coloring,
@@ -14,7 +16,7 @@ from epsap.colorings import (
     lower_bound_params,
     verify_no_mono_ap,
 )
-from epsap.errors import MemoryGuardExceeded, SearchCapExceeded
+from epsap.errors import MemoryGuardExceeded, SearchCapExceeded, power_exceeds
 from epsap.geometry import recognize_ap
 from epsap.search import find_eps_ap_in_points
 from oracles import excluded_difference_check, power_sum_blowup, power_sum_blowup_blocks
@@ -49,6 +51,13 @@ def test_blowup_diameter_bound():
 def test_blowup_size_cap():
     with pytest.raises(MemoryGuardExceeded):
         build_blowup_1d(10, 9, F(1, 3), cap=1000)
+    assert len(build_blowup_1d(10, 3, F(1, 3), cap=1000).elements) == 1000
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 12), st.integers(0, 40), st.integers(-2, 10 ** 15))
+def test_power_exceeds_is_the_comparison(base, exp, cap):
+    assert power_exceeds(base, exp, cap) == (base ** exp > cap)
 
 
 def test_blowup_digit_collision_rejected():

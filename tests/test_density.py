@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsap import density
+from epsap import density, geometry
 from epsap.density import (
     apk_free_set,
     build_behrend_digit_set,
@@ -254,6 +254,42 @@ def test_cube_blowup_cap_names_r():
         build_cube_blowup(2, 3, F(1, 2), F(1, 2), cap=1000)
 
 
+@pytest.mark.parametrize("m, k", [(1, 3), (1, 4), (2, 3), (2, 4), (1, 6), (2, 6)])
+def test_cube_blowup_r_is_exact_at_a_power(m, k):
+    # alpha = (1 - 1/k^m)^n needs exactly n iterations; the float ratio of
+    # logarithms read one more at most of these
+    size = k ** m
+    for n in range(1, 4):
+        alpha = F(size - 1, size) ** n
+        spec = build_cube_blowup(m, k, F(1, 2), alpha, cap=size ** n)
+        assert spec.r == n
+        assert build_cube_blowup(m, k, F(1, 2), alpha * F(999, 1000),
+                                 cap=size ** (n + 1)).r == n + 1
+
+
+@pytest.mark.parametrize("m, k, alpha, cap, message", [
+    (100, 3, F(4, 5), density.CUBE_BLOWUP_CAP, "blow-up size k^m = 3^100 exceeds cap 200000"),
+    (2, 3, F(1, 2), 1000, "blow-up needs r=6 iterations, k^(r*m) = 3^12 exceeds cap 1000"),
+    (1, 3, F(1, 10 ** 400), density.CUBE_BLOWUP_CAP,
+     "blow-up needs r=2272 iterations, k^(r*m) = 3^2272 exceeds cap 200000"),
+])
+def test_cube_blowup_refuses_without_the_power(m, k, alpha, cap, message):
+    with pytest.raises(MemoryGuardExceeded) as err:
+        build_cube_blowup(m, k, F(1, 2), alpha, cap=cap)
+    assert str(err.value) == message
+
+
+def test_product_is_capped_before_it_is_built(monkeypatch):
+    with pytest.raises(MemoryGuardExceeded) as err:
+        product_free_set([1, 2, 4], 3, 10 ** 5)
+    assert str(err.value) == (
+        "product size |A|*N^(m-1) = 3*100000^2 exceeds materialize cap 50000000")
+    monkeypatch.setattr(density, "DEFAULT_MATERIALIZE_CAP", 48)
+    assert len(product_free_set([1, 2, 4], 3, 4)) == 48
+    with pytest.raises(MemoryGuardExceeded):
+        product_free_set([1, 2, 4], 3, 5)
+
+
 def test_cube_blowup_refuses_colliding_digits():
     # t = ceil(3 sqrt(2) / (5/2)) = 2 < k: the 81 digit vectors give 49 points
     with pytest.raises(ValueError, match=(
@@ -462,7 +498,7 @@ def _cube_listing(cubes, points, m, k, eps, cap):
 def test_cube_window_matches_unwindowed_listing(case):
     # The axis-0 window skips only points the interval update would refuse,
     # so the same cubes come out after the same nodes, capped or not.
-    assert (_cube_listing(density._cubes, *case)
+    assert (_cube_listing(geometry._cubes, *case)
             == _cube_listing(oracles.unwindowed_cubes, *case))
 
 
@@ -478,8 +514,8 @@ def test_cube_window_cuts_interval_updates(m, N, nodes, calls):
         return narrowed(*args)
 
     budget = Budget(10 ** 6)
-    with mock.patch.object(density, "narrowed", counting):
-        hits = list(density._cubes(product_free_set([1, 2, 4, 5], m, N), m, 3,
+    with mock.patch.object(geometry, "narrowed", counting):
+        hits = list(geometry._cubes(product_free_set([1, 2, 4, 5], m, N), m, 3,
                                    F(1, 125), 1e-9, budget))
     assert (hits, budget.spent) == ([], nodes)
     assert len(counted) <= calls
@@ -493,7 +529,7 @@ def test_cube_window_cuts_interval_updates(m, N, nodes, calls):
 ])
 def test_cube_listing_is_every_cube(N, m, k, eps, found, distinct):
     points = tuple(product(range(1, N + 1), repeat=m))
-    hits = list(density._cubes(points, m, k, eps, 1e-9, Budget(10 ** 6)))
+    hits = list(geometry._cubes(points, m, k, eps, 1e-9, Budget(10 ** 6)))
     sets = {tuple(sorted(grid.assignment.values())) for grid, _ in hits}
     assert (len(hits), len(sets)) == (found, distinct)
     assert sets == {tuple(points[i] for i in c)

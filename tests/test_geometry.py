@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from epsap import cli, density, geometry, search
+from epsap import cli, geometry, search
 from epsap.density import find_dense_translate, verify_cube_free
 from epsap.geometry import (
     IndexedGrid,
@@ -792,7 +792,7 @@ def _searched(*args):
 ], ids=["cube-search-dimension", "cube-search-float", "index-float", "index-bool",
         "translate-float", "translate-bool", "points-1d-float"])
 def test_point_sets_are_checked_before_any_search(call, message):
-    with mock.patch.object(density, "narrowed", _searched), \
+    with mock.patch.object(geometry, "narrowed", _searched), \
             mock.patch.object(search, "_eps_aps", _searched):
         with pytest.raises((ValueError, TypeError), match=message):
             call()
@@ -847,7 +847,7 @@ def test_cli_checks_set_files_before_any_search(tmp_path, capsys, command, text,
     path.write_text(text)
     argv = command.split() + ["--file", str(path), "--m", "2", "--k", "2",
                               "--eps", "1/4"]
-    with mock.patch.object(density, "narrowed", _searched), \
+    with mock.patch.object(geometry, "narrowed", _searched), \
             mock.patch.object(geometry, "recognize_cube", _searched):
         code = cli.main(argv)
     captured = capsys.readouterr()

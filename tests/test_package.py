@@ -1,11 +1,14 @@
-"""The package's public names: every name in a module's __all__ exists, is
-used by the package itself, and the package root imports only names that
-their module lists in __all__, so a name deleted from one list and left in
-another is caught.  The 1-D region API is kept for callers outside the
-package only, so deleting it later touches no package code.  Every public
-search takes errors.DEFAULT_WORK_CAP as its default work cap."""
+"""The package's public names and layering: every name in a module's
+__all__ exists, is used by the package itself, and the package root imports
+only names that their module lists in __all__, so a name deleted from one
+list and left in another is caught.  The 1-D region API is kept for callers
+outside the package only, so deleting it later touches no package code.
+Every public search takes errors.DEFAULT_WORK_CAP as its default work cap.
+The modules import each other only at module level and in no circle, and
+only geometry reads the integer interval of scales."""
 
 import ast
+import graphlib
 import importlib
 import inspect
 import pkgutil
@@ -94,18 +97,51 @@ def test_package_calls_no_region_api():
     assert calls == []
 
 
-# The two function-level imports that a module-level one would make
-# circular: search imports colorings and density imports search.
-DEFERRED_IMPORTS = {("colorings", "verify_no_mono_ap", "search"),
-                    ("search", "exact_f", "density")}
+def _trees():
+    """Each package module's name, but __main__'s, with its parsed source."""
+    return [(path.stem, ast.parse(path.read_text(encoding="utf-8")))
+            for path in sorted(Path(epsap.__file__).parent.glob("*.py"))
+            if path.stem != "__main__"]
 
 
-def test_only_circular_imports_are_deferred():
-    deferred = set()
-    for path in Path(epsap.__file__).parent.glob("*.py"):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            for fn in ast.walk(stmt):
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    deferred |= {(path.stem, fn.name, node.module) for node in ast.walk(fn)
-                                 if isinstance(node, ast.ImportFrom) and node.level}
-    assert deferred == DEFERRED_IMPORTS
+def test_no_function_imports_a_package_module():
+    deferred = []
+    for name, tree in _trees():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred += [f"{name}.{fn.name}" for node in ast.walk(fn)
+                             if isinstance(node, ast.ImportFrom) and node.level
+                             or isinstance(node, ast.Import)
+                             and any(a.name.startswith("epsap") for a in node.names)]
+    assert deferred == []
+
+
+def test_module_imports_form_no_cycle():
+    # An edge for every module-level `from .x import ...` and `from . import x`.
+    graph = {}
+    for name, tree in _trees():
+        graph[name] = set()
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[name] |= ({node.module} if node.module
+                                else {alias.name for alias in node.names})
+    assert graph["search"] and graph["density"]
+    order = list(graphlib.TopologicalSorter(graph).static_order())  # raises on a cycle
+    assert order.index("geometry") < order.index("search") < order.index("density")
+
+
+def test_only_geometry_reads_the_scale_interval():
+    # The rows and the integer d interval are geometry's alone: no other
+    # module binds or reads their update, their window or the unchecked grid.
+    interval_api = {"narrowed", "window", "_trusted_grid"}
+    uses = []
+    for name, tree in _trees():
+        if name == "geometry":
+            continue
+        for node in ast.walk(tree):
+            used = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if used in interval_api:
+                uses.append(f"{name}:{node.lineno} {used}")
+    assert uses == []

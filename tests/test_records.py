@@ -43,16 +43,31 @@ def test_records_refuse_field_assignment(record, field):
 _SQUARE = dict(zip(product(range(2), repeat=2), [(0, 0), (0, 10), (10, 0), (10, 10)]))
 
 
-@pytest.mark.parametrize("m, k, assignment, message", [
+_BAD_GRIDS = [
     (2, 2, {(0, 0): (0, 0), (0, 1): (0, 10), (1, 0): (10, 0)},
      "assignment keys must be exactly {0..k-1}^m"),
     (2, 2, {**_SQUARE, (1, 1): (0, 0)}, "assignment must be injective (duplicate points)"),
     (2, 1, {(0, 0): (0, 0)}, "need m >= 1 and k >= 2, got m=2, k=1"),
-])
+]
+
+
+@pytest.mark.parametrize("m, k, assignment, message", _BAD_GRIDS)
 def test_indexed_grid_refuses_bad_grids(m, k, assignment, message):
     with pytest.raises(ValueError) as err:
         IndexedGrid(m, k, assignment)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("m, k, assignment, message", _BAD_GRIDS)
+def test_indexed_grid_make_and_replace_check_the_grid(m, k, assignment, message):
+    # _make and _replace go through the same checks as the constructor
+    grid = IndexedGrid(2, 2, _SQUARE)
+    for build in (lambda: IndexedGrid._make((m, k, assignment)),
+                  lambda: grid._replace(m=m, k=k, assignment=assignment)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+    assert grid._replace() == grid and type(grid._replace()) is IndexedGrid
 
 
 def test_trusted_grid_equals_checked_grid():

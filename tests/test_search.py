@@ -8,11 +8,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from epsap import search
+from epsap import geometry, search
 from epsap.colorings import build_simple_r2_coloring, verify_no_mono_ap
 from epsap.errors import Budget, SearchCapExceeded
 from epsap.formats import write_hypergraph
-from epsap.geometry import narrowed, recognize_ap
+from epsap.density import _greedy
+from epsap.geometry import _eps_aps, narrowed, recognize_ap
 from epsap.search import (
     SearchOutcome,
     enumerate_eps_aps,
@@ -23,10 +24,8 @@ from epsap.search import (
 )
 from epsap.search import (
     _edges_by_max,
-    _eps_aps,
     _file_edge,
     _good_coloring,
-    _greedy,
     _max_free_edges,
 )
 from oracles import (
@@ -338,7 +337,7 @@ def test_window_cuts_interval_updates():
     def verify(work_cap):
         return verify_no_mono_ap(coloring, 20, F(1, 100), work_cap=work_cap)
 
-    with mock.patch.object(search, "narrowed", counting):
+    with mock.patch.object(geometry, "narrowed", counting):
         assert verify(10 ** 6) is None
     assert len(counted) <= 10_000
     _assert_spends_exactly(verify, 740)
@@ -666,6 +665,44 @@ def test_f_cap_keeps_the_first_points_too_few_for_a_hit(N, m, k, floor):
     for out in runs:
         assert (out.kind, out.value, out.witness, out.nodes) == (
             "lower_bound_only", len(floor), floor, 0)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+def test_f_caps_within_the_grid_answer_before_listing(N, m, k):
+    # The listing's root and each point at its first slot are nodes, so a
+    # cap of at most N^m stops it: the answer built without the grid equals
+    # the one the capped listing gives.
+    for cap in range(N ** m + 1):
+        early = exact_f(N, m, k, F(1, 4), work_cap=cap)
+        with mock.patch.object(search, "power_exceeds", lambda *args: False):
+            assert early == exact_f(N, m, k, F(1, 4), work_cap=cap)
+        assert (early.kind, early.nodes) == ("lower_bound_only", cap)
+
+
+@pytest.mark.parametrize("N, k, eps", [
+    (N, k, eps) for N in range(5) for k in (2, 3, 4) for eps in (F(1, 10), F(2, 5))])
+def test_enumerate_caps_below_the_exact_progressions_answer_before_listing(N, k, eps):
+    # The root and the N - k + 1 exact progressions spend N - k + 2 units,
+    # so every cap below that raises, as the full listing would, with the
+    # budget's message.
+    budgets = []
+
+    class Recorded(Budget):
+        __slots__ = ()
+
+        def __init__(self, cap):
+            super().__init__(cap)
+            budgets.append(self)
+
+    with mock.patch.object(search, "Budget", Recorded):
+        enumerate_eps_aps(N, k, eps, work_cap=10 ** 6)
+    assert budgets[0].spent >= N - k + 2
+    for cap in range(N - k + 2):
+        with pytest.raises(SearchCapExceeded) as err:
+            enumerate_eps_aps(N, k, eps, work_cap=cap)
+        assert str(err.value) == f"search work cap of {cap} exceeded"
 
 
 @st.composite
