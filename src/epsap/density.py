@@ -290,11 +290,11 @@ def build_cube_blowup(m: int, k: int, eps, alpha,
             r = max(r, math.ceil((math.log(a.denominator) - math.log(a.numerator)) / loss))
             raise MemoryGuardExceeded(
                 f"blow-up needs r={r} iterations, k^(r*m) = {k}^{r * m} exceeds cap {cap}")
-    root = math.isqrt(m)
-    if root * root == m:
-        t = ceil_frac(Fraction(k * root) / e)
-    else:
-        t = math.ceil(k * math.sqrt(m) / float(e))
+    # the least t with t^2 p^2 >= k^2 m q^2 for eps = p/q: t*p is an
+    # integer, so t*p >= k*q*sqrt(m) is t*p >= ceil(k*q*sqrt(m))
+    square = k * k * m * e.denominator ** 2
+    root = math.isqrt(square)
+    t = -(-(root + (root * root < square)) // e.numerator)
     axis = [x for block in _blowup_blocks(k, r, t, e) for x in block]
     elements = tuple(product(axis, repeat=m))
     return CubeBlowupSpec(m=m, k=k, eps=e, alpha=a, r=r, t=t,

@@ -43,16 +43,16 @@ window, and yields the full assignments that recognize_cube finds
 feasible.  The searches of the search and density modules optimize over
 these two listings.
 
-The m-D recognizer settles almost every grid exactly.  A least-squares
-scale and one smallest enclosing ball give a candidate witness that is
-checked in exact arithmetic; failing that, the exact d intervals of the axis
-lines and of the corner pairs are intersected, and an empty intersection
-proves the grid infeasible.  Only the grids both leave open are decided
-numerically: it minimizes g(d) = R(d) - eps*d, where R(d) is the
-smallest-enclosing-ball radius of the translated family {x_v - d*v}.  R is
-a partial minimization of a jointly convex function, hence g is convex, and
-that verdict is three-valued (feasible / infeasible / boundary) with an
-explicit tolerance.
+The m-D recognizer settles almost every grid exactly.  The least-squares
+scale and center, else one smallest enclosing ball at that scale, give a
+witness checked in exact arithmetic; failing both, the exact d intervals
+of the axis lines and of the corner pairs are intersected, and an empty
+intersection proves the grid infeasible.  Only the grids both leave open
+are decided numerically: it minimizes g(d) = R(d) - eps*d, where R(d) is
+the smallest-enclosing-ball radius of the translated family {x_v - d*v}.
+R is a partial minimization of a jointly convex function, hence g is
+convex, and that verdict is three-valued (feasible / infeasible /
+boundary) with an explicit tolerance.
 """
 
 from __future__ import annotations
@@ -89,6 +89,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9  # the numeric cube verdicts' default tolerance
+_FLOAT_BITS = 500  # below 2^500, squared distances in the ball code stay finite
 
 
 class IndexingError(ValueError):
@@ -694,9 +695,10 @@ def _exact_eps(eps) -> Fraction:
 class WitnessMD(NamedTuple):
     """Numeric certificate for an approximate cube: center a, scale d.
 
-    residual = eps*d - R(d) with R the enclosing-ball radius of {x_v - d*v};
-    a positive residual places every point strictly inside its ball, up to
-    the recognizer's floating tolerance.
+    residual is eps*d less the largest distance from a + d*v to x_v, which
+    for the center of the smallest enclosing ball of {x_v - d*v} is
+    eps*d - R(d); a positive residual places every point strictly inside its
+    ball, up to the recognizer's floating tolerance.
     """
 
     a: tuple
@@ -826,9 +828,10 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
     """Three-valued feasibility of an approximate cube witness.
 
     Three stages, each run only if the ones before it left the grid open:
-    1. Probe: d0 is the least-squares scale of x_v ~ a + d*v, and one ball
-       of {x_v - d0*v} gives a candidate center; a witness that certifies
-       exactly is returned as feasible.
+    1. Probe: d0 is the least-squares scale of x_v ~ a + d*v; the mean a0
+       of {x_v - d0*v}, the least-squares center, and only if it fails one
+       ball of those points give candidate centers.  A witness that
+       certifies exactly is returned as feasible.
     2. Exact interval: the d intervals of all axis lines and all corner
        pairs are intersected in integer arithmetic; an empty intersection
        proves the grid infeasible.
@@ -839,22 +842,27 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
        Feasible when min g < -tol*d_max (with witness), infeasible when
        min g > +tol*d_max, boundary otherwise.
     The verdicts of stages 1 and 2 carry exact=True, those of stage 3 False.
+    A coordinate of 2^500 or more is refused before any float work.
     """
     check_tol(tol)
     exact_eps = _exact_eps(eps)
-    e = float(exact_eps)
     k, m = grid.k, grid.m
+    pairs = grid.items_in_index_order()
+    pts = [p for _, p in pairs]
+    vecs = [v for v, _ in pairs]
+    ends = [(min(c), max(c)) for c in zip(*pts)]
+    widest = max(max(-lo, hi) for lo, hi in ends)
+    if widest.bit_length() > _FLOAT_BITS:
+        v, j = next((v, j) for v, p in pairs for j, x in enumerate(p) if abs(x) == widest)
+        raise ValueError(
+            f"coordinate {j} of the point at index {v} has {widest.bit_length()} bits; "
+            f"recognize_cube computes in floats and needs |x| < 2^{_FLOAT_BITS}")
+    e = float(exact_eps)
     if 2 * exact_eps >= k - 1:
         raise ValueError(
             f"eps={e} too large for the scale bound; recognize_cube needs eps < (k-1)/2"
         )
-    pairs = grid.items_in_index_order()
-    pts = [p for _, p in pairs]
-    vecs = [v for v, _ in pairs]
-    spreads = [
-        max(p[j] for p in pts) - min(p[j] for p in pts) for j in range(m)
-    ]
-    d_max = max(spreads) / ((k - 1) - 2 * e)
+    d_max = max(hi - lo for lo, hi in ends) / ((k - 1) - 2 * e)
 
     # One processing order serves every ball: nearby scales share most of
     # their support, so each call starts from the previous one's.
@@ -870,12 +878,24 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
     moment = sum(x * (2 * u - (k - 1)) for v, p in pairs for x, u in zip(p, v))
     d0 = 6 * moment / (m * k ** m * (k * k - 1))
     if d0 > 0:
-        center, radius = min_enclosing_ball(shifted(d0), order)
-        if radius < e * d0:
-            witness = WitnessMD(a=center, d=d0, residual=e * d0 - radius)
-            if witness.certifies(grid, exact_eps):
-                return CubeDecision("feasible", witness, d0, -witness.residual, d_max,
-                                    exact=True)
+        probe = shifted(d0)
+        a0 = tuple(sum(c) / len(probe) for c in zip(*probe))
+
+        def settled(center, far):
+            """The feasible verdict of (center, d0) if it certifies; far is
+            its largest distance in the probe."""
+            if far < e * d0:
+                witness = WitnessMD(a=center, d=d0, residual=e * d0 - far)
+                if witness.certifies(grid, exact_eps):
+                    return CubeDecision("feasible", witness, d0, -witness.residual,
+                                        d_max, exact=True)
+            return None
+
+        # a0 settles most feasible grids; the ball is built only when it fails
+        decision = (settled(a0, max(math.dist(a0, p) for p in probe))
+                    or settled(*min_enclosing_ball(probe, order)))
+        if decision is not None:
+            return decision
 
     # Stage 2.
     interval = _scale_interval(grid, exact_eps)

@@ -25,6 +25,8 @@ FILES = {
     "x.txt": "1 1\n1 3\n2 2\n3 1\n3 3\n",
     "good.txt": "# N=3 r=1 eps=1/5 k=4\n1\n1\n1\n",
     "mono.txt": "# N=3 r=1 eps=1/5 k=3\n1\n1\n1\n",
+    # a 2x2 cube of scale 10^400, past what a float holds
+    "huge.txt": "0 0\n0 {0}\n{0} 0\n{0} {0}\n".format(10 ** 400),
 }
 OUT = "out.txt"  # the --out target of every case that has one
 
@@ -59,6 +61,11 @@ CASES = [
     ('recognize cube --file skew.txt --m 2 --k 2 --eps 1/5 --json', 1,
      '{"command": "recognize cube", "exact": true, "status": "infeasible", '
      '"witness": null}\n', '', None),
+    ('recognize cube --file huge.txt --m 2 --k 2 --eps 1/4', 2,
+     '',
+     'error: coordinate 1 of the point at index (0, 1) has 1329 bits; '
+     'recognize_cube computes in floats and needs |x| < 2^500\n',
+     None),
     ('construct blowup --k 3 --r 2 --eps 1/4', 0,
      't = 12\nsize = 9\ndiameter = 26\n0 1 2 12 13 14 24 25 26\n', '', None),
     ('construct blowup --k 3 --r 2 --eps 1/4 --format csv', 0,
@@ -245,6 +252,11 @@ CASES = [
      '0)": [0, 0], "(0, 1)": [0, 10], "(1, 0)": [10, 0], "(1, 1)": [10, '
      '10]}, "witness": {"a": ["0.0", "0.0"], "certified": true, '
      '"d": "10.0", "residual": "2.5", "tol": "1e-09"}}}\n', '', None),
+    ('verify set --file huge.txt --m 2 --k 2 --eps 1/4', 2,
+     '',
+     'error: coordinate 1 of the point at index (0, 1) has 1329 bits; '
+     'recognize_cube computes in floats and needs |x| < 2^500\n',
+     None),
     # 2 eps >= k - 1 is refused whatever the set holds, too few points
     # for a grid included
     ('verify set --file one.txt --m 2 --k 2 --eps 3', 2,

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import tracemalloc
@@ -288,6 +289,18 @@ def test_product_is_capped_before_it_is_built(monkeypatch):
     assert len(product_free_set([1, 2, 4], 3, 4)) == 48
     with pytest.raises(MemoryGuardExceeded):
         product_free_set([1, 2, 4], 3, 5)
+
+
+@pytest.mark.parametrize("m, k", [(2, 3), (2, 7), (3, 4), (5, 3), (6, 3), (7, 3)])
+def test_cube_blowup_base_matches_the_float_formula(m, k):
+    # for a non-square m, k*sqrt(m)/eps is irrational, so the float formula
+    # that the integer rule replaced rounds to the same ceiling on small cells
+    size = k ** m
+    for q in range(2, 25):
+        for p in range(1, q):
+            e = F(p, q)
+            spec = build_cube_blowup(m, k, e, F(size - 1, size))  # r = 1
+            assert spec.t == math.ceil(k * math.sqrt(m) / float(e))
 
 
 def test_cube_blowup_refuses_colliding_digits():

@@ -321,6 +321,18 @@ def test_cli_construct_cube_blowup(tmp_path, capsys):
     assert len(pts) == 81
 
 
+def test_cli_cube_blowup_takes_an_eps_past_floats(capsys):
+    # 1/10^400 is 0.0 as a float; the digit base is found in integers
+    code, out, err = run_cli(capsys, "construct", "cube-blowup", "--m", "2",
+                             "--k", "3", "--eps", f"1/{10 ** 400}",
+                             "--alpha", "17/18", "--json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    t, q = payload["t"], 10 ** 400
+    assert (payload["r"], payload["size"]) == (1, 9)
+    assert (t - 1) ** 2 < 9 * 2 * q * q <= t * t
+
+
 def test_cli_lowerbound_full_coloring(tmp_path, capsys):
     path = tmp_path / "lb.txt"
     code, _, _ = run_cli(capsys, "construct", "lowerbound", "--k", "771",

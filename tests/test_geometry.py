@@ -600,6 +600,43 @@ def test_cube_witness_substitutes_into_the_inequalities():
             assert dist < bound
 
 
+def _ball_calls(grid, eps):
+    """recognize_cube's decision and the number of balls it built."""
+    with mock.patch.object(geometry, "min_enclosing_ball",
+                           wraps=min_enclosing_ball) as ball:
+        decision = recognize_cube(grid, eps, tol=1e-9)
+    return decision, ball.call_count
+
+
+def test_cube_probe_settles_a_clear_grid_without_a_ball():
+    grid = _noisy_grid(2, 4, 100, 5, seed=1)
+    decision, balls = _ball_calls(grid, F(1, 5))
+    assert (decision.status, decision.exact, balls) == ("feasible", True, 0)
+    pairs = grid.items_in_index_order()
+    shifted = [tuple(c - decision.d * u for c, u in zip(p, v)) for v, p in pairs]
+    assert decision.witness.a == tuple(sum(c) / len(pairs) for c in zip(*shifted))
+
+
+def test_cube_probe_falls_back_to_the_ball_center():
+    # d0 = 7/2 leaves {0, 3/2, 0}: the mean 1/2 lies 1 from the far points,
+    # past eps*d0 = 7/8, but the ball's center 3/4 lies 3/4 from all three
+    grid = grid_from_points_1d((0, 5, 7))
+    decision, balls = _ball_calls(grid, F(1, 4))
+    assert (decision.status, decision.exact, balls) == ("feasible", True, 1)
+    assert decision.witness == WitnessMD(a=(0.75,), d=3.5, residual=0.125)
+
+
+def test_cube_refuses_coordinates_past_its_floats():
+    # at 2^600 the squared distances overflowed, the ball came back with
+    # radius 0 and the verdict with a witness that does not certify
+    with pytest.raises(ValueError,
+                       match=r"^coordinate 0 of the point at index \(2,\) has 603 bits"):
+        recognize_cube(grid_from_points_1d((0, 5 << 600, 7 << 600)), F(1, 4))
+    decision, balls = _ball_calls(grid_from_points_1d((0, 5 << 490, 7 << 490)), F(1, 4))
+    assert (decision.status, decision.exact, balls) == ("feasible", True, 1)
+    assert decision.witness.a == (0.75 * 2.0 ** 490,)
+
+
 def test_cube_boundary_verdict():
     # (0, 1, 3) at eps = 1/6 has exact maximum slack 0: its line interval is
     # the single closed point d = 3/2, so the exact stage proves it
@@ -675,6 +712,14 @@ def test_cube_stages_agree_with_golden_section_oracle(case):
     slow = golden_section_recognize_cube(grid, eps, tol=1e-9)
     if fast.status == "feasible":
         assert fast.witness.certifies(grid, eps)
+    # residual is eps*d less the largest distance from a + d*v, and no
+    # center comes closer to every shifted point than the ball's
+    for w in (fast.witness, slow.witness):
+        if w is not None:
+            shifted = [tuple(c - w.d * u for c, u in zip(p, v))
+                       for v, p in grid.items_in_index_order()]
+            _, radius = min_enclosing_ball(shifted)
+            assert 0 < w.residual <= float(eps) * w.d - radius + 1e-9 * (1 + w.d)
     if fast.exact:
         assert fast.status in ("feasible", "infeasible")
     if slow.status == "feasible":
