@@ -12,6 +12,9 @@ and the cube blow-up is the m-fold product of the 1-D blow-up
 block u the product of the 1-D blocks u_1, ..., u_m.
 verify_cube_free returns the first cube of the geometry module's cube
 listing (geometry._cubes), and search.exact_f (m >= 2) lists them all.
+Below eps = 1/2, verify_cube_free first asks each axis for a 1-D
+progression (geometry._eps_aps) and answers None without the listing when
+one has none, as for the products A x [N]^(m-1) of a free A.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ from .errors import (
     check_cap,
     power_exceeds,
 )
-from .geometry import (DEFAULT_TOL, _check_cube_eps, _cubes, check_epsilon, check_points,
-                       check_tol)
+from .geometry import (DEFAULT_TOL, _check_cube_eps, _cubes, _eps_aps, check_epsilon,
+                       check_points, check_tol)
 # Not called here: bench/tracer.py wraps it on this module by name.
 from .geometry import recognize_cube  # noqa: F401
 from .rational import ceil_frac, floor_frac, to_fraction
@@ -220,7 +223,9 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
 
 
 def product_free_set(A, m: int, N: int) -> tuple:
-    """A x [N]^(m-1) as sorted m-tuples; freeness projects to the first axis.
+    """A x [N]^(m-1) as sorted m-tuples; freeness projects to the first axis:
+    below eps = 1/2 an axis-0 line of a cube is an eps-progression in A, so
+    when A holds none, verify_cube_free answers without a cube search.
 
     Raises MemoryGuardExceeded, before building any, when the |A| N^(m-1)
     tuples exceed colorings.DEFAULT_MATERIALIZE_CAP."""
@@ -380,6 +385,12 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = DEFAULT_TOL,
     (grid, CubeDecision), or None: the first item of _cubes, on a fresh
     Budget(node_cap); SearchCapExceeded is raised once it is spent.
 
+    For m >= 2 and eps < 1/2, each axis is first asked for a 1-D
+    eps-progression among its distinct coordinates (_eps_aps, on the same
+    budget).  The axis-j coordinates of an axis-j line of a cube strictly
+    increase there and form one, so an axis with none answers None before
+    _cubes starts; otherwise _cubes decides, and its first cube is the hit.
+
     Because every injective index assignment is tried explicitly, no sorted-
     order disambiguation is needed and any eps accepted by the recognizer is
     allowed (in particular eps = 1/2); one it refuses (2 eps >= k - 1) is
@@ -392,4 +403,9 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = DEFAULT_TOL,
     points = check_points(S, m)
     if len(points) < k ** m:
         return None
-    return next(_cubes(points, m, k, e, tol, Budget(node_cap)), None)
+    budget = Budget(node_cap)
+    if m >= 2 and 2 * e < 1:
+        for coords in zip(*points):
+            if next(_eps_aps(sorted(set(coords)), k, e, budget), None) is None:
+                return None
+    return next(_cubes(points, m, k, e, tol, budget), None)

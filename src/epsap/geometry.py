@@ -633,12 +633,26 @@ def min_enclosing_ball(points, order: Optional[list] = None):
     from the previous support.  Without it the order is a shuffle with a
     fixed seed, so repeated calls are deterministic.  Returns (center,
     radius) as floats; containment holds up to a slack of 1e-12, relative
-    and absolute.
+    and absolute.  A coordinate that is not finite, or of magnitude
+    2^_FLOAT_BITS or more, is refused, as its squared distances are not.
     """
     if not points:
         raise ValueError("need at least one point")
     if len(set(map(len, points))) != 1:
         raise ValueError("points must share one dimension")
+    limit = 2.0 ** _FLOAT_BITS
+    try:
+        norm = math.hypot(*chain.from_iterable(points))  # one pass in C
+    except OverflowError:  # an int past the float range
+        norm = math.inf
+    if not norm < limit:  # NaN, inf or large: look for a bad coordinate
+        for i, p in enumerate(points):
+            for j, c in enumerate(p):
+                if not abs(c) < limit:
+                    shown = f"a {c.bit_length()}-bit int" if isinstance(c, int) else c
+                    raise ValueError(
+                        f"coordinate {j} of point {i} is {shown}; min_enclosing_ball needs "
+                        f"finite coordinates below 2^{_FLOAT_BITS} in magnitude")
     if order is None:
         order = _welzl_order(len(points))
     elif len(order) != len(points):

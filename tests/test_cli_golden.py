@@ -25,6 +25,9 @@ FILES = {
     "x.txt": "1 1\n1 3\n2 2\n3 1\n3 3\n",
     "good.txt": "# N=3 r=1 eps=1/5 k=4\n1\n1\n1\n",
     "mono.txt": "# N=3 r=1 eps=1/5 k=3\n1\n1\n1\n",
+    # {1, 2, 4, 5} x [3]^2: free, as {1, 2, 4, 5} holds no 3-progression
+    "product.txt": "".join(f"{a} {b} {c}\n" for a in (1, 2, 4, 5)
+                           for b in (1, 2, 3) for c in (1, 2, 3)),
     # a 2x2 cube of scale 10^400, past what a float holds
     "huge.txt": "0 0\n0 {0}\n{0} 0\n{0} {0}\n".format(10 ** 400),
 }
@@ -240,6 +243,12 @@ CASES = [
     ('verify set --file skew.txt --m 2 --k 2 --eps 1/100 --format csv', 0,
      'free\n', '', None),
     ('verify set --file skew.txt --m 2 --k 2 --eps 1/100 --json', 0,
+     '{"command": "verify set", "free": true, "witness": null}\n', '', None),
+    ('verify set --file product.txt --m 3 --k 3 --eps 1/100', 0,
+     'free\n', '', None),
+    ('verify set --file product.txt --m 3 --k 3 --eps 1/100 --format csv', 0,
+     'free\n', '', None),
+    ('verify set --file product.txt --m 3 --k 3 --eps 1/100 --json', 0,
      '{"command": "verify set", "free": true, "witness": null}\n', '', None),
     ('verify set --file grid.txt --m 2 --k 2 --eps 1/4', 1,
      'contains approximate structure: [(0, 0), (0, 10), (10, 0), (10, 10)]\n',

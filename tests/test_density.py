@@ -7,7 +7,7 @@ from itertools import combinations, product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsap import density, geometry
@@ -21,7 +21,7 @@ from epsap.density import (
 )
 from epsap.errors import Budget, MemoryGuardExceeded, SearchCapExceeded
 from epsap.geometry import IndexedGrid, check_points, narrowed, recognize_ap, recognize_cube
-from epsap.search import find_eps_ap_in_points
+from epsap.search import find_eps_ap_in_points, max_exact_ap_free
 import oracles
 from oracles import brute_force_cubes, fraction_verify_cube_free, has_exact_ap
 
@@ -411,6 +411,51 @@ def test_cube_search_digit_product_is_free_h2():
     assert verify_cube_free(s, 2, 3, F(1, 125)) is None
 
 
+def _behrend_members(h):
+    return build_behrend_digit_set(F(1, 125), h, one_based=True)[1]
+
+
+@pytest.mark.parametrize("A, m, N, axis", [
+    (max_exact_ap_free(6, 3).witness, 2, 6, 0),
+    (max_exact_ap_free(8, 3).witness, 3, 8, 0),
+    (max_exact_ap_free(8, 3).witness, 3, 8, 2),
+    (_behrend_members(1), 2, 5, 1),
+    (_behrend_members(1), 3, 5, 0),
+    (_behrend_members(2), 3, 25, 1),
+])
+def test_cube_search_settles_a_free_product_by_its_axes(A, m, N, axis):
+    # An axis-j line of a cube would be a 1-D eps-progression of A, held on
+    # axis j, so the search answers before the cube listing starts.
+    points = [p[m - axis:] + p[:m - axis] for p in product_free_set(A, m, N)]
+    with mock.patch.object(density, "_cubes", side_effect=AssertionError("listed")):
+        assert verify_cube_free(points, m, 3, F(1, 125)) is None
+    if len(points) <= 200:  # the listing it skips agrees
+        listed = geometry._cubes(check_points(points, m), m, 3, F(1, 125), 1e-9,
+                                 Budget(10 ** 5))
+        assert next(listed, None) is None
+
+
+def test_cube_search_axis_check_spends_the_search_budget():
+    # [6] x {1, 2, 4, 5}: the stream on axis 0 finds (1, 2, 3), the one on
+    # axis 1 none, in 10 nodes of one budget.
+    points = [(b, a) for a, b in product_free_set((1, 2, 4, 5), 2, 6)]
+    assert verify_cube_free(points, 2, 3, F(1, 10), node_cap=10) is None
+    with pytest.raises(SearchCapExceeded, match="^search work cap of 9 exceeded$"):
+        verify_cube_free(points, 2, 3, F(1, 10), node_cap=9)
+
+
+def test_cube_search_lists_cubes_at_eps_one_half():
+    # From eps = 1/2 on there is no axis check (the 1-D stream takes eps
+    # below 1/2), so the query goes to the listing and gets its answer: a
+    # cube, as A holds (1, 2, 4).
+    points = product_free_set((1, 2, 4, 5), 2, 5)
+    with mock.patch.object(density, "_cubes", wraps=geometry._cubes) as cubes:
+        hit = verify_cube_free(points, 2, 3, F(1, 2))
+    listed = geometry._cubes(points, 2, 3, F(1, 2), 1e-9, Budget(10 ** 6))
+    assert cubes.call_count == 1
+    assert hit is not None and hit == next(listed)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
 def test_cube_search_rejects_a_bad_tolerance_before_searching(tol):
     # no complete assignment is reached here, so only the early check sees it
@@ -472,12 +517,32 @@ def _cube_search_outcome(search, module, pts, m, k, eps, cap):
     return outcome, [b.spent for b in budgets]
 
 
+_WHOLE = 100_000  # a cap the searches below finish under
+
+
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(_cube_search_inputs())
+# A x [6] for a progression-free A: the axis check answers in 6 nodes, the
+# oracle runs out at 60 and finishes at 177.
+@example((list(product((1, 2, 4, 5), range(1, 7))), 2, 3, F(1, 10), 60))
 def test_cube_search_matches_fraction_oracle(case):
-    # Same hit, scale and residual, or the same error, after the same nodes.
-    assert (_cube_search_outcome(verify_cube_free, density, *case)
-            == _cube_search_outcome(fraction_verify_cube_free, oracles, *case))
+    # The axis check spends the search's budget too, so the search may run
+    # out where the oracle finishes.  Under a cap both finish under, they give
+    # the same hit, scale and residual, None or error; under the drawn cap the
+    # search gives the oracle's uncapped answer or SearchCapExceeded.
+    pts, m, k, eps, cap = case
+    oracle, oracle_spent = _cube_search_outcome(fraction_verify_cube_free, oracles, *case)
+    capped, spent = _cube_search_outcome(verify_cube_free, density, *case)
+    ran_out = (SearchCapExceeded, f"search work cap of {cap} exceeded")
+    if m == 1 or 2 * eps >= 1:  # no axis check: the same search, node for node
+        assert (capped, spent) == (oracle, oracle_spent)
+    if oracle != ran_out:  # the oracle's uncapped answer
+        assert capped in (oracle, ran_out)
+        whole, _ = _cube_search_outcome(verify_cube_free, density, pts, m, k, eps, _WHOLE)
+        assert whole == oracle
+    elif capped != ran_out:  # the axis check answered; the search it skipped agrees
+        listed = geometry._cubes(check_points(pts, m), m, k, eps, 1e-9, Budget(_WHOLE))
+        assert (capped, next(listed, None)) == (None, None)
 
 
 @st.composite

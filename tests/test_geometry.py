@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import accumulate, combinations, product
 from unittest import mock
@@ -431,6 +432,25 @@ def test_ball_unit_square():
 def test_ball_empty_rejected():
     with pytest.raises(ValueError):
         min_enclosing_ball([])
+
+
+@pytest.mark.parametrize("points, shown", [
+    ([(0.0,), (2.0 ** 600,)], "4.149515568880993e+180"),  # gave radius 0.0
+    ([(0,), (math.inf,)], "inf"),  # gave center inf
+    ([(0,), (math.nan,)], "nan"),  # gave radius 0.0
+    ([(0,), (2.0 ** 500,)], "3.273390607896142e+150"),
+    ([(0, 0), (1, -2 ** 700)], "a 701-bit int"),
+])
+def test_ball_refuses_coordinates_past_its_floats(points, shown):
+    with pytest.raises(ValueError, match=rf"^coordinate {len(points[0]) - 1} of point 1 "
+                                         rf"is {re.escape(shown)}; min_enclosing_ball"):
+        min_enclosing_ball(points)
+
+
+def test_ball_takes_coordinates_just_below_its_float_limit():
+    below = math.nextafter(2.0 ** 500, 0)
+    center, radius = min_enclosing_ball([(-below,), (below,)] * 4)
+    assert (center, radius) == ((0.0,), below)
 
 
 def test_ball_is_deterministic_across_calls():
