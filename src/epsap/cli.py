@@ -287,6 +287,8 @@ def _cmd_density(args):
         raise ValueError("density needs --eps unless --exact-aps is given")
     if args.exact_aps and args.m != 1:
         raise ValueError("--exact-aps only applies to m=1")
+    if args.exact_aps and args.eps is not None:
+        raise ValueError("--exact-aps takes no --eps")
     if args.exact_aps:
         outcome = search.max_exact_ap_free(args.N, args.k, work_cap=args.work_cap)
     else:

@@ -11,7 +11,8 @@ and the cube blow-up is the m-fold product of the 1-D blow-up
 (colorings._blowup_blocks, which refuses a base t < k when r > 1), its
 block u the product of the 1-D blocks u_1, ..., u_m.
 verify_cube_free returns the first cube of the geometry module's cube
-listing (geometry._cubes), and search.exact_f (m >= 2) lists them all.
+listing (geometry._cubes), and search.exact_f (m >= 2) lists them all
+before its free-set ladder.
 Below eps = 1/2, verify_cube_free first asks each axis for a 1-D
 progression (geometry._eps_aps) and answers None without the listing when
 one has none, as for the products A x [N]^(m-1) of a free A.

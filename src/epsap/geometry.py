@@ -1047,6 +1047,8 @@ def index_grid_points(point_set, m: int, k: int, eps) -> IndexedGrid:
     boundary make the split ambiguous and raise IndexingError; nothing is
     ever guessed.
     """
+    if m < 1 or k < 2:
+        raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
     e = check_epsilon(eps)
     if e >= Fraction(1, 2):
         raise ValueError(f"index recovery requires eps < 1/2, got {e}")
@@ -1071,6 +1073,4 @@ def index_grid_points(point_set, m: int, k: int, eps) -> IndexedGrid:
     assignment = {tuple(idx): p for p, idx in index_of.items()}
     if len(assignment) != k ** m:
         raise IndexingError("per-axis clustering produced a non-injective indexing")
-    if m < 1 or k < 2:  # IndexedGrid's one check that the steps above leave
-        raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
     return _trusted_grid(m, k, assignment)

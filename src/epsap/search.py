@@ -13,13 +13,13 @@ n, searched with both ends fixed.  Every edge a search reads is an int bit
 mask, bit i for element i + 1 (index i), made where the edge is listed.
 Coloring and subset searches are plain backtracking with canonical
 tie-breaking, so results are deterministic; exact_W and exact_f count the
-listing in `nodes`.  Every free-set search is one include-first branch and
-bound on bit masks of chosen and blocked indices (_max_free_edges): exact_f
-on m >= 2 runs it once, over the listed cubes, with the count bound.  The
-1-D ladder (_ladder) runs it once per rung as a decision: f(n) is f(n - 1)
-or f(n - 1) + 1, so rung n asks whether [n] holds a free set of f(n - 1) + 1
-points, and stops at the first one, the lex-first.  Its bounds force both
-ends of [n] into such a set.
+listing in `nodes`.  Every free-set search, in every dimension, is the
+ladder (_ladder): one rung per prefix of the points in lex order, each one
+include-first branch and bound on bit masks of chosen and blocked indices
+(_max_free_edges), run as a decision.  f(n) is f(n - 1) or f(n - 1) + 1, so
+rung n asks whether the first n points hold a free set of f(n - 1) + 1, and
+stops at the first, the lex-first.  A cube moved along axis 0 is a cube, so
+the ladder bounds each suffix of whole rows of N^(m-1) points.
 """
 
 from __future__ import annotations
@@ -231,24 +231,22 @@ def exact_W(k: int, r: int, eps, n_max: int,
 # ---------------------------------------------------------------------------
 
 def _max_free_edges(n: int, lowers, budget, incumbent, room):
-    """Largest set of indices in range(n) containing no edge, lex-first
-    among ties.
+    """First set of indices in range(n) containing no edge and reaching the
+    target size room[0], in include-first order the lex-first; else the
+    largest one, lex-first among ties.
 
     Include-first branch and bound with one budget unit per node: the first
     leaf reached is the greedy set, incumbents (the preloaded one included)
     are replaced only on strict improvement, and a branch is pruned when it
-    cannot strictly improve, so the lex-first optimum survives.  room[i]
-    bounds how many of the indices i..n-1 a free set can hold, and room[n]
-    is 0.  room[0] may be a target rather than the count: the search stops
-    at the first leaf that reaches it, in include-first order the lex-first
-    set of that size.  room[1] must also bound the indices 0..n-2 (it does
-    for translation invariant edges, and for the count bound), so once it
-    cannot beat the incumbent, index n-1 is forced: an include that blocks
-    n-1 is pruned at once.  Returns (indices, completed); a capped search
-    returns the best set found so far.
+    cannot strictly improve, so the lex-first optimum survives.  room[i],
+    for i >= 1, bounds how many of the indices i..n-1 a free set can hold,
+    and room[n] is 0.  room[1] must also bound the indices 0..n-2 (_ladder's
+    rooms do), so once it cannot beat the incumbent, index n-1 is forced:
+    an include that blocks n-1 is pruned at once.  Returns (indices,
+    completed); a capped search returns the best set found so far.
 
     Each edge, of two or more indices, is filed under its second largest
-    index j (_file_edge): lowers[j] maps the bit mask of the edge's indices
+    index j (by _ladder): lowers[j] maps the bit mask of the edge's indices
     below j to the mask of the largest indices of the edges filed with it.
     In include-first order every chosen index is below the current one, so
     index i completes an edge exactly when it is the largest index of one
@@ -296,34 +294,28 @@ def _max_free_edges(n: int, lowers, budget, incumbent, room):
     return best, True
 
 
-def _file_edge(lowers, rest: int, top: int) -> None:
-    """File the edge of top and the indices in the bit mask rest (nonempty,
-    below top) for _max_free_edges, under rest's largest index j."""
-    j = rest.bit_length() - 1
-    below = rest ^ 1 << j
-    lowers[j][below] = lowers[j].get(below, 0) | 1 << top
-
-
-def _ladder(N: int, rests_ending_at, budget):
+def _ladder(N: int, rests_ending_at, budget, width: int = 1):
     """Largest set of indices in range(N) containing no edge, lex-first
-    among ties, solving [1], [2], ..., [N] in turn; returns (indices,
-    completed), as _max_free_edges does.
+    among ties, solving the prefixes range(1), ..., range(N) in turn;
+    returns (indices, completed), as _max_free_edges does.
 
-    The edges must be translation invariant.  rests_ending_at(i) lists the
-    bit masks of those whose largest index is i, without i; it is called
-    once per i, when rung i + 1 is reached, and may spend the budget.
-    The greedy set is grown as the edges are filed.  In rung n the indices
-    i..n-1 are a translate of [n - i], so they hold at most f(n - i) chosen
+    The indices come in rows of `width`, and the edges must be translation
+    invariant by whole rows.  rests_ending_at(i) lists the bit masks of
+    those whose largest index is i, without i; it is called once per i,
+    when rung i + 1 is reached, and may spend the budget.  The greedy set is
+    grown as the edges are filed.  In rung n the indices from a row start s
+    on are a translate of range(n - s), so they hold at most f(n - s) chosen
     points, the value of an earlier rung (the suffix bound of Gasarch, Glenn
-    and Kruskal, "Finding large 3-free sets I", 2008).  f(n) is f(n - 1) or
+    and Kruskal, "Finding large 3-free sets I", 2008): room[i] takes it from
+    i's row start, or is n - i when lower.  f(n) is f(n - 1) or
     f(n - 1) + 1, so rung n is one _max_free_edges search that decides
-    whether [n] holds a free set of f(n - 1) + 1 points: room[0] is that
-    size, the incumbent is the previous rung's set (or the greedy set of
-    [n], when that is as large), and the search stops at its first leaf of
-    that size, the lex-first.  room[1] = f(n - 1) then forces index 0 into
-    the set and, as [n - 1] is a translate of the indices 1..n-1, index
-    n - 1 too.  Rung N starts a point lower, from the previous rung's set
-    less its last point, unless the greedy set, the first leaf, holds
+    whether range(n) holds a free set of f(n - 1) + 1 points: room[0] is
+    that size, the incumbent is the previous rung's set (or the greedy set
+    of range(n), when that is as large), and the search stops at its first
+    leaf of that size, the lex-first.  room[1] >= f(n - 1), so index n - 1
+    is forced once the incumbent has f(n - 1) points, and with width 1
+    index 0 is too.  Rung N starts a point lower, from the previous rung's
+    set less its last point, unless the greedy set, the first leaf, holds
     f(N - 1) points: its first leaf of f(N - 1) points is then the
     lex-first, the witness if it answers no.  All searches share the
     budget, so `nodes` counts every rung.  A capped run returns the greedy
@@ -331,14 +323,16 @@ def _ladder(N: int, rests_ending_at, budget):
     """
     lowers = []  # the edges by second largest index, see _max_free_edges
     greedy, in_greedy = [], 0  # the greedy set grown so far, and its bit mask
-    f = [0]  # f[n]: the largest free subset of [n], for the rungs solved
+    f = [0]  # f[n]: the largest free subset of range(n), for the rungs solved
     best, completed = (), True  # best: a largest free set of the last rung
     try:
         for n in range(1, N + 1):
             lowers.append({})
             closed = False  # does n - 1 end an edge inside the greedy set?
             for rest in rests_ending_at(n - 1):
-                _file_edge(lowers, rest, n - 1)
+                j = rest.bit_length() - 1  # filed under j, see _max_free_edges
+                below = rest ^ 1 << j
+                lowers[j][below] = lowers[j].get(below, 0) | 1 << (n - 1)
                 closed = closed or in_greedy & rest == rest
             if not closed:
                 greedy.append(n - 1)
@@ -347,7 +341,9 @@ def _ladder(N: int, rests_ending_at, budget):
             if n == N and len(greedy) < len(best):
                 seed = best[:-1]
             f.append(f[-1] + 1)  # room[0] of rung n: the one size it asks for
-            found, completed = _max_free_edges(n, lowers, budget, seed, f[::-1])
+            room = f[::-1] if width == 1 else [
+                min(f[n - i // width * width], n - i) for i in range(n + 1)]
+            found, completed = _max_free_edges(n, lowers, budget, seed, room)
             if not completed:
                 break
             best = found
@@ -388,17 +384,18 @@ def exact_f(N: int, m: int, k: int, eps,
             work_cap: int = DEFAULT_WORK_CAP) -> SearchOutcome:
     """Largest subset of [N]^m with no approximate cube (progression for m=1).
 
-    Branch and bound in lex element order (_max_free_edges).  For m = 1 it
-    climbs the rungs [1], ..., [N], one decision each (see _ladder),
-    listing the progressions ending at n on reaching rung n, as exact_W
-    does.  The cube order of m >= 2 is not translation invariant, so there
-    every cube of [N]^m is listed first (geometry._cubes), each point set
-    once, and one count-bound search follows.  One budget serves the
-    listing and the search, so `nodes` counts both.  Hitting the cap yields
-    lower_bound_only carrying the best incumbent found so far, never a
-    value, and at least the first min(N^m, k^m - 1) points of [N]^m, too
-    few for a cube.  The listing's root and each point at its first slot
-    are nodes, so a cap of at most N^m is answered so before [N]^m is built.
+    The points of [N]^m are taken in lex order, and the ladder (_ladder)
+    climbs their prefixes, one decision per point, in rows of N^(m-1)
+    points: a cube shifted along axis 0 is a cube.  For m = 1 the
+    progressions ending at n are listed on reaching rung n, as exact_W
+    does; for m >= 2 every cube of [N]^m is listed first
+    (geometry._cubes), each point set once, and filed by its largest
+    point.  One budget serves the listing and the ladder, so `nodes` counts
+    both.  Hitting the cap yields lower_bound_only carrying the best
+    incumbent found so far, never a value, and at least the first
+    min(N^m, k^m - 1) points of [N]^m, too few for a cube.  The cube
+    listing's root and each point at its first slot are nodes, so a cap of
+    at most N^m is answered so before [N]^m is built.
     """
     if N < 0 or m < 1 or k < 2:
         raise ValueError(f"need N >= 0, m >= 1, k >= 2, got {N}, {m}, {k}")
@@ -418,17 +415,17 @@ def exact_f(N: int, m: int, k: int, eps,
             return SearchOutcome("lower_bound_only", len(floor), floor, work_cap)
         points = tuple(product(range(1, N + 1), repeat=m))
         index = {p: i for i, p in enumerate(points)}
-        n = len(points)
+        rests = [[] for _ in points]  # rests[i]: the cubes ending at i, without i
         best, completed = (), False
         try:
             # a set may fit two assignments
             cubes = {sum(1 << index[p] for p in grid.assignment.values())
                      for grid, _ in _cubes(points, m, k, e, DEFAULT_TOL, budget)}
-            lowers = [{} for _ in points]
             for cube in cubes:
                 top = cube.bit_length() - 1
-                _file_edge(lowers, cube ^ 1 << top, top)
-            best, completed = _max_free_edges(n, lowers, budget, (), range(n, -1, -1))
+                rests[top].append(cube ^ 1 << top)
+            best, completed = _ladder(len(points), rests.__getitem__, budget,
+                                      N ** (m - 1))
         except SearchCapExceeded:  # raised by the listing
             pass
     if not completed:  # fewer than k^m points hold no cube (progression for m=1)

@@ -18,6 +18,7 @@ from epsap.cli import build_parser, main
 FILES = {
     "grid.txt": "0 0\n0 10\n10 0\n10 10\n",  # an exact 2x2 cube of scale 10
     "one.txt": "0 0\n",  # fewer points than any 2x2 grid
+    "empty.txt": "",
     "skew.txt": "0 0\n1 5\n9 1\n10 9\n",  # no cube for eps = 1/5
     "line.txt": "1\n2\n4\n",
     "run.txt": "1\n2\n3\n5\n",
@@ -68,6 +69,11 @@ CASES = [
      '',
      'error: coordinate 1 of the point at index (0, 1) has 1329 bits; '
      'recognize_cube computes in floats and needs |x| < 2^500\n',
+     None),
+    # m is checked before the point count k^m, a float for m < 0
+    ('recognize cube --file empty.txt --m -1 --k 3 --eps 1/4', 2,
+     '',
+     'error: need m >= 1 and k >= 2, got m=-1, k=3\n',
      None),
     ('construct blowup --k 3 --r 2 --eps 1/4', 0,
      't = 12\nsize = 9\ndiameter = 26\n0 1 2 12 13 14 24 25 26\n', '', None),
@@ -334,6 +340,10 @@ CASES = [
     ('density --N 3 --m 2 --k 2 --eps 1/5 --exact-aps', 2,
      '',
      'error: --exact-aps only applies to m=1\n',
+     None),
+    ('density --N 9 --k 3 --exact-aps --eps 1/10', 2,
+     '',
+     'error: --exact-aps takes no --eps\n',
      None),
     ('hypergraph --N 5 --k 3 --eps 1/10', 0,
      '# N=5 k=3 eps=1/10\n1 2 3\n1 3 5\n2 3 4\n3 4 5\n', '', None),

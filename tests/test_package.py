@@ -4,8 +4,9 @@ only names that their module lists in __all__, so a name deleted from one
 list and left in another is caught.  The 1-D region API is kept for callers
 outside the package only, so deleting it later touches no package code.
 Every public search takes errors.DEFAULT_WORK_CAP as its default work cap.
-The modules import each other only at module level and in no circle, and
-only geometry reads the integer interval of scales."""
+The modules import each other only at module level and in no circle, only
+geometry reads the integer interval of scales, and the free-set search has
+one call site, in the ladder."""
 
 import ast
 import graphlib
@@ -145,3 +146,21 @@ def test_only_geometry_reads_the_scale_interval():
             if used in interval_api:
                 uses.append(f"{name}:{node.lineno} {used}")
     assert uses == []
+
+
+def _named(node, name):
+    return name in (getattr(node, "id", None), getattr(node, "attr", None))
+
+
+def test_the_free_set_search_runs_only_on_the_ladder():
+    # Every free-set search climbs search._ladder, in every dimension: a
+    # second path to _max_free_edges, a call or an alias anywhere in the
+    # package, fails here.
+    trees = dict(_trees())
+    uses = [f"{name}:{node.lineno}" for name, tree in trees.items()
+            for node in ast.walk(tree) if _named(node, "_max_free_edges")]
+    ladder = next(fn for fn in trees["search"].body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_ladder")
+    calls = [node for node in ast.walk(ladder)
+             if isinstance(node, ast.Call) and _named(node.func, "_max_free_edges")]
+    assert len(uses) == len(calls) == 1

@@ -24,7 +24,6 @@ from epsap.search import (
 )
 from epsap.search import (
     _edges_by_max,
-    _file_edge,
     _good_coloring,
     _max_free_edges,
 )
@@ -373,15 +372,37 @@ def test_f_search_tree_is_pinned():
 
 
 @pytest.mark.parametrize("eps, nodes", [
-    (F(1, 10), 72), (F(1, 8), 72), (F(1, 6), 84), (F(1, 5), 84),
+    (F(1, 10), 70), (F(1, 8), 70), (F(1, 6), 82), (F(1, 5), 82),
 ])
 def test_f_two_dimensional_search_tree_is_pinned(eps, nodes):
-    # The last 43 nodes are the free-set search's own; the cube listing
-    # spends the rest (29 at eps 1/10 and 1/8, 41 at 1/6 and 1/5) from the
-    # same budget, before the search.
+    # The last 41 nodes are the ladder's own, over its nine rungs; the cube
+    # listing spends the rest (29 at eps 1/10 and 1/8, 41 at 1/6 and 1/5)
+    # from the same budget, before the first rung.
     out = _assert_spends_exactly(lambda work_cap: exact_f(3, 2, 2, eps, work_cap), nodes)
     assert (out.value, out.witness) == (
         7, ((1, 1), (1, 2), (1, 3), (2, 1), (2, 3), (3, 1), (3, 2)))
+
+
+@pytest.mark.parametrize("N, eps, nodes, witness", [
+    # 76,975 nodes when the cubes were searched with the count bound
+    (5, F(1, 10), 12743,
+     ((1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 3), (2, 5), (3, 1),
+      (3, 2), (3, 5), (4, 1), (4, 5), (5, 1), (5, 2), (5, 3), (5, 4))),
+    # 7,119,344 nodes with the count bound
+    (6, F(1, 10), 377015,
+     ((1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 3), (2, 5), (2, 6),
+      (3, 1), (3, 2), (3, 6), (4, 1), (4, 5), (4, 6), (5, 1), (5, 2), (5, 4),
+      (5, 6), (6, 2), (6, 3), (6, 4), (6, 5), (6, 6))),
+    # bounding a suffix that starts inside a row by the value of the prefix
+    # as long, as on the line, keeps only 9 points here
+    (4, F(1, 4), 5138,
+     ((1, 2), (1, 3), (2, 1), (2, 2), (2, 4), (3, 1), (3, 3), (3, 4), (4, 2),
+      (4, 3))),
+])
+def test_f_two_dimensional_ladder_is_pinned(N, eps, nodes, witness):
+    # Only a suffix of whole rows of N points is a translate of a prefix.
+    out = _assert_spends_exactly(lambda work_cap: exact_f(N, 2, 2, eps, work_cap), nodes)
+    assert (out.value, out.witness) == (len(witness), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -716,11 +737,13 @@ def _hypergraphs(draw):
 
 
 def _lowers(n, edges):
-    """The edges of two or more indices, filed as the ladder files them: the
-    bit mask of all but the largest index, and that index."""
+    """The edges of two or more indices, filed as the ladder files them:
+    under the second largest index j, the bit mask of the indices below j
+    maps to the bit mask of the largest ones."""
     lowers = [{} for _ in range(n)]
-    for e in edges:
-        _file_edge(lowers, sum(1 << i for i in e[:-1]), e[-1])
+    for *rest, top in edges:
+        below = sum(1 << i for i in rest[:-1])
+        lowers[rest[-1]][below] = lowers[rest[-1]].get(below, 0) | 1 << top
     return lowers
 
 
