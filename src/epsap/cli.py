@@ -16,7 +16,6 @@ from fractions import Fraction
 
 from . import colorings, density, formats, geometry, search
 from .errors import DEFAULT_WORK_CAP, MemoryGuardExceeded, SearchCapExceeded
-from .rational import format_fraction
 
 __all__ = ["main"]
 
@@ -66,7 +65,7 @@ def _cmd_recognize_ap(args):
     }
     if not accepted:
         return 1, payload, ["rejected"], ["rejected,,,"]
-    a, d, margin = (format_fraction(x) for x in (witness.a, witness.d, witness.margin))
+    a, d, margin = map(str, (witness.a, witness.d, witness.margin))
     text = ["accepted", f"a = {a}", f"d = {d}", f"margin = {margin}"]
     return 0, payload, text, [f"accepted,{a},{d},{margin}"]
 

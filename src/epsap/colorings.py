@@ -15,8 +15,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import geometry
 from .errors import DEFAULT_WORK_CAP, Budget, MemoryGuardExceeded, check_cap, power_exceeds
-from .geometry import Witness1D, _eps_aps, check_epsilon
-from .rational import ceil_frac, to_fraction
+from .geometry import Witness1D, _eps_aps, check_epsilon, to_fraction
 
 __all__ = [
     "Coloring",
@@ -161,7 +160,7 @@ def build_blowup_1d(k: int, r: int, eps, cap: int = BLOWUP_CAP) -> BlowupSpec:
     e = check_epsilon(eps)
     if power_exceeds(k, r, cap):
         raise MemoryGuardExceeded(f"blow-up size k^r = {k}^{r} exceeds cap {cap}")
-    t = ceil_frac(Fraction(k) / e)
+    t = math.ceil(Fraction(k) / e)
     elements = tuple(x for block in _blowup_blocks(k, r, t, e) for x in block)
     return BlowupSpec(k=k, r=r, eps=e, t=t, elements=elements)
 

@@ -37,10 +37,9 @@ from .errors import (
     power_exceeds,
 )
 from .geometry import (DEFAULT_TOL, _check_cube_eps, _cubes, _eps_aps, check_epsilon,
-                       check_points, check_tol)
+                       check_points, check_tol, to_fraction)
 # Not called here: bench/tracer.py wraps it on this module by name.
 from .geometry import recognize_cube  # noqa: F401
-from .rational import ceil_frac, floor_frac, to_fraction
 from .search import max_exact_ap_free
 
 __all__ = [
@@ -195,11 +194,11 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
         raise ValueError(f"need h >= 1, got h={h}")
     if k < 3:
         raise ValueError(f"need k >= 3, got k={k}")
-    q, cap = floor_frac(1 / (25 * e)), DEFAULT_MATERIALIZE_CAP
+    q, cap = math.floor(1 / (25 * e)), DEFAULT_MATERIALIZE_CAP
     if q > cap:
         raise MemoryGuardExceeded(f"digit base q exceeds materialize cap {cap}")
     head = apk_free_set(0, q - 1, k, mode)
-    tail = apk_free_set(ceil_frac(Fraction(2 * q, 5)), floor_frac(Fraction(3 * q, 5)),
+    tail = apk_free_set(math.ceil(Fraction(2 * q, 5)), math.floor(Fraction(3 * q, 5)),
                         k, mode)
     # The largest member, by the Horner steps that build the members below:
     # from 10^digits on, an int has more decimal digits than may be printed.

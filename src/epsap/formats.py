@@ -15,8 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .colorings import Coloring
-from .geometry import Witness1D, WitnessMD, check_points
-from .rational import to_fraction
+from .geometry import Witness1D, WitnessMD, check_points, to_fraction
 
 __all__ = [
     "write_set",

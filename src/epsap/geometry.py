@@ -66,8 +66,6 @@ from itertools import chain, combinations, product
 from operator import itemgetter, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .rational import to_fraction
-
 __all__ = [
     "Witness1D",
     "WitnessMD",
@@ -75,6 +73,7 @@ __all__ = [
     "CubeDecision",
     "FeasibleRegion2D",
     "IndexingError",
+    "to_fraction",
     "check_epsilon",
     "check_tol",
     "check_points_1d",
@@ -94,6 +93,29 @@ _FLOAT_BITS = 500  # below 2^500, squared distances in the ball code stay finite
 
 class IndexingError(ValueError):
     """A point set cannot be unambiguously indexed as a grid."""
+
+
+def to_fraction(value) -> Fraction:
+    """Coerce an int, Fraction or 'p/q' string to a Fraction.
+
+    Floats are refused on purpose: the 1-D feasibility decisions are exact,
+    and a binary float silently changes the question being asked
+    (1/3 != 0.3333...).
+    """
+    if isinstance(value, bool):
+        raise TypeError("booleans are not rational values")
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    if isinstance(value, str):
+        try:
+            return Fraction(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"cannot parse {value!r} as an exact rational") from exc
+    raise TypeError(
+        f"expected int, Fraction or 'p/q' string, got {type(value).__name__}"
+    )
 
 
 def check_epsilon(eps, *, set_level: bool = False) -> Fraction:
@@ -856,11 +878,13 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
        Feasible when min g < -tol*d_max (with witness), infeasible when
        min g > +tol*d_max, boundary otherwise.
     The verdicts of stages 1 and 2 carry exact=True, those of stage 3 False.
-    A coordinate of 2^500 or more is refused before any float work.
+    A coordinate of 2^500 or more is refused before any float work, and a
+    grid whose shifted points x_v - d*v would reach 2^500 at a scale a ball
+    is built at is refused before that ball.
     """
     check_tol(tol)
-    exact_eps = _exact_eps(eps)
     k, m = grid.k, grid.m
+    exact_eps = _check_cube_eps(_exact_eps(eps), k)
     pairs = grid.items_in_index_order()
     pts = [p for _, p in pairs]
     vecs = [v for v, _ in pairs]
@@ -872,10 +896,6 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
             f"coordinate {j} of the point at index {v} has {widest.bit_length()} bits; "
             f"recognize_cube computes in floats and needs |x| < 2^{_FLOAT_BITS}")
     e = float(exact_eps)
-    if 2 * exact_eps >= k - 1:
-        raise ValueError(
-            f"eps={e} too large for the scale bound; recognize_cube needs eps < (k-1)/2"
-        )
     d_max = max(hi - lo for lo, hi in ends) / ((k - 1) - 2 * e)
 
     # One processing order serves every ball: nearby scales share most of
@@ -885,6 +905,20 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
 
     def shifted(d: float) -> list:
         return list(zip(*[[x - d * u for x, u in zip(xs, us)] for xs, us in axes]))
+
+    def within_floats(top: float) -> None:
+        """Refuse the grid when a ball at a scale d <= top could take a
+        coordinate past the floats; each coordinate of x_v - d*v is monotone
+        in d, so its values at d = 0 and d = top bound it."""
+        limit = 2.0 ** _FLOAT_BITS
+        if float(widest) + (k - 1) * top < limit:
+            return
+        reach = max(float(widest), *(abs(x - top * u) for xs, us in axes
+                                     for x, u in zip(xs, us) if u))
+        if not reach < limit:
+            raise ValueError(
+                f"x_v - d*v reaches {reach:.3g} at the scales d <= {top:.3g} it tries; "
+                f"recognize_cube computes in floats and needs it below 2^{_FLOAT_BITS}")
 
     # Stage 1: d0 = sum_v x_v.(v - c) / sum_v |v - c|^2 with c the center of
     # {0..k-1}^m.  The denominator is m*k^m*(k^2 - 1)/12, and the numerator
@@ -906,8 +940,10 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
             return None
 
         # a0 settles most feasible grids; the ball is built only when it fails
-        decision = (settled(a0, max(math.dist(a0, p) for p in probe))
-                    or settled(*min_enclosing_ball(probe, order)))
+        decision = settled(a0, max(math.dist(a0, p) for p in probe))
+        if decision is None:
+            within_floats(d0)
+            decision = settled(*min_enclosing_ball(probe, order))
         if decision is not None:
             return decision
 
@@ -924,6 +960,7 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
     (lo_n, lo_d), (hi_n, hi_d) = interval
     lo = max(lo_n / lo_d, d_max * 2.0 ** -60)
     hi = min(hi_n / hi_d, d_max)
+    within_floats(hi)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
@@ -955,11 +992,15 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
 
 def _check_cube_eps(eps, k: int) -> Fraction:
     """eps as a checked Fraction, refused when 2 eps >= k - 1, where
-    recognize_cube has no scale bound: a cube search refuses it up front,
+    recognize_cube has no scale bound, or when its float does, as it
+    divides by k - 1 - 2 eps in floats: a cube search refuses it up front,
     whatever its points or cap."""
     e = check_epsilon(eps)
     if 2 * e >= k - 1:
         raise ValueError(f"eps={e} too large; recognize_cube needs eps < (k-1)/2")
+    if 2 * float(e) >= k - 1:
+        raise ValueError(f"eps={e} rounds to (k-1)/2 in floats; recognize_cube needs "
+                         "it below")
     return e
 
 

@@ -19,7 +19,13 @@ include-first branch and bound on bit masks of chosen and blocked indices
 (_max_free_edges), run as a decision.  f(n) is f(n - 1) or f(n - 1) + 1, so
 rung n asks whether the first n points hold a free set of f(n - 1) + 1, and
 stops at the first, the lex-first.  A cube moved along axis 0 is a cube, so
-the ladder bounds each suffix of whole rows of N^(m-1) points.
+the ladder bounds each suffix of whole rows of N^(m-1) points.  The ladder
+and the coloring search read one kind of stream, the rungs: for each index
+in turn, the bit masks of the edges ending there, without it
+(_edges_by_max for progressions, _cubes_by_max for cubes, which lists them
+all on its first read).  The ladder makes every free-set outcome, capped
+or not, but exact_f's answer to a cap that [N]^m's size alone proves too
+small.
 """
 
 from __future__ import annotations
@@ -294,33 +300,37 @@ def _max_free_edges(n: int, lowers, budget, incumbent, room):
     return best, True
 
 
-def _ladder(N: int, rests_ending_at, budget, width: int = 1):
-    """Largest set of indices in range(N) containing no edge, lex-first
-    among ties, solving the prefixes range(1), ..., range(N) in turn;
-    returns (indices, completed), as _max_free_edges does.
+def _ladder(points, rungs, budget, edge_size: int, width: int = 1) -> SearchOutcome:
+    """Largest subset of `points` containing no edge, lex-first among ties,
+    solving the prefixes points[:1], ..., points[:N] in turn.
 
-    The indices come in rows of `width`, and the edges must be translation
-    invariant by whole rows.  rests_ending_at(i) lists the bit masks of
-    those whose largest index is i, without i; it is called once per i,
-    when rung i + 1 is reached, and may spend the budget.  The greedy set is
-    grown as the edges are filed.  In rung n the indices from a row start s
-    on are a translate of range(n - s), so they hold at most f(n - s) chosen
-    points, the value of an earlier rung (the suffix bound of Gasarch, Glenn
-    and Kruskal, "Finding large 3-free sets I", 2008): room[i] takes it from
-    i's row start, or is n - i when lower.  f(n) is f(n - 1) or
-    f(n - 1) + 1, so rung n is one _max_free_edges search that decides
-    whether range(n) holds a free set of f(n - 1) + 1 points: room[0] is
-    that size, the incumbent is the previous rung's set (or the greedy set
-    of range(n), when that is as large), and the search stops at its first
-    leaf of that size, the lex-first.  room[1] >= f(n - 1), so index n - 1
-    is forced once the incumbent has f(n - 1) points, and with width 1
-    index 0 is too.  Rung N starts a point lower, from the previous rung's
-    set less its last point, unless the greedy set, the first leaf, holds
-    f(N - 1) points: its first leaf of f(N - 1) points is then the
-    lex-first, the witness if it answers no.  All searches share the
-    budget, so `nodes` counts every rung.  A capped run returns the greedy
-    set of the rungs reached, or the previous rung's set when larger.
+    An edge is a set of edge_size indices into `points`.  rungs is the
+    stream _good_coloring reads: next(rungs, ()) gives the bit masks of the
+    edges whose largest index is i, without i.  It is read once per i, when
+    rung i + 1 is reached, so it may list lazily and spend the budget.  The
+    indices come in rows of `width`, and the edges must be translation
+    invariant by whole rows.  The greedy set is grown as the edges are
+    filed.  In rung n the indices from a row start s on are a translate of
+    range(n - s), so they hold at most f(n - s) chosen points, the value of
+    an earlier rung (the suffix bound of Gasarch, Glenn and Kruskal,
+    "Finding large 3-free sets I", 2008): room[i] takes it from i's row
+    start, or is n - i when lower.  f(n) is f(n - 1) or f(n - 1) + 1, so
+    rung n is one _max_free_edges search that decides whether range(n)
+    holds a free set of f(n - 1) + 1 points: room[0] is that size, the
+    incumbent is the previous rung's set (or the greedy set of range(n),
+    when that is as large), and the search stops at its first leaf of that
+    size, the lex-first.  room[1] >= f(n - 1), so index n - 1 is forced
+    once the incumbent has f(n - 1) points, and with width 1 index 0 is
+    too.  Rung N starts a point lower, from the previous rung's set less its
+    last point, unless the greedy set, the first leaf, holds f(N - 1)
+    points: its first leaf of f(N - 1) points is then the lex-first, the
+    witness if it answers no.  All searches share the budget, so `nodes`
+    counts every rung.  A run capped in a search or in the listing is
+    lower_bound_only, never a value: it keeps the greedy set of the rungs
+    reached, the previous rung's set when larger, or the first
+    edge_size - 1 points, too few for an edge, when more.
     """
+    N = len(points)
     lowers = []  # the edges by second largest index, see _max_free_edges
     greedy, in_greedy = [], 0  # the greedy set grown so far, and its bit mask
     f = [0]  # f[n]: the largest free subset of range(n), for the rungs solved
@@ -329,7 +339,7 @@ def _ladder(N: int, rests_ending_at, budget, width: int = 1):
         for n in range(1, N + 1):
             lowers.append({})
             closed = False  # does n - 1 end an edge inside the greedy set?
-            for rest in rests_ending_at(n - 1):
+            for rest in next(rungs, ()):
                 j = rest.bit_length() - 1  # filed under j, see _max_free_edges
                 below = rest ^ 1 << j
                 lowers[j][below] = lowers[j].get(below, 0) | 1 << (n - 1)
@@ -351,8 +361,9 @@ def _ladder(N: int, rests_ending_at, budget, width: int = 1):
     except SearchCapExceeded:  # raised by the listing, between rungs
         completed = False
     if not completed:
-        best = max(tuple(greedy), best, key=len)
-    return best, completed
+        best = max(tuple(greedy), best, tuple(range(min(N, edge_size - 1))), key=len)
+    return SearchOutcome("value" if completed else "lower_bound_only", len(best),
+                         tuple(points[i] for i in best), budget.spent)
 
 
 def max_exact_ap_free(N: int, k: int,
@@ -372,12 +383,22 @@ def max_exact_ap_free(N: int, k: int,
         return [sum(1 << j for j in range(i - (k - 1) * d, i, d))
                 for d in range(i // (k - 1), 0, -1)]
 
-    budget = Budget(work_cap)
-    best, completed = _ladder(N, rests_ending_at, budget)
-    if not completed:  # fewer than k points hold no progression
-        best = max(best, tuple(range(min(N, k - 1))), key=len)
-    return SearchOutcome("value" if completed else "lower_bound_only", len(best),
-                         tuple(i + 1 for i in best), budget.spent)
+    return _ladder(range(1, N + 1), map(rests_ending_at, count()), Budget(work_cap), k)
+
+
+def _cubes_by_max(points, m: int, k: int, e, budget):
+    """The rungs of _ladder for the approximate cubes among `points`, the
+    lex-ordered [N]^m: on the first read every cube is listed
+    (geometry._cubes), each point set once, and filed by its largest point."""
+    index = {p: i for i, p in enumerate(points)}
+    rests = [[] for _ in points]  # rests[i]: the cubes ending at i, without i
+    # a set may fit two assignments
+    cubes = {sum(1 << index[p] for p in grid.assignment.values())
+             for grid, _ in _cubes(points, m, k, e, DEFAULT_TOL, budget)}
+    for cube in cubes:
+        top = cube.bit_length() - 1
+        rests[top].append(cube ^ 1 << top)
+    yield from rests
 
 
 def exact_f(N: int, m: int, k: int, eps,
@@ -388,47 +409,27 @@ def exact_f(N: int, m: int, k: int, eps,
     climbs their prefixes, one decision per point, in rows of N^(m-1)
     points: a cube shifted along axis 0 is a cube.  For m = 1 the
     progressions ending at n are listed on reaching rung n, as exact_W
-    does; for m >= 2 every cube of [N]^m is listed first
-    (geometry._cubes), each point set once, and filed by its largest
-    point.  One budget serves the listing and the ladder, so `nodes` counts
-    both.  Hitting the cap yields lower_bound_only carrying the best
-    incumbent found so far, never a value, and at least the first
-    min(N^m, k^m - 1) points of [N]^m, too few for a cube.  The cube
-    listing's root and each point at its first slot are nodes, so a cap of
-    at most N^m is answered so before [N]^m is built.
+    does; for m >= 2 the first rung lists every cube of [N]^m
+    (_cubes_by_max).  One budget serves the listing and the ladder, so
+    `nodes` counts both, and a capped run keeps at least the first
+    min(N^m, k^m - 1) points of [N]^m, too few for a cube.  [0]^m has no
+    rung, so it is the empty set at 0 nodes, whatever the cap.  Otherwise
+    the cube listing's root and each point at its first slot are nodes, so
+    a cap of at most N^m is answered so before [N]^m is built.
     """
     if N < 0 or m < 1 or k < 2:
         raise ValueError(f"need N >= 0, m >= 1, k >= 2, got {N}, {m}, {k}")
     budget = Budget(work_cap)
     if m == 1:
-        e = check_epsilon(eps, set_level=True)
         points = range(1, N + 1)
-        by_max = _edges_by_max(k, e, budget)
-        # the ladder asks for i = 0, 1, ... in turn, as by_max yields them
-        best, completed = _ladder(N, lambda _: next(by_max), budget)
+        rungs = _edges_by_max(k, check_epsilon(eps, set_level=True), budget)
     else:
         e = _check_cube_eps(eps, k)  # refused before listing, whatever the cap
-        if power_exceeds(N, m, work_cap - 1):
+        if N and power_exceeds(N, m, work_cap - 1):
             # the first k^m - 1 points use no coordinate above k^m - 1
             side = range(1, min(N, k ** m - 1) + 1)
             floor = tuple(islice(product(side, repeat=m), k ** m - 1))
             return SearchOutcome("lower_bound_only", len(floor), floor, work_cap)
         points = tuple(product(range(1, N + 1), repeat=m))
-        index = {p: i for i, p in enumerate(points)}
-        rests = [[] for _ in points]  # rests[i]: the cubes ending at i, without i
-        best, completed = (), False
-        try:
-            # a set may fit two assignments
-            cubes = {sum(1 << index[p] for p in grid.assignment.values())
-                     for grid, _ in _cubes(points, m, k, e, DEFAULT_TOL, budget)}
-            for cube in cubes:
-                top = cube.bit_length() - 1
-                rests[top].append(cube ^ 1 << top)
-            best, completed = _ladder(len(points), rests.__getitem__, budget,
-                                      N ** (m - 1))
-        except SearchCapExceeded:  # raised by the listing
-            pass
-    if not completed:  # fewer than k^m points hold no cube (progression for m=1)
-        best = max(best, tuple(range(min(len(points), k ** m - 1))), key=len)
-    return SearchOutcome("value" if completed else "lower_bound_only", len(best),
-                         tuple(points[i] for i in best), budget.spent)
+        rungs = _cubes_by_max(points, m, k, e, budget)
+    return _ladder(points, rungs, budget, k ** m, N ** (m - 1))

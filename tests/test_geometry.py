@@ -657,6 +657,29 @@ def test_cube_refuses_coordinates_past_its_floats():
     assert decision.witness.a == (0.75 * 2.0 ** 490,)
 
 
+def test_cube_refuses_grids_whose_shifted_points_leave_its_floats():
+    # every coordinate is below 2^500, but at the scales up to
+    # d_max = 2^499 / (3 - 12/5) the balls' points x_v - d*v pass it:
+    # refused in recognize_cube's own words, not the ball's about a point
+    # set the caller never gave
+    points = [int(F(c, 10) * 2 ** 500) for c in (-6, -3, -5, -1)]
+    grid = IndexedGrid(m=1, k=4, assignment={(i,): (x,) for i, x in enumerate(points)})
+    assert max(map(abs, points)) < 2 ** 500
+    with pytest.raises(ValueError, match=r"^x_v - d\*v reaches .* recognize_cube "
+                                         r"computes in floats and needs it below 2\^500$"):
+        recognize_cube(grid, F(6, 5))
+
+
+def test_cube_refuses_an_eps_that_rounds_to_its_scale_bound():
+    # eps < (k-1)/2 exactly, but k - 1 - 2*eps is 0 in floats, where
+    # recognize_cube divides by it
+    eps = F(1, 2) - F(1, 10 ** 23)
+    with pytest.raises(ValueError, match=r"rounds to \(k-1\)/2 in floats"):
+        recognize_cube(grid_from_points_1d((0, 5)), eps)
+    with pytest.raises(ValueError, match=r"rounds to \(k-1\)/2 in floats"):
+        search.exact_f(2, 2, 2, eps, work_cap=0)  # a cube search, up front
+
+
 def test_cube_boundary_verdict():
     # (0, 1, 3) at eps = 1/6 has exact maximum slack 0: its line interval is
     # the single closed point d = 3/2, so the exact stage proves it

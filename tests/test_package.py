@@ -6,7 +6,7 @@ outside the package only, so deleting it later touches no package code.
 Every public search takes errors.DEFAULT_WORK_CAP as its default work cap.
 The modules import each other only at module level and in no circle, only
 geometry reads the integer interval of scales, and the free-set search has
-one call site, in the ladder."""
+one call site, in the ladder, which each free-set entry point calls once."""
 
 import ast
 import graphlib
@@ -152,6 +152,11 @@ def _named(node, name):
     return name in (getattr(node, "id", None), getattr(node, "attr", None))
 
 
+def _function(tree, name):
+    return next(fn for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name == name)
+
+
 def test_the_free_set_search_runs_only_on_the_ladder():
     # Every free-set search climbs search._ladder, in every dimension: a
     # second path to _max_free_edges, a call or an alias anywhere in the
@@ -159,8 +164,22 @@ def test_the_free_set_search_runs_only_on_the_ladder():
     trees = dict(_trees())
     uses = [f"{name}:{node.lineno}" for name, tree in trees.items()
             for node in ast.walk(tree) if _named(node, "_max_free_edges")]
-    ladder = next(fn for fn in trees["search"].body
-                  if isinstance(fn, ast.FunctionDef) and fn.name == "_ladder")
-    calls = [node for node in ast.walk(ladder)
+    calls = [node for node in ast.walk(_function(trees["search"], "_ladder"))
              if isinstance(node, ast.Call) and _named(node.func, "_max_free_edges")]
     assert len(uses) == len(calls) == 1
+
+
+def test_each_free_set_entry_point_climbs_the_ladder_once():
+    # exact_f reaches the ladder by one call in every dimension, and a cap
+    # is handled only where a search runs: the ladder and the coloring
+    # search are the only catchers of SearchCapExceeded in search.py.
+    tree = dict(_trees())["search"]
+    for name in ("exact_f", "max_exact_ap_free"):
+        calls = [node for node in ast.walk(_function(tree, name))
+                 if isinstance(node, ast.Call) and _named(node.func, "_ladder")]
+        assert len(calls) == 1, name
+    catchers = [fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.ExceptHandler)
+                and node.type is not None
+                and any(_named(n, "SearchCapExceeded") for n in ast.walk(node.type))]
+    assert sorted(catchers) == ["_good_coloring", "_ladder"]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from epsap import geometry, search
 from epsap.colorings import build_simple_r2_coloring, verify_no_mono_ap
-from epsap.errors import Budget, SearchCapExceeded
+from epsap.errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded
 from epsap.formats import write_hypergraph
 from epsap.density import _greedy
 from epsap.geometry import _eps_aps, narrowed, recognize_ap
@@ -690,7 +690,7 @@ def test_f_cap_keeps_the_first_points_too_few_for_a_hit(N, m, k, floor):
 
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("N", [1, 2, 3, 4])
 def test_f_caps_within_the_grid_answer_before_listing(N, m, k):
     # The listing's root and each point at its first slot are nodes, so a
     # cap of at most N^m stops it: the answer built without the grid equals
@@ -700,6 +700,15 @@ def test_f_caps_within_the_grid_answer_before_listing(N, m, k):
         with mock.patch.object(search, "power_exceeds", lambda *args: False):
             assert early == exact_f(N, m, k, F(1, 4), work_cap=cap)
         assert (early.kind, early.nodes) == ("lower_bound_only", cap)
+
+
+@pytest.mark.parametrize("cap", [0, DEFAULT_WORK_CAP])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 3])
+def test_f_of_the_empty_grid_is_a_value_at_every_cap(k, m, cap):
+    # [0]^m has no point, so the ladder reads no rung: in every dimension
+    # the answer is the empty set at 0 nodes, a cap of 0 included.
+    assert exact_f(0, m, k, F(1, 4), work_cap=cap) == ("value", 0, (), 0)
 
 
 @pytest.mark.parametrize("N, k, eps", [
