@@ -77,18 +77,10 @@ def _cmd_recognize_cube(args):
     payload = {"status": decision.status, "exact": decision.exact, "witness": None}
     if decision.status != "feasible":
         return 1, payload, [decision.status], [f"{decision.status},,"]
-    payload["witness"] = _witness_md_json(args, grid, decision)
+    payload["witness"] = formats.witness_md_json(decision.witness, args.tol)
     d, residual = decision.witness.d, decision.witness.residual
     text = [decision.status, f"d = {d!r}", f"residual = {residual!r}"]
     return 0, payload, text, [f"{decision.status},{d},{residual}"]
-
-
-def _witness_md_json(args, grid, decision):
-    """The JSON of a feasible cube decision's witness; a witness that is not
-    proved exact gets its exact check here."""
-    witness = decision.witness
-    return formats.witness_md_json(
-        witness, args.tol, decision.exact or witness.certifies(grid, args.eps))
 
 
 def _cmd_construct_blowup(args):
@@ -255,7 +247,7 @@ def _cmd_verify_set(args):
         found = [p for _, p in grid]
         payload["witness"] = {
             "grid": {str(v): list(p) for v, p in grid},
-            "witness": _witness_md_json(args, *hit),
+            "witness": formats.witness_md_json(hit[1].witness, args.tol),
         }
     return 1, payload, [f"contains approximate structure: {found}"], ["contains"]
 
@@ -339,6 +331,12 @@ def _add_common(parser: argparse.ArgumentParser):
                         const="json", help="shorthand for --format json")
 
 
+def _add_tol(parser: argparse.ArgumentParser):
+    parser.add_argument("--tol", type=float, default=geometry.DEFAULT_TOL,
+                        help="bounds only the numeric fallback's infeasible and boundary "
+                             "cube verdicts; a feasible one is always certified")
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors end like every other bad input: one line, exit 2."""
 
@@ -371,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--tol", type=float, default=geometry.DEFAULT_TOL)
+    _add_tol(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_recognize_cube)
 
@@ -450,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--tol", type=float, default=geometry.DEFAULT_TOL)
+    _add_tol(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_verify_set)
 

@@ -317,39 +317,41 @@ class TranslateResult(NamedTuple):
     mode: str
 
 
-def find_dense_translate(A, X, N: int, m: int, mode: str = "auto",
-                         seed: int = 0, shift_cap: int = 1_000_000,
-                         max_draws: int = 10_000_000) -> TranslateResult:
+def find_dense_translate(A, X, N: int, m: int, mode: str = "auto", seed: int = 0,
+                         work_cap: int = DEFAULT_WORK_CAP) -> TranslateResult:
     """A shift u in [-N+1, N]^m with |X intersect (A+u)| at least the average.
 
-    Either mode returns a count that meets the bound.  Deterministic mode
-    scans all (2N)^m shifts and returns the maximizer (lex-smallest among
-    ties), which is at least their average, the bound; it refuses to run
-    past shift_cap shifts.  Randomized mode samples shifts uniformly with the
-    given seed until one meets the bound, and raises SearchCapExceeded after
-    max_draws misses.
+    Either mode returns a count that meets the bound, and spends one unit of
+    Budget(work_cap) per membership test, |A| per shift tried.
+    Deterministic mode scans all (2N)^m shifts and returns the maximizer
+    (lex-smallest among ties), which is at least their average, the bound;
+    a scan of more than work_cap units is refused before it starts.
+    Randomized mode samples shifts uniformly with the given seed until one
+    meets the bound, and raises SearchCapExceeded once the budget is spent.
+    Auto scans exactly when the whole scan fits the cap.
     """
     a_pts = _check_grid_points(A, m, N, "A")
     x_set = set(_check_grid_points(X, m, N, "X"))
     if not a_pts:
         raise ValueError("A must be nonempty")
     total_shifts = (2 * N) ** m
+    scan = total_shifts * len(a_pts)
     bound = Fraction(len(x_set) * len(a_pts), total_shifts)
     if mode == "auto":
-        mode = "deterministic" if total_shifts <= shift_cap else "randomized"
+        mode = "deterministic" if scan <= work_cap else "randomized"
     if mode not in ("deterministic", "randomized"):
         raise ValueError(f"unknown mode {mode!r}")
+    budget = Budget(work_cap)
 
     def count_at(u):
+        budget.spend(len(a_pts))
         return sum(
             1 for p in a_pts if tuple(c + s for c, s in zip(p, u)) in x_set
         )
 
     if mode == "deterministic":
-        if total_shifts > shift_cap:
-            raise SearchCapExceeded(
-                f"deterministic scan over {total_shifts} shifts exceeds cap {shift_cap}"
-            )
+        if scan > work_cap:
+            budget.spend(scan)  # raises, as the scan would
         best_u, best_c = None, -1
         for u in product(range(-N + 1, N + 1), repeat=m):
             c = count_at(u)
@@ -359,12 +361,11 @@ def find_dense_translate(A, X, N: int, m: int, mode: str = "auto",
                                mode="deterministic")
 
     rng = random.Random(seed)
-    for _ in range(max_draws):
+    while True:
         u = tuple(rng.randint(-N + 1, N) for _ in range(m))
         c = count_at(u)
         if c >= bound:
             return TranslateResult(shift=u, count=c, bound=bound, mode="randomized")
-    raise SearchCapExceeded(f"no shift met the bound within {max_draws} draws")
 
 
 def _check_grid_points(pts, m: int, N: int, name: str) -> tuple:
@@ -383,7 +384,8 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = DEFAULT_TOL,
                      node_cap: int = DEFAULT_WORK_CAP) -> Optional[tuple]:
     """First approximate cube found in S (lex order of assignments) as
     (grid, CubeDecision), or None: the first item of _cubes, on a fresh
-    Budget(node_cap); SearchCapExceeded is raised once it is spent.
+    Budget(node_cap); SearchCapExceeded is raised once it is spent.  The
+    decision is feasible and its witness certifies the grid exactly.
 
     For m >= 2 and eps < 1/2, each axis is first asked for a 1-D
     eps-progression among its distinct coordinates (_eps_aps, on the same

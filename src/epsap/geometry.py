@@ -48,11 +48,12 @@ scale and center, else one smallest enclosing ball at that scale, give a
 witness checked in exact arithmetic; failing both, the exact d intervals
 of the axis lines and of the corner pairs are intersected, and an empty
 intersection proves the grid infeasible.  Only the grids both leave open
-are decided numerically: it minimizes g(d) = R(d) - eps*d, where R(d) is
+are searched numerically: it minimizes g(d) = R(d) - eps*d, where R(d) is
 the smallest-enclosing-ball radius of the translated family {x_v - d*v}.
 R is a partial minimization of a jointly convex function, hence g is
-convex, and that verdict is three-valued (feasible / infeasible /
-boundary) with an explicit tolerance.
+convex.  Every ball's center is checked exactly as it is built, so a
+feasible verdict is always certified; only the search's infeasible and
+boundary verdicts are numeric, with an explicit tolerance.
 """
 
 from __future__ import annotations
@@ -767,18 +768,15 @@ class WitnessMD(NamedTuple):
 
 
 class CubeDecision(NamedTuple):
-    """A cube verdict with the scale d it was reached at and g(d).
+    """A cube verdict, with its witness when feasible.
 
-    exact is True when the verdict is proved in exact arithmetic: a feasible
-    witness that certifies, or an empty scale interval, reported with d = 0
-    and g = inf.  Every golden-section verdict has exact False.
+    Every feasible verdict carries a witness that certifies, so it is exact.
+    An infeasible verdict is exact when an empty scale interval proves it;
+    the golden section's infeasible and boundary verdicts have exact False.
     """
 
     status: str  # "feasible" | "infeasible" | "boundary"
     witness: Optional[WitnessMD]
-    d: float
-    g: float
-    d_max: float
     exact: bool
 
 
@@ -875,9 +873,11 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
        radius of {x_v - d*v}, is minimized by golden-section search over the
        interval of stage 2 clipped to (0, d_max], where
        d_max = max_j spread_j / (k - 1 - 2*eps) bounds every feasible scale.
-       Feasible when min g < -tol*d_max (with witness), infeasible when
-       min g > +tol*d_max, boundary otherwise.
-    The verdicts of stages 1 and 2 carry exact=True, those of stage 3 False.
+       It stops at the first ball whose center certifies, feasible.  If none
+       does, infeasible when min g > tol*d_max, boundary otherwise.
+    Every ball goes through one probe, which checks its center exactly, so
+    every feasible verdict is certified and carries exact=True, as does
+    stage 2's; stage 3's infeasible and boundary verdicts carry False.
     A coordinate of 2^500 or more is refused before any float work, and a
     grid whose shifted points x_v - d*v would reach 2^500 at a scale a ball
     is built at is refused before that ball.
@@ -896,7 +896,6 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
             f"coordinate {j} of the point at index {v} has {widest.bit_length()} bits; "
             f"recognize_cube computes in floats and needs |x| < 2^{_FLOAT_BITS}")
     e = float(exact_eps)
-    d_max = max(hi - lo for lo, hi in ends) / ((k - 1) - 2 * e)
 
     # One processing order serves every ball: nearby scales share most of
     # their support, so each call starts from the previous one's.
@@ -920,74 +919,72 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
                 f"x_v - d*v reaches {reach:.3g} at the scales d <= {top:.3g} it tries; "
                 f"recognize_cube computes in floats and needs it below 2^{_FLOAT_BITS}")
 
+    def settled(center, far, d):
+        """The feasible verdict of (center, d) if it certifies; far is its
+        largest distance from {x_v - d*v}."""
+        if far < e * d:
+            witness = WitnessMD(a=center, d=d, residual=e * d - far)
+            if witness.certifies(grid, exact_eps):
+                return CubeDecision("feasible", witness, exact=True)
+        return None
+
+    def probe(d: float):
+        """The verdict that the center of the ball of {x_v - d*v} settles,
+        or None, and g(d) = R(d) - eps*d."""
+        center, radius = min_enclosing_ball(shifted(d), order)
+        return settled(center, radius, d), radius - e * d
+
     # Stage 1: d0 = sum_v x_v.(v - c) / sum_v |v - c|^2 with c the center of
     # {0..k-1}^m.  The denominator is m*k^m*(k^2 - 1)/12, and the numerator
     # needs no mean of x because sum_v (v - c) = 0.
     moment = sum(x * (2 * u - (k - 1)) for v, p in pairs for x, u in zip(p, v))
     d0 = 6 * moment / (m * k ** m * (k * k - 1))
     if d0 > 0:
-        probe = shifted(d0)
-        a0 = tuple(sum(c) / len(probe) for c in zip(*probe))
-
-        def settled(center, far):
-            """The feasible verdict of (center, d0) if it certifies; far is
-            its largest distance in the probe."""
-            if far < e * d0:
-                witness = WitnessMD(a=center, d=d0, residual=e * d0 - far)
-                if witness.certifies(grid, exact_eps):
-                    return CubeDecision("feasible", witness, d0, -witness.residual,
-                                        d_max, exact=True)
-            return None
-
+        at_d0 = shifted(d0)
+        a0 = tuple(sum(c) / len(at_d0) for c in zip(*at_d0))
         # a0 settles most feasible grids; the ball is built only when it fails
-        decision = settled(a0, max(math.dist(a0, p) for p in probe))
+        decision = settled(a0, max(math.dist(a0, p) for p in at_d0), d0)
         if decision is None:
             within_floats(d0)
-            decision = settled(*min_enclosing_ball(probe, order))
+            decision, _ = probe(d0)
         if decision is not None:
             return decision
 
     # Stage 2.
     interval = _scale_interval(grid, exact_eps)
     if interval is None:
-        return CubeDecision("infeasible", None, 0.0, math.inf, d_max, exact=True)
+        return CubeDecision("infeasible", None, exact=True)
 
-    # Stage 3.
-    def g_of(d: float) -> float:
-        _, radius = min_enclosing_ball(shifted(d), order)
-        return radius - e * d
-
+    # Stage 3: golden section, stopped at the first ball that certifies.
     (lo_n, lo_d), (hi_n, hi_d) = interval
+    d_max = max(hi - lo for lo, hi in ends) / ((k - 1) - 2 * e)
     lo = max(lo_n / lo_d, d_max * 2.0 ** -60)
     hi = min(hi_n / hi_d, d_max)
     within_floats(hi)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - inv_phi * (hi - lo)
     x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = g_of(x1), g_of(x2)
-    best_d, best_g = (x1, f1) if f1 <= f2 else (x2, f2)
+    decision, f1 = probe(x1)
+    if decision is None:
+        decision, f2 = probe(x2)
     for _ in range(200):
-        if hi - lo < tol * d_max:
+        if decision is not None or hi - lo < tol * d_max:
             break
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - inv_phi * (hi - lo)
-            f1 = g_of(x1)
+            decision, f1 = probe(x1)
         else:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + inv_phi * (hi - lo)
-            f2 = g_of(x2)
-        for d, f in ((x1, f1), (x2, f2)):
-            if f < best_g:
-                best_d, best_g = d, f
-
-    if best_g < -tol * d_max:
-        center, _ = min_enclosing_ball(shifted(best_d), order)
-        witness = WitnessMD(a=center, d=best_d, residual=-best_g)
-        return CubeDecision("feasible", witness, best_d, best_g, d_max, exact=False)
-    if best_g > tol * d_max:
-        return CubeDecision("infeasible", None, best_d, best_g, d_max, exact=False)
-    return CubeDecision("boundary", None, best_d, best_g, d_max, exact=False)
+            decision, f2 = probe(x2)
+    if decision is not None:
+        return decision
+    # each step drops the higher of the two points, so min(f1, f2) is the
+    # least g probed
+    if min(f1, f2) > tol * d_max:
+        return CubeDecision("infeasible", None, exact=False)
+    return CubeDecision("boundary", None, exact=False)
 
 
 def _check_cube_eps(eps, k: int) -> Fraction:
@@ -1017,9 +1014,10 @@ def _cubes(points, m: int, k: int, e, tol: float, budget):
     (`window`) are tried: `points` are sorted, so the window is a
     slice, found by bisection, and every point outside it would empty the
     interval.
-    Complete assignments are confirmed by the numeric ball recognizer; only
-    a 'feasible' verdict is yielded, so boundary candidates are skipped.  A
-    point set fitting several assignments is yielded once per assignment.
+    Complete assignments are confirmed by recognize_cube; only a 'feasible'
+    verdict, whose witness certifies, is yielded, so boundary candidates are
+    skipped.  A point set fitting several assignments is yielded once per
+    assignment.
     Each node spends one unit of `budget`, the root included.
     """
     total = k ** m

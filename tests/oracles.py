@@ -792,7 +792,7 @@ def golden_section_recognize_cube(grid: IndexedGrid, eps,
     ]
     d_max = max(spreads) / denom
     if d_max <= 0:
-        return CubeDecision("infeasible", None, 0.0, math.inf, 0.0, False)
+        return CubeDecision("infeasible", None, False)
 
     # One processing order serves every ball: nearby scales share most of
     # their support, so each call starts from the previous one's.
@@ -831,10 +831,10 @@ def golden_section_recognize_cube(grid: IndexedGrid, eps,
     if best_g < -tol * d_max:
         center, _ = min_enclosing_ball(shifted(best_d), order)
         witness = WitnessMD(a=center, d=best_d, residual=-best_g)
-        return CubeDecision("feasible", witness, best_d, best_g, d_max, False)
+        return CubeDecision("feasible", witness, False)
     if best_g > tol * d_max:
-        return CubeDecision("infeasible", None, best_d, best_g, d_max, False)
-    return CubeDecision("boundary", None, best_d, best_g, d_max, False)
+        return CubeDecision("infeasible", None, False)
+    return CubeDecision("boundary", None, False)
 
 
 def _power_sums(k: int, r: int, t: int) -> list:

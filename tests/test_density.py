@@ -379,7 +379,7 @@ def test_translate_randomized_meets_bound():
 def test_translate_deterministic_cap():
     with pytest.raises(SearchCapExceeded):
         find_dense_translate([(1, 1)], [(1, 1)], 100, 2,
-                             mode="deterministic", shift_cap=10)
+                             mode="deterministic", work_cap=10)
 
 
 def test_translate_rejects_out_of_range():

@@ -1,4 +1,3 @@
-import argparse
 import json
 import random
 import subprocess
@@ -12,10 +11,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from epsap import cli, density, formats
+from epsap import density, formats
 from epsap.cli import main
 from epsap.colorings import Coloring, build_simple_r2_coloring, verify_no_mono_ap
-from epsap.geometry import CubeDecision, IndexedGrid, WitnessMD
+from epsap.geometry import WitnessMD
 from epsap.search import EpsApHypergraph, enumerate_eps_aps
 from oracles import has_exact_ap, read_hypergraph
 
@@ -370,22 +369,6 @@ def test_cli_verify_set_certifies_an_exact_cube_hit_once(tmp_path, capsys):
     assert code == 1
     assert json.loads(out)["witness"]["witness"]["certified"] is True
     assert certifies.call_count == 1
-
-
-def test_cli_cube_witness_json_checks_only_an_inexact_decision():
-    grid = IndexedGrid(m=2, k=2, assignment={
-        (0, 0): (0, 0), (0, 1): (0, 10), (1, 0): (10, 0), (1, 1): (10, 10)})
-    args = argparse.Namespace(eps=F(1, 4), tol=1e-9)
-    good = WitnessMD(a=(0.0, 0.0), d=10.0, residual=2.5)
-    bad = WitnessMD(a=(0.0, 0.0), d=1.0, residual=0.25)
-    with _certifies_spy() as certifies:
-        certified = [
-            cli._witness_md_json(
-                args, grid, CubeDecision("feasible", w, w.d, -w.residual, 20.0,
-                                         exact=exact))["certified"]
-            for w, exact in ((good, True), (good, False), (bad, False))]
-    assert certified == [True, True, False]
-    assert certifies.call_count == 2
 
 
 def test_cli_verify_coloring_overrides(tmp_path, capsys):

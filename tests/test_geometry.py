@@ -612,8 +612,8 @@ def test_cube_witness_substitutes_into_the_inequalities():
         decision = recognize_cube(grid, eps, tol=tol)
         assert decision.status == "feasible"
         w = decision.witness
-        assert w.residual > 0
-        bound = float(eps) * w.d + tol * decision.d_max
+        assert decision.exact and w.residual > 0
+        bound = float(eps) * w.d * (1 + 1e-12)
         for v, p in grid.items_in_index_order():
             dist = sum((c - (a + w.d * vc)) ** 2
                        for c, a, vc in zip(p, w.a, v)) ** 0.5
@@ -633,7 +633,7 @@ def test_cube_probe_settles_a_clear_grid_without_a_ball():
     decision, balls = _ball_calls(grid, F(1, 5))
     assert (decision.status, decision.exact, balls) == ("feasible", True, 0)
     pairs = grid.items_in_index_order()
-    shifted = [tuple(c - decision.d * u for c, u in zip(p, v)) for v, p in pairs]
+    shifted = [tuple(c - decision.witness.d * u for c, u in zip(p, v)) for v, p in pairs]
     assert decision.witness.a == tuple(sum(c) / len(pairs) for c in zip(*shifted))
 
 
@@ -688,13 +688,25 @@ def test_cube_boundary_verdict():
     decision = recognize_cube(grid_from_points_1d((0, 1, 3)), F(1, 6), tol=1e-9)
     assert (decision.status, decision.exact) == ("infeasible", True)
     # the lines and corner pairs of this grid leave an interval of d open,
-    # the probe misses, and min g = 0 at d = 5 up to rounding: a numeric
-    # boundary verdict
+    # the probe misses, min g = 0 at d = 5 up to rounding and no ball's
+    # center certifies: a numeric boundary verdict
     grid = IndexedGrid(m=2, k=2, assignment={
         (0, 0): (1, 3), (0, 1): (3, 7), (1, 0): (8, 2), (1, 1): (6, 6)})
     decision = recognize_cube(grid, F(1, 4), tol=1e-9)
-    assert (decision.status, decision.exact) == ("boundary", False)
-    assert decision.d == pytest.approx(5.0, rel=1e-6)
+    assert decision == ("boundary", None, False)
+    at_5 = [tuple(c - 5 * u for c, u in zip(p, v)) for v, p in grid.items_in_index_order()]
+    assert min_enclosing_ball(at_5)[1] == pytest.approx(5 / 4, rel=1e-12)
+
+
+def test_cube_fallback_returns_the_first_ball_that_certifies():
+    # points near their spheres: the least-squares probe misses, and the
+    # golden section used to run to its end (42 balls) and return an
+    # uncertified witness
+    grid = IndexedGrid(m=2, k=2, assignment={
+        (0, 0): (1, 1), (0, 1): (3, 12), (1, 0): (11, -3), (1, 1): (17, 13)})
+    decision, balls = _ball_calls(grid, F(1, 4))
+    assert (decision.status, decision.exact) == ("feasible", True)
+    assert decision.witness.certifies(grid, F(1, 4)) and balls <= 5
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
@@ -754,7 +766,7 @@ def test_cube_stages_agree_with_golden_section_oracle(case):
     fast = recognize_cube(grid, eps, tol=1e-9)
     slow = golden_section_recognize_cube(grid, eps, tol=1e-9)
     if fast.status == "feasible":
-        assert fast.witness.certifies(grid, eps)
+        assert fast.exact and fast.witness.certifies(grid, eps)
     # residual is eps*d less the largest distance from a + d*v, and no
     # center comes closer to every shifted point than the ball's
     for w in (fast.witness, slow.witness):

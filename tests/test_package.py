@@ -6,7 +6,8 @@ outside the package only, so deleting it later touches no package code.
 Every public search takes errors.DEFAULT_WORK_CAP as its default work cap.
 The modules import each other only at module level and in no circle, only
 geometry reads the integer interval of scales, and the free-set search has
-one call site, in the ladder, which each free-set entry point calls once."""
+one call site, in the ladder, which each free-set entry point calls once.
+Only geometry checks a cube witness, where recognize_cube finds it."""
 
 import ast
 import graphlib
@@ -81,7 +82,7 @@ def test_every_work_cap_defaults_to_the_shared_one():
                 for param in inspect.signature(fn).parameters.values():
                     if param.name in ("work_cap", "node_cap"):
                         defaults[f"{name}.{fn_name}"] = param.default
-    assert "colorings.verify_no_mono_ap" in defaults
+    assert {"colorings.verify_no_mono_ap", "density.find_dense_translate"} <= set(defaults)
     assert {fn for fn, cap in defaults.items() if cap != DEFAULT_WORK_CAP} == set()
 
 
@@ -183,3 +184,16 @@ def test_each_free_set_entry_point_climbs_the_ladder_once():
                 and node.type is not None
                 and any(_named(n, "SearchCapExceeded") for n in ast.walk(node.type))]
     assert sorted(catchers) == ["_good_coloring", "_ladder"]
+
+
+def test_every_cube_witness_is_certified_where_it_is_found():
+    # recognize_cube checks each witness as it builds it, so no other module
+    # checks one again, and its stages build their balls through one probe.
+    calls = [f"{name}:{node.lineno}" for name, tree in _trees() if name != "geometry"
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and _named(node.func, "certifies")]
+    assert calls == []
+    tree = dict(_trees())["geometry"]
+    balls = [node for node in ast.walk(_function(tree, "recognize_cube"))
+             if isinstance(node, ast.Call) and _named(node.func, "min_enclosing_ball")]
+    assert len(balls) == 1
