@@ -347,22 +347,32 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls
-    in the same process (parse_args fills a fresh namespace each time)."""
+    in the same process (parse_args fills a fresh namespace each time).
+
+    Its `commands` maps the words of each command, such as ("recognize",
+    "ap") or ("density",), to that command's own parser: the leaf of the
+    tree that reads the command's options."""
     parser = _Parser(
         prog="epsap",
         description="Recognize, construct, and exactly measure approximate "
                     "arithmetic progressions and cubes.")
+    parser.commands = {}
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(subparsers, *words, **kwargs):
+        """Add the command named by `words` and record its parser."""
+        leaf = parser.commands[words] = subparsers.add_parser(words[-1], **kwargs)
+        return leaf
 
     rec = sub.add_parser("recognize", help="decide approximate structure")
     rec_sub = rec.add_subparsers(dest="what", required=True)
-    p = rec_sub.add_parser("ap", help="1-D recognizer (exact)")
+    p = add(rec_sub, "recognize", "ap", help="1-D recognizer (exact)")
     p.add_argument("--points", required=True, help="comma-separated integers, increasing")
     p.add_argument("--eps", type=_parse_eps, required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_recognize_ap)
-    p = rec_sub.add_parser(
-        "cube",
+    p = add(
+        rec_sub, "recognize", "cube",
         help="m-D recognizer (numeric); needs eps < 1/2 to recover the grid "
              "indexing from an unordered file, use `verify set` otherwise")
     p.add_argument("--file", required=True, help="SET file with k^m points")
@@ -375,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     con = sub.add_parser("construct", help="build the explicit objects")
     con_sub = con.add_subparsers(dest="what", required=True)
-    p = con_sub.add_parser("blowup", help="iterated 1-D blow-up")
+    p = add(con_sub, "construct", "blowup", help="iterated 1-D blow-up")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
@@ -383,21 +393,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=colorings.BLOWUP_CAP)
     _add_common(p)
     p.set_defaults(handler=_cmd_construct_blowup)
-    p = con_sub.add_parser("alternate", help="periodic +-1 block labeling")
+    p = add(con_sub, "construct", "alternate", help="periodic +-1 block labeling")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--D", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--offset", type=int, default=0)
     _add_common(p)
     p.set_defaults(handler=_cmd_construct_alternate)
-    p = con_sub.add_parser("simple-r2", help="two-color block coloring")
+    p = add(con_sub, "construct", "simple-r2", help="two-color block coloring")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True,
                    help="recorded in the coloring header for later verification")
     p.add_argument("--out", help="write COLORING file here instead of stdout")
     _add_common(p)
     p.set_defaults(handler=_cmd_construct_simple_r2)
-    p = con_sub.add_parser("lowerbound", help="recursive lower-bound coloring")
+    p = add(con_sub, "construct", "lowerbound", help="recursive lower-bound coloring")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
@@ -408,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write COLORING file here instead of stdout")
     _add_common(p)
     p.set_defaults(handler=_cmd_construct_lowerbound)
-    p = con_sub.add_parser("behrend", help="base-q digit set")
+    p = add(con_sub, "construct", "behrend", help="base-q digit set")
     p.add_argument("--eps", type=_parse_eps, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
@@ -417,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--one-based", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_construct_behrend)
-    p = con_sub.add_parser("cube-blowup", help="iterated m-D blow-up")
+    p = add(con_sub, "construct", "cube-blowup", help="iterated m-D blow-up")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
@@ -427,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write SET file here")
     _add_common(p)
     p.set_defaults(handler=_cmd_construct_cube_blowup)
-    p = con_sub.add_parser("product", help="A x [N]^(m-1)")
+    p = add(con_sub, "construct", "product", help="A x [N]^(m-1)")
     p.add_argument("--set", required=True, help="SET file holding A (one column)")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
@@ -437,13 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="check built objects")
     ver_sub = ver.add_subparsers(dest="what", required=True)
-    p = ver_sub.add_parser("coloring", help="coloring free of monochromatic hits?")
+    p = add(ver_sub, "verify", "coloring", help="coloring free of monochromatic hits?")
     p.add_argument("--file", required=True, help="COLORING file")
     p.add_argument("--k", type=int, help="override the header k")
     p.add_argument("--eps", type=_parse_eps, help="override the header eps")
     _add_common(p)
     p.set_defaults(handler=_cmd_verify_coloring)
-    p = ver_sub.add_parser("set", help="set free of approximate structure?")
+    p = add(ver_sub, "verify", "set", help="set free of approximate structure?")
     p.add_argument("--file", required=True, help="SET file")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
@@ -452,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_verify_set)
 
-    p = sub.add_parser("wnumber", help="least forcing N, exactly")
+    p = add(sub, "wnumber", help="least forcing N, exactly")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
@@ -461,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_wnumber)
 
-    p = sub.add_parser("density", help="largest free subset, exactly")
+    p = add(sub, "density", help="largest free subset, exactly")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--k", type=int, required=True)
@@ -473,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_density)
 
-    p = sub.add_parser("hypergraph", help="enumerate all approximate progressions")
+    p = add(sub, "hypergraph", help="enumerate all approximate progressions")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
@@ -483,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(handler=_cmd_hypergraph)
 
-    p = sub.add_parser("translate", help="dense translate of a configuration")
+    p = add(sub, "translate", help="dense translate of a configuration")
     p.add_argument("--set-a", required=True, help="SET file for A")
     p.add_argument("--set-x", required=True, help="SET file for X")
     p.add_argument("--N", type=int, required=True)
@@ -497,10 +507,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed by its command's own parser, with `command` and `what`
+    set as the tree's subparsers set them.  The whole tree parses argv only
+    when its first words name no command or the command's parser leaves
+    arguments over, so help, unknown commands and stray arguments are
+    reported by the tree, as a single parser would report them."""
     parser = build_parser()
+    for words in (tuple(argv[:2]), tuple(argv[:1])):
+        leaf = parser.commands.get(words)
+        if leaf is None:
+            continue
+        args, rest = leaf.parse_known_args(argv[len(words):])
+        if rest:
+            break
+        args.command = words[0]
+        if len(words) == 2:
+            args.what = words[1]
+        return args
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    """Run one command line (sys.argv[1:] when argv is None) and return its
+    exit code.  A call is parsed by its command's own parser, and by the
+    whole parser tree only for help and usage errors; the parsers are built
+    on the first call and reused."""
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -229,8 +229,8 @@ def product_free_set(A, m: int, N: int) -> tuple:
 
     Raises MemoryGuardExceeded, before building any, when the |A| N^(m-1)
     tuples exceed colorings.DEFAULT_MATERIALIZE_CAP."""
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
+    if m < 1 or N < 0:
+        raise ValueError(f"need m >= 1 and N >= 0, got m={m}, N={N}")
     avals = [a for a, in check_points([(a,) for a in A], 1)]
     if avals and not 1 <= avals[0] <= avals[-1] <= N:
         raise ValueError("A must lie inside [1, N]")

@@ -7,7 +7,6 @@ the relative ones of its argv.  The expected bytes are literals; nothing
 here derives them from the code under test.
 """
 
-import argparse
 import hashlib
 import time
 
@@ -212,6 +211,11 @@ CASES = [
      '3], [4, 4]], "m": 2, "size": 12}\n',
      '',
      b'1 1\n1 2\n1 3\n1 4\n2 1\n2 2\n2 3\n2 4\n4 1\n4 2\n4 3\n4 4\n'),
+    # N is checked before A, so an empty A does not make a negative N a set
+    ('construct product --set empty.txt --m 2 --N -3 --json', 2,
+     '',
+     'error: need m >= 1 and N >= 0, got m=2, N=-3\n',
+     None),
     ('verify coloring --file good.txt', 0,
      'good: no monochromatic approximate progression\n', '', None),
     ('verify coloring --file good.txt --format csv', 0,
@@ -465,18 +469,8 @@ def test_cli_hypergraph_fits_its_exact_work_cap(tmp_path, monkeypatch, capsys):
         "941f3ed9eaa4176be91b5ea3b95c67082a92bde54a9595ed05c63e2466fd7c3d")
 
 
-def _commands(parser, words=()):
-    """The word tuple of every leaf (sub)command under parser."""
-    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not subs:
-        yield words
-        return
-    for name, child in subs[0].choices.items():
-        yield from _commands(child, words + (name,))
-
-
 def test_every_command_has_golden_cases_in_every_format():
-    commands = set(_commands(build_parser()))
+    commands = set(build_parser().commands)
     covered = set()
     for argv, *_ in CASES:
         tokens = argv.split()

@@ -209,6 +209,12 @@ def test_product_validates_range():
         product_free_set([0, 2], 2, 5)
 
 
+@pytest.mark.parametrize("A", [[], [1, 2]])
+def test_product_refuses_a_negative_N_for_any_A(A):
+    with pytest.raises(ValueError, match="need m >= 1 and N >= 0"):
+        product_free_set(A, 2, -3)
+
+
 @pytest.mark.parametrize("A", [[1.5, True], [2, 2.0], [True]])
 def test_product_refuses_non_integer_points(A):
     with pytest.raises(ValueError, match="must be integer 1-tuples"):

@@ -11,12 +11,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from epsap import density, formats
+from epsap import cli, density, formats
 from epsap.cli import main
 from epsap.colorings import Coloring, build_simple_r2_coloring, verify_no_mono_ap
 from epsap.geometry import WitnessMD
 from epsap.search import EpsApHypergraph, enumerate_eps_aps
 from oracles import has_exact_ap, read_hypergraph
+from test_cli_golden import CASES, HUGE_CASES
 
 F = Fraction
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -431,6 +432,69 @@ def test_cli_module_entry_point():
     )
     assert result.returncode == 0
     assert "accepted" in result.stdout
+
+
+def test_cli_module_reports_what_no_command_parser_takes_from_the_tree():
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "epsap", *argv], capture_output=True,
+            text=True, env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+
+    extra = run("recognize", "ap", "--points", "1,3,6", "--eps", "1/3", "extra")
+    assert (extra.returncode, extra.stdout, extra.stderr) == (
+        2, "", "epsap: error: unrecognized arguments: extra\n")
+    usage = run("-h")
+    assert (usage.returncode, usage.stderr) == (0, "")
+    assert usage.stdout.startswith("usage: epsap")
+
+
+# ---------------------------------------------------------------------------
+# Parsing: a call goes to its command's own parser, the tree takes the rest
+# ---------------------------------------------------------------------------
+
+MALFORMED_ARGVS = [
+    "",
+    "-h",
+    "recognize -h",
+    "recognize ap -h",
+    "density -h",
+    "recognize",
+    "frobnicate",
+    "--json recognize ap --points 1,3,6 --eps 1/3",
+    "recognize ap --points 1,3,6",
+    "recognize ap --points 1,3,6 --eps 1/3 --frob 1",
+    "recognize ap --points 1,3,6 --eps 1/3 extra",
+    "recognize ap --points 1,3,6 --eps 1/3 --",
+    "recognize ap -- --points 1,3,6 --eps 1/3",
+    "recognize ap --points 1,3,6 --eps 1/3 --js",
+    "recognize ap --points 1,3,6 --eps=1/3",
+    "recognize cube --file grid.txt --m -1 --k 3 --eps 1/4",
+    "recognize ap --points 1,3,6 --eps 1/3 --eps 1/4",
+    "recognize ap --points 1,3,6 --eps 1/3 --format xml",
+    "translate --set-a a.txt --set-x x.txt --N 3 --m 2 --mode rand",
+    "wnumber wnumber --k 3",
+]
+
+
+def _parsed(capsys, parse, argv):
+    """The exit code (None: none), namespace, stdout and stderr of a parse."""
+    try:
+        code, namespace = None, vars(parse(argv))
+    except SystemExit as exc:
+        code, namespace = exc.code, None
+    captured = capsys.readouterr()
+    return code, namespace, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [case[0] for case in CASES + HUGE_CASES]
+                         + MALFORMED_ARGVS)
+def test_cli_command_parser_reads_argv_as_the_whole_tree_does(capsys, argv):
+    """The command's own parser, with the tree as fallback, gives what the
+    tree alone gives.  CI runs this on every supported Python, as argparse's
+    internals differ between versions."""
+    tokens = argv.split()
+    assert (_parsed(capsys, cli._parse, tokens)
+            == _parsed(capsys, cli.build_parser().parse_args, tokens))
 
 
 # ---------------------------------------------------------------------------
