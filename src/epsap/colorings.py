@@ -378,14 +378,23 @@ def verify_no_mono_ap(coloring: Coloring, k: int, eps,
     Returns the lexicographically smallest (color, point set) hit with its
     exact witness, or None when the coloring is free of them.  One
     Budget(work_cap) serves every class, so the cap bounds the whole call.
+    The classes are searched in color order and the first hit returns, so
+    every class searched before is free; a class that translates one of
+    them is free too (a shifted progression is one with the same d) and is
+    not searched again.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     e = check_epsilon(eps, set_level=True)
     budget = Budget(work_cap)
+    free = set()  # the shapes, points minus the least one, of the classes searched
     for c, pts in sorted(coloring.classes(cap=cap).items()):
         if len(pts) < k:
             continue
+        shape = tuple(x - pts[0] for x in pts)
+        if shape in free:
+            continue
+        free.add(shape)
         hit = next(_eps_aps(tuple(pts), k, e, budget), None)
         if hit is not None:
             # through the module, where bench/tracer.py wraps recognize_ap

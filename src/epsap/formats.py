@@ -43,7 +43,10 @@ def write_set(points) -> str:
 
 def read_set(text: str, m: int) -> tuple:
     """The validated m-D points of a SET file (geometry.check_points), with
-    its '#' comment lines and blank lines skipped."""
+    its '#' comment lines and blank lines skipped; m < 1 is refused before
+    any line is read."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     rows = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -86,7 +89,14 @@ def read_coloring(text: str):
     lines = text.splitlines()
     n, r, eps, k = _read_header(lines, "coloring",
                                 {"N": int, "r": int, "eps": Fraction, "k": int})
-    colors = [int(tok) for tok in lines[1:] if tok.strip()]
+    colors = []
+    for ln, raw in enumerate(lines[1:], start=2):
+        if raw.strip():
+            try:
+                colors.append(int(raw))
+            except ValueError as exc:
+                raise ValueError(f"coloring file line {ln}: {raw!r} "
+                                 "is not an integer") from exc
     if len(colors) != n:
         raise ValueError(f"coloring header says N={n} but file has {len(colors)} colors")
     return Coloring(N=n, r=r, colors=colors), eps, k

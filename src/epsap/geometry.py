@@ -36,11 +36,15 @@ interval the candidate leaves, holds no candidate far enough past it.  No
 tuple is lost: a deeper interval lies inside this one, the window shrinks
 with the interval, and the rows of the levels between only narrow it.  The
 stream accepts a full tuple exactly when its open interval is nonempty,
-the exact recognizer's verdict, so pruned output equals naive output.  The
-cube listing (_cubes) assigns points to index vectors in lex order under
-the same update, tries at each slot only the points inside the axis-0
-window, and yields the full assignments that recognize_cube finds
-feasible.  The searches of the search and density modules optimize over
+the exact recognizer's verdict, so pruned output equals naive output.  A
+progression shifted by t is one with the same d, so a stream with no head
+and no tail that has yielded nothing stops at the first root whose
+candidates translate into an earlier root's, and verify_no_mono_ap does
+not search a color class that translates one it found free.  The cube
+listing (_cubes) assigns points to index vectors in lex order under the
+same update, tries at each slot only the points inside the axis-0 window,
+and yields the full assignments that recognize_cube finds feasible.  The
+searches of the search and density modules optimize over
 these two listings.
 
 The m-D recognizer settles almost every grid exactly.  The least-squares
@@ -383,6 +387,35 @@ def window(rows, lo_n, lo_d, hi):
     return lower, upper
 
 
+def _repeated_root(points) -> int:
+    """The least index j >= 1 whose later gaps points[j+1] - points[j], ...
+    also occur, in order, from some earlier index i < j; points[j:] -
+    points[j] is then a prefix of points[i:] - points[i].
+
+    Reversed, the gaps after j are the prefix of length L = n - 1 - j and
+    their occurrence from i starts at shift j - i, so j qualifies exactly
+    when the Z-function of the reversed gaps reaches L at some shift in
+    1..j: one O(n) pass that stops at the first such j.
+    """
+    gaps = [b - a for a, b in zip(points, points[1:])]
+    gaps.reverse()
+    m = len(gaps)
+    z = [0] * m
+    left = right = reach = 0
+    for j in range(1, m):
+        length = min(right - j, z[j - left]) if j < right else 0
+        while j + length < m and gaps[length] == gaps[j + length]:
+            length += 1
+        z[j] = length
+        if j + length > right:
+            left, right = j, j + length
+        if length > reach:
+            reach = length
+        if reach >= m - j:
+            return j
+    return max(m, 1)  # the gaps after the last point are none
+
+
 def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
     """Lex-order stream of the approximate k-progressions among candidates.
 
@@ -409,6 +442,16 @@ def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
     Depth-first on an explicit stack of candidate streams, one per level
     being filled and none for a level whose window is empty; one budget
     unit per node, the root included.
+
+    With no head and no tail, a progression shifted by t is one with the
+    same d among the shifted candidates.  From the first repeated root R
+    on (`_repeated_root`), the candidates from a root j >= R, less x_j, are
+    a prefix of those from some earlier root i, less x_i, so every tuple
+    rooted at j translates into one rooted at i.  While nothing has been
+    yielded every earlier root came back empty, so the stream stops at
+    root R; it never stops after a yield, so the stream it yields is the
+    full one.  R is found, in O(n), only when the root level moves past
+    its first root with nothing yielded.
     """
     p2, q = 2 * eps.numerator, eps.denominator
     candidates = tuple(candidates)  # indexed per candidate: faster than a range
@@ -464,6 +507,20 @@ def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
             if first < n and keys[first] <= upper:
                 yield idx, shrunk
 
+    def roots(tries):
+        """The root level of a stream with no head and no tail, stopped at
+        the first repeated root while nothing has been yielded."""
+        for first in tries:
+            yield first
+            break
+        cut = None
+        for idx, shrunk in tries:
+            if not found:
+                cut = cut or _repeated_root(candidates)
+                if idx >= cut:  # a translate of an earlier root, all empty
+                    return
+            yield idx, shrunk
+
     budget.spend()
     if h == last:  # nothing to fill: head and tail are the whole tuple
         if interval:
@@ -471,8 +528,9 @@ def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
             if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
                 yield tuple(chosen)
         return
+    found = False
     tries = interval and fits(0, h, interval)
-    stack = [tries] if tries else []
+    stack = [tries if h or tail is not None else roots(tries)] if tries else []
     while stack:
         depth = h + len(stack) - 1
         for idx, shrunk in stack[-1]:
@@ -486,6 +544,7 @@ def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
                 continue
             lo_n, lo_d, hi = shrunk
             if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
+                found = True
                 yield tuple(chosen)
         else:
             stack.pop()

@@ -22,7 +22,11 @@ stood before it windowed its candidates: it tries every remaining candidate
 at every level, and shares the interval update.  The direct listing is the
 library's hypergraph enumeration before it shifted the progressions
 starting at 1: that stream, run over all of [N] and accepting by its own
-open-interval test.  The gap-ratio filter is a
+open-interval test.  The every-root stream is the library's windowed
+stream as it stood before it stopped at a root whose candidates translate
+into an earlier root's; it shares the interval update and the window, and
+the per-class first hit runs it on every color class, translated ones
+included.  The repeated-root index is tried pair by pair.  The gap-ratio filter is a
 necessary condition for a 1-D progression that no library code calls, and
 so are the exact-progression listing, the excluded-difference test of the
 alternate labelings and the HYPERGRAPH reader: the library's former public
@@ -39,6 +43,7 @@ then sorted.
 import functools
 import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
@@ -57,6 +62,7 @@ from epsap.geometry import (
     recognize_cube,
     region_add_point,
     region_new,
+    window,
 )
 from epsap.search import EpsApHypergraph
 
@@ -228,6 +234,113 @@ def unwindowed_eps_aps(candidates, k, eps, budget, head=(), tail=None):
                 yield tuple(chosen)
         else:
             stack.pop()
+
+
+def every_root_eps_aps(candidates, k, eps, budget, head=(), tail=None):
+    """geometry._eps_aps as it stood before it stopped at repeated roots:
+    the windowed, forward-checked lex stream, which searches every root,
+    also one whose candidates translate into an earlier root's."""
+    p2, q = 2 * eps.numerator, eps.denominator
+    candidates = tuple(candidates)  # indexed per candidate: faster than a range
+    keys = [q * x for x in candidates]  # sorted, as candidates are
+    scaled = [(x,) for x in keys]
+    n, h = len(candidates), len(head)
+    last = k if tail is None else k - 1  # levels filled: h .. last - 1
+    chosen = list(head) + [None] * (k - h)
+    if tail is not None:
+        chosen[-1] = tail
+
+    def rows(depth, at):  # chosen[:depth] and the tail against the point at index `at`
+        level = [(0, q * y, q * (at - j) + p2, q * (at - j) - p2)
+                 for j, y in enumerate(chosen[:depth])]
+        if tail is not None:
+            level.append((0, q * tail, q * (at - last) + p2, q * (at - last) - p2))
+        return level
+
+    interval = (0, 1, None)
+    for depth, x in enumerate(head):
+        interval = interval and narrowed(rows(depth, depth), (q * x,), *interval)
+
+    def fits(start, depth, interval):
+        """The indices from start on that may fill level depth, with the
+        interval each leaves, or None when the window holds none."""
+        level = rows(depth, depth)
+        lower, upper = window(level, *interval)
+        # leave a candidate for each later level; bisect reads hi = -1 as len
+        stop = max(start, n - (last - depth) + 1)
+        begin = bisect_left(keys, lower, start, stop)
+        end = bisect_right(keys, upper, begin, stop)
+        if begin == end:
+            return None
+        if depth + 2 >= last:  # no level between this one and the last
+            return ((idx, shrunk) for idx in range(begin, end)
+                    if (shrunk := narrowed(level, scaled[idx], *interval)) is not None)
+        return ahead(level, begin, end, depth, interval)
+
+    def ahead(level, begin, end, depth, interval):
+        """fits' candidates whose interval leaves the last level a candidate
+        inside its window, past one candidate for each level between."""
+        gap = last - 1 - depth
+        far = rows(depth, last - 1)  # each candidate's own row is appended in turn
+        a, c = q * gap + p2, q * gap - p2
+        for idx in range(begin, end):
+            shrunk = narrowed(level, scaled[idx], *interval)
+            if shrunk is None:
+                continue
+            far.append((0, keys[idx], a, c))
+            lower, upper = window(far, *shrunk)
+            far.pop()
+            first = bisect_left(keys, lower, idx + gap)
+            if first < n and keys[first] <= upper:
+                yield idx, shrunk
+
+    budget.spend()
+    if h == last:  # nothing to fill: head and tail are the whole tuple
+        if interval:
+            lo_n, lo_d, hi = interval
+            if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
+                yield tuple(chosen)
+        return
+    tries = interval and fits(0, h, interval)
+    stack = [tries] if tries else []
+    while stack:
+        depth = h + len(stack) - 1
+        for idx, shrunk in stack[-1]:
+            chosen[depth] = candidates[idx]
+            budget.spend()
+            if depth + 1 < last:
+                tries = fits(idx + 1, depth + 1, shrunk)
+                if tries:
+                    stack.append(tries)
+                    break
+                continue
+            lo_n, lo_d, hi = shrunk
+            if hi is None or lo_n * hi[1] < hi[0] * lo_d:  # open: lo < hi
+                yield tuple(chosen)
+        else:
+            stack.pop()
+
+
+def every_class_first_hit(coloring, k: int, eps: Fraction):
+    """The (color, progression) that verify_no_mono_ap reports, found by
+    searching every color class in color order with the every-root stream,
+    translated classes included; None when no class holds one."""
+    for c, pts in sorted(coloring.classes().items()):
+        hit = next(every_root_eps_aps(pts, k, eps, Budget(10 ** 9)), None)
+        if hit is not None:
+            return c, hit
+    return None
+
+
+def naive_repeated_root(points) -> int:
+    """The least j >= 1 such that points[j:] - points[j] is a prefix of
+    points[i:] - points[i] for some i < j, tried pair by pair."""
+    for j in range(1, len(points) + 1):
+        tail = [x - points[j] for x in points[j:]]
+        for i in range(j):
+            if [x - points[i] for x in points[i:i + len(tail)]] == tail:
+                return j
+    return 1  # no points: the empty tail is a prefix of anything
 
 
 def direct_eps_aps_listing(N: int, k: int, eps: Fraction) -> tuple:

@@ -25,6 +25,7 @@ FILES = {
     "x.txt": "1 1\n1 3\n2 2\n3 1\n3 3\n",
     "good.txt": "# N=3 r=1 eps=1/5 k=4\n1\n1\n1\n",
     "mono.txt": "# N=3 r=1 eps=1/5 k=3\n1\n1\n1\n",
+    "badcolor.txt": "# N=3 r=1 eps=1/5 k=4\n1\n1\nx\n",
     # {1, 2, 4, 5} x [3]^2: free, as {1, 2, 4, 5} holds no 3-progression
     "product.txt": "".join(f"{a} {b} {c}\n" for a in (1, 2, 4, 5)
                            for b in (1, 2, 3) for c in (1, 2, 3)),
@@ -69,10 +70,15 @@ CASES = [
      'error: coordinate 1 of the point at index (0, 1) has 1329 bits; '
      'recognize_cube computes in floats and needs |x| < 2^500\n',
      None),
-    # m is checked before the point count k^m, a float for m < 0
+    # m is checked before the file is read, and so before the point count
+    # k^m, a float for m < 0
     ('recognize cube --file empty.txt --m -1 --k 3 --eps 1/4', 2,
      '',
-     'error: need m >= 1 and k >= 2, got m=-1, k=3\n',
+     'error: need m >= 1, got m=-1\n',
+     None),
+    ('recognize cube --file grid.txt --m -2 --k 2 --eps 1/4', 2,
+     '',
+     'error: need m >= 1, got m=-2\n',
      None),
     ('construct blowup --k 3 --r 2 --eps 1/4', 0,
      't = 12\nsize = 9\ndiameter = 26\n0 1 2 12 13 14 24 25 26\n', '', None),
@@ -234,6 +240,10 @@ CASES = [
      '"margin": {"den": 5, "num": 1}}}}\n', '', None),
     ('verify coloring --file good.txt --k 3 --eps 1/4', 1,
      'monochromatic: color 1 on [1, 2, 3]\n', '', None),
+    ('verify coloring --file badcolor.txt', 2,
+     '',
+     "error: coloring file line 4: 'x' is not an integer\n",
+     None),
     ('verify set --file line.txt --m 1 --k 3 --eps 1/100', 0,
      'free\n', '', None),
     ('verify set --file line.txt --m 1 --k 3 --eps 1/100 --format csv', 0,
@@ -271,6 +281,10 @@ CASES = [
      '0)": [0, 0], "(0, 1)": [0, 10], "(1, 0)": [10, 0], "(1, 1)": [10, '
      '10]}, "witness": {"a": ["0.0", "0.0"], "certified": true, '
      '"d": "10.0", "residual": "2.5", "tol": "1e-09"}}}\n', '', None),
+    ('verify set --file line.txt --m 0 --k 3 --eps 1/100', 2,
+     '',
+     'error: need m >= 1, got m=0\n',
+     None),
     ('verify set --file huge.txt --m 2 --k 2 --eps 1/4', 2,
      '',
      'error: coordinate 1 of the point at index (0, 1) has 1329 bits; '
@@ -406,6 +420,10 @@ CASES = [
      '{"bound": {"den": 18, "num": 5}, "bound_met": true, '
      '"command": "translate", "count": 1, "mode": "randomized", '
      '"shift": [0, 2]}\n', '', None),
+    ('translate --set-a a.txt --set-x x.txt --N 3 --m 0', 2,
+     '',
+     'error: need m >= 1, got m=0\n',
+     None),
 ]
 
 

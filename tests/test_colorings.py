@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from epsap.colorings import (
@@ -16,10 +16,15 @@ from epsap.colorings import (
     lower_bound_params,
     verify_no_mono_ap,
 )
-from epsap.errors import MemoryGuardExceeded, SearchCapExceeded, power_exceeds
-from epsap.geometry import recognize_ap
+from epsap.errors import Budget, MemoryGuardExceeded, SearchCapExceeded, power_exceeds
+from epsap.geometry import _eps_aps, _repeated_root, recognize_ap
 from epsap.search import find_eps_ap_in_points
-from oracles import excluded_difference_check, power_sum_blowup, power_sum_blowup_blocks
+from oracles import (
+    every_class_first_hit,
+    excluded_difference_check,
+    power_sum_blowup,
+    power_sum_blowup_blocks,
+)
 
 F = Fraction
 
@@ -337,13 +342,51 @@ def test_verify_picks_lex_smallest_color_first():
 
 
 def test_verify_work_cap_bounds_the_whole_call():
-    # each of the two color classes takes 85 nodes to clear
+    # The classes are not translates and repeat no gap tail, so each is
+    # searched in full: 9 nodes and 13.  A cap that clears the first class
+    # but not both still raises.
+    coloring = Coloring.from_list([1, 1, 2, 2, 2, 1, 1, 2, 2, 2, 1, 1, 2, 2, 1, 2], r=2)
+    classes = coloring.classes()
+    assert (len(classes[1]), len(classes[2])) == (7, 9)
+    assert [_repeated_root(pts) for pts in classes.values()] == [6, 8]
+    with pytest.raises(SearchCapExceeded):
+        verify_no_mono_ap(coloring, 4, F(1, 20), work_cap=9)
+    with pytest.raises(SearchCapExceeded):
+        verify_no_mono_ap(coloring, 4, F(1, 20), work_cap=21)
+    assert verify_no_mono_ap(coloring, 4, F(1, 20), work_cap=22) is None
+
+
+def test_verify_searches_a_translated_class_once():
+    # simple-r2's second class is its first shifted by the block length, so
+    # the call spends what the first class alone does: 41 nodes, 170 when
+    # every root of both classes was searched
     coloring = build_simple_r2_coloring(14)
+    first, second = coloring.classes().values()
+    assert {b - a for a, b in zip(first, second)} == {13}
+    alone = Budget(10 ** 9)
+    assert next(_eps_aps(first, 14, F(1, 70), alone), None) is None
+    assert alone.spent == 41
     with pytest.raises(SearchCapExceeded):
-        verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=85)
-    with pytest.raises(SearchCapExceeded):
-        verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=169)
-    assert verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=170) is None
+        verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=40)
+    assert verify_no_mono_ap(coloring, 14, F(1, 70), work_cap=41) is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 3), st.lists(st.integers(1, 3), min_size=1, max_size=8),
+       st.integers(1, 40), st.booleans(), st.integers(3, 5), st.integers(3, 60),
+       st.randoms(use_true_random=False))
+# the second class starts as the first does, but only it holds (2, 5, 8)
+@example(2, [2, 2, 1, 1, 2, 2, 1, 2], 8, True, 3, 50, random.Random(0))
+def test_verify_equals_the_per_class_oracle(r, pattern, N, periodic, k, den, rng):
+    # periodic colorings give translated classes and repeated roots; random
+    # ones rarely do
+    colors = ([min(c, r) for c in pattern] * N)[:N] if periodic else [
+        rng.randint(1, r) for _ in range(N)]
+    coloring = Coloring.from_list(colors, r=r)
+    eps = F(1, den)
+    hit = verify_no_mono_ap(coloring, k, eps)
+    expected = every_class_first_hit(coloring, k, eps)
+    assert (None if hit is None else (hit.color, hit.points)) == expected
 
 
 def test_simple_r2_empirical_threshold_report():

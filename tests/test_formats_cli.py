@@ -40,6 +40,18 @@ def test_set_rejects_ragged_rows():
         formats.read_set("1 2\n3\n", m=2)
 
 
+@pytest.mark.parametrize("m", (0, -1, -2))
+@pytest.mark.parametrize("text", ("", "1\n", "x y\n"))
+def test_set_refuses_m_below_one_before_any_line(m, text):
+    with pytest.raises(ValueError, match=fr"^need m >= 1, got m={m}$"):
+        formats.read_set(text, m=m)
+
+
+def test_coloring_names_a_color_line_that_is_no_integer():
+    with pytest.raises(ValueError, match=r"^coloring file line 4: ' x' is not an integer$"):
+        formats.read_coloring("# N=3 r=2 eps=1/3 k=3\n1\n\n x\n")
+
+
 def test_coloring_round_trip():
     coloring = Coloring.from_list([1, 2, 1, 2, 2], r=2)
     text = formats.write_coloring(coloring, F(1, 3), 3)

@@ -12,8 +12,8 @@ from epsap import geometry, search
 from epsap.colorings import build_simple_r2_coloring, verify_no_mono_ap
 from epsap.errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded
 from epsap.formats import write_hypergraph
-from epsap.density import _greedy
-from epsap.geometry import _eps_aps, narrowed, recognize_ap
+from epsap.density import _greedy, build_behrend_digit_set
+from epsap.geometry import _eps_aps, _repeated_root, narrowed, recognize_ap
 from epsap.search import (
     SearchOutcome,
     enumerate_eps_aps,
@@ -34,12 +34,14 @@ from oracles import (
     direct_eps_aps_listing,
     edge_closes,
     enumerate_exact_aps,
+    every_root_eps_aps,
     first_fit,
     gap_ratio_filter,
     greedy_free_set,
     has_exact_ap,
     lex_first_max_free_set,
     naive_eps_ap_subsets,
+    naive_repeated_root,
     per_n_least_forcing,
     read_hypergraph,
     recursive_good_coloring,
@@ -175,6 +177,10 @@ def _stream(stream, candidates, k, eps, cap, head, tail):
 # last points on the lookahead window's closed ends
 @example(((-11, 2, 3, 7, 9, 20), 5, F(1, 3), 5000, (), 23))
 @example(((-23, -13, -12, 4, 7, 8, 9, 13, 16, 22, 23, 25), 4, F(1, 3), 5000, (), None))
+# repeated roots with a head or a tail, whose first tuples, (0, 6, 11) and
+# (10, 20, 30), translate no tuple of an earlier root
+@example(((1, 6, 11), 3, F(1, 20), 5000, (0,), None))
+@example(((0, 1, 10, 11, 20, 21), 3, F(1, 10), 5000, (), 30))
 def test_window_matches_unwindowed_stream(case):
     # The window skips only candidates the interval update would refuse, and
     # the lookahead only those that leave the last level none, so the same
@@ -194,6 +200,73 @@ def test_window_matches_unwindowed_stream(case):
         else:
             assert out[:-1] == full[:len(out) - 1]
             assert out[-1][0] is SearchCapExceeded
+
+
+@st.composite
+def _repeating_points(draw):
+    """Sorted points that repeat under translation: copies of a random
+    block's first few points at random shifts and one whole copy above
+    them, or else sparse random points, which rarely repeat a gap."""
+    if draw(st.booleans()):
+        return tuple(sorted(draw(st.sets(st.integers(-60, 60), max_size=30))))
+    block = sorted(draw(st.sets(st.integers(0, 11), min_size=1, max_size=6)))
+    shifts = draw(st.lists(st.integers(0, 80), min_size=1, max_size=6))
+    cut = draw(st.integers(1, len(block)))
+    return tuple(sorted({x + shift for shift in shifts for x in block[:cut]}
+                        | {x + max(shifts) + 12 for x in block}))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_repeating_points())
+@example(())
+@example((5,))
+@example((1, 2))
+@example(_SIMPLE_R2_CLASS)
+def test_repeated_root_matches_pairwise_oracle(points):
+    assert _repeated_root(points) == naive_repeated_root(points)
+
+
+@pytest.mark.parametrize("h, den", [(2, 125), (3, 125), (3, 250), (4, 125)])
+def test_repeated_root_of_digit_sets(h, den):
+    members = build_behrend_digit_set(F(1, den), h, one_based=True)[1]
+    root = _repeated_root(members)
+    assert root == naive_repeated_root(members) and root < len(members) - 1
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_repeating_points(), st.integers(2, 6), st.integers(3, 80), st.integers(1, 39))
+@example(_SIMPLE_R2_CLASS, 14, 70, 1)
+@example(tuple(3 ** i for i in range(14)), 3, 10, 1)
+def test_headless_stream_equals_every_root_stream(points, k, den, num):
+    # A stream with no head and no tail stops at the first repeated root
+    # only while nothing has been yielded, so its tuples, all of them or the
+    # first, are the every-root stream's; a cap raises before it would
+    # answer otherwise, and never turns a hit into None.
+    eps = F(min(num, (den - 1) // 2), den)  # below 1/2
+    full, spent = _stream(_eps_aps, points, k, eps, 10 ** 9, (), None)
+    oracle, oracle_spent = _stream(every_root_eps_aps, points, k, eps, 10 ** 9, (), None)
+    assert full == oracle and spent <= oracle_spent
+    first = oracle[0] if oracle else None
+    for cap in _CAPS:
+        out, _ = _stream(_eps_aps, points, k, eps, cap, (), None)
+        assert out == full or (out[:-1] == full[:len(out) - 1]
+                               and out[-1][0] is SearchCapExceeded)
+        budget = Budget(cap)
+        try:
+            assert next(_eps_aps(points, k, eps, budget), None) == first
+        except SearchCapExceeded:
+            assert budget.spent == cap
+
+
+def test_headless_stream_skips_a_translated_root():
+    # the class is four blocks of 13; from the second block's first point
+    # on, each root is a translate of an earlier one, which came back empty
+    first = Budget(10 ** 9)
+    assert next(_eps_aps(_SIMPLE_R2_CLASS, 14, F(1, 70), first), None) is None
+    every = Budget(10 ** 9)
+    assert next(every_root_eps_aps(_SIMPLE_R2_CLASS, 14, F(1, 70), every), None) is None
+    assert _repeated_root(_SIMPLE_R2_CLASS) == 13
+    assert (first.spent, every.spent) == (41, 85)
 
 
 @pytest.mark.parametrize("k", (3, 4, 5))
@@ -324,7 +397,9 @@ def test_find_search_tree_is_pinned(points, k, eps, nodes, hit):
 def test_window_cuts_interval_updates():
     # The unwindowed stream made 458,412 narrowed calls here, and the window
     # alone 24,542 for 24,544 nodes.  The lookahead drops the candidates
-    # that leave the last level no candidate before they become nodes.
+    # that leave the last level no candidate before they become nodes: 740
+    # nodes.  The second color class translates the first, and the stream
+    # stops at the first root that translates an earlier one: 113.
     counted = []
 
     def counting(*args):
@@ -339,7 +414,7 @@ def test_window_cuts_interval_updates():
     with mock.patch.object(geometry, "narrowed", counting):
         assert verify(10 ** 6) is None
     assert len(counted) <= 10_000
-    _assert_spends_exactly(verify, 740)
+    _assert_spends_exactly(verify, 113)
 
 
 @pytest.mark.parametrize("k, r, eps, value, nodes", [
