@@ -1,9 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 = found / true / value computed, 1 = not found / false,
-2 = usage or runtime error.  The one randomized mode (translate) is pinned
-by its --seed and JSON output carries no timing, so identical invocations
-are byte-identical.
+2 = usage or runtime error.  No command draws at random and JSON output
+carries no timing, so identical invocations are byte-identical.
 """
 
 from __future__ import annotations
@@ -306,12 +305,11 @@ def _cmd_translate(args):
     a_pts = formats.read_set(_read_text(args.set_a), m=args.m)
     x_pts = formats.read_set(_read_text(args.set_x), m=args.m)
     result = density.find_dense_translate(a_pts, x_pts, args.N, args.m,
-                                          mode=args.mode, seed=args.seed)
+                                          work_cap=args.work_cap)
     payload = {
         "shift": list(result.shift),
         "count": result.count,
         "bound": formats.fraction_json(result.bound),
-        "mode": result.mode,
         "bound_met": True,  # find_dense_translate returns no count below it
     }
     text = [f"shift = {list(result.shift)}",
@@ -498,9 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set-x", required=True, help="SET file for X")
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--mode", default="auto",
-                   choices=("auto", "deterministic", "randomized"))
-    p.add_argument("--seed", type=int, default=0, help="seed for --mode randomized")
+    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
     _add_common(p)
     p.set_defaults(handler=_cmd_translate)
 

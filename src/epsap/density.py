@@ -20,11 +20,12 @@ one has none, as for the products A x [N]^(m-1) of a free A.
 
 from __future__ import annotations
 
+import heapq
 import math
-import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import groupby, product
+from operator import itemgetter, sub
 from typing import NamedTuple, Optional
 
 from .colorings import DEFAULT_MATERIALIZE_CAP, _blowup_blocks, _digit_set
@@ -314,58 +315,40 @@ class TranslateResult(NamedTuple):
     shift: tuple
     count: int
     bound: Fraction  # the guaranteed average |X||A| / (2N)^m
-    mode: str
 
 
-def find_dense_translate(A, X, N: int, m: int, mode: str = "auto", seed: int = 0,
+def find_dense_translate(A, X, N: int, m: int,
                          work_cap: int = DEFAULT_WORK_CAP) -> TranslateResult:
-    """A shift u in [-N+1, N]^m with |X intersect (A+u)| at least the average.
+    """The shift u in [-N+1, N]^m with the most points of X in A + u, the
+    lex-smallest among ties; its count is at least their average, the bound.
 
-    Either mode returns a count that meets the bound, and spends one unit of
-    Budget(work_cap) per membership test, |A| per shift tried.
-    Deterministic mode scans all (2N)^m shifts and returns the maximizer
-    (lex-smallest among ties), which is at least their average, the bound;
-    a scan of more than work_cap units is refused before it starts.
-    Randomized mode samples shifts uniformly with the given seed until one
-    meets the bound, and raises SearchCapExceeded once the budget is spent.
-    Auto scans exactly when the whole scan fits the cap.
+    Each pair (a, x) of A x X votes for u = x - a, and u's count is its
+    votes.  The streams x - a over the sorted X are sorted too, so one merge
+    of them brings each shift's votes together.  With no vote (X empty) the
+    answer is (-N+1, ..., -N+1) with count 0.  One unit of Budget(work_cap)
+    per pair, spent before the first vote, so more than work_cap pairs are
+    refused at once.
     """
+    if N < 1:
+        raise ValueError(f"need N >= 1, got N={N}")
     a_pts = _check_grid_points(A, m, N, "A")
-    x_set = set(_check_grid_points(X, m, N, "X"))
+    x_pts = _check_grid_points(X, m, N, "X")
     if not a_pts:
         raise ValueError("A must be nonempty")
-    total_shifts = (2 * N) ** m
-    scan = total_shifts * len(a_pts)
-    bound = Fraction(len(x_set) * len(a_pts), total_shifts)
-    if mode == "auto":
-        mode = "deterministic" if scan <= work_cap else "randomized"
-    if mode not in ("deterministic", "randomized"):
-        raise ValueError(f"unknown mode {mode!r}")
-    budget = Budget(work_cap)
+    Budget(work_cap).spend(len(a_pts) * len(x_pts))
+    votes = heapq.merge(*(_votes(a, x_pts) for a in a_pts))
+    # max keeps the first of equal counts, the lex-smallest shift
+    count, shift = max(((len(list(run)), u) for u, run in groupby(votes)),
+                       key=itemgetter(0), default=(0, (1 - N,) * m))
+    return TranslateResult(shift=shift, count=count,
+                           bound=Fraction(len(x_pts) * len(a_pts), (2 * N) ** m))
 
-    def count_at(u):
-        budget.spend(len(a_pts))
-        return sum(
-            1 for p in a_pts if tuple(c + s for c, s in zip(p, u)) in x_set
-        )
 
-    if mode == "deterministic":
-        if scan > work_cap:
-            budget.spend(scan)  # raises, as the scan would
-        best_u, best_c = None, -1
-        for u in product(range(-N + 1, N + 1), repeat=m):
-            c = count_at(u)
-            if c > best_c:
-                best_u, best_c = u, c
-        return TranslateResult(shift=best_u, count=best_c, bound=bound,
-                               mode="deterministic")
-
-    rng = random.Random(seed)
-    while True:
-        u = tuple(rng.randint(-N + 1, N) for _ in range(m))
-        c = count_at(u)
-        if c >= bound:
-            return TranslateResult(shift=u, count=c, bound=bound, mode="randomized")
+def _votes(a, x_pts):
+    """The shifts x - a that a votes for, in the order of x_pts.  A helper,
+    so each stream keeps its own a: a generator expression nested in the
+    caller's would read the caller's last a."""
+    return (tuple(map(sub, x, a)) for x in x_pts)
 
 
 def _check_grid_points(pts, m: int, N: int, name: str) -> tuple:

@@ -37,7 +37,9 @@ region API; it shares the corner-pair bounds with the library.  The
 power-sum builders are the library's digit-set builders as they stood
 before they went through one Horner's-rule builder: each member of the
 blow-ups, their blocks and the base-q digit set is summed digit by digit,
-then sorted.
+then sorted.  The translate scan is the library's dense-translate search as
+it stood before it counted votes: it tries all (2N)^m shifts, |A|
+membership tests each.
 """
 
 import functools
@@ -48,7 +50,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
-from epsap.errors import Budget, SearchCapExceeded
+from epsap.errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded
 from epsap.geometry import (
     CubeDecision,
     IndexedGrid,
@@ -56,6 +58,7 @@ from epsap.geometry import (
     _corner_pair_bounds,
     _welzl_order,
     check_epsilon,
+    check_points,
     check_points_1d,
     min_enclosing_ball,
     narrowed,
@@ -998,3 +1001,30 @@ def power_sum_digit_set(q: int, h: int, head, tail) -> tuple:
     return tuple(sorted(
         top * q ** (h - 1) + sum(dg * q ** i for i, dg in enumerate(rest))
         for top in head for rest in product(tail, repeat=h - 1)))
+
+
+def scan_dense_translate(A, X, N: int, m: int, work_cap: int = DEFAULT_WORK_CAP):
+    """(shift, count, bound): the lex-smallest shift u in [-N+1, N]^m with
+    the most points of X in A + u, found by trying every shift at |A| units
+    of Budget(work_cap) each, and the average |X||A| / (2N)^m."""
+    a_pts = check_points(A, m)
+    x_set = set(check_points(X, m))
+    total_shifts = (2 * N) ** m
+    scan = total_shifts * len(a_pts)
+    bound = Fraction(len(x_set) * len(a_pts), total_shifts)
+    budget = Budget(work_cap)
+
+    def count_at(u):
+        budget.spend(len(a_pts))
+        return sum(
+            1 for p in a_pts if tuple(c + s for c, s in zip(p, u)) in x_set
+        )
+
+    if scan > work_cap:
+        budget.spend(scan)  # raises, as the scan would
+    best_u, best_c = None, -1
+    for u in product(range(-N + 1, N + 1), repeat=m):
+        c = count_at(u)
+        if c > best_c:
+            best_u, best_c = u, c
+    return best_u, best_c, bound

@@ -22,6 +22,7 @@ FILES = {
     "line.txt": "1\n2\n4\n",
     "run.txt": "1\n2\n3\n5\n",
     "a.txt": "1 1\n2 2\n",
+    "corner.txt": "1 1\n",
     "x.txt": "1 1\n1 3\n2 2\n3 1\n3 3\n",
     "good.txt": "# N=3 r=1 eps=1/5 k=4\n1\n1\n1\n",
     "mono.txt": "# N=3 r=1 eps=1/5 k=3\n1\n1\n1\n",
@@ -400,29 +401,22 @@ CASES = [
      '',
      'error: search work cap of 944 exceeded\n',
      None),
-    # Exit 1 (bound not met) has no input: the best of all shifts is at
-    # least their average, and the randomized mode draws until it is met.
+    # Exit 1 (bound not met) has no input: the shift with the most votes is
+    # the best of all shifts, which is at least their average.
     ('translate --set-a a.txt --set-x x.txt --N 3 --m 2', 0,
      'shift = [0, 0]\ncount = 2 (bound 5/18)\n', '', None),
     ('translate --set-a a.txt --set-x x.txt --N 3 --m 2 --format csv', 0,
      '0,0,2\n', '', None),
     ('translate --set-a a.txt --set-x x.txt --N 3 --m 2 --json', 0,
      '{"bound": {"den": 18, "num": 5}, "bound_met": true, '
-     '"command": "translate", "count": 2, "mode": "deterministic", '
-     '"shift": [0, 0]}\n', '', None),
-    ('translate --set-a a.txt --set-x x.txt --N 3 --m 2 --mode randomized --seed 7', 0,
-     'shift = [0, 2]\ncount = 1 (bound 5/18)\n', '', None),
-    ('translate --set-a a.txt --set-x x.txt --N 3 --m 2'
-     ' --mode randomized --seed 7 --format csv', 0,
-     '0,2,1\n', '', None),
-    ('translate --set-a a.txt --set-x x.txt --N 3 --m 2'
-     ' --mode randomized --seed 7 --json', 0,
-     '{"bound": {"den": 18, "num": 5}, "bound_met": true, '
-     '"command": "translate", "count": 1, "mode": "randomized", '
-     '"shift": [0, 2]}\n', '', None),
+     '"command": "translate", "count": 2, "shift": [0, 0]}\n', '', None),
     ('translate --set-a a.txt --set-x x.txt --N 3 --m 0', 2,
      '',
      'error: need m >= 1, got m=0\n',
+     None),
+    ('translate --set-a a.txt --set-x x.txt --N 0 --m 2', 2,
+     '',
+     'error: need N >= 1, got N=0\n',
      None),
 ]
 
@@ -441,7 +435,8 @@ def test_cli_golden(tmp_path, monkeypatch, capsys, argv, code, out, err, written
 
 
 # Inputs whose objects could never be built: each is refused, or answered
-# as capped, from its sizes alone, with no power past its cap built.
+# as capped, from its sizes alone, with no power past its cap built;
+# translate answers from its 2 pairs of points, not its (2N)^2 shifts.
 HUGE_CASES = [
     ('construct blowup --k 3 --r 100000000 --eps 1/3', 2, '',
      'error: blow-up size k^r = 3^100000000 exceeds cap 1000000\n'),
@@ -460,6 +455,8 @@ HUGE_CASES = [
      '"witness_set": [[1, 1], [1, 2], [1, 3]]}\n', ''),
     ('construct product --set line.txt --m 3 --N 100000', 2, '',
      'error: product size |A|*N^(m-1) = 3*100000^2 exceeds materialize cap 50000000\n'),
+    ('translate --set-a corner.txt --set-x a.txt --N 100000000 --m 2', 0,
+     'shift = [0, 0]\ncount = 1 (bound 1/20000000000000000)\n', ''),
 ]
 
 
@@ -468,7 +465,8 @@ HUGE_CASES = [
 def test_cli_huge_inputs_answer_within_a_second(tmp_path, monkeypatch, capsys,
                                                  argv, code, out, err):
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "line.txt").write_text(FILES["line.txt"])
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
     start = time.perf_counter()
     assert main(argv.split()) == code
     assert time.perf_counter() - start < 1.0

@@ -375,17 +375,45 @@ def test_translate_crafted_half_density():
     assert F(res.count) >= res.bound
 
 
-def test_translate_randomized_meets_bound():
-    full = list(product(range(1, 5), repeat=2))
-    res = find_dense_translate([(1, 1), (2, 2), (3, 3)], full, 4, 2,
-                               mode="randomized", seed=42)
-    assert F(res.count) >= res.bound
+@st.composite
+def _translate_cases(draw):
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 6))
+    cell = st.tuples(*[st.integers(1, n)] * m)
+    return (draw(st.sets(cell, min_size=1, max_size=8)),
+            draw(st.sets(cell, max_size=12)), n, m)
 
 
-def test_translate_deterministic_cap():
-    with pytest.raises(SearchCapExceeded):
-        find_dense_translate([(1, 1)], [(1, 1)], 100, 2,
-                             mode="deterministic", work_cap=10)
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_translate_cases())
+# shifts 1 and 4 both get 2 votes, after shift 0 got 1: the first maximum wins
+@example(({(1,), (2,)}, {(2,), (3,), (5,), (6,)}, 6, 1))
+@example(({(2, 3)}, set(), 4, 2))  # no vote at all
+@example(({(1, 1, 1), (2, 2, 2)}, {(1, 1, 1), (2, 2, 2), (3, 3, 3)}, 3, 3))
+def test_translate_equals_the_scan_oracle(case):
+    A, X, n, m = case
+    assert tuple(find_dense_translate(A, X, n, m)) == oracles.scan_dense_translate(A, X, n, m)
+
+
+def test_translate_answers_at_a_cap_of_one_unit_per_pair():
+    a_pts, x_pts = [(1, 1), (2, 3)], list(product(range(1, 4), repeat=2))
+    res = find_dense_translate(a_pts, x_pts, 3, 2, work_cap=18)
+    assert tuple(res) == ((0, 0), 2, F(1, 2))
+
+
+def test_translate_refuses_a_cap_one_below_the_pairs_before_any_vote(monkeypatch):
+    def no_vote(a, x_pts):
+        raise AssertionError("a vote was counted")
+
+    monkeypatch.setattr(density, "_votes", no_vote)
+    x_pts = list(product(range(1, 4), repeat=2))
+    with pytest.raises(SearchCapExceeded, match="search work cap of 17 exceeded"):
+        find_dense_translate([(1, 1), (2, 3)], x_pts, 3, 2, work_cap=17)
+
+
+def test_translate_refuses_n_below_one():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"need N >= 1, got N={n}"):
+            find_dense_translate([(1, 1)], [(1, 1)], n, 2)
 
 
 def test_translate_rejects_out_of_range():

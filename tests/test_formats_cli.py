@@ -1,5 +1,6 @@
 import json
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -316,6 +317,25 @@ def test_cli_translate(tmp_path, capsys):
     assert payload["count"] * payload["bound"]["den"] >= payload["bound"]["num"]
 
 
+def test_cli_translate_refuses_a_dense_cell_at_once_and_answers_under_work_cap(
+        tmp_path, capsys):
+    # [5000] against itself is 25,000,000 pairs, past the default cap: refused
+    # before any vote is counted
+    dense = tmp_path / "dense.txt"
+    dense.write_text(formats.write_set([(i,) for i in range(1, 5001)]))
+    argv = ("translate", "--set-a", str(dense), "--set-x", str(dense), "--m", "1")
+    start = time.perf_counter()
+    assert run_cli(capsys, *argv, "--N", "5000") == (
+        2, "", "error: search work cap of 20000000 exceeded\n")
+    assert time.perf_counter() - start < 1.0
+    # [300] against itself is 90,000 pairs: --work-cap 90000 answers
+    dense.write_text(formats.write_set([(i,) for i in range(1, 301)]))
+    assert run_cli(capsys, *argv, "--N", "300", "--work-cap", "89999") == (
+        2, "", "error: search work cap of 89999 exceeded\n")
+    assert run_cli(capsys, *argv, "--N", "300", "--work-cap", "90000") == (
+        0, "shift = [0]\ncount = 300 (bound 150)\n", "")
+
+
 def test_cli_construct_behrend_csv(capsys):
     code, out, _ = run_cli(capsys, "construct", "behrend", "--eps", "1/125",
                            "--h", "2", "--format", "csv")
@@ -507,6 +527,22 @@ def test_cli_command_parser_reads_argv_as_the_whole_tree_does(capsys, argv):
     tokens = argv.split()
     assert (_parsed(capsys, cli._parse, tokens)
             == _parsed(capsys, cli.build_parser().parse_args, tokens))
+
+
+def _readme_cli_lines() -> list:
+    readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    return readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0].splitlines()
+
+
+@pytest.mark.parametrize("line", _readme_cli_lines())
+def test_readme_cli_lines_parse(line):
+    """Every call the README shows names a command and only options it takes."""
+    assert line.startswith("epsap ")
+    try:
+        args = cli._parse(shlex.split(line)[1:])
+    except SystemExit as exc:
+        pytest.fail(f"{line!r} does not parse (exit {exc.code})")
+    assert callable(args.handler)
 
 
 # ---------------------------------------------------------------------------

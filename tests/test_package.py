@@ -3,7 +3,8 @@ __all__ exists, is used by the package itself, and the package root imports
 only names that their module lists in __all__, so a name deleted from one
 list and left in another is caught.  The 1-D region API is kept for callers
 outside the package only, so deleting it later touches no package code.
-Every public search takes errors.DEFAULT_WORK_CAP as its default work cap.
+Every public search takes errors.DEFAULT_WORK_CAP as its default work cap,
+and no public function or command takes a seed: no answer is drawn at random.
 The modules import each other only at module level and in no circle, only
 geometry reads the integer interval of scales, and the free-set search has
 one call site, in the ladder, which each free-set entry point calls once.
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import epsap
+from epsap.cli import build_parser
 from epsap.errors import DEFAULT_WORK_CAP
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(epsap.__path__)
@@ -84,6 +86,19 @@ def test_every_work_cap_defaults_to_the_shared_one():
                         defaults[f"{name}.{fn_name}"] = param.default
     assert {"colorings.verify_no_mono_ap", "density.find_dense_translate"} <= set(defaults)
     assert {fn for fn, cap in defaults.items() if cap != DEFAULT_WORK_CAP} == set()
+
+
+def test_nothing_public_takes_a_seed():
+    seeded = []
+    for name in MODULES:
+        module = importlib.import_module(f"epsap.{name}")
+        for fn_name in module.__all__:
+            fn = getattr(module, fn_name)
+            if inspect.isfunction(fn) and "seed" in inspect.signature(fn).parameters:
+                seeded.append(f"{name}.{fn_name}")
+    seeded += [" ".join(words) for words, leaf in build_parser().commands.items()
+               if "--seed" in leaf._option_string_actions]
+    assert seeded == []
 
 
 def test_package_calls_no_region_api():
