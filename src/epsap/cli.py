@@ -72,11 +72,11 @@ def _cmd_recognize_ap(args):
 def _cmd_recognize_cube(args):
     points = formats.read_set(_read_text(args.file), m=args.m)
     grid = geometry.index_grid_points(points, args.m, args.k, args.eps)
-    decision = geometry.recognize_cube(grid, args.eps, tol=args.tol)
+    decision = geometry.recognize_cube(grid, args.eps)
     payload = {"status": decision.status, "exact": decision.exact, "witness": None}
     if decision.status != "feasible":
         return 1, payload, [decision.status], [f"{decision.status},,"]
-    payload["witness"] = formats.witness_md_json(decision.witness, args.tol)
+    payload["witness"] = formats.witness_md_json(decision.witness)
     d, residual = decision.witness.d, decision.witness.residual
     text = [decision.status, f"d = {d!r}", f"residual = {residual!r}"]
     return 0, payload, text, [f"{decision.status},{d},{residual}"]
@@ -140,6 +140,8 @@ def _cmd_construct_simple_r2(args):
 
 
 def _cmd_construct_lowerbound(args):
+    if args.params_only and args.out:
+        raise ValueError("--params-only takes no --out")
     params = colorings.lower_bound_params(args.k, args.r, args.eps, eps0=args.eps0)
     if args.params_only:
         schedule = []
@@ -162,8 +164,8 @@ def _cmd_construct_lowerbound(args):
 
 
 def _cmd_construct_behrend(args):
-    spec, members = density.build_behrend_digit_set(
-        args.eps, args.h, args.k, args.provider, one_based=args.one_based)
+    spec, members = density.build_behrend_digit_set(args.eps, args.h, args.k,
+                                                    one_based=args.one_based)
     payload = {
         "q": spec.q, "h": spec.h, "k": spec.k,
         "head": list(spec.head), "tail": list(spec.tail),
@@ -232,8 +234,7 @@ def _cmd_verify_set(args):
         hit = search.find_eps_ap_in_points(tuple(p[0] for p in points),
                                            args.k, args.eps)
     else:
-        hit = density.verify_cube_free(points, args.m, args.k, args.eps,
-                                       tol=args.tol)
+        hit = density.verify_cube_free(points, args.m, args.k, args.eps)
     payload = {"free": hit is None, "witness": None}
     if hit is None:
         return 0, payload, ["free"], ["free"]
@@ -246,7 +247,7 @@ def _cmd_verify_set(args):
         found = [p for _, p in grid]
         payload["witness"] = {
             "grid": {str(v): list(p) for v, p in grid},
-            "witness": formats.witness_md_json(hit[1].witness, args.tol),
+            "witness": formats.witness_md_json(hit[1].witness),
         }
     return 1, payload, [f"contains approximate structure: {found}"], ["contains"]
 
@@ -329,12 +330,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         const="json", help="shorthand for --format json")
 
 
-def _add_tol(parser: argparse.ArgumentParser):
-    parser.add_argument("--tol", type=float, default=geometry.DEFAULT_TOL,
-                        help="bounds only the numeric fallback's infeasible and boundary "
-                             "cube verdicts; a feasible one is always certified")
-
-
 class _Parser(argparse.ArgumentParser):
     """Usage errors end like every other bad input: one line, exit 2."""
 
@@ -377,7 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
-    _add_tol(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_recognize_cube)
 
@@ -420,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=_parse_eps, required=True)
     p.add_argument("--h", type=int, required=True)
     p.add_argument("--k", type=int, default=3)
-    p.add_argument("--provider", default="auto",
-                   choices=("auto", "exact", "behrend3", "greedy"))
     p.add_argument("--one-based", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_construct_behrend)
@@ -456,7 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
-    _add_tol(p)
     _add_common(p)
     p.set_defaults(handler=_cmd_verify_set)
 

@@ -37,8 +37,8 @@ from .errors import (
     check_cap,
     power_exceeds,
 )
-from .geometry import (DEFAULT_TOL, _check_cube_eps, _cubes, _eps_aps, check_epsilon,
-                       check_points, check_tol, to_fraction)
+from .geometry import (_check_cube_eps, _cubes, _eps_aps, check_epsilon, check_points,
+                       to_fraction)
 # Not called here: bench/tracer.py wraps it on this module by name.
 from .geometry import recognize_cube  # noqa: F401
 from .search import max_exact_ap_free
@@ -65,18 +65,18 @@ def _behrend3(n: int) -> tuple:
 
     Digits bounded by (b-1)//2 make x + z = 2y carry-free and digitwise, and
     a fixed digit-square-sum then forces x = z.  Tries a few digit counts and
-    keeps the largest sphere.
+    keeps the largest sphere.  It starts at two digits: a one-digit sphere
+    is a single point, which never beats the starting (0,).
     """
     if n <= 2:
         return tuple(range(n))
     best: tuple = (0,)
-    max_digits = max(1, int(math.log2(n)))
-    for ndig in range(1, max_digits + 1):
+    for ndig in range(2, int(math.log2(n)) + 1):
         base = math.ceil(n ** (1.0 / ndig))
         while base ** ndig < n:
             base += 1
         dmax = (base - 1) // 2
-        if dmax < 1 and ndig > 1:
+        if dmax < 1:
             continue
         spheres: dict = {}
         for digits in product(range(dmax + 1), repeat=ndig):
@@ -89,38 +89,29 @@ def _behrend3(n: int) -> tuple:
     return best
 
 
-def apk_free_set(lo: int, hi: int, k: int, mode: str = "auto") -> tuple:
+def apk_free_set(lo: int, hi: int, k: int) -> tuple:
     """A subset of [lo, hi] with no exact k-term progression.
 
     Computed canonically on {0..hi-lo} and shifted, so translated intervals
-    give translated sets.  Provider modes: "exact" (maximum set by branch
-    and bound, lex-smallest tie; the search is capped by
-    errors.DEFAULT_WORK_CAP nodes and raises SearchCapExceeded rather than
-    return a set not known to be maximum), "behrend3" (sphere digit
-    construction, k = 3 only), "greedy" (first fit, which raises
-    SearchCapExceeded past errors.DEFAULT_WORK_CAP differences tried), or
-    "auto", which picks exact up to EXACT_CAP elements, then behrend3 for
-    k = 3, else greedy.
+    give translated sets.  The provider is picked by the interval's size n:
+    up to EXACT_CAP elements, the maximum set by branch and bound
+    (search.max_exact_ap_free, lex-smallest tie; capped by
+    errors.DEFAULT_WORK_CAP nodes, it raises SearchCapExceeded rather than
+    return a set not known to be maximum); past it, the sphere digit
+    construction (_behrend3) for k = 3, else first fit (_greedy, which
+    raises SearchCapExceeded past errors.DEFAULT_WORK_CAP differences tried).
     """
-    if mode not in ("auto", "exact", "behrend3", "greedy"):
-        raise ValueError(f"unknown provider mode {mode!r}")
     if lo > hi:
         raise ValueError(f"need lo <= hi, got [{lo}, {hi}]")
     if k < 3:
         raise ValueError(f"need k >= 3, got k={k}")
     n = hi - lo + 1
-    if mode == "auto":
-        mode = "exact" if n <= EXACT_CAP else ("behrend3" if k == 3 else "greedy")
-    if mode == "exact":
-        if n > EXACT_CAP:
-            raise ValueError(f"exact mode capped at {EXACT_CAP} elements, interval has {n}")
+    if n <= EXACT_CAP:
         outcome = max_exact_ap_free(n, k)
         if outcome.kind != "value":
             raise SearchCapExceeded(f"exact provider hit the work cap on {n} elements")
         base = tuple(x - 1 for x in outcome.witness)
-    elif mode == "behrend3":
-        if k != 3:
-            raise ValueError(f"behrend3 provider is only valid for k=3, got k={k}")
+    elif k == 3:
         base = _behrend3(n)
     else:
         try:
@@ -174,13 +165,12 @@ class DigitConstruction(NamedTuple):
         return len(self.head) * len(self.tail) ** (self.h - 1)
 
 
-def build_behrend_digit_set(eps, h: int, k: int = 3,
-                            mode: str = "auto", one_based: bool = False):
+def build_behrend_digit_set(eps, h: int, k: int = 3, one_based: bool = False):
     """Digit set in [0, q^h - 1] free of approximate k-progressions.
 
     q = floor(1/(25 eps)); the leading digit ranges over a progression-free
     subset of [0, q-1], every other digit over one of [ceil(2q/5),
-    floor(3q/5)], both from apk_free_set in the given provider mode.
+    floor(3q/5)], both from apk_free_set.
     Requires 0 < eps <= 1/125 so q >= 5.  Raises MemoryGuardExceeded when q
     or the member count exceeds colorings.DEFAULT_MATERIALIZE_CAP, or,
     before building the members, when the largest member has more decimal
@@ -198,9 +188,8 @@ def build_behrend_digit_set(eps, h: int, k: int = 3,
     q, cap = math.floor(1 / (25 * e)), DEFAULT_MATERIALIZE_CAP
     if q > cap:
         raise MemoryGuardExceeded(f"digit base q exceeds materialize cap {cap}")
-    head = apk_free_set(0, q - 1, k, mode)
-    tail = apk_free_set(math.ceil(Fraction(2 * q, 5)), math.floor(Fraction(3 * q, 5)),
-                        k, mode)
+    head = apk_free_set(0, q - 1, k)
+    tail = apk_free_set(math.ceil(Fraction(2 * q, 5)), math.floor(Fraction(3 * q, 5)), k)
     # The largest member, by the Horner steps that build the members below:
     # from 10^digits on, an int has more decimal digits than may be printed.
     # It grows q >= 5 times a step, so the loop stops within 1.5 * digits
@@ -363,12 +352,14 @@ def _check_grid_points(pts, m: int, N: int, name: str) -> tuple:
 # Cube search
 # ---------------------------------------------------------------------------
 
-def verify_cube_free(S, m: int, k: int, eps, tol: float = DEFAULT_TOL,
-                     node_cap: int = DEFAULT_WORK_CAP) -> Optional[tuple]:
+def verify_cube_free(S, m: int, k: int, eps,
+                     work_cap: int = DEFAULT_WORK_CAP) -> Optional[tuple]:
     """First approximate cube found in S (lex order of assignments) as
     (grid, CubeDecision), or None: the first item of _cubes, on a fresh
-    Budget(node_cap); SearchCapExceeded is raised once it is spent.  The
-    decision is feasible and its witness certifies the grid exactly.
+    Budget(work_cap); SearchCapExceeded is raised once it is spent.  The
+    decision is feasible and its witness certifies the grid exactly, so
+    recognize_cube's fixed tolerance (geometry.DEFAULT_TOL) never decides a
+    hit; eps is an exact rational, as everywhere.
 
     For m >= 2 and eps < 1/2, each axis is first asked for a 1-D
     eps-progression among its distinct coordinates (_eps_aps, on the same
@@ -384,13 +375,12 @@ def verify_cube_free(S, m: int, k: int, eps, tol: float = DEFAULT_TOL,
     if m < 1 or k < 2:
         raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
     e = _check_cube_eps(eps, k)
-    check_tol(tol)
     points = check_points(S, m)
     if len(points) < k ** m:
         return None
-    budget = Budget(node_cap)
+    budget = Budget(work_cap)
     if m >= 2 and 2 * e < 1:
         for coords in zip(*points):
             if next(_eps_aps(sorted(set(coords)), k, e, budget), None) is None:
                 return None
-    return next(_cubes(points, m, k, e, tol, budget), None)
+    return next(_cubes(points, m, k, e, budget), None)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .colorings import Coloring
-from .geometry import Witness1D, WitnessMD, check_points, to_fraction
+from .geometry import DEFAULT_TOL, Witness1D, WitnessMD, check_points, to_fraction
 
 __all__ = [
     "write_set",
@@ -120,12 +120,13 @@ def witness1d_json(w: Witness1D) -> dict:
     }
 
 
-def witness_md_json(w: WitnessMD, tol: float) -> dict:
-    """A feasible cube verdict's witness; recognize_cube certified it."""
+def witness_md_json(w: WitnessMD) -> dict:
+    """A feasible cube verdict's witness; recognize_cube certified it.  "tol"
+    records the recognizer's fixed tolerance, geometry.DEFAULT_TOL."""
     return {
         "a": [repr(c) for c in w.a],
         "d": repr(w.d),
         "residual": repr(w.residual),
-        "tol": repr(tol),
+        "tol": repr(DEFAULT_TOL),
         "certified": True,
     }

@@ -57,7 +57,9 @@ the smallest-enclosing-ball radius of the translated family {x_v - d*v}.
 R is a partial minimization of a jointly convex function, hence g is
 convex.  Every ball's center is checked exactly as it is built, so a
 feasible verdict is always certified; only the search's infeasible and
-boundary verdicts are numeric, with an explicit tolerance.
+boundary verdicts are numeric, with the fixed tolerance DEFAULT_TOL.  Like
+every other function here, the cube code takes eps as an exact rational and
+refuses a float.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ __all__ = [
     "IndexingError",
     "to_fraction",
     "check_epsilon",
-    "check_tol",
     "check_points_1d",
     "check_points",
     "recognize_ap",
@@ -92,7 +93,7 @@ __all__ = [
     "index_grid_points",
 ]
 
-DEFAULT_TOL = 1e-9  # the numeric cube verdicts' default tolerance
+DEFAULT_TOL = 1e-9  # the numeric cube verdicts' tolerance, relative to d_max
 _FLOAT_BITS = 500  # below 2^500, squared distances in the ball code stay finite
 
 
@@ -140,13 +141,6 @@ def check_epsilon(eps, *, set_level: bool = False) -> Fraction:
             "the index permutation is ambiguous otherwise"
         )
     return e
-
-
-def check_tol(tol) -> None:
-    """Validate a numeric tolerance: a finite positive float.  NaN and inf
-    would leave the golden-section fallback only the verdict 'boundary'."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a finite positive float, got {tol}")
 
 
 def check_points_1d(points, fewest: int = 2) -> tuple:
@@ -779,15 +773,6 @@ def _trusted_grid(m: int, k: int, assignment: Mapping) -> IndexedGrid:
     return tuple.__new__(IndexedGrid, (m, k, assignment))
 
 
-def _exact_eps(eps) -> Fraction:
-    """eps as an exact positive Fraction; a float is the binary fraction it is."""
-    if isinstance(eps, float):
-        if not math.isfinite(eps):
-            raise ValueError(f"eps must be finite, got {eps}")
-        eps = Fraction(eps)
-    return check_epsilon(eps)
-
-
 class WitnessMD(NamedTuple):
     """Numeric certificate for an approximate cube: center a, scale d.
 
@@ -808,7 +793,7 @@ class WitnessMD(NamedTuple):
         over their common denominator L the check is the integer inequality
         q^2 * |L*x_v - L*a - L*d*v|^2 < (p * L*d)^2 for eps = p/q.
         """
-        e = _exact_eps(eps)
+        e = check_epsilon(eps)
         ratios = [c.as_integer_ratio() for c in (*self.a, self.d)]
         den = math.lcm(*(q for _, q in ratios))
         *a, d = [n * (den // q) for n, q in ratios]
@@ -917,8 +902,9 @@ def _scale_interval(grid: IndexedGrid, eps: Fraction) -> Optional[tuple]:
     return lo, hi
 
 
-def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDecision:
-    """Three-valued feasibility of an approximate cube witness.
+def recognize_cube(grid: IndexedGrid, eps) -> CubeDecision:
+    """Three-valued feasibility of an approximate cube witness, for an exact
+    rational eps (check_epsilon: a float is refused).
 
     Three stages, each run only if the ones before it left the grid open:
     1. Probe: d0 is the least-squares scale of x_v ~ a + d*v; the mean a0
@@ -933,7 +919,7 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
        interval of stage 2 clipped to (0, d_max], where
        d_max = max_j spread_j / (k - 1 - 2*eps) bounds every feasible scale.
        It stops at the first ball whose center certifies, feasible.  If none
-       does, infeasible when min g > tol*d_max, boundary otherwise.
+       does, infeasible when min g > DEFAULT_TOL*d_max, boundary otherwise.
     Every ball goes through one probe, which checks its center exactly, so
     every feasible verdict is certified and carries exact=True, as does
     stage 2's; stage 3's infeasible and boundary verdicts carry False.
@@ -941,9 +927,8 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
     grid whose shifted points x_v - d*v would reach 2^500 at a scale a ball
     is built at is refused before that ball.
     """
-    check_tol(tol)
     k, m = grid.k, grid.m
-    exact_eps = _check_cube_eps(_exact_eps(eps), k)
+    exact_eps = _check_cube_eps(eps, k)
     pairs = grid.items_in_index_order()
     pts = [p for _, p in pairs]
     vecs = [v for v, _ in pairs]
@@ -1027,7 +1012,7 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
     if decision is None:
         decision, f2 = probe(x2)
     for _ in range(200):
-        if decision is not None or hi - lo < tol * d_max:
+        if decision is not None or hi - lo < DEFAULT_TOL * d_max:
             break
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
@@ -1041,7 +1026,7 @@ def recognize_cube(grid: IndexedGrid, eps, tol: float = DEFAULT_TOL) -> CubeDeci
         return decision
     # each step drops the higher of the two points, so min(f1, f2) is the
     # least g probed
-    if min(f1, f2) > tol * d_max:
+    if min(f1, f2) > DEFAULT_TOL * d_max:
         return CubeDecision("infeasible", None, exact=False)
     return CubeDecision("boundary", None, exact=False)
 
@@ -1060,7 +1045,7 @@ def _check_cube_eps(eps, k: int) -> Fraction:
     return e
 
 
-def _cubes(points, m: int, k: int, e, tol: float, budget):
+def _cubes(points, m: int, k: int, e, budget):
     """Every approximate cube among `points` (distinct, sorted m-tuples), as
     (grid, CubeDecision), in lex order of assignments.
 
@@ -1130,7 +1115,7 @@ def _cubes(points, m: int, k: int, e, tol: float, budget):
             continue
         # the points are checked and the slots are {0..k-1}^m, filled once
         grid = _trusted_grid(m, k, {v: p for v, p, _ in assigned})
-        decision = recognize_cube(grid, e, tol=tol)
+        decision = recognize_cube(grid, e)
         if decision.status == "feasible":
             yield grid, decision
         used.discard(assigned.pop()[1])

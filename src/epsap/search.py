@@ -36,8 +36,8 @@ from typing import NamedTuple
 
 from .colorings import Coloring
 from .errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded, power_exceeds
-from .geometry import (DEFAULT_TOL, _check_cube_eps, _cubes, _eps_aps, check_epsilon,
-                       check_points_1d, recognize_ap)
+from .geometry import (_check_cube_eps, _cubes, _eps_aps, check_epsilon, check_points_1d,
+                       recognize_ap)
 # Not called here: the benchmark's tracer wraps them on this module by name.
 from .geometry import region_add_point, region_closed_empty  # noqa: F401
 
@@ -394,7 +394,7 @@ def _cubes_by_max(points, m: int, k: int, e, budget):
     rests = [[] for _ in points]  # rests[i]: the cubes ending at i, without i
     # a set may fit two assignments
     cubes = {sum(1 << index[p] for p in grid.assignment.values())
-             for grid, _ in _cubes(points, m, k, e, DEFAULT_TOL, budget)}
+             for grid, _ in _cubes(points, m, k, e, budget)}
     for cube in cubes:
         top = cube.bit_length() - 1
         rests[top].append(cube ^ 1 << top)

@@ -720,8 +720,8 @@ def recursive_welzl_ball(points):
     return ball
 
 
-def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
-                              node_cap: int = 20_000_000) -> Optional[tuple]:
+def fraction_verify_cube_free(S, m: int, k: int, eps,
+                              work_cap: int = 20_000_000) -> Optional[tuple]:
     """The cube search as it stood before its pruner went to integers.
 
     First approximate cube found in S (lex order of assignments) as
@@ -752,7 +752,7 @@ def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
             raise ValueError(f"point {p!r} is not {m}-dimensional")
 
     two_eps = 2 * e
-    budget = Budget(node_cap)
+    budget = Budget(work_cap)
 
     def narrowed(d_lo, d_hi, v, p, assigned):
         """Intersect the d interval with the constraints p brings against
@@ -788,7 +788,7 @@ def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
         if slot_idx == total:
             grid = IndexedGrid(m=m, k=k,
                                assignment={v: p for v, p in assigned})
-            decision = recognize_cube(grid, e, tol=tol)
+            decision = recognize_cube(grid, e)
             if decision.status == "feasible":
                 return grid, decision
             return None
@@ -811,7 +811,7 @@ def fraction_verify_cube_free(S, m: int, k: int, eps, tol: float = 1e-9,
     return recurse(0, Fraction(0), None)
 
 
-def unwindowed_cubes(points, m: int, k: int, e, tol: float, budget):
+def unwindowed_cubes(points, m: int, k: int, e, budget):
     """Every approximate cube among `points` (distinct, sorted m-tuples), as
     (grid, CubeDecision), in lex order of assignments: geometry._cubes with
     every unused point tried at every slot, each node spending one unit of
@@ -855,7 +855,7 @@ def unwindowed_cubes(points, m: int, k: int, e, tol: float, budget):
             stack.append(fits(*shrunk))
             continue
         grid = IndexedGrid(m=m, k=k, assignment={v: p for v, p, _ in assigned})
-        decision = recognize_cube(grid, e, tol=tol)
+        decision = recognize_cube(grid, e)
         if decision.status == "feasible":
             yield grid, decision
         used.discard(assigned.pop()[1])
@@ -1001,6 +1001,31 @@ def power_sum_digit_set(q: int, h: int, head, tail) -> tuple:
     return tuple(sorted(
         top * q ** (h - 1) + sum(dg * q ** i for i, dg in enumerate(rest))
         for top in head for rest in product(tail, repeat=h - 1)))
+
+
+def behrend3_from_one_digit(n: int) -> tuple:
+    """The sphere digit construction as it stood when it also tried one
+    digit, whose spheres are single points."""
+    if n <= 2:
+        return tuple(range(n))
+    best: tuple = (0,)
+    max_digits = max(1, int(math.log2(n)))
+    for ndig in range(1, max_digits + 1):
+        base = math.ceil(n ** (1.0 / ndig))
+        while base ** ndig < n:
+            base += 1
+        dmax = (base - 1) // 2
+        if dmax < 1 and ndig > 1:
+            continue
+        spheres: dict = {}
+        for digits in product(range(dmax + 1), repeat=ndig):
+            value = sum(dg * base ** i for i, dg in enumerate(digits))
+            if value < n:
+                spheres.setdefault(sum(dg * dg for dg in digits), []).append(value)
+        candidate = max(spheres.values(), key=lambda vs: (len(vs), vs))
+        if len(candidate) > len(best):
+            best = tuple(sorted(candidate))
+    return best
 
 
 def scan_dense_translate(A, X, N: int, m: int, work_cap: int = DEFAULT_WORK_CAP):

@@ -190,7 +190,7 @@ def test_criterion_08_cube_transversals():
     for _ in range(100):
         assignment = {u: rng.choice(pts) for u, pts in blocks}
         grid = IndexedGrid(m=2, k=3, assignment=assignment)
-        decision = recognize_cube(grid, eps, tol=1e-9)
+        decision = recognize_cube(grid, eps)
         if decision.status != "feasible" or not decision.witness.certifies(grid, eps):
             failures += 1
     elapsed = time.perf_counter() - t0
@@ -198,7 +198,7 @@ def test_criterion_08_cube_transversals():
           and failures == 0 and elapsed < 60)
     report(8, ok, f"100 random transversals of the 9 blocks (t={spec.t}, "
                   f"|A_2|={len(spec.elements)}) all recognized feasible at "
-                  f"tol=1e-9 and certified exactly; {failures} failures "
+                  f"the fixed tol=1e-9 and certified exactly; {failures} failures "
                   f"[{elapsed:.1f}s < 60s]")
 
 

@@ -52,64 +52,77 @@ def test_exact_provider_is_maximum():
     assert len(apk_free_set(0, n - 1, k)) == best
 
 
-def test_exact_provider_cap():
-    with pytest.raises(ValueError):
-        apk_free_set(0, 100, 3, "exact")
-
-
 def test_exact_provider_refuses_a_capped_search(monkeypatch):
     import epsap.density as density
     from epsap.search import max_exact_ap_free
 
     monkeypatch.setattr(density, "max_exact_ap_free",
                         lambda n, k: max_exact_ap_free(n, k, work_cap=100))
-    assert apk_free_set(0, 4, 3, "exact") == (0, 1, 3, 4)
-    with pytest.raises(SearchCapExceeded):
-        apk_free_set(0, 20, 3, "exact")
+    assert apk_free_set(0, 4, 3) == (0, 1, 3, 4)
+    with pytest.raises(SearchCapExceeded, match="^exact provider hit the work cap on 21"):
+        apk_free_set(0, 20, 3)
 
 
 def test_greedy_provider_is_free():
-    got = apk_free_set(0, 59, 4, "greedy")
-    assert not has_exact_ap(got, 4)
+    got = density._greedy(60, 4, Budget(10 ** 6))
+    assert got and not has_exact_ap(got, 4)
 
 
 def test_greedy_provider_is_capped(monkeypatch):
-    # First fit on [0, 59] for k = 4 tries 440 differences, each one unit
+    # First fit on [0, 60] for k = 4 tries 444 differences, each one unit
     # of a budget that every call gets anew.
-    full = apk_free_set(0, 59, 4, "greedy")
-    monkeypatch.setattr(density, "DEFAULT_WORK_CAP", 440)
-    assert apk_free_set(0, 59, 4, "greedy") == apk_free_set(0, 59, 4, "greedy") == full
-    monkeypatch.setattr(density, "DEFAULT_WORK_CAP", 439)
+    full = density._greedy(61, 4, Budget(10 ** 6))
+    monkeypatch.setattr(density, "DEFAULT_WORK_CAP", 444)
+    assert apk_free_set(0, 60, 4) == apk_free_set(0, 60, 4) == full
+    monkeypatch.setattr(density, "DEFAULT_WORK_CAP", 443)
     with pytest.raises(SearchCapExceeded) as info:
-        apk_free_set(0, 59, 4, "greedy")
+        apk_free_set(0, 60, 4)
     assert str(info.value) == (
-        "greedy provider hit the work cap of 439 differences tried on 60 elements")
-
-
-def test_unknown_provider_mode_is_refused():
-    for call in (lambda: apk_free_set(0, 4, 3, "first-fit"),
-                 lambda: build_behrend_digit_set(F(1, 125), 2, mode="first-fit")):
-        with pytest.raises(ValueError, match="unknown provider mode 'first-fit'"):
-            call()
+        "greedy provider hit the work cap of 443 differences tried on 61 elements")
 
 
 def test_behrend3_provider_is_free():
     for n in (10, 50, 200):
-        got = apk_free_set(0, n - 1, 3, "behrend3")
+        got = density._behrend3(n)
         assert got and not has_exact_ap(got, 3)
         assert all(0 <= x < n for x in got)
 
 
-def test_behrend3_requires_k3():
-    with pytest.raises(ValueError):
-        apk_free_set(0, 100, 4, "behrend3")
+def test_behrend3_equals_the_loop_that_tried_one_digit():
+    # one digit gives singleton spheres, which never beat the starting (0,)
+    for n in (*range(1025), 3000, 4096, 10 ** 5):
+        assert density._behrend3(n) == oracles.behrend3_from_one_digit(n), n
 
 
-def test_auto_provider_dispatch():
-    small = apk_free_set(0, 4, 3)
-    assert small == (0, 1, 3, 4)
-    big = apk_free_set(0, 199, 3)  # exact cap exceeded -> behrend3
-    assert big and not has_exact_ap(big, 3)
+@pytest.mark.parametrize("lo, hi, k, provider", [
+    (0, 4, 3, "exact"), (0, 59, 20, "exact"), (7, 66, 30, "exact"),
+    (0, 60, 3, "behrend3"), (3, 202, 3, "behrend3"),
+    (0, 60, 4, "greedy"), (5, 104, 6, "greedy"),
+])
+def test_provider_is_picked_by_size_alone(lo, hi, k, provider):
+    # exact up to EXACT_CAP = 60 elements, then behrend3 for k = 3, else greedy
+    n = hi - lo + 1
+    expected = {
+        "exact": lambda: tuple(x - 1 for x in max_exact_ap_free(n, k).witness),
+        "behrend3": lambda: density._behrend3(n),
+        "greedy": lambda: density._greedy(n, k, Budget(10 ** 6)),
+    }[provider]()
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    with mock.patch.object(density, "max_exact_ap_free",
+                           spy("exact", density.max_exact_ap_free)), \
+            mock.patch.object(density, "_behrend3", spy("behrend3", density._behrend3)), \
+            mock.patch.object(density, "_greedy", spy("greedy", density._greedy)):
+        got = apk_free_set(lo, hi, k)
+    assert calls == [provider]
+    assert got == tuple(x + lo for x in expected)
+    assert not has_exact_ap(got, k)
 
 
 # ---------------------------------------------------------------------------
@@ -464,8 +477,7 @@ def test_cube_search_settles_a_free_product_by_its_axes(A, m, N, axis):
     with mock.patch.object(density, "_cubes", side_effect=AssertionError("listed")):
         assert verify_cube_free(points, m, 3, F(1, 125)) is None
     if len(points) <= 200:  # the listing it skips agrees
-        listed = geometry._cubes(check_points(points, m), m, 3, F(1, 125), 1e-9,
-                                 Budget(10 ** 5))
+        listed = geometry._cubes(check_points(points, m), m, 3, F(1, 125), Budget(10 ** 5))
         assert next(listed, None) is None
 
 
@@ -473,9 +485,9 @@ def test_cube_search_axis_check_spends_the_search_budget():
     # [6] x {1, 2, 4, 5}: the stream on axis 0 finds (1, 2, 3), the one on
     # axis 1 none, in 10 nodes of one budget.
     points = [(b, a) for a, b in product_free_set((1, 2, 4, 5), 2, 6)]
-    assert verify_cube_free(points, 2, 3, F(1, 10), node_cap=10) is None
+    assert verify_cube_free(points, 2, 3, F(1, 10), work_cap=10) is None
     with pytest.raises(SearchCapExceeded, match="^search work cap of 9 exceeded$"):
-        verify_cube_free(points, 2, 3, F(1, 10), node_cap=9)
+        verify_cube_free(points, 2, 3, F(1, 10), work_cap=9)
 
 
 def test_cube_search_lists_cubes_at_eps_one_half():
@@ -485,16 +497,9 @@ def test_cube_search_lists_cubes_at_eps_one_half():
     points = product_free_set((1, 2, 4, 5), 2, 5)
     with mock.patch.object(density, "_cubes", wraps=geometry._cubes) as cubes:
         hit = verify_cube_free(points, 2, 3, F(1, 2))
-    listed = geometry._cubes(points, 2, 3, F(1, 2), 1e-9, Budget(10 ** 6))
+    listed = geometry._cubes(points, 2, 3, F(1, 2), Budget(10 ** 6))
     assert cubes.call_count == 1
     assert hit is not None and hit == next(listed)
-
-
-@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0])
-def test_cube_search_rejects_a_bad_tolerance_before_searching(tol):
-    # no complete assignment is reached here, so only the early check sees it
-    with pytest.raises(ValueError, match="finite positive"):
-        verify_cube_free([(1, 1)], 2, 2, F(1, 4), tol=tol)
 
 
 def test_cube_search_with_too_few_points_builds_no_slots():
@@ -543,7 +548,7 @@ def _cube_search_outcome(search, module, pts, m, k, eps, cap):
 
     with mock.patch.object(module, "Budget", Recorded):
         try:
-            hit = search(pts, m, k, eps, node_cap=cap)
+            hit = search(pts, m, k, eps, work_cap=cap)
         except Exception as exc:  # the caller compares type and message
             outcome = type(exc), str(exc)
         else:
@@ -575,7 +580,7 @@ def test_cube_search_matches_fraction_oracle(case):
         whole, _ = _cube_search_outcome(verify_cube_free, density, pts, m, k, eps, _WHOLE)
         assert whole == oracle
     elif capped != ran_out:  # the axis check answered; the search it skipped agrees
-        listed = geometry._cubes(check_points(pts, m), m, k, eps, 1e-9, Budget(_WHOLE))
+        listed = geometry._cubes(check_points(pts, m), m, k, eps, Budget(_WHOLE))
         assert (capped, next(listed, None)) == (None, None)
 
 
@@ -598,7 +603,7 @@ def _cube_listing(cubes, points, m, k, eps, cap):
     budget = Budget(cap)
     out = []
     try:
-        for grid, decision in cubes(points, m, k, eps, 1e-9, budget):
+        for grid, decision in cubes(points, m, k, eps, budget):
             out.append((sorted(grid.assignment.items()), decision.status))
     except Exception as exc:  # the caller compares type and message
         out.append((type(exc), str(exc)))
@@ -628,7 +633,7 @@ def test_cube_window_cuts_interval_updates(m, N, nodes, calls):
     budget = Budget(10 ** 6)
     with mock.patch.object(geometry, "narrowed", counting):
         hits = list(geometry._cubes(product_free_set([1, 2, 4, 5], m, N), m, 3,
-                                   F(1, 125), 1e-9, budget))
+                                   F(1, 125), budget))
     assert (hits, budget.spent) == ([], nodes)
     assert len(counted) <= calls
 
@@ -641,7 +646,7 @@ def test_cube_window_cuts_interval_updates(m, N, nodes, calls):
 ])
 def test_cube_listing_is_every_cube(N, m, k, eps, found, distinct):
     points = tuple(product(range(1, N + 1), repeat=m))
-    hits = list(geometry._cubes(points, m, k, eps, 1e-9, Budget(10 ** 6)))
+    hits = list(geometry._cubes(points, m, k, eps, Budget(10 ** 6)))
     sets = {tuple(sorted(grid.assignment.values())) for grid, _ in hits}
     assert (len(hits), len(sets)) == (found, distinct)
     assert sets == {tuple(points[i] for i in c)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from epsap import cli, density, formats
+from epsap import cli, density, formats, geometry
 from epsap.cli import main
 from epsap.colorings import Coloring, build_simple_r2_coloring, verify_no_mono_ap
 from epsap.geometry import WitnessMD
@@ -449,6 +449,26 @@ def test_cli_lowerbound_params_only(capsys):
     assert payload["params"][0]["n1"] == 148992
 
 
+def test_cli_lowerbound_params_only_refuses_out(tmp_path, capsys):
+    # the schedule is printed, never written, so --out would be ignored
+    path = tmp_path / "coloring.txt"
+    code, out, err = run_cli(capsys, "construct", "lowerbound", "--k", "771",
+                             "--r", "2", "--eps", "1/30", "--eps0", "1/30",
+                             "--params-only", "--out", str(path))
+    assert (code, out, err) == (2, "", "error: --params-only takes no --out\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("option", ["--provider exact", "--provider=greedy"])
+def test_cli_behrend_takes_no_provider(capsys, option):
+    # the interval's size picks the provider (a stray --tol is in the fuzz below)
+    code, out, err = run_cli(capsys, "construct", "behrend", "--eps", "1/125", "--h", "2",
+                             *option.split())
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: unrecognized arguments: {option}\n")
+    assert err.count("\n") == 1
+
+
 def test_cli_density_exact_aps(capsys):
     code, out, _ = run_cli(capsys, "density", "--N", "9", "--k", "3",
                            "--exact-aps", "--json")
@@ -504,6 +524,9 @@ MALFORMED_ARGVS = [
     "recognize ap --points 1,3,6 --eps 1/3 --eps 1/4",
     "recognize ap --points 1,3,6 --eps 1/3 --format xml",
     "translate --set-a a.txt --set-x x.txt --N 3 --m 2 --mode rand",
+    "recognize cube --file grid.txt --m 2 --k 2 --eps 1/4 --tol 1e-9",
+    "verify set --file grid.txt --m 2 --k 2 --eps 1/4 --tol=0.001",
+    "construct behrend --eps 1/125 --h 2 --provider exact",
     "wnumber wnumber --k 3",
 ]
 
@@ -575,10 +598,8 @@ def test_cli_left_out_options_take_their_defaults(tmp_path, capsys):
         [(10 * a + 1, 10 * b + 2) for a in range(2) for b in range(2)]))
     cube = ("recognize", "cube", "--file", str(path), "--m", "2", "--k", "2",
             "--eps", "1/4", "--json")
-    _, out, _ = run_cli(capsys, *cube, "--tol", "0.001")
-    assert float(json.loads(out)["witness"]["tol"]) == 0.001
     _, out, _ = run_cli(capsys, *cube)
-    assert float(json.loads(out)["witness"]["tol"]) == 1e-9
+    assert json.loads(out)["witness"]["tol"] == repr(geometry.DEFAULT_TOL) == "1e-09"
     density = ("density", "--N", "12", "--k", "3", "--eps", "1/10", "--json")
     code, out, _ = run_cli(capsys, *density, "--work-cap", "5")
     assert (code, json.loads(out)["kind"]) == (1, "lower_bound_only")
@@ -705,16 +726,17 @@ def test_cli_verify_set_of_deep_k(tmp_path, capsys):
        r=st.sampled_from((1, 2, 200, 10 ** 4)),
        eps=st.sampled_from(("1/4", "1/1000", "1/10000", "1/0", "0/0", "0", "x",
                             "1/" + "9" * 400)),
-       tol=st.sampled_from(("1e-9", "0.5", "1e308", "nan", "inf", "-inf", "0",
-                            "-1", "x")))
-@example(command="recognize cube", m=2, k=2, r=1, eps="1/4", tol="nan")
-@example(command="verify set", m=2, k=2, r=1, eps="1/4", tol="inf")
-@example(command="verify coloring", m=1, k=3, r=2, eps="1/0", tol="1e-9")
-@example(command="construct lowerbound", m=1, k=10, r=200, eps="1/1000", tol="1e-9")
+       tol=st.none() | st.sampled_from(("1e-9", "0.5", "nan", "-inf", "-1", "x")))
+@example(command="recognize cube", m=2, k=2, r=1, eps="1/4", tol=None)
+@example(command="recognize cube", m=2, k=2, r=1, eps="1/4", tol="1e-9")
+@example(command="verify set", m=2, k=2, r=1, eps="1/4", tol="-inf")
+@example(command="verify coloring", m=1, k=3, r=2, eps="1/0", tol=None)
+@example(command="construct lowerbound", m=1, k=10, r=200, eps="1/1000", tol=None)
 def test_cli_files_and_constructions_fuzz(tmp_path, capsys, command, m, k, r,
                                           eps, tol):
-    """Bad tolerances, headers and level parameters: exit 0, 1 or 2, never
-    an uncaught exception, and exit 2 in one line.
+    """Bad headers and level parameters: exit 0, 1 or 2, never an uncaught
+    exception, and exit 2 in one line.  A stray --tol, which no command
+    takes (the cube tolerance is fixed), always ends in a one-line exit 2.
 
     The files are a 2x2 grid, the line 1..1100 and a 3-point coloring, so
     every example is cheap; k = 1050 reaches past the recursion limit.
@@ -732,9 +754,11 @@ def test_cli_files_and_constructions_fuzz(tmp_path, capsys, command, m, k, r,
             [(x,) for x in range(1, 1101)] if m == 1
             else [(10 * a, 10 * b) for a in range(2) for b in range(2)]))
         argv = [*command.split(), "--file", str(path), "--m", str(m), "--k", str(k),
-                "--eps", eps, "--tol", tol, "--json"]
+                "--eps", eps, "--json"]
+    if tol is not None:
+        argv += ["--tol", tol]
     code, out, err = run_cli(capsys, *argv)
-    assert code in (0, 1, 2), argv
+    assert code in (0, 1, 2) if tol is None else code == 2, argv
     assert "Traceback" not in err, argv
     if code == 2:
         assert err.count("\n") == 1, (argv, err)

@@ -560,7 +560,7 @@ def test_standard_lattice_feasible():
 def test_cube_agrees_with_exact_recognizer_dim1():
     eps = F(1, 3)
     for pts in combinations(range(1, 9), 3):
-        decision = recognize_cube(grid_from_points_1d(pts), eps, tol=1e-9)
+        decision = recognize_cube(grid_from_points_1d(pts), eps)
         if decision.status == "boundary":
             continue
         exact = recognize_ap(pts, eps) is not None
@@ -584,7 +584,7 @@ def test_construct_then_verify_perturbed_grids():
                     break
             assignment[v] = tuple(e + p for e, p in zip(exactp, pert))
         grid = IndexedGrid(m=m, k=k, assignment=assignment)
-        assert recognize_cube(grid, eps, tol=1e-9).status == "feasible"
+        assert recognize_cube(grid, eps).status == "feasible"
 
 
 def test_cube_g_is_convex_along_scale():
@@ -606,10 +606,10 @@ def test_cube_g_is_convex_along_scale():
 
 def test_cube_witness_substitutes_into_the_inequalities():
     rng = random.Random(29)
-    eps, tol = F(1, 3), 1e-9
+    eps = F(1, 3)
     for _ in range(10):
         grid = _lattice_grid(2, 3, scale=rng.randint(5, 30), shift=rng.randint(0, 9))
-        decision = recognize_cube(grid, eps, tol=tol)
+        decision = recognize_cube(grid, eps)
         assert decision.status == "feasible"
         w = decision.witness
         assert decision.exact and w.residual > 0
@@ -624,7 +624,7 @@ def _ball_calls(grid, eps):
     """recognize_cube's decision and the number of balls it built."""
     with mock.patch.object(geometry, "min_enclosing_ball",
                            wraps=min_enclosing_ball) as ball:
-        decision = recognize_cube(grid, eps, tol=1e-9)
+        decision = recognize_cube(grid, eps)
     return decision, ball.call_count
 
 
@@ -685,14 +685,14 @@ def test_cube_boundary_verdict():
     # the single closed point d = 3/2, so the exact stage proves it
     # infeasible, where golden section alone can only call it a boundary case
     assert recognize_ap((0, 1, 3), F(1, 6)) is None
-    decision = recognize_cube(grid_from_points_1d((0, 1, 3)), F(1, 6), tol=1e-9)
+    decision = recognize_cube(grid_from_points_1d((0, 1, 3)), F(1, 6))
     assert (decision.status, decision.exact) == ("infeasible", True)
     # the lines and corner pairs of this grid leave an interval of d open,
     # the probe misses, min g = 0 at d = 5 up to rounding and no ball's
     # center certifies: a numeric boundary verdict
     grid = IndexedGrid(m=2, k=2, assignment={
         (0, 0): (1, 3), (0, 1): (3, 7), (1, 0): (8, 2), (1, 1): (6, 6)})
-    decision = recognize_cube(grid, F(1, 4), tol=1e-9)
+    decision = recognize_cube(grid, F(1, 4))
     assert decision == ("boundary", None, False)
     at_5 = [tuple(c - 5 * u for c, u in zip(p, v)) for v, p in grid.items_in_index_order()]
     assert min_enclosing_ball(at_5)[1] == pytest.approx(5 / 4, rel=1e-12)
@@ -709,15 +709,7 @@ def test_cube_fallback_returns_the_first_ball_that_certifies():
     assert decision.witness.certifies(grid, F(1, 4)) and balls <= 5
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-9])
-def test_cube_tolerance_must_be_finite_and_positive(tol):
-    # with NaN or inf the fallback could only ever answer "boundary"
-    grid = grid_from_points_1d((0, 1, 3))
-    with pytest.raises(ValueError, match="finite positive"):
-        recognize_cube(grid, F(1, 6), tol=tol)
-
-
-_CUBE_EPS = (F(1, 10), F(1, 6), F(1, 5), F(1, 4), F(1, 3), 0.15, 0.2, 0.3)
+_CUBE_EPS = (F(1, 10), F(1, 6), F(1, 5), F(1, 4), F(1, 3), F(0.15), F(0.2), F(0.3))
 
 
 @st.composite
@@ -760,11 +752,11 @@ def cube_cases(draw, k_max=5):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(case=cube_cases())
 @example(case=(grid_from_points_1d((0, 1, 3)), F(1, 6)))
-@example(case=(grid_from_points_1d((0, 1, 3)), 1 / 6))
+@example(case=(grid_from_points_1d((0, 1, 3)), F(1 / 6)))
 def test_cube_stages_agree_with_golden_section_oracle(case):
     grid, eps = case
-    fast = recognize_cube(grid, eps, tol=1e-9)
-    slow = golden_section_recognize_cube(grid, eps, tol=1e-9)
+    fast = recognize_cube(grid, eps)
+    slow = golden_section_recognize_cube(grid, eps)
     if fast.status == "feasible":
         assert fast.exact and fast.witness.certifies(grid, eps)
     # residual is eps*d less the largest distance from a + d*v, and no
@@ -807,23 +799,23 @@ def test_scale_interval_matches_the_region_oracle(case):
     if got is not None:
         assert [F(*b) for b in got] == [F(*b) for b in want]
     with mock.patch.object(geometry, "_scale_interval", region_scale_interval):
-        reference = recognize_cube(grid, eps, tol=1e-9)
-    assert recognize_cube(grid, eps, tol=1e-9) == reference
+        reference = recognize_cube(grid, eps)
+    assert recognize_cube(grid, eps) == reference
 
 
 def test_cube_depth_does_not_grow_with_the_grid():
     # both are far beyond the interpreter's recursion limit in points
     grid = _noisy_grid(2, 32, 1000, 60, seed=7)
-    assert recognize_cube(grid, F(1, 5), tol=1e-9).status == "feasible"
+    assert recognize_cube(grid, F(1, 5)).status == "feasible"
     rng = random.Random(8)
     line = grid_from_points_1d([1000 * i + rng.randint(-60, 60) for i in range(2000)])
-    assert recognize_cube(line, F(1, 5), tol=1e-9).status == "feasible"
+    assert recognize_cube(line, F(1, 5)).status == "feasible"
 
 
 def test_cube_witness_certifies_exactly():
     eps = F(1, 4)
     grid = _lattice_grid(2, 3, scale=7, shift=2)
-    w = recognize_cube(grid, eps, tol=1e-9).witness
+    w = recognize_cube(grid, eps).witness
     assert w.certifies(grid, eps)
     # moving the center by 1.5*eps*d puts every point outside its ball
     shifted = WitnessMD(a=(w.a[0] + 1.5 * float(eps) * w.d, w.a[1]), d=w.d,
@@ -831,7 +823,7 @@ def test_cube_witness_certifies_exactly():
     assert not shifted.certifies(grid, eps)
     # a float witness is checked exactly as the float it is
     exact = WitnessMD(a=(2.0, 2.0), d=7.0, residual=1.75)
-    assert exact.certifies(grid, eps) and exact.certifies(grid, 0.25)
+    assert exact.certifies(grid, eps)
     # every point exactly on its sphere: the strict inequality fails
     assert not WitnessMD(a=(3.75, 2.0), d=7.0, residual=0.0).certifies(grid, eps)
     assert not WitnessMD(a=(2.0, 2.0), d=0.0, residual=0.0).certifies(grid, eps)
@@ -845,6 +837,19 @@ def test_cube_duplicate_points_rejected():
 def test_cube_eps_too_large_rejected():
     with pytest.raises(ValueError):
         recognize_cube(_lattice_grid(1, 2), F(3, 4))
+
+
+@pytest.mark.parametrize("eps", [0.25, 1 / 6, math.nan])
+def test_cube_refuses_a_float_eps_as_every_eps_check_does(eps):
+    # a binary float changes the question (1/6 != 0.1666...), so the cube
+    # code takes eps only as an exact rational, like the 1-D code
+    grid = _lattice_grid(2, 3, scale=7, shift=2)
+    witness = WitnessMD(a=(2.0, 2.0), d=7.0, residual=1.75)
+    for call in (lambda: recognize_cube(grid, eps), lambda: witness.certifies(grid, eps),
+                 lambda: verify_cube_free(list(grid.assignment.values()), 2, 3, eps)):
+        with pytest.raises(TypeError, match="^expected int, Fraction or 'p/q' string, "
+                                            "got float$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ only names that their module lists in __all__, so a name deleted from one
 list and left in another is caught.  The 1-D region API is kept for callers
 outside the package only, so deleting it later touches no package code.
 Every public search takes errors.DEFAULT_WORK_CAP as its default work cap,
-and no public function or command takes a seed: no answer is drawn at random.
+under the one name work_cap, and no public function or command takes a
+removed knob: a seed (no answer is drawn at random), a cube tolerance (it
+is geometry.DEFAULT_TOL) or a provider mode (the interval's size picks it).
 The modules import each other only at module level and in no circle, only
 geometry reads the integer interval of scales, and the free-set search has
 one call site, in the ladder, which each free-set entry point calls once.
@@ -82,23 +84,34 @@ def test_every_work_cap_defaults_to_the_shared_one():
             fn = getattr(module, fn_name)
             if inspect.isfunction(fn):
                 for param in inspect.signature(fn).parameters.values():
-                    if param.name in ("work_cap", "node_cap"):
+                    if param.name == "work_cap":
                         defaults[f"{name}.{fn_name}"] = param.default
-    assert {"colorings.verify_no_mono_ap", "density.find_dense_translate"} <= set(defaults)
+    assert {"colorings.verify_no_mono_ap", "density.find_dense_translate",
+            "density.verify_cube_free"} <= set(defaults)
     assert {fn for fn, cap in defaults.items() if cap != DEFAULT_WORK_CAP} == set()
 
 
+# Names deleted from the public API and the CLI: no answer is drawn at
+# random, the cube tolerance is the constant geometry.DEFAULT_TOL,
+# apk_free_set picks its provider by the interval's size, and every search's
+# cap is called work_cap.
+REMOVED_PARAMETERS = ("seed", "tol", "mode", "node_cap")
+REMOVED_OPTIONS = ("--seed", "--tol", "--provider")
+
+
 def test_nothing_public_takes_a_seed():
-    seeded = []
+    found = []
     for name in MODULES:
         module = importlib.import_module(f"epsap.{name}")
         for fn_name in module.__all__:
             fn = getattr(module, fn_name)
-            if inspect.isfunction(fn) and "seed" in inspect.signature(fn).parameters:
-                seeded.append(f"{name}.{fn_name}")
-    seeded += [" ".join(words) for words, leaf in build_parser().commands.items()
-               if "--seed" in leaf._option_string_actions]
-    assert seeded == []
+            if inspect.isfunction(fn):
+                found += [f"{name}.{fn_name}({param})" for param in REMOVED_PARAMETERS
+                          if param in inspect.signature(fn).parameters]
+    found += [f"{' '.join(words)} {option}"
+              for words, leaf in build_parser().commands.items()
+              for option in REMOVED_OPTIONS if option in leaf._option_string_actions]
+    assert found == []
 
 
 def test_package_calls_no_region_api():
