@@ -142,6 +142,8 @@ def _cmd_construct_simple_r2(args):
 def _cmd_construct_lowerbound(args):
     if args.params_only and args.out:
         raise ValueError("--params-only takes no --out")
+    if args.params_only and args.cap is not None:
+        raise ValueError("--params-only takes no --cap")
     params = colorings.lower_bound_params(args.k, args.r, args.eps, eps0=args.eps0)
     if args.params_only:
         schedule = []
@@ -158,8 +160,9 @@ def _cmd_construct_lowerbound(args):
         csv = [f"{lvl['r']},{lvl['k']},{lvl['s']},{lvl['w']},{lvl['t']},{lvl['n1']}"
                for lvl in schedule]
         return 0, payload, text, csv
+    cap = colorings.DEFAULT_MATERIALIZE_CAP if args.cap is None else args.cap
     coloring = colorings.build_lower_bound_coloring(
-        args.k, args.r, args.eps, eps0=args.eps0, dense=True, cap=args.cap)
+        args.k, args.r, args.eps, eps0=args.eps0, dense=True, cap=cap)
     return _coloring_reply(args, coloring, args.eps, args.k)
 
 
@@ -214,7 +217,7 @@ def _cmd_verify_coloring(args):
         eps = args.eps
     if args.k is not None:
         k = args.k
-    hit = colorings.verify_no_mono_ap(coloring, k, eps)
+    hit = colorings.verify_no_mono_ap(coloring, k, eps, work_cap=args.work_cap)
     payload = {"free_of_monochromatic_ap": hit is None, "witness": None}
     if hit is None:
         return 0, payload, ["good: no monochromatic approximate progression"], ["good"]
@@ -232,9 +235,10 @@ def _cmd_verify_set(args):
     points = formats.read_set(_read_text(args.file), m=args.m)
     if args.m == 1:
         hit = search.find_eps_ap_in_points(tuple(p[0] for p in points),
-                                           args.k, args.eps)
+                                           args.k, args.eps, work_cap=args.work_cap)
     else:
-        hit = density.verify_cube_free(points, args.m, args.k, args.eps)
+        hit = density.verify_cube_free(points, args.m, args.k, args.eps,
+                                       work_cap=args.work_cap)
     payload = {"free": hit is None, "witness": None}
     if hit is None:
         return 0, payload, ["free"], ["free"]
@@ -404,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
     p.add_argument("--eps0", type=_parse_eps, default=colorings.DEFAULT_EPS0)
-    p.add_argument("--cap", type=int, default=colorings.DEFAULT_MATERIALIZE_CAP)
+    p.add_argument("--cap", type=int,
+                   help="most colors to build (default "
+                        f"{colorings.DEFAULT_MATERIALIZE_CAP}); not with --params-only")
     p.add_argument("--params-only", action="store_true",
                    help="print the parameter schedule without building")
     p.add_argument("--out", help="write COLORING file here instead of stdout")
@@ -441,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True, help="COLORING file")
     p.add_argument("--k", type=int, help="override the header k")
     p.add_argument("--eps", type=_parse_eps, help="override the header eps")
+    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP,
+                   help="cap on the search nodes over all color classes")
     _add_common(p)
     p.set_defaults(handler=_cmd_verify_coloring)
     p = add(ver_sub, "verify", "set", help="set free of approximate structure?")
@@ -448,6 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--eps", type=_parse_eps, required=True)
+    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP,
+                   help="cap on the search nodes")
     _add_common(p)
     p.set_defaults(handler=_cmd_verify_set)
 

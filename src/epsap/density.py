@@ -25,7 +25,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import groupby, product
-from operator import itemgetter, sub
+from operator import itemgetter
 from typing import NamedTuple, Optional
 
 from .colorings import DEFAULT_MATERIALIZE_CAP, _blowup_blocks, _digit_set
@@ -35,6 +35,7 @@ from .errors import (
     MemoryGuardExceeded,
     SearchCapExceeded,
     check_cap,
+    check_work_cap,
     power_exceeds,
 )
 from .geometry import (_check_cube_eps, _cubes, _eps_aps, check_epsilon, check_points,
@@ -312,11 +313,15 @@ def find_dense_translate(A, X, N: int, m: int,
     lex-smallest among ties; its count is at least their average, the bound.
 
     Each pair (a, x) of A x X votes for u = x - a, and u's count is its
-    votes.  The streams x - a over the sorted X are sorted too, so one merge
-    of them brings each shift's votes together.  With no vote (X empty) the
-    answer is (-N+1, ..., -N+1) with count 0.  One unit of Budget(work_cap)
-    per pair, spent before the first vote, so more than work_cap pairs are
-    refused at once.
+    votes.  A vote is an integer key: u_j + N - 1 lies in [0, 2N - 2], so
+    the key sum_j (u_j + N - 1) * (2N - 1)^(m-1-j) numbers the shifts in lex
+    order, and the key of x - a is key(x) - key(a) plus a constant.  The
+    streams of keys over the sorted X are sorted too, so one merge of them
+    brings each shift's votes together; only the winner's key is turned
+    back into a shift.  With no vote (X empty) the answer is
+    (-N+1, ..., -N+1) with count 0.  One unit of Budget(work_cap) per pair,
+    spent before the first vote, so more than work_cap pairs are refused at
+    once.
     """
     if N < 1:
         raise ValueError(f"need N >= 1, got N={N}")
@@ -325,26 +330,42 @@ def find_dense_translate(A, X, N: int, m: int,
     if not a_pts:
         raise ValueError("A must be nonempty")
     Budget(work_cap).spend(len(a_pts) * len(x_pts))
-    votes = heapq.merge(*(_votes(a, x_pts) for a in a_pts))
+    base = 2 * N - 1
+    x_keys = [_shift_key(x, base) for x in x_pts]
+    origin = _shift_key((N - 1,) * m, base)  # the key of the zero shift
+    votes = heapq.merge(*(_votes(origin - _shift_key(a, base), x_keys) for a in a_pts))
     # max keeps the first of equal counts, the lex-smallest shift
-    count, shift = max(((len(list(run)), u) for u, run in groupby(votes)),
-                       key=itemgetter(0), default=(0, (1 - N,) * m))
-    return TranslateResult(shift=shift, count=count,
+    count, key = max(((len(list(run)), u) for u, run in groupby(votes)),
+                     key=itemgetter(0), default=(0, 0))
+    shift = []
+    for _ in range(m):
+        key, digit = divmod(key, base)
+        shift.append(digit - (N - 1))
+    return TranslateResult(shift=tuple(reversed(shift)), count=count,
                            bound=Fraction(len(x_pts) * len(a_pts), (2 * N) ** m))
 
 
-def _votes(a, x_pts):
-    """The shifts x - a that a votes for, in the order of x_pts.  A helper,
-    so each stream keeps its own a: a generator expression nested in the
-    caller's would read the caller's last a."""
-    return (tuple(map(sub, x, a)) for x in x_pts)
+def _shift_key(p, base: int) -> int:
+    """p read as the digits of a base-`base` integer, first coordinate first."""
+    key = 0
+    for c in p:
+        key = key * base + c
+    return key
+
+
+def _votes(offset: int, x_keys):
+    """The keys of the shifts x - a that a votes for, in the order of X:
+    each key of x plus a's offset."""
+    return map(offset.__add__, x_keys)
 
 
 def _check_grid_points(pts, m: int, N: int, name: str) -> tuple:
+    """check_points, then [1, N]^m tested by each column's least and
+    greatest value; the first point outside is named."""
     pts = check_points(pts, m)
-    for p in pts:
-        if not all(1 <= c <= N for c in p):
-            raise ValueError(f"{name} must lie inside [1, {N}]^{m}, got {p}")
+    if not all(1 <= min(col) and max(col) <= N for col in zip(*pts)):
+        bad = next(p for p in pts if not all(1 <= c <= N for c in p))
+        raise ValueError(f"{name} must lie inside [1, {N}]^{m}, got {bad}")
     return pts
 
 
@@ -376,6 +397,7 @@ def verify_cube_free(S, m: int, k: int, eps,
         raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
     e = _check_cube_eps(eps, k)
     points = check_points(S, m)
+    check_work_cap(work_cap)
     if len(points) < k ** m:
         return None
     budget = Budget(work_cap)

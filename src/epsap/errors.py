@@ -2,7 +2,7 @@
 cap, and the checks of a materialize cap."""
 
 __all__ = ["SearchCapExceeded", "Budget", "DEFAULT_WORK_CAP", "MemoryGuardExceeded",
-           "check_cap", "power_exceeds"]
+           "check_work_cap", "check_cap", "power_exceeds"]
 
 DEFAULT_WORK_CAP = 20_000_000  # the default Budget of every search
 
@@ -17,8 +17,7 @@ class Budget:
     __slots__ = ("cap", "left")
 
     def __init__(self, cap: int):
-        if cap < 0:
-            raise ValueError(f"work cap must be >= 0, got {cap}")
+        check_work_cap(cap)
         self.cap = cap
         self.left = cap
 
@@ -36,6 +35,13 @@ class Budget:
 
 class MemoryGuardExceeded(RuntimeError):
     """Materializing an object would exceed its configured size cap."""
+
+
+def check_work_cap(cap: int) -> None:
+    """Refuse a negative work cap, also where a search returns before it
+    builds its Budget."""
+    if cap < 0:
+        raise ValueError(f"work cap must be >= 0, got {cap}")
 
 
 def check_cap(cap: int) -> None:

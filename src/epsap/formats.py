@@ -13,6 +13,7 @@ HYPERGRAPH header '# N=<N> k=<k> eps=<p>/<q>', then one edge per line as k
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 
 from .colorings import Coloring
 from .geometry import DEFAULT_TOL, Witness1D, WitnessMD, check_points, to_fraction
@@ -44,9 +45,30 @@ def write_set(points) -> str:
 def read_set(text: str, m: int) -> tuple:
     """The validated m-D points of a SET file (geometry.check_points), with
     its '#' comment lines and blank lines skipped; m < 1 is refused before
-    any line is read."""
+    any line is read.
+
+    The file is read in one pass: each line is split once, and when every
+    point line holds m tokens, all tokens go through int together and are
+    grouped into points.  Only a file that fails this is read again line by
+    line, for the message naming its first bad line or point."""
     if m < 1:
         raise ValueError(f"need m >= 1, got m={m}")
+    rows = list(filter(None, map(str.split, text.splitlines())))
+    if "#" in text:
+        rows = [row for row in rows if not row[0].startswith("#")]
+    if all(map(m.__eq__, map(len, rows))):
+        try:
+            coords = list(map(int, chain.from_iterable(rows)))
+        except ValueError:
+            pass
+        else:
+            return check_points(list(zip(*[iter(coords)] * m)), m)
+    return _read_set_lines(text, m)
+
+
+def _read_set_lines(text: str, m: int) -> tuple:
+    """read_set one line at a time, raising on its first bad line: a token
+    that is no integer, then a point of the wrong dimension."""
     rows = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

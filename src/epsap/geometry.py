@@ -69,8 +69,8 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import chain, combinations, product
-from operator import itemgetter, mul
+from itertools import chain, combinations, islice, product, repeat
+from operator import add, lt, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 __all__ = [
@@ -133,9 +133,9 @@ def check_epsilon(eps, *, set_level: bool = False) -> Fraction:
     questions are refused rather than guessed.
     """
     e = to_fraction(eps)
-    if e <= 0:
+    if e.numerator <= 0:  # a Fraction keeps its sign in the numerator
         raise ValueError(f"eps must be positive, got {e}")
-    if set_level and e >= Fraction(1, 2):
+    if set_level and 2 * e.numerator >= e.denominator:
         raise ValueError(
             f"set-level recognition requires eps < 1/2 (got {e}): "
             "the index permutation is ambiguous otherwise"
@@ -168,7 +168,8 @@ def check_points(points, m: int) -> tuple:
     """Validate a set of integer m-tuples, bools excluded, and return it as
     a sorted tuple of distinct tuples; anything else is a one-line
     ValueError naming a bad point.  A set this function returned passes
-    again at once, so a set read at the boundary is checked only there."""
+    again at once, so a set read at the boundary is checked only there, and
+    a set already strictly increasing is kept as it is, not sorted again."""
     if type(points) is _Points and (not points or len(points[0]) == m):
         return points
     pts = list(map(tuple, points))
@@ -180,6 +181,8 @@ def check_points(points, m: int) -> tuple:
     if set(map(type, chain.from_iterable(pts))) - {int}:
         bad = next(p for p in pts if any(type(c) is not int for c in p))
         raise ValueError(f"points must be integer {m}-tuples, got {bad!r}")
+    if all(map(lt, pts, islice(pts, 1, None))):
+        return _Points(pts)
     return _Points(sorted(set(pts)))
 
 
@@ -763,7 +766,15 @@ class IndexedGrid(_GridFields):
         return cls(*iterable)
 
     def items_in_index_order(self):
-        return [(v, self.assignment[v]) for v in sorted(self.assignment)]
+        slots = _index_order(self.m, self.k)[0]
+        return list(zip(slots, map(self.assignment.__getitem__, slots)))
+
+
+@functools.lru_cache(maxsize=16)
+def _index_order(m: int, k: int) -> tuple:
+    """The index vectors {0..k-1}^m in lex order, and their m columns."""
+    slots = tuple(product(range(k), repeat=m))
+    return slots, tuple(zip(*slots))
 
 
 def _trusted_grid(m: int, k: int, assignment: Mapping) -> IndexedGrid:
@@ -791,7 +802,9 @@ class WitnessMD(NamedTuple):
 
         Every float is a dyadic rational, so a and d convert without loss;
         over their common denominator L the check is the integer inequality
-        q^2 * |L*x_v - L*a - L*d*v|^2 < (p * L*d)^2 for eps = p/q.
+        q^2 * |L*x_v - L*a - L*d*v|^2 < (p * L*d)^2 for eps = p/q.  The
+        squared norms are summed one axis at a time, over whole columns,
+        and only the largest is compared.
         """
         e = check_epsilon(eps)
         ratios = [c.as_integer_ratio() for c in (*self.a, self.d)]
@@ -799,16 +812,14 @@ class WitnessMD(NamedTuple):
         *a, d = [n * (den // q) for n, q in ratios]
         if d <= 0:
             return False
-        bound = (e.numerator * d) ** 2
-        qq = e.denominator ** 2
-        for v, x in grid.assignment.items():
-            norm = 0
-            for xc, ac, vc in zip(x, a, v):
-                t = den * xc - ac - d * vc
-                norm += t * t
-            if norm * qq >= bound:
-                return False
-        return True
+        points = grid.assignment
+        norms = None
+        for xs, vs, ac in zip(zip(*points.values()), zip(*points), a):
+            at = [ac + d * c for c in range(grid.k)]  # L*a + L*d*v on this axis
+            t = [den * x - at[c] for x, c in zip(xs, vs)]
+            squares = list(map(mul, t, t))
+            norms = squares if norms is None else list(map(add, norms, squares))
+        return norms is None or max(norms) * e.denominator ** 2 < (e.numerator * d) ** 2
 
 
 class CubeDecision(NamedTuple):
@@ -929,13 +940,14 @@ def recognize_cube(grid: IndexedGrid, eps) -> CubeDecision:
     """
     k, m = grid.k, grid.m
     exact_eps = _check_cube_eps(eps, k)
-    pairs = grid.items_in_index_order()
-    pts = [p for _, p in pairs]
-    vecs = [v for v, _ in pairs]
-    ends = [(min(c), max(c)) for c in zip(*pts)]
+    slots, index_columns = _index_order(m, k)
+    pts = list(map(grid.assignment.__getitem__, slots))
+    columns = list(zip(*pts))  # integer coordinates, axis by axis, in index order
+    ends = [(min(c), max(c)) for c in columns]
     widest = max(max(-lo, hi) for lo, hi in ends)
     if widest.bit_length() > _FLOAT_BITS:
-        v, j = next((v, j) for v, p in pairs for j, x in enumerate(p) if abs(x) == widest)
+        v, j = next((v, j) for v, p in zip(slots, pts) for j, x in enumerate(p)
+                    if abs(x) == widest)
         raise ValueError(
             f"coordinate {j} of the point at index {v} has {widest.bit_length()} bits; "
             f"recognize_cube computes in floats and needs |x| < 2^{_FLOAT_BITS}")
@@ -944,7 +956,7 @@ def recognize_cube(grid: IndexedGrid, eps) -> CubeDecision:
     # One processing order serves every ball: nearby scales share most of
     # their support, so each call starts from the previous one's.
     order = _welzl_order(len(pts))
-    axes = [([float(p[j]) for p in pts], [v[j] for v in vecs]) for j in range(m)]
+    axes = [(list(map(float, xs)), us) for xs, us in zip(columns, index_columns)]
 
     def shifted(d: float) -> list:
         return list(zip(*[[x - d * u for x, u in zip(xs, us)] for xs, us in axes]))
@@ -980,14 +992,17 @@ def recognize_cube(grid: IndexedGrid, eps) -> CubeDecision:
 
     # Stage 1: d0 = sum_v x_v.(v - c) / sum_v |v - c|^2 with c the center of
     # {0..k-1}^m.  The denominator is m*k^m*(k^2 - 1)/12, and the numerator
-    # needs no mean of x because sum_v (v - c) = 0.
-    moment = sum(x * (2 * u - (k - 1)) for v, p in pairs for x, u in zip(p, v))
+    # needs no mean of x because sum_v (v - c) = 0.  It is summed in
+    # integers, column by column, against the weights 2*(v - c).
+    weights = [2 * u - (k - 1) for u in range(k)]
+    moment = sum(sum(map(mul, xs, map(weights.__getitem__, us)))
+                 for xs, us in zip(columns, index_columns))
     d0 = 6 * moment / (m * k ** m * (k * k - 1))
     if d0 > 0:
         at_d0 = shifted(d0)
         a0 = tuple(sum(c) / len(at_d0) for c in zip(*at_d0))
         # a0 settles most feasible grids; the ball is built only when it fails
-        decision = settled(a0, max(math.dist(a0, p) for p in at_d0), d0)
+        decision = settled(a0, max(map(math.dist, repeat(a0), at_d0)), d0)
         if decision is None:
             within_floats(d0)
             decision, _ = probe(d0)
@@ -1037,9 +1052,10 @@ def _check_cube_eps(eps, k: int) -> Fraction:
     divides by k - 1 - 2 eps in floats: a cube search refuses it up front,
     whatever its points or cap."""
     e = check_epsilon(eps)
-    if 2 * e >= k - 1:
+    p, q = e.numerator, e.denominator
+    if 2 * p >= (k - 1) * q:
         raise ValueError(f"eps={e} too large; recognize_cube needs eps < (k-1)/2")
-    if 2 * float(e) >= k - 1:
+    if 2 * (p / q) >= k - 1:  # p / q is float(e)
         raise ValueError(f"eps={e} rounds to (k-1)/2 in floats; recognize_cube needs "
                          "it below")
     return e
@@ -1065,7 +1081,7 @@ def _cubes(points, m: int, k: int, e, budget):
     Each node spends one unit of `budget`, the root included.
     """
     total = k ** m
-    slots = sorted(product(range(k), repeat=m))
+    slots = _index_order(m, k)[0]
 
     # Rows (axis, q*y_axis, a, c) of `narrowed`, over scaled points.
     p2, q = 2 * e.numerator, e.denominator
@@ -1133,27 +1149,32 @@ def index_grid_points(point_set, m: int, k: int, eps) -> IndexedGrid:
     if m < 1 or k < 2:
         raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
     e = check_epsilon(eps)
-    if e >= Fraction(1, 2):
+    if 2 * e.numerator >= e.denominator:
         raise ValueError(f"index recovery requires eps < 1/2, got {e}")
     pts = check_points(point_set, m)
     if len(pts) != k ** m:
         raise ValueError(f"expected {k ** m} distinct points, got {len(pts)}")
 
-    cluster = k ** (m - 1)
-    index_of = {p: [] for p in pts}
-    for axis in range(m):
-        order = sorted(pts, key=itemgetter(axis))  # stable: pts is sorted
-        coords = [p[axis] for p in order]
+    # Each axis sorts the point numbers by that coordinate (stable, and pts
+    # is sorted) and gives every point its cluster rank; the rank columns
+    # together are the index vectors.
+    n, cluster = len(pts), k ** (m - 1)
+    labels = [rank // cluster for rank in range(n)]
+    ranks = []
+    for axis, coords in enumerate(zip(*pts)):
+        order = sorted(range(n), key=coords.__getitem__)
         for c in range(1, k):
-            if coords[c * cluster - 1] == coords[c * cluster]:
+            if coords[order[c * cluster - 1]] == coords[order[c * cluster]]:
                 raise IndexingError(
-                    f"axis {axis}: tied coordinate {coords[c * cluster]} straddles "
+                    f"axis {axis}: tied coordinate {coords[order[c * cluster]]} straddles "
                     f"the cluster boundary at rank {c}"
                 )
-        for rank, p in enumerate(order):
-            index_of[p].append(rank // cluster)
+        rank = [0] * n
+        for i, label in zip(order, labels):
+            rank[i] = label
+        ranks.append(rank)
 
-    assignment = {tuple(idx): p for p, idx in index_of.items()}
+    assignment = dict(zip(zip(*ranks), pts))
     if len(assignment) != k ** m:
         raise IndexingError("per-axis clustering produced a non-injective indexing")
     return _trusted_grid(m, k, assignment)

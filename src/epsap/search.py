@@ -35,7 +35,7 @@ from itertools import count, islice, product
 from typing import NamedTuple
 
 from .colorings import Coloring
-from .errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded, power_exceeds
+from .errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded, check_work_cap, power_exceeds
 from .geometry import (_check_cube_eps, _cubes, _eps_aps, check_epsilon, check_points_1d,
                        recognize_ap)
 # Not called here: the benchmark's tracer wraps them on this module by name.
@@ -108,12 +108,14 @@ def find_eps_ap_in_points(points, k: int, eps,
                           work_cap: int = DEFAULT_WORK_CAP):
     """Lex-first approximate k-progression among sorted candidate points.
 
-    Returns (subset, witness) or None, which fewer than k points give.
+    Returns (subset, witness) or None, which fewer than k points give; a
+    negative work_cap is refused either way.
     """
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     e = check_epsilon(eps, set_level=True)
     pts = check_points_1d(points, fewest=0)
+    check_work_cap(work_cap)
     if len(pts) < k:
         return None
     hit = next(_eps_aps(pts, k, e, Budget(work_cap)), None)

@@ -39,7 +39,12 @@ before they went through one Horner's-rule builder: each member of the
 blow-ups, their blocks and the base-q digit set is summed digit by digit,
 then sorted.  The translate scan is the library's dense-translate search as
 it stood before it counted votes: it tries all (2N)^m shifts, |A|
-membership tests each.
+membership tests each.  The line reader, the per-point certificate and the
+sort-based grid indexing are the library's SET reader, WitnessMD.certifies
+and index_grid_points as they stood before they worked in whole columns:
+one int conversion per line, one Python loop per point, and one sort of the
+points per axis.  The Fraction certificate checks a cube witness in exact
+rationals, with no common denominator.
 """
 
 import functools
@@ -54,6 +59,7 @@ from epsap.errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded
 from epsap.geometry import (
     CubeDecision,
     IndexedGrid,
+    IndexingError,
     WitnessMD,
     _corner_pair_bounds,
     _welzl_order,
@@ -1053,3 +1059,85 @@ def scan_dense_translate(A, X, N: int, m: int, work_cap: int = DEFAULT_WORK_CAP)
         if c > best_c:
             best_u, best_c = u, c
     return best_u, best_c, bound
+
+
+def line_read_set(text: str, m: int) -> tuple:
+    """The m-D points of a SET file, read one line at a time: the first line
+    holding a token that is no integer is named, then the first point that
+    is not m-dimensional; the points come back sorted and distinct."""
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
+    rows = []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            row = tuple(map(int, line.split()))
+        except ValueError as exc:
+            raise ValueError(f"set file line {ln}: {raw!r} is not integers") from exc
+        rows.append(row)
+    bad = next((p for p in rows if len(p) != m), None)
+    if bad is not None:
+        raise ValueError(f"point {bad!r} is not {m}-dimensional")
+    return tuple(sorted(set(rows)))
+
+
+def point_certifies(witness: WitnessMD, grid: IndexedGrid, eps) -> bool:
+    """q^2 * |L*x_v - L*a - L*d*v|^2 < (p * L*d)^2 for eps = p/q, tested
+    point by point over the common denominator L of a and d."""
+    e = check_epsilon(eps)
+    ratios = [c.as_integer_ratio() for c in (*witness.a, witness.d)]
+    den = math.lcm(*(q for _, q in ratios))
+    *a, d = [n * (den // q) for n, q in ratios]
+    if d <= 0:
+        return False
+    bound = (e.numerator * d) ** 2
+    qq = e.denominator ** 2
+    for v, x in grid.assignment.items():
+        norm = 0
+        for xc, ac, vc in zip(x, a, v):
+            t = den * xc - ac - d * vc
+            norm += t * t
+        if norm * qq >= bound:
+            return False
+    return True
+
+
+def fraction_certifies(witness: WitnessMD, grid: IndexedGrid, eps: Fraction) -> bool:
+    """|x_v - a - d*v|^2 < (eps*d)^2 for every v, in Fractions."""
+    a = [Fraction(c) for c in witness.a]
+    d = Fraction(witness.d)
+    return d > 0 and all(
+        sum((x - ac - d * u) ** 2 for x, ac, u in zip(p, a, v)) < (eps * d) ** 2
+        for v, p in grid.assignment.items())
+
+
+def sort_index_grid_points(point_set, m: int, k: int, eps) -> IndexedGrid:
+    """index_grid_points by sorting the points themselves on each axis and
+    appending each point's cluster rank to its index vector."""
+    if m < 1 or k < 2:
+        raise ValueError(f"need m >= 1 and k >= 2, got m={m}, k={k}")
+    e = check_epsilon(eps)
+    if e >= Fraction(1, 2):
+        raise ValueError(f"index recovery requires eps < 1/2, got {e}")
+    pts = check_points(point_set, m)
+    if len(pts) != k ** m:
+        raise ValueError(f"expected {k ** m} distinct points, got {len(pts)}")
+    cluster = k ** (m - 1)
+    index_of = {p: [] for p in pts}
+    for axis in range(m):
+        order = sorted(pts, key=lambda p: p[axis])  # stable: pts is sorted
+        coords = [p[axis] for p in order]
+        for c in range(1, k):
+            if coords[c * cluster - 1] == coords[c * cluster]:
+                raise IndexingError(
+                    f"axis {axis}: tied coordinate {coords[c * cluster]} straddles "
+                    f"the cluster boundary at rank {c}"
+                )
+        for rank, p in enumerate(order):
+            index_of[p].append(rank // cluster)
+    assignment = {tuple(idx): p for p, idx in index_of.items()}
+    if len(assignment) != k ** m:
+        raise IndexingError("per-axis clustering produced a non-injective indexing")
+    return IndexedGrid(m, k, assignment)

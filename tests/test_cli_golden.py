@@ -156,6 +156,9 @@ CASES = [
      '',
      'error: cap must be >= 0, got -1\n',
      None),
+    # the schedule builds nothing, so a cap would be ignored
+    ('construct lowerbound --k 771 --r 2 --eps 1/30 --eps0 1/30 --params-only --cap 1',
+     2, '', 'error: --params-only takes no --cap\n', None),
     ('construct behrend --eps 1/125 --h 2', 0,
      'q = 5\nhead = [0, 1, 3, 4]\ntail = [2, 3]\nsize = 8\n'
      '2 3 7 8 17 18 22 23\n', '', None),
@@ -282,6 +285,30 @@ CASES = [
      '0)": [0, 0], "(0, 1)": [0, 10], "(1, 0)": [10, 0], "(1, 1)": [10, '
      '10]}, "witness": {"a": ["0.0", "0.0"], "certified": true, '
      '"d": "10.0", "residual": "2.5", "tol": "1e-09"}}}\n', '', None),
+    # the work cap counts search nodes: the progression [1, 2, 3] takes 4,
+    # the 2x2 cube 11 (its axis projections included)
+    ('verify coloring --file mono.txt --work-cap 1', 2,
+     '', 'error: search work cap of 1 exceeded\n', None),
+    ('verify coloring --file mono.txt --work-cap 4', 1,
+     'monochromatic: color 1 on [1, 2, 3]\n', '', None),
+    ('verify set --file run.txt --m 1 --k 3 --eps 1/100 --work-cap 1', 2,
+     '', 'error: search work cap of 1 exceeded\n', None),
+    ('verify set --file run.txt --m 1 --k 3 --eps 1/100 --work-cap 3', 2,
+     '', 'error: search work cap of 3 exceeded\n', None),
+    ('verify set --file run.txt --m 1 --k 3 --eps 1/100 --work-cap 4', 1,
+     'contains approximate structure: [1, 2, 3]\n', '', None),
+    ('verify set --file grid.txt --m 2 --k 2 --eps 1/4 --work-cap 10', 2,
+     '', 'error: search work cap of 10 exceeded\n', None),
+    ('verify set --file grid.txt --m 2 --k 2 --eps 1/4 --work-cap 11', 1,
+     'contains approximate structure: [(0, 0), (0, 10), (10, 0), (10, 10)]\n',
+     '', None),
+    # a negative cap is refused even where no search runs
+    ('verify set --file one.txt --m 2 --k 2 --eps 1/4 --work-cap -1', 2,
+     '', 'error: work cap must be >= 0, got -1\n', None),
+    ('verify set --file line.txt --m 1 --k 5 --eps 1/4 --work-cap -1', 2,
+     '', 'error: work cap must be >= 0, got -1\n', None),
+    ('verify coloring --file good.txt --work-cap -1', 2,
+     '', 'error: work cap must be >= 0, got -1\n', None),
     ('verify set --file line.txt --m 0 --k 3 --eps 1/100', 2,
      '',
      'error: need m >= 1, got m=0\n',

@@ -17,7 +17,7 @@ from epsap.cli import main
 from epsap.colorings import Coloring, build_simple_r2_coloring, verify_no_mono_ap
 from epsap.geometry import WitnessMD
 from epsap.search import EpsApHypergraph, enumerate_eps_aps
-from oracles import has_exact_ap, read_hypergraph
+from oracles import has_exact_ap, line_read_set, read_hypergraph
 from test_cli_golden import CASES, HUGE_CASES
 
 F = Fraction
@@ -81,6 +81,65 @@ def test_set_round_trip_property(m, data, comment):
     back = formats.read_set(head + text, m=m)
     assert back == tuple(sorted(set(pts)))
     assert formats.write_set(back) == formats.write_set(sorted(set(pts)))
+
+
+# Whitespace that str.split and str.strip both skip, a fullwidth digit that
+# int reads, and tokens that are no integer, '#' ones among them.
+_SPACE = st.sampled_from([" ", "  ", "\t", " \t", "\x0c", "\u3000"])
+_INT_TOKEN = st.builds("{}{}{}".format, st.sampled_from(["", "+", "-"]),
+                       st.sampled_from(["", "0", "1_0", "\uff11"]),
+                       st.integers(0, 10 ** 12))
+_BAD_TOKEN = st.sampled_from(["x", "1.5", "True", "#2", "--3", "1e3", "0x10", "_1"])
+
+
+@st.composite
+def _set_texts(draw):
+    """(text, m): a SET file whose lines are points (repeated and out of
+    order), comments, blank or whitespace-only lines, rows one token short
+    or long, and rows holding a bad token."""
+    m = draw(st.integers(1, 3))
+    pool = draw(st.lists(st.lists(_INT_TOKEN, min_size=m, max_size=m),
+                         min_size=1, max_size=4))
+    lines = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["point"] * 6 + ["comment", "blank", "space", "short", "long", "bad"]),
+            max_size=12)):
+        row = list(draw(st.sampled_from(pool)))
+        if kind == "comment":
+            row = [draw(st.sampled_from(["#", "#x", "# 1 2", "#3"]))]
+        elif kind in ("blank", "space"):
+            row = []
+        elif kind == "short":
+            row = row[:-1]
+        elif kind == "long":
+            row.append(draw(_INT_TOKEN))
+        elif kind == "bad":
+            row[draw(st.integers(0, m - 1))] = draw(_BAD_TOKEN)
+        line = draw(_SPACE) if kind == "space" or draw(st.booleans()) else ""
+        for i, token in enumerate(row):
+            line += (draw(_SPACE) if i else "") + token
+        lines.append(line + (draw(_SPACE) if draw(st.booleans()) else ""))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + (end if draw(st.booleans()) else ""), m
+
+
+def _read_outcome(read, text, m):
+    try:
+        return read(text, m)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_set_texts())
+@example(("1 2\n3\n# 4 5\n", 2))  # a short row before a comment
+@example(("2 1\n1 x\n3\n", 2))  # a bad token after a short row
+@example(("5\n\n  \t\n-3\n+5\n", 1))  # blank lines, signs, a repeat
+def test_set_reader_equals_the_line_reader(case):
+    # one pass over the whole file gives the points or the error text that
+    # reading it line by line gives
+    text, m = case
+    assert _read_outcome(formats.read_set, text, m) == _read_outcome(line_read_set, text, m)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

@@ -30,13 +30,16 @@ from epsap.geometry import (
 )
 from oracles import (
     _inside,
+    fraction_certifies,
     gap_ratio_filter,
     golden_section_recognize_cube,
     lp_vertex_accepts,
     naive_enclosing_circle_2d,
     pairwise_recognize_ap,
+    point_certifies,
     recursive_welzl_ball,
     region_scale_interval,
+    sort_index_grid_points,
 )
 
 F = Fraction
@@ -829,6 +832,44 @@ def test_cube_witness_certifies_exactly():
     assert not WitnessMD(a=(2.0, 2.0), d=0.0, residual=0.0).certifies(grid, eps)
 
 
+@st.composite
+def _boundary_witnesses(draw):
+    """(witness, grid, eps): a grid near base + scale*v, and a center moved
+    off base by about eps*d, then a few floats on, so that the farthest
+    point sits just inside, on or just outside its ball."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    scale = draw(st.integers(5, 10 ** 6))
+    base = draw(st.tuples(*[st.integers(-10 ** 9, 10 ** 9)] * m))
+    still = (0,) * m
+    noise = draw(st.lists(st.one_of(st.just(still), st.tuples(*[st.integers(-2, 2)] * m)),
+                          min_size=k ** m, max_size=k ** m))
+    grid = IndexedGrid(m, k, {
+        v: tuple(b + scale * c + n for b, c, n in zip(base, v, nv))
+        for v, nv in zip(product(range(k), repeat=m), noise)})
+    eps = draw(st.sampled_from([F(1, 4), F(1, 3), F(1, 5), F(3, 8), F(2, 7)]))
+    d = float(scale)
+    for _ in range(draw(st.integers(0, 2))):
+        d = math.nextafter(d, draw(st.sampled_from([0.0, math.inf])))
+    way = draw(st.tuples(*[st.integers(-3, 3)] * m).filter(any))
+    length = math.hypot(*way)
+    a = [b + float(eps) * d * w / length for b, w in zip(base, way)]
+    axis = draw(st.integers(0, m - 1))
+    for _ in range(draw(st.integers(0, 3))):
+        a[axis] = math.nextafter(a[axis], draw(st.sampled_from([-math.inf, math.inf])))
+    return WitnessMD(a=tuple(a), d=d, residual=0.0), grid, eps
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_boundary_witnesses())
+def test_cube_certificate_equals_the_fraction_check_across_the_boundary(case):
+    # the column-wise integer check, the per-point one and the one in
+    # Fractions give one verdict, on either side of the sphere and on it
+    witness, grid, eps = case
+    verdict = fraction_certifies(witness, grid, eps)
+    assert witness.certifies(grid, eps) is verdict
+    assert point_certifies(witness, grid, eps) is verdict
+
+
 def test_cube_duplicate_points_rejected():
     with pytest.raises(ValueError):
         IndexedGrid(m=1, k=2, assignment={(0,): (1,), (1,): (1,)})
@@ -866,6 +907,37 @@ def test_index_recovery_affine_invariance():
     grid = index_grid_points(pts, 2, 3, F(1, 4))
     assert all(grid.assignment[v] == (10 * v[0] + 3, 10 * v[1] + 7)
                for v in grid.assignment)
+
+
+def _index_outcome(index, pts, m, k):
+    try:
+        grid = index(pts, m, k, F(1, 4))
+    except ValueError as exc:  # IndexingError among them
+        return type(exc).__name__, str(exc)
+    return grid.m, grid.k, list(grid.assignment.items())
+
+
+@st.composite
+def _tied_grids(draw):
+    """(points, m, k): k^m points scale*v + noise, shuffled, with a scale
+    small enough that coordinates tie across clusters and points repeat."""
+    m, k = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    scale, spread = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    pts = [tuple(scale * c + draw(st.integers(-spread, spread)) for c in v)
+           for v in product(range(k), repeat=m)]
+    return draw(st.permutations(pts)), m, k
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_tied_grids())
+@example(([(0, 0), (0, 1), (0, 2), (0, 3)], 2, 2))  # a tie straddles axis 0
+@example(([(0, 0), (1, 0), (2, 1), (3, 1)], 2, 2))  # no tie, yet not injective
+def test_index_recovery_equals_sorting_the_points(case):
+    # rank columns give the sort-based assignment, in the same order, or
+    # the same error
+    pts, m, k = case
+    assert _index_outcome(index_grid_points, pts, m, k) == _index_outcome(
+        sort_index_grid_points, pts, m, k)
 
 
 def test_index_recovery_ambiguity_is_an_error():
