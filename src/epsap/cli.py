@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import Any, Callable, NamedTuple, Optional
 
 from . import colorings, density, formats, geometry, search
 from .errors import DEFAULT_WORK_CAP, MemoryGuardExceeded, SearchCapExceeded
@@ -324,14 +325,161 @@ def _cmd_translate(args):
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: every command and its options are declared once, in COMMANDS
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--format", choices=("text", "json", "csv"),
-                        default="text", help="output format")
-    parser.add_argument("--json", dest="format", action="store_const",
-                        const="json", help="shorthand for --format json")
+class Option(NamedTuple):
+    """One option, as add_argument takes it; a row with a const takes no value."""
+
+    name: str
+    type: Callable = str
+    default: Any = None
+    required: bool = False
+    const: Any = None
+    dest: Optional[str] = None
+    choices: Optional[tuple] = None
+    help: Optional[str] = None
+
+
+_FORMAT = (Option("--format", choices=("text", "json", "csv"), default="text",
+                  help="output format"),
+           Option("--json", dest="format", const="json", help="shorthand for --format json"))
+
+
+class Command:
+    """A command: words, handler, help and options, the shared --format/--json last."""
+
+    def __init__(self, words: tuple, handler, help: str, *options: Option):
+        self.words, self.handler, self.help = words, handler, help
+        self.options = options + _FORMAT
+
+    @functools.cached_property
+    def _reader(self) -> tuple:
+        """name -> (dest, option), the required dests and the defaults."""
+        dests = {o.name: (o.dest or o.name[2:].replace("-", "_"), o) for o in self.options}
+        defaults = {dest: o.default for dest, o in reversed(dests.values())}
+        defaults.update(zip(("command", "what"), self.words), handler=self.handler)
+        return dests, [dest for dest, o in dests.values() if o.required], defaults
+
+    def read(self, tokens: list) -> Optional[argparse.Namespace]:
+        """The namespace of well-formed option tokens, else None: exact names
+        as `--opt value`, `--opt=value` or a flag, each dest once, no value
+        starting with "-", all required options, typed values within choices."""
+        dests, required, defaults = self._reader
+        values = {}
+        tokens = iter(tokens)
+        for token in tokens:
+            name, eq, value = token.partition("=")
+            dest, option = dests.get(name, (None, None))
+            if option is None or dest in values:
+                return None
+            if option.const is not None:
+                if eq:
+                    return None
+                values[dest] = option.const
+                continue
+            if not eq:
+                value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            try:
+                value = option.type(value)
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+            if option.choices is not None and value not in option.choices:
+                return None
+            values[dest] = value
+        if not all(dest in values for dest in required):
+            return None
+        return argparse.Namespace(**{**defaults, **values})
+
+
+_EPS = Option("--eps", _parse_eps, required=True)
+_WORK_CAP = Option("--work-cap", int, DEFAULT_WORK_CAP)
+
+
+def _required_int(name: str) -> Option:
+    return Option(name, int, required=True)
+
+
+def _flag(name: str, help: Optional[str] = None) -> Option:
+    return Option(name, default=False, const=True, help=help)
+
+
+_GROUPS = {"recognize": "decide approximate structure",
+           "construct": "build the explicit objects",
+           "verify": "check built objects"}
+COMMANDS = (
+    Command(("recognize", "ap"), _cmd_recognize_ap, "1-D recognizer (exact)",
+            Option("--points", required=True, help="comma-separated integers, increasing"),
+            _EPS),
+    Command(("recognize", "cube"), _cmd_recognize_cube,
+            "m-D recognizer (numeric); needs eps < 1/2 to recover the grid "
+            "indexing from an unordered file, use `verify set` otherwise",
+            Option("--file", required=True, help="SET file with k^m points"),
+            _required_int("--m"), _required_int("--k"), _EPS),
+    Command(("construct", "blowup"), _cmd_construct_blowup, "iterated 1-D blow-up",
+            _required_int("--k"), _required_int("--r"), _EPS, _flag("--one-based"),
+            Option("--cap", int, colorings.BLOWUP_CAP)),
+    Command(("construct", "alternate"), _cmd_construct_alternate,
+            "periodic +-1 block labeling",
+            _required_int("--r"), _required_int("--D"), _required_int("--t"),
+            Option("--offset", int, 0)),
+    Command(("construct", "simple-r2"), _cmd_construct_simple_r2,
+            "two-color block coloring",
+            _required_int("--k"),
+            _EPS._replace(help="recorded in the coloring header for later verification"),
+            Option("--out", help="write COLORING file here instead of stdout")),
+    Command(("construct", "lowerbound"), _cmd_construct_lowerbound,
+            "recursive lower-bound coloring",
+            _required_int("--k"), _required_int("--r"), _EPS,
+            Option("--eps0", _parse_eps, colorings.DEFAULT_EPS0),
+            Option("--cap", int, help="most colors to build (default "
+                   f"{colorings.DEFAULT_MATERIALIZE_CAP}); not with --params-only"),
+            _flag("--params-only", "print the parameter schedule without building"),
+            Option("--out", help="write COLORING file here instead of stdout")),
+    Command(("construct", "behrend"), _cmd_construct_behrend, "base-q digit set",
+            _EPS, _required_int("--h"), Option("--k", int, 3), _flag("--one-based")),
+    Command(("construct", "cube-blowup"), _cmd_construct_cube_blowup,
+            "iterated m-D blow-up",
+            _required_int("--m"), _required_int("--k"), _EPS,
+            Option("--alpha", _parse_eps, required=True,
+                   help="density threshold as an exact rational p/q"),
+            Option("--cap", int, density.CUBE_BLOWUP_CAP),
+            Option("--out", help="write SET file here")),
+    Command(("construct", "product"), _cmd_construct_product, "A x [N]^(m-1)",
+            Option("--set", required=True, help="SET file holding A (one column)"),
+            _required_int("--m"), _required_int("--N"),
+            Option("--out", help="write SET file here")),
+    Command(("verify", "coloring"), _cmd_verify_coloring,
+            "coloring free of monochromatic hits?",
+            Option("--file", required=True, help="COLORING file"),
+            Option("--k", int, help="override the header k"),
+            Option("--eps", _parse_eps, help="override the header eps"),
+            _WORK_CAP._replace(help="cap on the search nodes over all color classes")),
+    Command(("verify", "set"), _cmd_verify_set, "set free of approximate structure?",
+            Option("--file", required=True, help="SET file"),
+            _required_int("--m"), _required_int("--k"), _EPS,
+            _WORK_CAP._replace(help="cap on the search nodes")),
+    Command(("wnumber",), _cmd_wnumber, "least forcing N, exactly",
+            _required_int("--k"), _required_int("--r"), _EPS, _required_int("--nmax"),
+            _WORK_CAP),
+    Command(("density",), _cmd_density, "largest free subset, exactly",
+            _required_int("--N"), Option("--m", int, 1), _required_int("--k"),
+            Option("--eps", _parse_eps,
+                   help="omit together with --exact-aps for the exact-progression case"),
+            _flag("--exact-aps", "measure exact progressions instead (m=1 only)"),
+            _WORK_CAP),
+    Command(("hypergraph",), _cmd_hypergraph, "enumerate all approximate progressions",
+            _required_int("--N"), _required_int("--k"), _EPS,
+            Option("--out", help="write HYPERGRAPH file here"),
+            _WORK_CAP._replace(help="cap on the search nodes plus the listed edges")),
+    Command(("translate",), _cmd_translate, "dense translate of a configuration",
+            Option("--set-a", required=True, help="SET file for A"),
+            Option("--set-x", required=True, help="SET file for X"),
+            _required_int("--N"), _required_int("--m"), _WORK_CAP),
+)
+_BY_WORDS = {command.words: command for command in COMMANDS}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -343,193 +491,41 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls
-    in the same process (parse_args fills a fresh namespace each time).
-
-    Its `commands` maps the words of each command, such as ("recognize",
-    "ap") or ("density",), to that command's own parser: the leaf of the
-    tree that reads the command's options."""
+    """The argparse tree of COMMANDS, built on first use and shared by later
+    calls in the same process (parse_args fills a fresh namespace each time)."""
     parser = _Parser(
         prog="epsap",
         description="Recognize, construct, and exactly measure approximate "
                     "arithmetic progressions and cubes.")
-    parser.commands = {}
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(subparsers, *words, **kwargs):
-        """Add the command named by `words` and record its parser."""
-        leaf = parser.commands[words] = subparsers.add_parser(words[-1], **kwargs)
-        return leaf
-
-    rec = sub.add_parser("recognize", help="decide approximate structure")
-    rec_sub = rec.add_subparsers(dest="what", required=True)
-    p = add(rec_sub, "recognize", "ap", help="1-D recognizer (exact)")
-    p.add_argument("--points", required=True, help="comma-separated integers, increasing")
-    p.add_argument("--eps", type=_parse_eps, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_recognize_ap)
-    p = add(
-        rec_sub, "recognize", "cube",
-        help="m-D recognizer (numeric); needs eps < 1/2 to recover the grid "
-             "indexing from an unordered file, use `verify set` otherwise")
-    p.add_argument("--file", required=True, help="SET file with k^m points")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=_parse_eps, required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_recognize_cube)
-
-    con = sub.add_parser("construct", help="build the explicit objects")
-    con_sub = con.add_subparsers(dest="what", required=True)
-    p = add(con_sub, "construct", "blowup", help="iterated 1-D blow-up")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--one-based", action="store_true")
-    p.add_argument("--cap", type=int, default=colorings.BLOWUP_CAP)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_construct_blowup)
-    p = add(con_sub, "construct", "alternate", help="periodic +-1 block labeling")
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--D", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--offset", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_construct_alternate)
-    p = add(con_sub, "construct", "simple-r2", help="two-color block coloring")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=_parse_eps, required=True,
-                   help="recorded in the coloring header for later verification")
-    p.add_argument("--out", help="write COLORING file here instead of stdout")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_construct_simple_r2)
-    p = add(con_sub, "construct", "lowerbound", help="recursive lower-bound coloring")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--eps0", type=_parse_eps, default=colorings.DEFAULT_EPS0)
-    p.add_argument("--cap", type=int,
-                   help="most colors to build (default "
-                        f"{colorings.DEFAULT_MATERIALIZE_CAP}); not with --params-only")
-    p.add_argument("--params-only", action="store_true",
-                   help="print the parameter schedule without building")
-    p.add_argument("--out", help="write COLORING file here instead of stdout")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_construct_lowerbound)
-    p = add(con_sub, "construct", "behrend", help="base-q digit set")
-    p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--h", type=int, required=True)
-    p.add_argument("--k", type=int, default=3)
-    p.add_argument("--one-based", action="store_true")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_construct_behrend)
-    p = add(con_sub, "construct", "cube-blowup", help="iterated m-D blow-up")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--alpha", type=_parse_eps, required=True,
-                   help="density threshold as an exact rational p/q")
-    p.add_argument("--cap", type=int, default=density.CUBE_BLOWUP_CAP)
-    p.add_argument("--out", help="write SET file here")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_construct_cube_blowup)
-    p = add(con_sub, "construct", "product", help="A x [N]^(m-1)")
-    p.add_argument("--set", required=True, help="SET file holding A (one column)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--out", help="write SET file here")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_construct_product)
-
-    ver = sub.add_parser("verify", help="check built objects")
-    ver_sub = ver.add_subparsers(dest="what", required=True)
-    p = add(ver_sub, "verify", "coloring", help="coloring free of monochromatic hits?")
-    p.add_argument("--file", required=True, help="COLORING file")
-    p.add_argument("--k", type=int, help="override the header k")
-    p.add_argument("--eps", type=_parse_eps, help="override the header eps")
-    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP,
-                   help="cap on the search nodes over all color classes")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify_coloring)
-    p = add(ver_sub, "verify", "set", help="set free of approximate structure?")
-    p.add_argument("--file", required=True, help="SET file")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP,
-                   help="cap on the search nodes")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify_set)
-
-    p = add(sub, "wnumber", help="least forcing N, exactly")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_wnumber)
-
-    p = add(sub, "density", help="largest free subset, exactly")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--m", type=int, default=1)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=_parse_eps,
-                   help="omit together with --exact-aps for the exact-progression case")
-    p.add_argument("--exact-aps", action="store_true",
-                   help="measure exact progressions instead (m=1 only)")
-    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_density)
-
-    p = add(sub, "hypergraph", help="enumerate all approximate progressions")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--eps", type=_parse_eps, required=True)
-    p.add_argument("--out", help="write HYPERGRAPH file here")
-    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP,
-                   help="cap on the search nodes plus the listed edges")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_hypergraph)
-
-    p = add(sub, "translate", help="dense translate of a configuration")
-    p.add_argument("--set-a", required=True, help="SET file for A")
-    p.add_argument("--set-x", required=True, help="SET file for X")
-    p.add_argument("--N", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--work-cap", type=int, default=DEFAULT_WORK_CAP)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_translate)
-
+    subs = {(): sub}
+    for word, help in _GROUPS.items():
+        group = sub.add_parser(word, help=help)
+        subs[(word,)] = group.add_subparsers(dest="what", required=True)
+    for command in COMMANDS:
+        leaf = subs[command.words[:-1]].add_parser(command.words[-1], help=command.help)
+        for o in command.options:
+            takes = ({"action": "store_const", "const": o.const} if o.const is not None
+                     else {"type": o.type, "required": o.required, "choices": o.choices})
+            leaf.add_argument(o.name, dest=o.dest, default=o.default, help=o.help, **takes)
+        leaf.set_defaults(handler=command.handler)
     return parser
 
 
 def _parse(argv: list) -> argparse.Namespace:
-    """argv parsed by its command's own parser, with `command` and `what`
-    set as the tree's subparsers set them.  The whole tree parses argv only
-    when its first words name no command or the command's parser leaves
-    arguments over, so help, unknown commands and stray arguments are
-    reported by the tree, as a single parser would report them."""
-    parser = build_parser()
-    for words in (tuple(argv[:2]), tuple(argv[:1])):
-        leaf = parser.commands.get(words)
-        if leaf is None:
-            continue
-        args, rest = leaf.parse_known_args(argv[len(words):])
-        if rest:
-            break
-        args.command = words[0]
-        if len(words) == 2:
-            args.what = words[1]
-        return args
-    return parser.parse_args(argv)
+    """argv read by Command.read when its first one or two words name a
+    command and the rest is well formed, else parsed by the whole tree: help,
+    abbreviations, repeats, `--`, negative values and every usage error."""
+    n = 2 if tuple(argv[:2]) in _BY_WORDS else 1
+    command = _BY_WORDS.get(tuple(argv[:n]))
+    args = command and command.read(argv[n:])
+    return args or build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     """Run one command line (sys.argv[1:] when argv is None) and return its
-    exit code.  A call is parsed by its command's own parser, and by the
-    whole parser tree only for help and usage errors; the parsers are built
-    on the first call and reused."""
+    exit code.  A well-formed call is read from COMMANDS, and the argparse
+    tree, built on the first call that needs it and reused, parses the rest."""
     try:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:

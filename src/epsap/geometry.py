@@ -622,7 +622,7 @@ def _circumsphere(boundary):
     if n == 0:
         return p0, 0.0
     # Gaussian elimination with partial pivoting on the augmented rows [G | rhs].
-    rows = [[sum(map(mul, ur, uc)) for uc in us] for ur in us]
+    rows = [[math.fsum(map(mul, ur, uc)) for uc in us] for ur in us]
     for r, row in enumerate(rows):
         row.append(row[r] / 2.0)
     tiny = 1e-12 * max(row[r] for r, row in enumerate(rows))
@@ -642,7 +642,7 @@ def _circumsphere(boundary):
     lam = [0.0] * n
     for r in range(n - 1, -1, -1):
         row = rows[r]
-        lam[r] = (row[n] - sum(map(mul, row[r + 1:n], lam[r + 1:]))) / row[r]
+        lam[r] = (row[n] - math.fsum(map(mul, row[r + 1:n], lam[r + 1:]))) / row[r]
     center = p0
     for weight, u in zip(lam, us):
         center = [c + weight * x for c, x in zip(center, u)]
@@ -806,20 +806,24 @@ class WitnessMD(NamedTuple):
         squared norms are summed one axis at a time, over whole columns,
         and only the largest is compared.
         """
-        e = check_epsilon(eps)
-        ratios = [c.as_integer_ratio() for c in (*self.a, self.d)]
-        den = math.lcm(*(q for _, q in ratios))
-        *a, d = [n * (den // q) for n, q in ratios]
-        if d <= 0:
-            return False
-        points = grid.assignment
-        norms = None
-        for xs, vs, ac in zip(zip(*points.values()), zip(*points), a):
-            at = [ac + d * c for c in range(grid.k)]  # L*a + L*d*v on this axis
-            t = [den * x - at[c] for x, c in zip(xs, vs)]
-            squares = list(map(mul, t, t))
-            norms = squares if norms is None else list(map(add, norms, squares))
-        return norms is None or max(norms) * e.denominator ** 2 < (e.numerator * d) ** 2
+        return _certifies(self, zip(*grid.assignment.values()), zip(*grid.assignment),
+                          grid.k, check_epsilon(eps))
+
+
+def _certifies(witness: WitnessMD, columns, index_columns, k: int, e: Fraction) -> bool:
+    """WitnessMD.certifies on a grid's coordinate columns and index columns."""
+    ratios = [c.as_integer_ratio() for c in (*witness.a, witness.d)]
+    den = math.lcm(*(q for _, q in ratios))
+    *a, d = [n * (den // q) for n, q in ratios]
+    if d <= 0:
+        return False
+    norms = None
+    for xs, vs, ac in zip(columns, index_columns, a):
+        at = [ac + d * c for c in range(k)]  # L*a + L*d*v on this axis
+        t = [den * x - at[c] for x, c in zip(xs, vs)]
+        squares = list(map(mul, t, t))
+        norms = squares if norms is None else list(map(add, norms, squares))
+    return norms is None or max(norms) * e.denominator ** 2 < (e.numerator * d) ** 2
 
 
 class CubeDecision(NamedTuple):
@@ -980,7 +984,7 @@ def recognize_cube(grid: IndexedGrid, eps) -> CubeDecision:
         largest distance from {x_v - d*v}."""
         if far < e * d:
             witness = WitnessMD(a=center, d=d, residual=e * d - far)
-            if witness.certifies(grid, exact_eps):
+            if _certifies(witness, columns, index_columns, k, exact_eps):
                 return CubeDecision("feasible", witness, exact=True)
         return None
 
@@ -1000,7 +1004,7 @@ def recognize_cube(grid: IndexedGrid, eps) -> CubeDecision:
     d0 = 6 * moment / (m * k ** m * (k * k - 1))
     if d0 > 0:
         at_d0 = shifted(d0)
-        a0 = tuple(sum(c) / len(at_d0) for c in zip(*at_d0))
+        a0 = tuple(math.fsum(c) / len(at_d0) for c in zip(*at_d0))
         # a0 settles most feasible grids; the ball is built only when it fails
         decision = settled(a0, max(map(math.dist, repeat(a0), at_d0)), d0)
         if decision is None:

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from epsap import cli, density, formats, geometry
 from epsap.cli import main
 from epsap.colorings import Coloring, build_simple_r2_coloring, verify_no_mono_ap
-from epsap.geometry import WitnessMD
 from epsap.search import EpsApHypergraph, enumerate_eps_aps
 from oracles import has_exact_ap, line_read_set, read_hypergraph
 from test_cli_golden import CASES, HUGE_CASES
@@ -446,9 +445,9 @@ def test_cli_recognize_cube_infeasible(tmp_path, capsys):
 
 
 def _certifies_spy():
-    """WitnessMD.certifies, wrapped so that its calls are counted."""
-    return mock.patch.object(WitnessMD, "certifies", autospec=True,
-                             side_effect=WitnessMD.certifies)
+    """The exact certificate kernel that WitnessMD.certifies and
+    recognize_cube share, wrapped so that its calls are counted."""
+    return mock.patch.object(geometry, "_certifies", side_effect=geometry._certifies)
 
 
 def test_cli_verify_set_certifies_an_exact_cube_hit_once(tmp_path, capsys):
@@ -560,7 +559,7 @@ def test_cli_module_reports_what_no_command_parser_takes_from_the_tree():
 
 
 # ---------------------------------------------------------------------------
-# Parsing: a call goes to its command's own parser, the tree takes the rest
+# Parsing: a well-formed call is read from the table, the tree takes the rest
 # ---------------------------------------------------------------------------
 
 MALFORMED_ARGVS = [
@@ -603,10 +602,85 @@ def _parsed(capsys, parse, argv):
 @pytest.mark.parametrize("argv", [case[0] for case in CASES + HUGE_CASES]
                          + MALFORMED_ARGVS)
 def test_cli_command_parser_reads_argv_as_the_whole_tree_does(capsys, argv):
-    """The command's own parser, with the tree as fallback, gives what the
-    tree alone gives.  CI runs this on every supported Python, as argparse's
-    internals differ between versions."""
+    """The table's reader, with the tree as fallback, gives what the tree
+    alone gives.  CI runs this on every supported Python, as argparse's
+    behaviour differs between versions."""
     tokens = argv.split()
+    assert (_parsed(capsys, cli._parse, tokens)
+            == _parsed(capsys, cli.build_parser().parse_args, tokens))
+
+
+# option values by type: those its type takes, then those it refuses or
+# the fast path leaves to the tree
+_VALUES = {
+    int: (["0", "3", "12", "1_0"], ["-1", "-40", "x", "", "2.5"]),
+    cli._parse_eps: (["1/3", "1/10", "2"], ["-1/4", "0", "0.25", "1/0", "x"]),
+    str: (["1,3,6", "grid.txt", "a b", "x=y"], ["", "-", "-1,3"]),
+}
+_STRAYS = ["-h", "--help", "--", "extra", "--frob", "-1", "--json=1", "--format="]
+
+
+_FAULTS = ("drop", "repeat", "abbreviate", "bad", "missing", "stray", "word")
+
+
+@st.composite
+def _command_argvs(draw):
+    """An argv for a command of the table.  It starts well formed: every
+    required option and up to three others, in any order, as `--opt value`
+    or `--opt=value` with values the types take.  Then up to two faults are
+    made in it: an option dropped or repeated, a name abbreviated, a value
+    the type refuses or that starts with "-", a value or the last command
+    word left out, a flag given a value, or a stray token added."""
+    command = draw(st.sampled_from(cli.COMMANDS))
+
+    def given(option, bad=False):
+        """[option, name, value, form]; form is " " or "=", value None for none."""
+        if option.const is not None:
+            return [option, option.name, "x" if bad else None, "="]
+        good, refused = ((list(option.choices), ["xml"]) if option.choices
+                         else _VALUES[option.type])
+        return [option, option.name, draw(st.sampled_from(refused if bad else good)),
+                draw(st.sampled_from(" ="))]
+
+    optional = [o for o in command.options if not o.required]
+    options = [o for o in command.options if o.required]
+    options += draw(st.lists(st.sampled_from(optional), max_size=3, unique=True))
+    groups = [given(o) for o in draw(st.permutations(options))]
+    strays = []
+    for fault in draw(st.lists(st.sampled_from(_FAULTS), max_size=2)):
+        at = draw(st.integers(0, len(groups)))
+        if fault == "repeat":
+            groups.insert(at, given(draw(st.sampled_from(command.options))))
+        elif fault in ("stray", "word"):
+            strays.append(fault)
+        elif at < len(groups):
+            group = groups[at]
+            if fault == "drop":
+                del groups[at]
+            elif fault == "abbreviate":
+                group[1] = group[1][:-1]  # a prefix, or "--" itself
+            elif fault == "missing":
+                group[2] = None
+            else:
+                group[2:] = given(group[0], bad=True)[2:]
+    tokens = list(command.words)
+    for _, name, value, form in groups:
+        tokens += ([name] if value is None else [name, value] if form == " "
+                   else [f"{name}={value}"])
+    for fault in strays:
+        if fault == "stray":
+            tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_STRAYS)))
+        elif len(command.words) == 2:
+            del tokens[1]
+    return tokens
+
+
+@settings(max_examples=600, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tokens=_command_argvs())
+def test_cli_command_parser_reads_generated_argv_as_the_whole_tree_does(capsys, tokens):
+    """As above, over generated calls of every command in the table: the
+    table's reader takes the well-formed ones, and the tree the rest."""
     assert (_parsed(capsys, cli._parse, tokens)
             == _parsed(capsys, cli.build_parser().parse_args, tokens))
 

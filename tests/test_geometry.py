@@ -832,6 +832,19 @@ def test_cube_witness_certifies_exactly():
     assert not WitnessMD(a=(2.0, 2.0), d=0.0, residual=0.0).certifies(grid, eps)
 
 
+def test_cube_stage_one_center_is_the_same_float_on_every_python():
+    # The stage-1 center is the mean of {x_v - d0*v}.  Its second column's
+    # plain left-to-right float sum ends in ...886 on Python 3.10 and 3.11,
+    # while the built-in sum compensates from 3.12 on; the correctly rounded
+    # sum is ...884 on every version, and the witness must not depend on it.
+    rows = [(-1, -1), (-1, 3), (1, 8), (5, -1), (5, 3), (4, 8), (9, -1), (9, 4), (9, 8)]
+    grid = IndexedGrid(m=2, k=3, assignment=dict(zip(product(range(3), repeat=2), rows)))
+    decision = recognize_cube(grid, F(1, 4))
+    assert decision.status == "feasible"
+    assert decision.witness.d == 4.583333333333333
+    assert decision.witness.a == (-0.1388888888888886, -1.1388888888888884)
+
+
 @st.composite
 def _boundary_witnesses(draw):
     """(witness, grid, eps): a grid near base + scale*v, and a center moved

@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import epsap
-from epsap.cli import build_parser
+from epsap.cli import COMMANDS
 from epsap.errors import DEFAULT_WORK_CAP
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(epsap.__path__)
@@ -108,9 +108,9 @@ def test_nothing_public_takes_a_seed():
             if inspect.isfunction(fn):
                 found += [f"{name}.{fn_name}({param})" for param in REMOVED_PARAMETERS
                           if param in inspect.signature(fn).parameters]
-    found += [f"{' '.join(words)} {option}"
-              for words, leaf in build_parser().commands.items()
-              for option in REMOVED_OPTIONS if option in leaf._option_string_actions]
+    found += [f"{' '.join(command.words)} {option.name}"
+              for command in COMMANDS for option in command.options
+              if option.name in REMOVED_OPTIONS]
     assert found == []
 
 
