@@ -51,9 +51,9 @@ def _read_text(path: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Command handlers.  Each returns its reply (exit code, JSON payload, text
-# lines, CSV rows); main names the command in the payload and prints the one
-# part that --format picks.  Rows with one per item are generators, so a view
-# that is not printed is not built.
+# lines); main names the command in the payload and prints it as JSON with
+# --json, else the text.  A file body's text lines are a generator, so under
+# --json they are not built.
 # ---------------------------------------------------------------------------
 
 def _cmd_recognize_ap(args):
@@ -64,10 +64,9 @@ def _cmd_recognize_ap(args):
         "witness": formats.witness1d_json(witness) if accepted else None,
     }
     if not accepted:
-        return 1, payload, ["rejected"], ["rejected,,,"]
-    a, d, margin = map(str, (witness.a, witness.d, witness.margin))
-    text = ["accepted", f"a = {a}", f"d = {d}", f"margin = {margin}"]
-    return 0, payload, text, [f"accepted,{a},{d},{margin}"]
+        return 1, payload, ["rejected"]
+    return 0, payload, ["accepted", f"a = {witness.a}", f"d = {witness.d}",
+                        f"margin = {witness.margin}"]
 
 
 def _cmd_recognize_cube(args):
@@ -76,11 +75,10 @@ def _cmd_recognize_cube(args):
     decision = geometry.recognize_cube(grid, args.eps)
     payload = {"status": decision.status, "exact": decision.exact, "witness": None}
     if decision.status != "feasible":
-        return 1, payload, [decision.status], [f"{decision.status},,"]
+        return 1, payload, [decision.status]
     payload["witness"] = formats.witness_md_json(decision.witness)
     d, residual = decision.witness.d, decision.witness.residual
-    text = [decision.status, f"d = {d!r}", f"residual = {residual!r}"]
-    return 0, payload, text, [f"{decision.status},{d},{residual}"]
+    return 0, payload, [decision.status, f"d = {d!r}", f"residual = {residual!r}"]
 
 
 def _cmd_construct_blowup(args):
@@ -93,7 +91,7 @@ def _cmd_construct_blowup(args):
     }
     text = [f"t = {spec.t}", f"size = {len(elements)}", f"diameter = {spec.diameter}",
             " ".join(str(e) for e in elements)]
-    return 0, payload, text, (str(e) for e in elements)
+    return 0, payload, text
 
 
 def _cmd_construct_alternate(args):
@@ -103,25 +101,23 @@ def _cmd_construct_alternate(args):
         "r": lab.r, "D": lab.D, "t": lab.t, "offset": lab.offset,
         "labels": list(labels),
     }
-    text = [" ".join(f"{v:+d}" for v in labels)]
-    return 0, payload, text, [",".join(str(v) for v in labels)]
+    return 0, payload, [" ".join(f"{v:+d}" for v in labels)]
 
 
-def _file_reply(args, write, note, payload, head=(), csv=None):
-    """A reply whose text shows the `head` lines and then a file body, and
-    whose CSV is `csv` or else the body.  With --out the body is written there
-    instead, and the one-line note is both views.  write() builds the body,
-    only when --out or a printed view needs it."""
+def _file_reply(args, write, note, payload, head=()):
+    """A reply whose text shows the `head` lines and then a file body.  With
+    --out the body is written there instead, and the text is the one-line
+    note.  write() builds the body, only when --out or the text needs it."""
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(write())
-        return 0, payload, [note], [note]
+        return 0, payload, [note]
 
     def lines():
         yield from head
         yield from write().splitlines()
 
-    return 0, payload, lines(), lines() if csv is None else csv
+    return 0, payload, lines()
 
 
 def _coloring_reply(args, coloring, eps, k):
@@ -158,9 +154,7 @@ def _cmd_construct_lowerbound(args):
         text = [f"level r={lvl['r']}: k={lvl['k']} s={lvl['s']} w={lvl['w']} "
                 f"t={lvl['t']} blocks={lvl['blocks']} n1={lvl['n1']}"
                 for lvl in schedule]
-        csv = [f"{lvl['r']},{lvl['k']},{lvl['s']},{lvl['w']},{lvl['t']},{lvl['n1']}"
-               for lvl in schedule]
-        return 0, payload, text, csv
+        return 0, payload, text
     cap = colorings.DEFAULT_MATERIALIZE_CAP if args.cap is None else args.cap
     coloring = colorings.build_lower_bound_coloring(
         args.k, args.r, args.eps, eps0=args.eps0, dense=True, cap=cap)
@@ -177,16 +171,14 @@ def _cmd_construct_behrend(args):
     }
     text = [f"q = {spec.q}", f"head = {list(spec.head)}", f"tail = {list(spec.tail)}",
             f"size = {len(members)}", " ".join(str(x) for x in members)]
-    return 0, payload, text, (str(x) for x in members)
+    return 0, payload, text
 
 
 def _set_reply(args, payload, points, head=(), detail=""):
-    """A SET file, shown after the `head` lines in text and one point per
-    CSV row."""
-    csv = (",".join(str(c) for c in p) for p in points)
+    """A SET file, shown after the `head` lines."""
     return _file_reply(args, lambda: formats.write_set(points),
                        f"wrote {len(points)} points to {args.out}{detail}",
-                       payload, head, csv)
+                       payload, head)
 
 
 def _cmd_construct_cube_blowup(args):
@@ -221,15 +213,13 @@ def _cmd_verify_coloring(args):
     hit = colorings.verify_no_mono_ap(coloring, k, eps, work_cap=args.work_cap)
     payload = {"free_of_monochromatic_ap": hit is None, "witness": None}
     if hit is None:
-        return 0, payload, ["good: no monochromatic approximate progression"], ["good"]
+        return 0, payload, ["good: no monochromatic approximate progression"]
     payload["witness"] = {
         "color": hit.color,
         "points": list(hit.points),
         "witness": formats.witness1d_json(hit.witness),
     }
-    text = [f"monochromatic: color {hit.color} on {list(hit.points)}"]
-    csv = [f"monochromatic,{hit.color}," + " ".join(map(str, hit.points))]
-    return 1, payload, text, csv
+    return 1, payload, [f"monochromatic: color {hit.color} on {list(hit.points)}"]
 
 
 def _cmd_verify_set(args):
@@ -242,7 +232,7 @@ def _cmd_verify_set(args):
                                        work_cap=args.work_cap)
     payload = {"free": hit is None, "witness": None}
     if hit is None:
-        return 0, payload, ["free"], ["free"]
+        return 0, payload, ["free"]
     if args.m == 1:
         found = list(hit[0])
         payload["witness"] = {"points": found,
@@ -254,7 +244,7 @@ def _cmd_verify_set(args):
             "grid": {str(v): list(p) for v, p in grid},
             "witness": formats.witness_md_json(hit[1].witness),
         }
-    return 1, payload, [f"contains approximate structure: {found}"], ["contains"]
+    return 1, payload, [f"contains approximate structure: {found}"]
 
 
 def _outcome_reply(outcome, witness_key: str, witness, witness_line: str):
@@ -266,8 +256,7 @@ def _outcome_reply(outcome, witness_key: str, witness, witness_line: str):
         witness_key: witness,
     }
     text = [f"{outcome.kind} {outcome.value}", witness_line]
-    csv = [f"{outcome.kind},{outcome.value}"]
-    return 0 if outcome.kind == "value" else 1, payload, text, csv
+    return 0 if outcome.kind == "value" else 1, payload, text
 
 
 def _cmd_wnumber(args):
@@ -303,8 +292,7 @@ def _cmd_hypergraph(args):
         "edges": h.edges,  # json writes the edge tuples as lists
     }
     return _file_reply(args, lambda: formats.write_hypergraph(h),
-                       f"wrote {len(h.edges)} edges to {args.out}", payload,
-                       csv=(",".join(map(str, e)) for e in h.edges))
+                       f"wrote {len(h.edges)} edges to {args.out}", payload)
 
 
 def _cmd_translate(args):
@@ -318,10 +306,8 @@ def _cmd_translate(args):
         "bound": formats.fraction_json(result.bound),
         "bound_met": True,  # find_dense_translate returns no count below it
     }
-    text = [f"shift = {list(result.shift)}",
-            f"count = {result.count} (bound {result.bound})"]
-    csv = [",".join(map(str, result.shift)) + f",{result.count}"]
-    return 0, payload, text, csv
+    return 0, payload, [f"shift = {list(result.shift)}",
+                        f"count = {result.count} (bound {result.bound})"]
 
 
 # ---------------------------------------------------------------------------
@@ -336,35 +322,28 @@ class Option(NamedTuple):
     default: Any = None
     required: bool = False
     const: Any = None
-    dest: Optional[str] = None
-    choices: Optional[tuple] = None
     help: Optional[str] = None
 
 
-_FORMAT = (Option("--format", choices=("text", "json", "csv"), default="text",
-                  help="output format"),
-           Option("--json", dest="format", const="json", help="shorthand for --format json"))
-
-
 class Command:
-    """A command: words, handler, help and options, the shared --format/--json last."""
+    """A command: words, handler, help and options, the shared --json last."""
 
     def __init__(self, words: tuple, handler, help: str, *options: Option):
         self.words, self.handler, self.help = words, handler, help
-        self.options = options + _FORMAT
+        self.options = options + (_JSON,)
 
     @functools.cached_property
     def _reader(self) -> tuple:
         """name -> (dest, option), the required dests and the defaults."""
-        dests = {o.name: (o.dest or o.name[2:].replace("-", "_"), o) for o in self.options}
-        defaults = {dest: o.default for dest, o in reversed(dests.values())}
+        dests = {o.name: (o.name[2:].replace("-", "_"), o) for o in self.options}
+        defaults = {dest: o.default for dest, o in dests.values()}
         defaults.update(zip(("command", "what"), self.words), handler=self.handler)
         return dests, [dest for dest, o in dests.values() if o.required], defaults
 
     def read(self, tokens: list) -> Optional[argparse.Namespace]:
         """The namespace of well-formed option tokens, else None: exact names
-        as `--opt value`, `--opt=value` or a flag, each dest once, no value
-        starting with "-", all required options, typed values within choices."""
+        as `--opt value`, `--opt=value` or a flag, each option once, no value
+        starting with "-", all required options and values their types take."""
         dests, required, defaults = self._reader
         values = {}
         tokens = iter(tokens)
@@ -386,8 +365,6 @@ class Command:
                 value = option.type(value)
             except (ValueError, TypeError, argparse.ArgumentTypeError):
                 return None
-            if option.choices is not None and value not in option.choices:
-                return None
             values[dest] = value
         if not all(dest in values for dest in required):
             return None
@@ -406,6 +383,7 @@ def _flag(name: str, help: Optional[str] = None) -> Option:
     return Option(name, default=False, const=True, help=help)
 
 
+_JSON = _flag("--json", "print the whole answer as one JSON object instead of text")
 _GROUPS = {"recognize": "decide approximate structure",
            "construct": "build the explicit objects",
            "verify": "check built objects"}
@@ -506,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
         leaf = subs[command.words[:-1]].add_parser(command.words[-1], help=command.help)
         for o in command.options:
             takes = ({"action": "store_const", "const": o.const} if o.const is not None
-                     else {"type": o.type, "required": o.required, "choices": o.choices})
-            leaf.add_argument(o.name, dest=o.dest, default=o.default, help=o.help, **takes)
+                     else {"type": o.type, "required": o.required})
+            leaf.add_argument(o.name, default=o.default, help=o.help, **takes)
         leaf.set_defaults(handler=command.handler)
     return parser
 
@@ -531,14 +509,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        code, payload, text, csv = args.handler(args)
-        if args.format == "json":
+        code, payload, text = args.handler(args)
+        if args.json:
             words = (args.command, getattr(args, "what", None))
             payload["command"] = " ".join(w for w in words if w)
-            lines = [json.dumps(payload, sort_keys=True)]
-        else:
-            lines = csv if args.format == "csv" else text
-        sys.stdout.write("".join(line + "\n" for line in lines))
+            text = [json.dumps(payload, sort_keys=True)]
+        sys.stdout.write("".join(line + "\n" for line in text))
     except (ValueError, TypeError, OSError, MemoryGuardExceeded,
             SearchCapExceeded) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -1,4 +1,4 @@
-"""Golden CLI outputs: every subcommand in text, CSV and JSON, byte for byte.
+"""Golden CLI outputs: every subcommand as text and as JSON, byte for byte.
 
 Each case pins four things: the exact stdout, the exit code, the stderr
 and the bytes of the --out file (None: the call writes none).  A case runs
@@ -8,6 +8,7 @@ here derives them from the code under test.
 """
 
 import hashlib
+import json
 import time
 
 import pytest
@@ -39,30 +40,29 @@ OUT = "out.txt"  # the --out target of every case that has one
 CASES = [
     ('recognize ap --points 1,3,6 --eps 1/3', 0,
      'accepted\na = 3/4\nd = 5/2\nmargin = 7/12\n', '', None),
-    ('recognize ap --points 1,3,6 --eps 1/3 --format csv', 0,
-     'accepted,3/4,5/2,7/12\n', '', None),
     ('recognize ap --points 1,3,6 --eps 1/3 --json', 0,
      '{"accepted": true, "command": "recognize ap", '
      '"witness": {"a": {"den": 4, "num": 3}, "d": {"den": 2, "num": 5}, '
      '"margin": {"den": 12, "num": 7}}}\n', '', None),
     ('recognize ap --points 1,3,6 --eps 1/100', 1,
      'rejected\n', '', None),
-    ('recognize ap --points 1,3,6 --eps 1/100 --format csv', 1,
-     'rejected,,,\n', '', None),
     ('recognize ap --points 1,3,6 --eps 1/100 --json', 1,
      '{"accepted": false, "command": "recognize ap", "witness": null}\n', '', None),
+    # --json is the one output switch; --format, with any value, is unknown
+    ('recognize ap --points 1,3,6 --eps 1/3 --format csv', 2,
+     '', 'epsap: error: unrecognized arguments: --format csv\n', None),
+    ('recognize ap --points 1,3,6 --eps 1/3 --format json', 2,
+     '', 'epsap: error: unrecognized arguments: --format json\n', None),
+    ('recognize ap --points 1,3,6 --eps 1/3 --format text', 2,
+     '', 'epsap: error: unrecognized arguments: --format text\n', None),
     ('recognize cube --file grid.txt --m 2 --k 2 --eps 1/4', 0,
      'feasible\nd = 10.0\nresidual = 2.5\n', '', None),
-    ('recognize cube --file grid.txt --m 2 --k 2 --eps 1/4 --format csv', 0,
-     'feasible,10.0,2.5\n', '', None),
     ('recognize cube --file grid.txt --m 2 --k 2 --eps 1/4 --json', 0,
      '{"command": "recognize cube", "exact": true, "status": "feasible", '
      '"witness": {"a": ["0.0", "0.0"], "certified": true, "d": "10.0", '
      '"residual": "2.5", "tol": "1e-09"}}\n', '', None),
     ('recognize cube --file skew.txt --m 2 --k 2 --eps 1/5', 1,
      'infeasible\n', '', None),
-    ('recognize cube --file skew.txt --m 2 --k 2 --eps 1/5 --format csv', 1,
-     'infeasible,,\n', '', None),
     ('recognize cube --file skew.txt --m 2 --k 2 --eps 1/5 --json', 1,
      '{"command": "recognize cube", "exact": true, "status": "infeasible", '
      '"witness": null}\n', '', None),
@@ -83,8 +83,6 @@ CASES = [
      None),
     ('construct blowup --k 3 --r 2 --eps 1/4', 0,
      't = 12\nsize = 9\ndiameter = 26\n0 1 2 12 13 14 24 25 26\n', '', None),
-    ('construct blowup --k 3 --r 2 --eps 1/4 --format csv', 0,
-     '0\n1\n2\n12\n13\n14\n24\n25\n26\n', '', None),
     ('construct blowup --k 3 --r 2 --eps 1/4 --one-based --json', 0,
      '{"command": "construct blowup", "diameter": 26, "elements": [1, 2, 3, '
      '13, 14, 15, 25, 26, 27], "k": 3, "r": 2, "t": 12}\n', '', None),
@@ -96,23 +94,15 @@ CASES = [
      None),
     ('construct alternate --r 2 --D 3 --t 2 --offset 1', 0,
      '-1 -1 -1 +1 +1 +1 -1 -1 -1 +1 +1 +1\n', '', None),
-    ('construct alternate --r 2 --D 3 --t 2 --offset 1 --format csv', 0,
-     '-1,-1,-1,1,1,1,-1,-1,-1,1,1,1\n', '', None),
     ('construct alternate --r 2 --D 3 --t 2 --offset 1 --json', 0,
      '{"D": 3, "command": "construct alternate", "labels": [-1, -1, -1, 1, '
      '1, 1, -1, -1, -1, 1, 1, 1], "offset": 1, "r": 2, "t": 2}\n', '', None),
     ('construct simple-r2 --k 5 --eps 1/5', 0,
      '# N=8 r=2 eps=1/5 k=5\n1\n1\n1\n1\n2\n2\n2\n2\n', '', None),
-    ('construct simple-r2 --k 5 --eps 1/5 --format csv', 0,
-     '# N=8 r=2 eps=1/5 k=5\n1\n1\n1\n1\n2\n2\n2\n2\n', '', None),
     ('construct simple-r2 --k 5 --eps 1/5 --json', 0,
      '{"N": 8, "colors": [1, 1, 1, 1, 2, 2, 2, 2], '
      '"command": "construct simple-r2", "r": 2}\n', '', None),
     ('construct simple-r2 --k 5 --eps 1/5 --out out.txt', 0,
-     'wrote coloring of [8] to out.txt\n',
-     '',
-     b'# N=8 r=2 eps=1/5 k=5\n1\n1\n1\n1\n2\n2\n2\n2\n'),
-    ('construct simple-r2 --k 5 --eps 1/5 --out out.txt --format csv', 0,
      'wrote coloring of [8] to out.txt\n',
      '',
      b'# N=8 r=2 eps=1/5 k=5\n1\n1\n1\n1\n2\n2\n2\n2\n'),
@@ -122,17 +112,10 @@ CASES = [
      b'# N=8 r=2 eps=1/5 k=5\n1\n1\n1\n1\n2\n2\n2\n2\n'),
     ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30', 0,
      '# N=7 r=1 eps=1/30 k=8\n1\n1\n1\n1\n1\n1\n1\n', '', None),
-    ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30 --format csv', 0,
-     '# N=7 r=1 eps=1/30 k=8\n1\n1\n1\n1\n1\n1\n1\n', '', None),
     ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30 --json', 0,
      '{"N": 7, "colors": [1, 1, 1, 1, 1, 1, 1], '
      '"command": "construct lowerbound", "r": 1}\n', '', None),
     ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30 --out out.txt', 0,
-     'wrote coloring of [7] to out.txt\n',
-     '',
-     b'# N=7 r=1 eps=1/30 k=8\n1\n1\n1\n1\n1\n1\n1\n'),
-    ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30'
-     ' --out out.txt --format csv', 0,
      'wrote coloring of [7] to out.txt\n',
      '',
      b'# N=7 r=1 eps=1/30 k=8\n1\n1\n1\n1\n1\n1\n1\n'),
@@ -143,9 +126,6 @@ CASES = [
     ('construct lowerbound --k 771 --r 2 --eps 1/30 --eps0 1/30 --params-only', 0,
      'level r=2: k=771 s=2 w=4 t=97 blocks=[192] n1=148992\n'
      'level r=1: k=193 s=0 w=0 t=0 blocks=[] n1=192\n', '', None),
-    ('construct lowerbound --k 771 --r 2 --eps 1/30 --eps0 1/30'
-     ' --params-only --format csv', 0,
-     '2,771,2,4,97,148992\n1,193,0,0,0,192\n', '', None),
     ('construct lowerbound --k 771 --r 2 --eps 1/30 --eps0 1/30'
      ' --params-only --json', 0,
      '{"command": "construct lowerbound", "params": [{"blocks": [192], '
@@ -162,26 +142,17 @@ CASES = [
     ('construct behrend --eps 1/125 --h 2', 0,
      'q = 5\nhead = [0, 1, 3, 4]\ntail = [2, 3]\nsize = 8\n'
      '2 3 7 8 17 18 22 23\n', '', None),
-    ('construct behrend --eps 1/125 --h 2 --format csv', 0,
-     '2\n3\n7\n8\n17\n18\n22\n23\n', '', None),
     ('construct behrend --eps 1/125 --h 2 --json', 0,
      '{"command": "construct behrend", "elements": [2, 3, 7, 8, 17, 18, 22, '
      '23], "h": 2, "head": [0, 1, 3, 4], "k": 3, "q": 5, "size": 8, '
      '"tail": [2, 3]}\n', '', None),
     ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2', 0,
      'r = 2\nt = 12\nn0_bound = 36\n0\n1\n2\n12\n13\n14\n24\n25\n26\n', '', None),
-    ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2 --format csv', 0,
-     '0\n1\n2\n12\n13\n14\n24\n25\n26\n', '', None),
     ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2 --json', 0,
      '{"command": "construct cube-blowup", "elements": [[0], [1], [2], '
      '[12], [13], [14], [24], [25], [26]], "k": 3, "m": 1, "n0_bound": 36, '
      '"r": 2, "size": 9, "t": 12}\n', '', None),
     ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2 --out out.txt', 0,
-     'wrote 9 points to out.txt (r=2, t=12)\n',
-     '',
-     b'0\n1\n2\n12\n13\n14\n24\n25\n26\n'),
-    ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2'
-     ' --out out.txt --format csv', 0,
      'wrote 9 points to out.txt (r=2, t=12)\n',
      '',
      b'0\n1\n2\n12\n13\n14\n24\n25\n26\n'),
@@ -201,17 +172,11 @@ CASES = [
      None),
     ('construct product --set line.txt --m 2 --N 4', 0,
      '1 1\n1 2\n1 3\n1 4\n2 1\n2 2\n2 3\n2 4\n4 1\n4 2\n4 3\n4 4\n', '', None),
-    ('construct product --set line.txt --m 2 --N 4 --format csv', 0,
-     '1,1\n1,2\n1,3\n1,4\n2,1\n2,2\n2,3\n2,4\n4,1\n4,2\n4,3\n4,4\n', '', None),
     ('construct product --set line.txt --m 2 --N 4 --json', 0,
      '{"N": 4, "command": "construct product", "elements": [[1, 1], [1, 2], '
      '[1, 3], [1, 4], [2, 1], [2, 2], [2, 3], [2, 4], [4, 1], [4, 2], [4, '
      '3], [4, 4]], "m": 2, "size": 12}\n', '', None),
     ('construct product --set line.txt --m 2 --N 4 --out out.txt', 0,
-     'wrote 12 points to out.txt\n',
-     '',
-     b'1 1\n1 2\n1 3\n1 4\n2 1\n2 2\n2 3\n2 4\n4 1\n4 2\n4 3\n4 4\n'),
-    ('construct product --set line.txt --m 2 --N 4 --out out.txt --format csv', 0,
      'wrote 12 points to out.txt\n',
      '',
      b'1 1\n1 2\n1 3\n1 4\n2 1\n2 2\n2 3\n2 4\n4 1\n4 2\n4 3\n4 4\n'),
@@ -228,15 +193,11 @@ CASES = [
      None),
     ('verify coloring --file good.txt', 0,
      'good: no monochromatic approximate progression\n', '', None),
-    ('verify coloring --file good.txt --format csv', 0,
-     'good\n', '', None),
     ('verify coloring --file good.txt --json', 0,
      '{"command": "verify coloring", "free_of_monochromatic_ap": true, '
      '"witness": null}\n', '', None),
     ('verify coloring --file mono.txt', 1,
      'monochromatic: color 1 on [1, 2, 3]\n', '', None),
-    ('verify coloring --file mono.txt --format csv', 1,
-     'monochromatic,1,1 2 3\n', '', None),
     ('verify coloring --file mono.txt --json', 1,
      '{"command": "verify coloring", "free_of_monochromatic_ap": false, '
      '"witness": {"color": 1, "points": [1, 2, 3], '
@@ -250,27 +211,19 @@ CASES = [
      None),
     ('verify set --file line.txt --m 1 --k 3 --eps 1/100', 0,
      'free\n', '', None),
-    ('verify set --file line.txt --m 1 --k 3 --eps 1/100 --format csv', 0,
-     'free\n', '', None),
     ('verify set --file line.txt --m 1 --k 3 --eps 1/100 --json', 0,
      '{"command": "verify set", "free": true, "witness": null}\n', '', None),
     ('verify set --file run.txt --m 1 --k 3 --eps 1/100', 1,
      'contains approximate structure: [1, 2, 3]\n', '', None),
-    ('verify set --file run.txt --m 1 --k 3 --eps 1/100 --format csv', 1,
-     'contains\n', '', None),
     ('verify set --file run.txt --m 1 --k 3 --eps 1/100 --json', 1,
      '{"command": "verify set", "free": false, "witness": {"points": [1, 2, '
      '3], "witness": {"a": {"den": 1, "num": 1}, "d": {"den": 1, "num": 1}, '
      '"margin": {"den": 100, "num": 1}}}}\n', '', None),
     ('verify set --file skew.txt --m 2 --k 2 --eps 1/100', 0,
      'free\n', '', None),
-    ('verify set --file skew.txt --m 2 --k 2 --eps 1/100 --format csv', 0,
-     'free\n', '', None),
     ('verify set --file skew.txt --m 2 --k 2 --eps 1/100 --json', 0,
      '{"command": "verify set", "free": true, "witness": null}\n', '', None),
     ('verify set --file product.txt --m 3 --k 3 --eps 1/100', 0,
-     'free\n', '', None),
-    ('verify set --file product.txt --m 3 --k 3 --eps 1/100 --format csv', 0,
      'free\n', '', None),
     ('verify set --file product.txt --m 3 --k 3 --eps 1/100 --json', 0,
      '{"command": "verify set", "free": true, "witness": null}\n', '', None),
@@ -278,8 +231,6 @@ CASES = [
      'contains approximate structure: [(0, 0), (0, 10), (10, 0), (10, 10)]\n',
      '',
      None),
-    ('verify set --file grid.txt --m 2 --k 2 --eps 1/4 --format csv', 1,
-     'contains\n', '', None),
     ('verify set --file grid.txt --m 2 --k 2 --eps 1/4 --json', 1,
      '{"command": "verify set", "free": false, "witness": {"grid": {"(0, '
      '0)": [0, 0], "(0, 1)": [0, 10], "(1, 0)": [10, 0], "(1, 1)": [10, '
@@ -330,15 +281,11 @@ CASES = [
      None),
     ('wnumber --k 3 --r 2 --eps 1/3 --nmax 20', 0,
      'value 5\ngood coloring of [4]: [1, 1, 2, 2]\n', '', None),
-    ('wnumber --k 3 --r 2 --eps 1/3 --nmax 20 --format csv', 0,
-     'value,5\n', '', None),
     ('wnumber --k 3 --r 2 --eps 1/3 --nmax 20 --json', 0,
      '{"command": "wnumber", "kind": "value", "nodes": 21, "value": 5, '
      '"witness_coloring": [1, 1, 2, 2]}\n', '', None),
     ('wnumber --k 3 --r 2 --eps 1/3 --nmax 3', 1,
      'lower_bound_only 3\ngood coloring of [3]: [1, 1, 2]\n', '', None),
-    ('wnumber --k 3 --r 2 --eps 1/3 --nmax 3 --format csv', 1,
-     'lower_bound_only,3\n', '', None),
     ('wnumber --k 3 --r 2 --eps 1/3 --nmax 3 --json', 1,
      '{"command": "wnumber", "kind": "lower_bound_only", "nodes": 8, '
      '"value": 3, "witness_coloring": [1, 1, 2]}\n', '', None),
@@ -348,15 +295,11 @@ CASES = [
      None),
     ('density --N 6 --k 3 --eps 1/10', 0,
      'value 4\nwitness: [1, 2, 4, 5]\n', '', None),
-    ('density --N 6 --k 3 --eps 1/10 --format csv', 0,
-     'value,4\n', '', None),
     ('density --N 6 --k 3 --eps 1/10 --json', 0,
      '{"command": "density", "kind": "value", "nodes": 24, "value": 4, '
      '"witness_set": [1, 2, 4, 5]}\n', '', None),
     ('density --N 12 --k 3 --eps 1/10 --work-cap 5', 1,
      'lower_bound_only 2\nwitness: [1, 2]\n', '', None),
-    ('density --N 12 --k 3 --eps 1/10 --work-cap 5 --format csv', 1,
-     'lower_bound_only,2\n', '', None),
     ('density --N 12 --k 3 --eps 1/10 --work-cap 5 --json', 1,
      '{"command": "density", "kind": "lower_bound_only", "nodes": 5, '
      '"value": 2, "witness_set": [1, 2]}\n', '', None),
@@ -393,23 +336,15 @@ CASES = [
      None),
     ('hypergraph --N 5 --k 3 --eps 1/10', 0,
      '# N=5 k=3 eps=1/10\n1 2 3\n1 3 5\n2 3 4\n3 4 5\n', '', None),
-    ('hypergraph --N 5 --k 3 --eps 1/10 --format csv', 0,
-     '1,2,3\n1,3,5\n2,3,4\n3,4,5\n', '', None),
     ('hypergraph --N 5 --k 3 --eps 1/10 --json', 0,
      '{"N": 5, "command": "hypergraph", "edge_count": 4, "edges": [[1, 2, '
      '3], [1, 3, 5], [2, 3, 4], [3, 4, 5]], "k": 3}\n', '', None),
     ('hypergraph --N 2 --k 3 --eps 1/10', 0,
      '# N=2 k=3 eps=1/10\n', '', None),
-    ('hypergraph --N 2 --k 3 --eps 1/10 --format csv', 0,
-     '', '', None),
     ('hypergraph --N 2 --k 3 --eps 1/10 --json', 0,
      '{"N": 2, "command": "hypergraph", "edge_count": 0, "edges": [], '
      '"k": 3}\n', '', None),
     ('hypergraph --N 5 --k 3 --eps 1/10 --out out.txt', 0,
-     'wrote 4 edges to out.txt\n',
-     '',
-     b'# N=5 k=3 eps=1/10\n1 2 3\n1 3 5\n2 3 4\n3 4 5\n'),
-    ('hypergraph --N 5 --k 3 --eps 1/10 --out out.txt --format csv', 0,
      'wrote 4 edges to out.txt\n',
      '',
      b'# N=5 k=3 eps=1/10\n1 2 3\n1 3 5\n2 3 4\n3 4 5\n'),
@@ -432,8 +367,6 @@ CASES = [
     # the best of all shifts, which is at least their average.
     ('translate --set-a a.txt --set-x x.txt --N 3 --m 2', 0,
      'shift = [0, 0]\ncount = 2 (bound 5/18)\n', '', None),
-    ('translate --set-a a.txt --set-x x.txt --N 3 --m 2 --format csv', 0,
-     '0,0,2\n', '', None),
     ('translate --set-a a.txt --set-x x.txt --N 3 --m 2 --json', 0,
      '{"bound": {"den": 18, "num": 5}, "bound_met": true, '
      '"command": "translate", "count": 2, "shift": [0, 0]}\n', '', None),
@@ -513,13 +446,58 @@ def test_cli_hypergraph_fits_its_exact_work_cap(tmp_path, monkeypatch, capsys):
 
 
 def test_every_command_has_golden_cases_in_every_format():
+    """Each command has a text case and a --json case (usage errors aside)."""
     commands = {command.words for command in COMMANDS}
     covered = set()
-    for argv, *_ in CASES:
+    for argv, _, _, err, _ in CASES:
+        if err.startswith("epsap: error:"):
+            continue
         tokens = argv.split()
         words = next(c for c in commands if tuple(tokens[:len(c)]) == c)
-        covered.add((words, build_parser().parse_args(tokens).format))
-    missing = sorted({(" ".join(c), fmt) for c in commands
-                      for fmt in ("text", "csv", "json")} - {
-        (" ".join(c), fmt) for c, fmt in covered})
+        covered.add((words, build_parser().parse_args(tokens).json))
+    missing = sorted({(" ".join(c), view) for c in commands
+                      for view in ("text", "json")} - {
+        (" ".join(c), "json" if json else "text") for c, json in covered})
     assert not missing, f"commands without a golden case: {missing}"
+
+
+# Text cases whose argv parses: the view must not change what a call does.
+TEXT_CASES = [case for case in CASES if "--json" not in case[0].split()
+              and not case[3].startswith("epsap: error:")]
+
+
+@pytest.mark.parametrize("argv, code, out, err, written", TEXT_CASES,
+                         ids=[case[0] for case in TEXT_CASES])
+def test_cli_json_view_keeps_the_text_views_outcome(tmp_path, monkeypatch, capsys,
+                                                    argv, code, out, err, written):
+    """With --json a text case exits alike, writes the same stderr and --out
+    bytes, and, unless refused, prints one sorted-key JSON line naming its
+    command."""
+    monkeypatch.chdir(tmp_path)
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv.split() + ["--json"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    path = tmp_path / OUT
+    assert (path.read_bytes() if path.exists() else None) == written
+    if code == 2:
+        assert captured.out == ""
+        return
+    payload = json.loads(captured.out)
+    assert captured.out == json.dumps(payload, sort_keys=True) + "\n"
+    tokens = tuple(argv.split())
+    words = next(c.words for c in COMMANDS if tokens[:len(c.words)] == c.words)
+    assert payload["command"] == " ".join(words)
+
+
+@pytest.mark.parametrize("command", COMMANDS, ids=[" ".join(c.words) for c in COMMANDS])
+def test_cli_no_command_takes_format(capsys, command):
+    """Every command refuses --format, whatever its value, in one line."""
+    argv = next(case[0] for case in TEXT_CASES
+                if tuple(case[0].split()[:len(command.words)]) == command.words)
+    for value in ("csv", "json", "text"):
+        assert main(argv.split() + ["--format", value]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"epsap: error: unrecognized arguments: --format {value}\n")

@@ -96,7 +96,7 @@ def test_every_work_cap_defaults_to_the_shared_one():
 # apk_free_set picks its provider by the interval's size, and every search's
 # cap is called work_cap.
 REMOVED_PARAMETERS = ("seed", "tol", "mode", "node_cap")
-REMOVED_OPTIONS = ("--seed", "--tol", "--provider")
+REMOVED_OPTIONS = ("--seed", "--tol", "--provider", "--format")
 
 
 def test_nothing_public_takes_a_seed():
