@@ -28,7 +28,6 @@ from .density import (
 from .errors import MemoryGuardExceeded, SearchCapExceeded
 from .geometry import (
     CubeDecision,
-    FeasibleRegion2D,
     IndexedGrid,
     IndexingError,
     Witness1D,
@@ -37,9 +36,6 @@ from .geometry import (
     min_enclosing_ball,
     recognize_ap,
     recognize_cube,
-    region_add_point,
-    region_closed_empty,
-    region_new,
 )
 from .search import (
     EpsApHypergraph,

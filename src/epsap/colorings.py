@@ -92,10 +92,10 @@ class Coloring:
             return list(self._colors)
         return [self._fn(x) for x in range(1, self.N + 1)]
 
-    def classes(self, cap: int = DEFAULT_MATERIALIZE_CAP) -> dict:
+    def classes(self) -> dict:
         """Color -> sorted points of that color."""
         out = {c: [] for c in range(1, self.r + 1)}
-        for x, c in enumerate(self.to_list(cap=cap), start=1):
+        for x, c in enumerate(self.to_list(), start=1):
             out[c].append(x)
         return out
 
@@ -371,7 +371,6 @@ class MonochromeWitness(NamedTuple):
 
 
 def verify_no_mono_ap(coloring: Coloring, k: int, eps,
-                      cap: int = DEFAULT_MATERIALIZE_CAP,
                       work_cap: int = DEFAULT_WORK_CAP) -> Optional[MonochromeWitness]:
     """Search every color class for an approximate progression.
 
@@ -388,7 +387,7 @@ def verify_no_mono_ap(coloring: Coloring, k: int, eps,
     e = check_epsilon(eps, set_level=True)
     budget = Budget(work_cap)
     free = set()  # the shapes, points minus the least one, of the classes searched
-    for c, pts in sorted(coloring.classes(cap=cap).items()):
+    for c, pts in sorted(coloring.classes().items()):
         if len(pts) < k:
             continue
         shape = tuple(x - pts[0] for x in pts)

@@ -21,9 +21,7 @@ the midrange of {x_i - i*d} at the smallest optimal d gives the intercept a.
 Both listings prune by the closed interval of scales d of a partial tuple
 or cube, kept the same way; `narrowed` is the one update of it, also for
 the axis lines of a grid, and `window` bounds the coordinates of the
-candidates that can keep it nonempty.  No other module reads the rows or
-the interval.  The region_* functions wrap it for one progression at a
-time; nothing in the package calls them.
+candidates that can keep it nonempty.  Only this module reads them.
 
 One lex-order stream (_eps_aps) lists approximate progressions: each level
 tries only the candidates inside the window that the closed d interval of
@@ -78,16 +76,12 @@ __all__ = [
     "WitnessMD",
     "IndexedGrid",
     "CubeDecision",
-    "FeasibleRegion2D",
     "IndexingError",
     "to_fraction",
     "check_epsilon",
     "check_points_1d",
     "check_points",
     "recognize_ap",
-    "region_new",
-    "region_add_point",
-    "region_closed_empty",
     "min_enclosing_ball",
     "recognize_cube",
     "index_grid_points",
@@ -455,6 +449,9 @@ def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
     keys = [q * x for x in candidates]  # sorted, as candidates are
     scaled = [(x,) for x in keys]
     n, h = len(candidates), len(head)
+    if h + n + (tail is not None) < k:  # no k-tuple fits: only the root's node, no k-list
+        budget.spend()
+        return
     last = k if tail is None else k - 1  # levels filled: h .. last - 1
     chosen = list(head) + [None] * (k - h)
     if tail is not None:
@@ -545,60 +542,6 @@ def _eps_aps(candidates, k, eps, budget, head=(), tail=None):
                 yield tuple(chosen)
         else:
             stack.pop()
-
-
-class FeasibleRegion2D(NamedTuple):
-    """Closed relaxation of the witness constraints for a partial tuple.
-
-    The set of (a, d), d >= 0, with a + (i - eps)*d <= x_i <= a + (i + eps)*d
-    for every added (i, x_i), stored by its exact projection onto the d
-    axis: the integer pairs lo and hi of `narrowed`, not reduced, so two
-    equal regions may store different pairs.  degenerate_infeasible marks a
-    region that some added point emptied; lo and hi then stay those from
-    before that point.  Emptiness of the closed region is a sound prune.
-    """
-
-    k: int
-    eps: Fraction
-    points: tuple
-    lo: tuple  # (num, den): d >= num/den
-    hi: Optional[tuple]  # (num, den): d <= num/den; None means unbounded above
-    degenerate_infeasible: bool = False
-
-    # identity equality, as equal regions may store different pairs
-    __eq__ = object.__eq__
-    __ne__ = object.__ne__
-    __hash__ = object.__hash__
-
-
-def region_new(k: int, eps) -> FeasibleRegion2D:
-    e = check_epsilon(eps)
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    return FeasibleRegion2D(k=k, eps=e, points=(), lo=(0, 1), hi=None)
-
-
-def region_add_point(region: FeasibleRegion2D, i: int, x_i: int) -> FeasibleRegion2D:
-    """Intersect with the two closed half-planes for index i at point x_i."""
-    if not 0 <= i < region.k:
-        raise ValueError(f"index {i} out of range for k={region.k}")
-    if region.points and i <= region.points[-1][0]:
-        raise ValueError("indices must be added in increasing order")
-    p2, q = 2 * region.eps.numerator, region.eps.denominator
-    shrunk = None if region.degenerate_infeasible else narrowed(
-        [(0, q * y, q * (i - j) + p2, q * (i - j) - p2) for j, y in region.points],
-        (q * x_i,), *region.lo, region.hi)
-    lo_n, lo_d, hi = shrunk or (*region.lo, region.hi)
-    return FeasibleRegion2D(k=region.k, eps=region.eps,
-                            points=region.points + ((i, x_i),), lo=(lo_n, lo_d),
-                            hi=hi, degenerate_infeasible=shrunk is None)
-
-
-def region_closed_empty(region: FeasibleRegion2D) -> bool:
-    if region.degenerate_infeasible:
-        return True
-    hi = region.hi
-    return hi is not None and hi[0] * region.lo[1] < region.lo[0] * hi[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1052,14 +995,19 @@ def recognize_cube(grid: IndexedGrid, eps) -> CubeDecision:
 
 def _check_cube_eps(eps, k: int) -> Fraction:
     """eps as a checked Fraction, refused when 2 eps >= k - 1, where
-    recognize_cube has no scale bound, or when its float does, as it
-    divides by k - 1 - 2 eps in floats: a cube search refuses it up front,
-    whatever its points or cap."""
+    recognize_cube has no scale bound, or when its float does or overflows,
+    as it divides by k - 1 - 2 eps in floats: a cube search refuses it up
+    front, whatever its points or cap."""
     e = check_epsilon(eps)
     p, q = e.numerator, e.denominator
     if 2 * p >= (k - 1) * q:
         raise ValueError(f"eps={e} too large; recognize_cube needs eps < (k-1)/2")
-    if 2 * (p / q) >= k - 1:  # p / q is float(e)
+    try:
+        rounds = 2 * (p / q) >= k - 1  # p / q is float(e)
+    except OverflowError:
+        raise ValueError(f"eps={e} overflows a float; recognize_cube computes in "
+                         "floats") from None
+    if rounds:
         raise ValueError(f"eps={e} rounds to (k-1)/2 in floats; recognize_cube needs "
                          "it below")
     return e

@@ -34,12 +34,12 @@ from fractions import Fraction
 from itertools import count, islice, product
 from typing import NamedTuple
 
-from .colorings import Coloring
-from .errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded, check_work_cap, power_exceeds
+from .colorings import DEFAULT_MATERIALIZE_CAP, Coloring
+from .errors import (DEFAULT_WORK_CAP, Budget, MemoryGuardExceeded, SearchCapExceeded,
+                     check_work_cap, power_exceeds)
 from .geometry import (_check_cube_eps, _cubes, _eps_aps, check_epsilon, check_points_1d,
                        recognize_ap)
-# Not called here: the benchmark's tracer wraps them on this module by name.
-from .geometry import region_add_point, region_closed_empty  # noqa: F401
+region_add_point = region_closed_empty = None  # only bench/tracer.py reads them, to wrap
 
 __all__ = [
     "EpsApHypergraph",
@@ -302,6 +302,16 @@ def _max_free_edges(n: int, lowers, budget, incumbent, room):
     return best, True
 
 
+def _floor_size(N: int, m: int, k: int) -> int:
+    """A capped run's floor size, min(N^m, k^m - 1), refused past the materialize cap."""
+    cap = DEFAULT_MATERIALIZE_CAP
+    big_n, big_k = power_exceeds(N, m, cap), power_exceeds(k, m, cap + 1)
+    if big_n and big_k:
+        raise MemoryGuardExceeded(f"a capped run's floor, min(N^m, k^m - 1) points at "
+                                  f"N={N}, m={m}, k={k}, exceeds materialize cap {cap}")
+    return min(cap + 1 if big_n else N ** m, cap + 1 if big_k else k ** m - 1)
+
+
 def _ladder(points, rungs, budget, edge_size: int, width: int = 1) -> SearchOutcome:
     """Largest subset of `points` containing no edge, lex-first among ties,
     solving the prefixes points[:1], ..., points[:N] in turn.
@@ -330,7 +340,7 @@ def _ladder(points, rungs, budget, edge_size: int, width: int = 1) -> SearchOutc
     counts every rung.  A run capped in a search or in the listing is
     lower_bound_only, never a value: it keeps the greedy set of the rungs
     reached, the previous rung's set when larger, or the first
-    edge_size - 1 points, too few for an edge, when more.
+    edge_size - 1 points, too few for an edge, when more (_floor_size).
     """
     N = len(points)
     lowers = []  # the edges by second largest index, see _max_free_edges
@@ -363,7 +373,7 @@ def _ladder(points, rungs, budget, edge_size: int, width: int = 1) -> SearchOutc
     except SearchCapExceeded:  # raised by the listing, between rungs
         completed = False
     if not completed:
-        best = max(tuple(greedy), best, tuple(range(min(N, edge_size - 1))), key=len)
+        best = max(tuple(greedy), best, tuple(range(_floor_size(N, 1, edge_size))), key=len)
     return SearchOutcome("value" if completed else "lower_bound_only", len(best),
                          tuple(points[i] for i in best), budget.spent)
 
@@ -376,7 +386,7 @@ def max_exact_ap_free(N: int, k: int,
     when the search reaches it, and the greedy incumbent is grown from them,
     so a capped search holds and does only the work of the rungs it
     reached.  It keeps at least the first k - 1 points, too few for a
-    progression.
+    progression, unless they pass the materialize cap.
     """
     if N < 0 or k < 2:
         raise ValueError(f"need N >= 0 and k >= 2, got N={N}, k={k}")
@@ -414,10 +424,10 @@ def exact_f(N: int, m: int, k: int, eps,
     does; for m >= 2 the first rung lists every cube of [N]^m
     (_cubes_by_max).  One budget serves the listing and the ladder, so
     `nodes` counts both, and a capped run keeps at least the first
-    min(N^m, k^m - 1) points of [N]^m, too few for a cube.  [0]^m has no
-    rung, so it is the empty set at 0 nodes, whatever the cap.  Otherwise
-    the cube listing's root and each point at its first slot are nodes, so
-    a cap of at most N^m is answered so before [N]^m is built.
+    min(N^m, k^m - 1) points of [N]^m, too few for a cube (_floor_size).
+    [0]^m has no rung, so it is the empty set at 0 nodes, whatever the cap.
+    Otherwise the cube listing's root and each point at its first slot are
+    nodes, so a cap of at most N^m is answered so before [N]^m is built.
     """
     if N < 0 or m < 1 or k < 2:
         raise ValueError(f"need N >= 0, m >= 1, k >= 2, got {N}, {m}, {k}")
@@ -428,9 +438,8 @@ def exact_f(N: int, m: int, k: int, eps,
     else:
         e = _check_cube_eps(eps, k)  # refused before listing, whatever the cap
         if N and power_exceeds(N, m, work_cap - 1):
-            # the first k^m - 1 points use no coordinate above k^m - 1
-            side = range(1, min(N, k ** m - 1) + 1)
-            floor = tuple(islice(product(side, repeat=m), k ** m - 1))
+            size = _floor_size(N, m, k)  # the first size points use no coordinate above size
+            floor = tuple(islice(product(range(1, min(N, size) + 1), repeat=m), size))
             return SearchOutcome("lower_bound_only", len(floor), floor, work_cap)
         points = tuple(product(range(1, N + 1), repeat=m))
         rungs = _cubes_by_max(points, m, k, e, budget)

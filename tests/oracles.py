@@ -31,9 +31,10 @@ necessary condition for a 1-D progression that no library code calls, and
 so are the exact-progression listing, the excluded-difference test of the
 alternate labelings and the HYPERGRAPH reader: the library's former public
 functions of those names, kept here as test preconditions and reference
-listings.  The region scale interval is the cube recognizer's exact stage
-as it stood when every axis line was its own region of the library's 1-D
-region API; it shares the corner-pair bounds with the library.  The
+listings.  The line interval runs indexed 1-D points through the library's
+interval update one at a time, and the region scale interval is the cube
+recognizer's exact stage as it stood when every axis line was its own 1-D
+interval; it shares the corner-pair bounds with the library.  The
 power-sum builders are the library's digit-set builders as they stood
 before they went through one Horner's-rule builder: each member of the
 blow-ups, their blocks and the base-q digit set is summed digit by digit,
@@ -69,8 +70,6 @@ from epsap.geometry import (
     min_enclosing_ball,
     narrowed,
     recognize_cube,
-    region_add_point,
-    region_new,
     window,
 )
 from epsap.search import EpsApHypergraph
@@ -409,14 +408,30 @@ def gap_ratio_filter(points, eps) -> bool:
     return Fraction(hi, lo) - 1 < five and 1 - Fraction(lo, hi) < five
 
 
-def region_scale_interval(grid: IndexedGrid, eps: Fraction) -> Optional[tuple]:
-    """The cube recognizer's open d interval, one 1-D region per axis line.
+def line_interval(pairs, eps) -> Optional[tuple]:
+    """The closed d interval of the indexed points (i, x), i increasing:
+    the d >= 0 at which some a has a + (i - eps)*d <= x <= a + (i + eps)*d
+    for every pair.  Each point runs through `narrowed` against the earlier
+    ones.  Returns (lo_num, lo_den, hi), hi a pair or None while unbounded,
+    or None once the interval is empty."""
+    p2, q = 2 * eps.numerator, eps.denominator
+    interval, seen = (0, 1, None), []
+    for i, x in pairs:
+        interval = narrowed([(0, q * y, q * (i - j) + p2, q * (i - j) - p2) for j, y in seen],
+                            (q * x,), *interval)
+        if interval is None:
+            return None
+        seen.append((i, x))
+    return interval
 
-    Each axis line gets a fresh region_new and its k points by
-    region_add_point; its closed interval (lo, hi), or None for an emptied
-    region, is then intersected with the others and with the corner-pair
-    bounds.  Returns ((lo_num, lo_den), (hi_num, hi_den)) or None once the
-    open intersection is empty.
+
+def region_scale_interval(grid: IndexedGrid, eps: Fraction) -> Optional[tuple]:
+    """The cube recognizer's open d interval, one 1-D interval per axis line.
+
+    Each axis line's k points go through line_interval; its closed
+    interval, or None once emptied, is then intersected with the others and
+    with the corner-pair bounds.  Returns ((lo_num, lo_den), (hi_num,
+    hi_den)) or None once the open intersection is empty.
     """
     k, m = grid.k, grid.m
     points = grid.assignment
@@ -424,11 +439,9 @@ def region_scale_interval(grid: IndexedGrid, eps: Fraction) -> Optional[tuple]:
     def line_bounds():
         for j in range(m):
             for rest in product(range(k), repeat=m - 1):
-                region = region_new(k, eps)
-                for i in range(k):
-                    region = region_add_point(
-                        region, i, points[rest[:j] + (i,) + rest[j:]][j])
-                yield None if region.degenerate_infeasible else (region.lo, region.hi)
+                line = line_interval(
+                    [(i, points[rest[:j] + (i,) + rest[j:]][j]) for i in range(k)], eps)
+                yield None if line is None else (line[:2], line[2])
 
     lo, hi = (0, 1), None
     for bounds in (*line_bounds(), *_corner_pair_bounds(grid, eps)):

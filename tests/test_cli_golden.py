@@ -394,6 +394,8 @@ def test_cli_golden(tmp_path, monkeypatch, capsys, argv, code, out, err, written
     assert (path.read_bytes() if path.exists() else None) == written
 
 
+BIG_K = str(10 ** 400)  # a k past the floats, written as "10^400" in the case ids
+
 # Inputs whose objects could never be built: each is refused, or answered
 # as capped, from its sizes alone, with no power past its cap built;
 # translate answers from its 2 pairs of points, not its (2N)^2 shifts.
@@ -417,11 +419,26 @@ HUGE_CASES = [
      'error: product size |A|*N^(m-1) = 3*100000^2 exceeds materialize cap 50000000\n'),
     ('translate --set-a corner.txt --set-x a.txt --N 100000000 --m 2', 0,
      'shift = [0, 0]\ncount = 1 (bound 1/20000000000000000)\n', ''),
+    # an eps below (k-1)/2 but past the floats is bad input, for every cube search
+    (f'verify set --file a.txt --m 2 --k {BIG_K} --eps 1e399', 2, '',
+     f'error: eps={10 ** 399} overflows a float; recognize_cube computes in floats\n'),
+    (f'density --N 1 --m 2 --k {BIG_K} --eps 1e399', 2, '',
+     f'error: eps={10 ** 399} overflows a float; recognize_cube computes in floats\n'),
+    # a capped run's floor, min(N^m, k^m - 1) points, is sized before it is built
+    ('density --N 3 --m 40 --k 2 --eps 1/10 --work-cap 5', 2, '',
+     "error: a capped run's floor, min(N^m, k^m - 1) points at N=3, m=40, k=2, "
+     "exceeds materialize cap 50000000\n"),
+    ('density --N 1000000000 --k 1000000000 --exact-aps --work-cap 0', 2, '',
+     "error: a capped run's floor, min(N^m, k^m - 1) points at N=1000000000, m=1, "
+     "k=1000000000, exceeds materialize cap 50000000\n"),
+    ('density --N 1000000000 --k 1000000000 --eps 1/10 --work-cap 0', 2, '',
+     "error: a capped run's floor, min(N^m, k^m - 1) points at N=1000000000, m=1, "
+     "k=1000000000, exceeds materialize cap 50000000\n"),
 ]
 
 
 @pytest.mark.parametrize("argv, code, out, err", HUGE_CASES,
-                         ids=[case[0] for case in HUGE_CASES])
+                         ids=[case[0].replace(BIG_K, "10^400") for case in HUGE_CASES])
 def test_cli_huge_inputs_answer_within_a_second(tmp_path, monkeypatch, capsys,
                                                  argv, code, out, err):
     monkeypatch.chdir(tmp_path)

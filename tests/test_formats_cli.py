@@ -17,7 +17,7 @@ from epsap.cli import main
 from epsap.colorings import Coloring, build_simple_r2_coloring, verify_no_mono_ap
 from epsap.search import EpsApHypergraph, enumerate_eps_aps
 from oracles import has_exact_ap, line_read_set, read_hypergraph
-from test_cli_golden import CASES, HUGE_CASES
+from test_cli_golden import BIG_K, CASES, HUGE_CASES
 
 F = Fraction
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -597,8 +597,11 @@ def _parsed(capsys, parse, argv):
     return code, namespace, captured.out, captured.err
 
 
-@pytest.mark.parametrize("argv", [case[0] for case in CASES + HUGE_CASES]
-                         + MALFORMED_ARGVS)
+_TREE_ARGVS = [case[0] for case in CASES + HUGE_CASES] + MALFORMED_ARGVS
+
+
+@pytest.mark.parametrize("argv", _TREE_ARGVS,
+                         ids=[argv.replace(BIG_K, "10^400") for argv in _TREE_ARGVS])
 def test_cli_command_parser_reads_argv_as_the_whole_tree_does(capsys, argv):
     """The table's reader, with the tree as fallback, gives what the tree
     alone gives.  CI runs this on every supported Python, as argparse's
@@ -696,6 +699,19 @@ def test_readme_cli_lines_parse(line):
     except SystemExit as exc:
         pytest.fail(f"{line!r} does not parse (exit {exc.code})")
     assert callable(args.handler)
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    """The README's Python block runs as shown, and each print gives the
+    value its comment starts with."""
+    readme = (Path(SRC).parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["3/4 5/2 7/12", "5", "(2, 3, 7, 8, 17, 18, 22, 23)"]
+    comments = [line.split("# ", 1)[1] for line in block.splitlines()
+                if line.startswith("print(")]
+    assert [c.startswith(p) for c, p in zip(comments, printed)] == [True] * len(printed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from epsap.geometry import (
     Witness1D,
     WitnessMD,
     _bound,
+    _check_cube_eps,
     _circumsphere,
     _scale_interval,
     index_grid_points,
@@ -24,15 +25,13 @@ from epsap.geometry import (
     narrowed,
     recognize_ap,
     recognize_cube,
-    region_add_point,
-    region_closed_empty,
-    region_new,
 )
 from oracles import (
     _inside,
     fraction_certifies,
     gap_ratio_filter,
     golden_section_recognize_cube,
+    line_interval,
     lp_vertex_accepts,
     naive_enclosing_circle_2d,
     pairwise_recognize_ap,
@@ -51,23 +50,25 @@ def grid_from_points_1d(points) -> IndexedGrid:
                        assignment={(i,): (x,) for i, x in enumerate(points)})
 
 
-def d_bounds(region):
-    """The region's closed d interval as Fractions (lo, hi), hi None while
-    unbounded."""
-    return F(*region.lo), None if region.hi is None else F(*region.hi)
+def d_bounds(interval):
+    """A line_interval as Fractions (lo, hi), hi None while unbounded."""
+    lo_n, lo_d, hi = interval
+    return F(lo_n, lo_d), None if hi is None else F(*hi)
 
 
-def open_feasible(region):
-    """Strict feasibility of the added points, exact for distinct points:
-    no degenerate failure and lo < hi."""
-    lo, hi = d_bounds(region)
-    return not region.degenerate_infeasible and (hi is None or lo < hi)
+def open_feasible(interval):
+    """Strict feasibility of the points, exact for distinct points: a
+    nonempty closed interval with lo < hi."""
+    if interval is None:
+        return False
+    lo, hi = d_bounds(interval)
+    return hi is None or lo < hi
 
 
-def contains(region, a, d):
-    """Exact closed membership of a candidate (a, d) in the region."""
-    return d >= 0 and all(a + (i - region.eps) * d <= x <= a + (i + region.eps) * d
-                          for i, x in region.points)
+def contains(pairs, eps, a, d):
+    """Exact closed membership of a candidate (a, d) in the set of pairs
+    (a, d) that fit the indexed points."""
+    return d >= 0 and all(a + (i - eps) * d <= x <= a + (i + eps) * d for i, x in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +227,7 @@ def test_hull_walk_matches_pairwise_oracle(data):
     eps = data.draw(epsilons(len(pts)))
     w = recognize_ap(pts, eps)
     assert _witness_tuple(w) == pairwise_recognize_ap(pts, eps)
-    region = region_new(len(pts), eps)
-    for i, x in enumerate(pts):
-        region = region_add_point(region, i, x)
-    assert open_feasible(region) == (w is not None)
+    assert open_feasible(line_interval(enumerate(pts), F(eps))) == (w is not None)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -272,66 +270,49 @@ def test_filter_necessity_sampled():
 
 
 # ---------------------------------------------------------------------------
-# Feasible region
+# Feasible region: one progression's d interval, through narrowed
 # ---------------------------------------------------------------------------
 
-def test_empty_region_is_half_plane():
-    assert not region_closed_empty(region_new(3, F(1, 3)))
-
-
 def test_region_for_1_3_6_contains_published_point():
-    r = region_new(3, F(1, 3))
-    for i, x in enumerate((1, 3, 6)):
-        r = region_add_point(r, i, x)
-    assert not region_closed_empty(r)
-    assert contains(r, F(4, 5), F(12, 5))
+    pairs = list(enumerate((1, 3, 6)))
+    lo, hi = d_bounds(line_interval(pairs, F(1, 3)))
+    assert lo <= F(12, 5) and (hi is None or F(12, 5) <= hi)
+    assert contains(pairs, F(1, 3), F(4, 5), F(12, 5))
 
 
 def test_region_for_1_2_10_empties():
-    r = region_new(3, F(1, 10))
-    r = region_add_point(r, 0, 1)
-    r = region_add_point(r, 1, 2)
-    assert not region_closed_empty(r)
-    r = region_add_point(r, 2, 10)
-    assert region_closed_empty(r)
-
-
-def test_region_indices_must_increase():
-    r = region_add_point(region_new(3, F(1, 3)), 1, 5)
-    with pytest.raises(ValueError):
-        region_add_point(r, 1, 7)
+    assert line_interval([(0, 1), (1, 2)], F(1, 10)) is not None
+    assert line_interval([(0, 1), (1, 2), (2, 10)], F(1, 10)) is None
 
 
 def test_region_bounds_at_large_eps():
     # eps = p/q; the pair (j, y), (i, x) bounds d through q*(i - j) - 2p,
     # which is positive (an upper bound), zero (a constant constraint) or
     # negative (a lower bound) depending on eps and i - j.
-    half = region_new(3, F(1, 2))
-    r = region_add_point(region_add_point(half, 0, 3), 1, 5)  # zero, holds
-    assert (*d_bounds(r), region_closed_empty(r)) == (F(1), None, False)
-    r = region_add_point(r, 2, 6)  # i - j = 2: positive, d <= (6 - 3)/1
-    assert (*d_bounds(r), region_closed_empty(r)) == (F(1), F(3), False)
-    r = region_add_point(region_add_point(half, 0, 5), 1, 3)  # zero, fails
-    assert r.degenerate_infeasible and region_closed_empty(r)
-    assert not open_feasible(r)
-    r = region_add_point(region_add_point(region_new(3, F(3, 4)), 0, 5), 1, 3)
-    assert d_bounds(r) == (F(4), None)  # negative: d >= 2/(3/2 - 1)
-    assert contains(r, 2, 4) and not contains(r, 2, F(399, 100))
+    half = F(1, 2)
+    r = line_interval([(0, 3), (1, 5)], half)  # zero, holds
+    assert d_bounds(r) == (F(1), None)
+    r = line_interval([(0, 3), (1, 5), (2, 6)], half)  # i - j = 2: positive, d <= (6 - 3)/1
+    assert d_bounds(r) == (F(1), F(3))
+    r = line_interval([(0, 5), (1, 3)], half)  # zero, fails
+    assert r is None and not open_feasible(r)
+    pairs = [(0, 5), (1, 3)]
+    assert d_bounds(line_interval(pairs, F(3, 4))) == (F(4), None)  # negative: d >= 2/(3/2 - 1)
+    assert contains(pairs, F(3, 4), 2, 4) and not contains(pairs, F(3, 4), 2, F(399, 100))
 
 
 def test_region_bounds_match_pointwise_projection():
-    # The region's d-interval is exactly the set of d >= 0 at which some a
-    # satisfies every closed constraint; points need not increase here.
+    # The region's d interval is exactly the set of d >= 0 at which some a
+    # satisfies every closed constraint; the indices need not be consecutive.
     rng = random.Random(31)
     ladder = [F(0), F(1, 7), F(1, 2), F(1), F(3, 2), F(2), F(5, 2), F(4)]
     for _ in range(300):
         k = rng.randint(2, 5)
         eps = rng.choice((F(2, 5), F(1, 2), F(3, 4), F(1), F(3, 2), F(7, 3)))
         pts = [(i, rng.randint(-6, 6)) for i in sorted(rng.sample(range(k), rng.randint(1, k)))]
-        r = region_new(k, eps)
-        for i, x in pts:
-            r = region_add_point(r, i, x)
-        d_lo, d_hi = d_bounds(r)
+        r = line_interval(pts, eps)
+        d_lo, d_hi = d_bounds(r) if r is not None else (F(0), None)
+        assert d_hi is None or d_lo <= d_hi
         probes = set(ladder) | {d_lo, d_lo + F(1, 1000)}
         if d_lo > 0:
             probes.add(d_lo - F(1, 1000))
@@ -340,11 +321,8 @@ def test_region_bounds_match_pointwise_projection():
         for d in probes:
             feasible = (max(x - (i + eps) * d for i, x in pts)
                         <= min(x - (i - eps) * d for i, x in pts))
-            inside = (not r.degenerate_infeasible and d_lo <= d
-                      and (d_hi is None or d <= d_hi))
+            inside = r is not None and d_lo <= d and (d_hi is None or d <= d_hi)
             assert feasible == inside, (pts, eps, d)
-        assert region_closed_empty(r) == (
-            r.degenerate_infeasible or (d_hi is not None and d_hi < d_lo))
 
 
 @st.composite
@@ -404,8 +382,7 @@ def test_region_prune_is_sound():
     eps = F(1, 10)
     n = 9
     for x0, x1 in combinations(range(1, n + 1), 2):
-        r = region_add_point(region_add_point(region_new(3, eps), 0, x0), 1, x1)
-        if not region_closed_empty(r):
+        if line_interval([(0, x0), (1, x1)], eps) is not None:
             continue
         for x2 in range(x1 + 1, n + 1):
             assert recognize_ap((x0, x1, x2), eps) is None
@@ -681,6 +658,18 @@ def test_cube_refuses_an_eps_that_rounds_to_its_scale_bound():
         recognize_cube(grid_from_points_1d((0, 5)), eps)
     with pytest.raises(ValueError, match=r"rounds to \(k-1\)/2 in floats"):
         search.exact_f(2, 2, 2, eps, work_cap=0)  # a cube search, up front
+
+
+def test_cube_refuses_an_eps_past_the_floats():
+    # eps < (k-1)/2 exactly, but eps has no float, so the cube searches
+    # refuse it as bad input rather than end in an OverflowError
+    eps, k = F(10 ** 400), 10 ** 401
+    for run in (lambda: _check_cube_eps(eps, k),
+                lambda: search.exact_f(1, 2, k, eps, work_cap=0),
+                lambda: verify_cube_free([(1, 1), (2, 2)], 2, k, eps)):
+        with pytest.raises(ValueError, match=r"overflows a float; recognize_cube computes "
+                                             r"in floats$"):
+            run()
 
 
 def test_cube_boundary_verdict():

@@ -1,8 +1,8 @@
 """The package's public names and layering: every name in a module's
 __all__ exists, is used by the package itself, and the package root imports
 only names that their module lists in __all__, so a name deleted from one
-list and left in another is caught.  The 1-D region API is kept for callers
-outside the package only, so deleting it later touches no package code.
+list and left in another is caught.  The 1-D region API is gone: only the
+search module binds two of its names, to None, for the benchmark's tracer.
 Every public search takes errors.DEFAULT_WORK_CAP as its default work cap,
 under the one name work_cap, and no public function or command takes a
 removed knob: a seed (no answer is drawn at random), a cube tolerance (it
@@ -47,13 +47,6 @@ def test_package_root_imports_only_names_in_all():
     assert imported > 0 and unlisted == []
 
 
-# The region API stays public, whole, until ROADMAP item 1 deletes it:
-# bench/tracer.py wraps region_add_point and region_closed_empty on the
-# search module, which imports them for it, while region_new, the API's
-# constructor, has no caller in the package.
-UNCALLED_BY_DESIGN = {"region_new"}
-
-
 def test_every_public_name_is_used_in_the_package():
     # A use is a name, an attribute or an imported name anywhere in
     # src/epsap but __init__.py, outside the name's own top-level definition;
@@ -72,7 +65,7 @@ def test_every_public_name_is_used_in_the_package():
                     used.add(name)
     unused = [f"{name}.{n}" for name in MODULES
               for n in importlib.import_module(f"epsap.{name}").__all__
-              if n not in used | UNCALLED_BY_DESIGN]
+              if n not in used]
     assert unused == []
 
 
@@ -114,17 +107,25 @@ def test_nothing_public_takes_a_seed():
     assert found == []
 
 
-def test_package_calls_no_region_api():
-    region_api = {"region_new", "region_add_point", "region_closed_empty"}
-    calls = []
-    for path in sorted(Path(epsap.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in region_api:
-                    calls.append(f"{path.name}:{node.lineno} {name}")
-    assert calls == []
+def test_coloring_checks_take_no_materialize_cap():
+    # No caller set one: both read colorings.DEFAULT_MATERIALIZE_CAP, while
+    # Coloring.to_list keeps its cap for `construct lowerbound --cap`.
+    assert "cap" not in inspect.signature(epsap.verify_no_mono_ap).parameters
+    assert "cap" not in inspect.signature(epsap.Coloring.classes).parameters
+    assert "cap" in inspect.signature(epsap.Coloring.to_list).parameters
+
+
+def test_package_binds_no_region_api():
+    # The 1-D region API is deleted.  bench/tracer.py still wraps
+    # region_add_point and region_closed_empty on the search module by name,
+    # so search binds those two to None, which nothing calls.
+    region_api = ("FeasibleRegion2D", "region_new", "region_add_point", "region_closed_empty")
+    for module in (epsap, importlib.import_module("epsap.geometry")):
+        assert [n for n in region_api if hasattr(module, n)] == []
+    search = importlib.import_module("epsap.search")
+    assert {n: getattr(search, n, "unbound") for n in region_api} == {
+        "FeasibleRegion2D": "unbound", "region_new": "unbound",
+        "region_add_point": None, "region_closed_empty": None}
 
 
 def _trees():

@@ -3,8 +3,8 @@
 Importing the package generates no code: no record is a dataclass, so
 neither dataclasses nor inspect is loaded.  Every record refuses a field
 assignment, IndexedGrid still checks a caller's grid, the package's
-unchecked grid equals the checked one, a feasible region keeps identity
-equality and a record keeps the field-by-name repr."""
+unchecked grid equals the checked one and a record keeps the field-by-name
+repr."""
 
 import subprocess
 import sys
@@ -17,7 +17,7 @@ import pytest
 import epsap
 from epsap.colorings import build_blowup_1d
 from epsap.density import find_dense_translate
-from epsap.geometry import IndexedGrid, _trusted_grid, recognize_ap, region_add_point, region_new
+from epsap.geometry import IndexedGrid, _trusted_grid, recognize_ap
 from epsap.search import SearchOutcome
 
 
@@ -76,14 +76,6 @@ def test_trusted_grid_equals_checked_grid():
     assert type(trusted) is IndexedGrid
     assert trusted == grid and repr(trusted) == repr(grid)
     assert (trusted.m, trusted.k, trusted.assignment) == (2, 2, _SQUARE)
-
-
-def test_feasible_regions_compare_by_identity():
-    # their interval pairs are not reduced, so equal fields prove nothing
-    first = region_add_point(region_new(3, F(1, 10)), 0, 1)
-    second = region_add_point(region_new(3, F(1, 10)), 0, 1)
-    assert first == first and first != second and not first == second
-    assert len({first, second}) == 2
 
 
 def test_record_repr_names_its_fields():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from epsap import geometry, search
 from epsap.colorings import build_simple_r2_coloring, verify_no_mono_ap
-from epsap.errors import DEFAULT_WORK_CAP, Budget, SearchCapExceeded
+from epsap.errors import DEFAULT_WORK_CAP, Budget, MemoryGuardExceeded, SearchCapExceeded
 from epsap.formats import write_hypergraph
 from epsap.density import _greedy, build_behrend_digit_set
 from epsap.geometry import _eps_aps, _repeated_root, narrowed, recognize_ap
@@ -58,6 +58,17 @@ F = Fraction
 def test_enumerate_single_triple():
     h = enumerate_eps_aps(3, 3, F(3, 10))
     assert h.edges == ((1, 2, 3),)
+
+
+def test_stream_with_fewer_points_than_k_builds_nothing_of_size_k():
+    # No k-tuple fits, so the stream spends its root node and stops before
+    # it builds a k-slot tuple: a k past any memory answers at once.
+    k = 10 ** 12
+    budget = Budget(5)
+    assert list(_eps_aps(tuple(range(1, 6)), k, F(1, 10), budget)) == []
+    assert budget.spent == 1
+    assert enumerate_eps_aps(5, k, F(1, 10)).edges == ()
+    assert exact_W(k, 2, F(1, 10), n_max=5).kind == "lower_bound_only"
 
 
 def test_enumerate_contains_known_edges():
@@ -761,6 +772,33 @@ def test_f_cap_keeps_the_first_points_too_few_for_a_hit(N, m, k, floor):
     for out in runs:
         assert (out.kind, out.value, out.witness, out.nodes) == (
             "lower_bound_only", len(floor), floor, 0)
+
+
+@pytest.mark.parametrize("N, m, k", [(3, 40, 2), (10 ** 9, 1, 10 ** 9)])
+def test_f_refuses_a_floor_past_the_materialize_cap(N, m, k):
+    # The floor's size follows from N, m and k alone, so a floor of more
+    # points than the materialize cap is refused before any point is built.
+    runs = [lambda: exact_f(N, m, k, F(1, 10), work_cap=5)]
+    if m == 1:
+        runs.append(lambda: max_exact_ap_free(N, k, work_cap=0))
+    for run in runs:
+        start = time.perf_counter()
+        with pytest.raises(MemoryGuardExceeded) as err:
+            run()
+        assert time.perf_counter() - start < 1.0
+        assert str(err.value) == ("a capped run's floor, min(N^m, k^m - 1) points at "
+                                  f"N={N}, m={m}, k={k}, exceeds materialize cap 50000000")
+
+
+def test_f_floor_may_fill_the_materialize_cap(monkeypatch):
+    # at the cap a floor is kept, one point past it is refused
+    monkeypatch.setattr(search, "DEFAULT_MATERIALIZE_CAP", 3)
+    assert exact_f(3, 2, 2, F(1, 10), work_cap=0).value == 3
+    assert max_exact_ap_free(12, 4, work_cap=0).value == 3
+    with pytest.raises(MemoryGuardExceeded):
+        exact_f(2, 2, 3, F(1, 10), work_cap=0)  # min(2^2, 3^2 - 1) = 4
+    with pytest.raises(MemoryGuardExceeded):
+        max_exact_ap_free(12, 5, work_cap=0)
 
 
 @pytest.mark.parametrize("m", [2, 3])
