@@ -82,7 +82,7 @@ def _cmd_recognize_cube(args):
 
 
 def _cmd_construct_blowup(args):
-    spec = colorings.build_blowup_1d(args.k, args.r, args.eps, cap=args.cap)
+    spec = colorings.build_blowup_1d(args.k, args.r, args.eps)
     elements = spec.one_based() if args.one_based else spec.elements
     payload = {
         "k": spec.k, "r": spec.r, "t": spec.t,
@@ -139,8 +139,6 @@ def _cmd_construct_simple_r2(args):
 def _cmd_construct_lowerbound(args):
     if args.params_only and args.out:
         raise ValueError("--params-only takes no --out")
-    if args.params_only and args.cap is not None:
-        raise ValueError("--params-only takes no --cap")
     params = colorings.lower_bound_params(args.k, args.r, args.eps, eps0=args.eps0)
     if args.params_only:
         schedule = []
@@ -155,9 +153,8 @@ def _cmd_construct_lowerbound(args):
                 f"t={lvl['t']} blocks={lvl['blocks']} n1={lvl['n1']}"
                 for lvl in schedule]
         return 0, payload, text
-    cap = colorings.DEFAULT_MATERIALIZE_CAP if args.cap is None else args.cap
     coloring = colorings.build_lower_bound_coloring(
-        args.k, args.r, args.eps, eps0=args.eps0, dense=True, cap=cap)
+        args.k, args.r, args.eps, eps0=args.eps0, dense=True)
     return _coloring_reply(args, coloring, args.eps, args.k)
 
 
@@ -182,8 +179,7 @@ def _set_reply(args, payload, points, head=(), detail=""):
 
 
 def _cmd_construct_cube_blowup(args):
-    spec = density.build_cube_blowup(args.m, args.k, args.eps, args.alpha,
-                                     cap=args.cap)
+    spec = density.build_cube_blowup(args.m, args.k, args.eps, args.alpha)
     payload = {
         "m": spec.m, "k": spec.k, "r": spec.r, "t": spec.t,
         "n0_bound": spec.n0_bound, "size": len(spec.elements),
@@ -397,8 +393,7 @@ COMMANDS = (
             Option("--file", required=True, help="SET file with k^m points"),
             _required_int("--m"), _required_int("--k"), _EPS),
     Command(("construct", "blowup"), _cmd_construct_blowup, "iterated 1-D blow-up",
-            _required_int("--k"), _required_int("--r"), _EPS, _flag("--one-based"),
-            Option("--cap", int, colorings.BLOWUP_CAP)),
+            _required_int("--k"), _required_int("--r"), _EPS, _flag("--one-based")),
     Command(("construct", "alternate"), _cmd_construct_alternate,
             "periodic +-1 block labeling",
             _required_int("--r"), _required_int("--D"), _required_int("--t"),
@@ -412,8 +407,6 @@ COMMANDS = (
             "recursive lower-bound coloring",
             _required_int("--k"), _required_int("--r"), _EPS,
             Option("--eps0", _parse_eps, colorings.DEFAULT_EPS0),
-            Option("--cap", int, help="most colors to build (default "
-                   f"{colorings.DEFAULT_MATERIALIZE_CAP}); not with --params-only"),
             _flag("--params-only", "print the parameter schedule without building"),
             Option("--out", help="write COLORING file here instead of stdout")),
     Command(("construct", "behrend"), _cmd_construct_behrend, "base-q digit set",
@@ -423,7 +416,6 @@ COMMANDS = (
             _required_int("--m"), _required_int("--k"), _EPS,
             Option("--alpha", _parse_eps, required=True,
                    help="density threshold as an exact rational p/q"),
-            Option("--cap", int, density.CUBE_BLOWUP_CAP),
             Option("--out", help="write SET file here")),
     Command(("construct", "product"), _cmd_construct_product, "A x [N]^(m-1)",
             Option("--set", required=True, help="SET file holding A (one column)"),

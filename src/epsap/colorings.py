@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import geometry
-from .errors import DEFAULT_WORK_CAP, Budget, MemoryGuardExceeded, check_cap, power_exceeds
+from .errors import DEFAULT_WORK_CAP, Budget, MemoryGuardExceeded, power_exceeds
 from .geometry import Witness1D, _eps_aps, check_epsilon, to_fraction
 
 __all__ = [
@@ -83,14 +83,15 @@ class Coloring:
             raise ValueError(f"backing function returned color {c} at x={x}")
         return c
 
-    def to_list(self, cap: int = DEFAULT_MATERIALIZE_CAP) -> list:
+    def to_list(self) -> list:
+        cap = DEFAULT_MATERIALIZE_CAP
         if self.N > cap:
             raise MemoryGuardExceeded(
                 f"coloring domain N={self.N} exceeds materialize cap {cap}"
             )
         if self._colors is not None:
             return list(self._colors)
-        return [self._fn(x) for x in range(1, self.N + 1)]
+        return [self.color(x) for x in range(1, self.N + 1)]
 
     def classes(self) -> dict:
         """Color -> sorted points of that color."""
@@ -147,14 +148,14 @@ class BlowupSpec(NamedTuple):
         return list(enumerate(_blowup_blocks(self.k, self.r, self.t, self.eps)))
 
 
-def build_blowup_1d(k: int, r: int, eps, cap: int = BLOWUP_CAP) -> BlowupSpec:
+def build_blowup_1d(k: int, r: int, eps) -> BlowupSpec:
     """The r-fold blow-up of {0..k-1} with scale t = ceil(k/eps).
 
-    Element count k^r is capped, checked without building a power past the
-    cap; digit collisions (possible only for r > 1 and eps large enough that
-    t < k) are rejected so |elements| = k^r always holds.
+    Element count k^r is capped at BLOWUP_CAP, checked without building a
+    power past the cap; digit collisions (possible only for r > 1 and eps
+    large enough that t < k) are rejected so |elements| = k^r always holds.
     """
-    check_cap(cap)
+    cap = BLOWUP_CAP
     if k < 2 or r < 1:
         raise ValueError(f"need k >= 2 and r >= 1, got k={k}, r={r}")
     e = check_epsilon(eps)
@@ -198,7 +199,8 @@ class AlternateLabeling(NamedTuple):
             raise ValueError(f"x={x} outside domain 1..{self.domain_size}")
         return self.label_at(x)
 
-    def labels(self, cap: int = DEFAULT_MATERIALIZE_CAP) -> tuple:
+    def labels(self) -> tuple:
+        cap = DEFAULT_MATERIALIZE_CAP
         if self.domain_size > cap:
             raise MemoryGuardExceeded(
                 f"labeling domain r*t*D={self.domain_size} exceeds materialize cap {cap}"
@@ -342,21 +344,19 @@ def _color_at(node: LowerBoundParams, palette: tuple, x: int) -> int:
 
 
 def build_lower_bound_coloring(k: int, r: int, eps, eps0=DEFAULT_EPS0,
-                               dense: bool = False,
-                               cap: int = DEFAULT_MATERIALIZE_CAP) -> Coloring:
+                               dense: bool = False) -> Coloring:
     """The recursive coloring of [n1] built from the four-level partition.
 
     Each bottom interval Z_{u,v} of length D_j carries the length-D_j prefix
     of the recursively built coloring on the r-1 colors other than v.  The
     result is function-backed; pass dense=True to materialize (guarded by
-    cap, since n1 grows very fast).
+    DEFAULT_MATERIALIZE_CAP, since n1 grows very fast).
     """
-    check_cap(cap)
     params = lower_bound_params(k, r, eps, eps0=eps0)
     palette = tuple(range(1, r + 1))
     coloring = Coloring(N=params.n1, r=r, fn=lambda x: _color_at(params, palette, x))
     if dense:
-        coloring = Coloring(N=params.n1, r=r, colors=coloring.to_list(cap=cap))
+        coloring = Coloring(N=params.n1, r=r, colors=coloring.to_list())
     return coloring
 
 

@@ -34,7 +34,6 @@ from .errors import (
     Budget,
     MemoryGuardExceeded,
     SearchCapExceeded,
-    check_cap,
     check_work_cap,
     power_exceeds,
 )
@@ -259,15 +258,14 @@ class CubeBlowupSpec(NamedTuple):
                 for u in product(range(self.k), repeat=self.m)]
 
 
-def build_cube_blowup(m: int, k: int, eps, alpha,
-                      cap: int = CUBE_BLOWUP_CAP) -> CubeBlowupSpec:
+def build_cube_blowup(m: int, k: int, eps, alpha) -> CubeBlowupSpec:
     """Blow-up iterated r = ceil(log(1/alpha) / log(k^m/(k^m-1))) times,
     that is the fewest r >= 1 with (1 - 1/k^m)^r <= alpha, found in integers.
 
-    Refuses k^m > cap before it looks for r, and k^(r*m) > cap, without
-    building a power past the cap.  Refuses a digit base t < k when r > 1,
-    as build_blowup_1d does."""
-    check_cap(cap)
+    Refuses k^m > CUBE_BLOWUP_CAP before it looks for r, and k^(r*m) past
+    it, without building a power past the cap.  Refuses a digit base t < k
+    when r > 1, as build_blowup_1d does."""
+    cap = CUBE_BLOWUP_CAP
     if m < 1 or k < 3:
         raise ValueError(f"need m >= 1 and k >= 3, got m={m}, k={k}")
     e = check_epsilon(eps)

@@ -1,8 +1,8 @@
 """Shared exception types, the work budget that raises one with its default
-cap, and the checks of a materialize cap."""
+cap, and the size test of a materialize cap."""
 
 __all__ = ["SearchCapExceeded", "Budget", "DEFAULT_WORK_CAP", "MemoryGuardExceeded",
-           "check_work_cap", "check_cap", "power_exceeds"]
+           "check_work_cap", "power_exceeds"]
 
 DEFAULT_WORK_CAP = 20_000_000  # the default Budget of every search
 
@@ -34,32 +34,25 @@ class Budget:
 
 
 class MemoryGuardExceeded(RuntimeError):
-    """Materializing an object would exceed its configured size cap."""
+    """Materializing an object would exceed its fixed size cap."""
 
 
-def check_work_cap(cap: int) -> None:
+def check_work_cap(limit: int) -> None:
     """Refuse a negative work cap, also where a search returns before it
     builds its Budget."""
-    if cap < 0:
-        raise ValueError(f"work cap must be >= 0, got {cap}")
+    if limit < 0:
+        raise ValueError(f"work cap must be >= 0, got {limit}")
 
 
-def check_cap(cap: int) -> None:
-    """Refuse a negative materialize cap as bad input, before it can be
-    reported as a size limit."""
-    if cap < 0:
-        raise ValueError(f"cap must be >= 0, got {cap}")
-
-
-def power_exceeds(base: int, exp: int, cap: int) -> bool:
-    """Whether base ** exp > cap, for base, exp >= 0, decided without
-    building a power larger than cap, in at most log_base(cap) + 1 steps
+def power_exceeds(base: int, exp: int, bound: int) -> bool:
+    """Whether base ** exp > bound, for base, exp >= 0, decided without
+    building a power larger than bound, in at most log_base(bound) + 1 steps
     whatever exp is."""
     if base < 2:
-        return base ** min(exp, 1) > cap
+        return base ** min(exp, 1) > bound
     power = 1
     for _ in range(exp):
-        if power > cap // base:
+        if power > bound // base:
             return True
         power *= base
-    return power > cap
+    return power > bound

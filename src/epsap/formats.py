@@ -101,8 +101,9 @@ def _read_header(lines, kind: str, fields: dict) -> list:
 
 
 def write_coloring(coloring, eps, k: int) -> str:
+    """The COLORING file, its colors read by Coloring.to_list under its cap."""
     head = f"# N={coloring.N} r={coloring.r} eps={eps_header(eps)} k={k}"
-    body = "\n".join(str(coloring.color(x)) for x in range(1, coloring.N + 1))
+    body = "\n".join(map(str, coloring.to_list()))
     return head + ("\n" + body if coloring.N else "") + "\n"
 
 

@@ -720,6 +720,15 @@ def _index_order(m: int, k: int) -> tuple:
     return slots, tuple(zip(*slots))
 
 
+def _base_digits(i: int, k: int, m: int) -> tuple:
+    """The index vector of lex rank i in {0..k-1}^m: i's m base-k digits."""
+    digits = []
+    while i:
+        i, digit = divmod(i, k)
+        digits.append(digit)
+    return (0,) * (m - len(digits)) + tuple(reversed(digits))
+
+
 def _trusted_grid(m: int, k: int, assignment: Mapping) -> IndexedGrid:
     """An IndexedGrid built without __new__'s checks, for package code
     whose assignment already maps {0..k-1}^m one to one onto checked
@@ -1033,7 +1042,6 @@ def _cubes(points, m: int, k: int, e, budget):
     Each node spends one unit of `budget`, the root included.
     """
     total = k ** m
-    slots = _index_order(m, k)[0]
 
     # Rows (axis, q*y_axis, a, c) of `narrowed`, over scaled points.
     p2, q = 2 * e.numerator, e.denominator
@@ -1047,7 +1055,7 @@ def _cubes(points, m: int, k: int, e, budget):
         """The points that may fill the next slot, with the d interval each
         leaves.  Read lazily, so the rows and `used` are the ones in force
         whenever the search comes back to this slot."""
-        v = slots[len(assigned)]
+        v = _base_digits(len(assigned), k, m)  # the next slot, in lex order
         rows = [
             (axis, y[axis], span + p2, span - p2)
             for v2, _, y in assigned

@@ -264,7 +264,7 @@ def test_criterion_11_recursive_coloring_structure():
         cap_note = (f"n1 = {params.n1} exceeds materialize cap {cap}: full "
                     f"dense construction skipped, structure checked lazily")
         try:
-            coloring.to_list(cap=cap)
+            coloring.to_list()
             guard_fired = False
         except MemoryGuardExceeded:
             guard_fired = True

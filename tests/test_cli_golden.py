@@ -88,10 +88,9 @@ CASES = [
      '13, 14, 15, 25, 26, 27], "k": 3, "r": 2, "t": 12}\n', '', None),
     ('construct blowup --k 3 --r 1 --eps 3', 0,  # t = 1 < k, but one digit
      't = 1\nsize = 3\ndiameter = 2\n0 1 2\n', '', None),
+    # the size caps are fixed constants: --cap, with any value, is unknown
     ('construct blowup --k 3 --r 2 --eps 1/10 --cap -1', 2,
-     '',
-     'error: cap must be >= 0, got -1\n',
-     None),
+     '', 'epsap: error: unrecognized arguments: --cap -1\n', None),
     ('construct alternate --r 2 --D 3 --t 2 --offset 1', 0,
      '-1 -1 -1 +1 +1 +1 -1 -1 -1 +1 +1 +1\n', '', None),
     ('construct alternate --r 2 --D 3 --t 2 --offset 1 --json', 0,
@@ -133,12 +132,10 @@ CASES = [
      '{"blocks": [], "k": 193, "n0": 0, "n1": 192, "r": 1, "s": 0, "t": 0, '
      '"w": 0}]}\n', '', None),
     ('construct lowerbound --k 8 --r 1 --eps 1/30 --eps0 1/30 --cap -1', 2,
-     '',
-     'error: cap must be >= 0, got -1\n',
-     None),
-    # the schedule builds nothing, so a cap would be ignored
-    ('construct lowerbound --k 771 --r 2 --eps 1/30 --eps0 1/30 --params-only --cap 1',
-     2, '', 'error: --params-only takes no --cap\n', None),
+     '', 'epsap: error: unrecognized arguments: --cap -1\n', None),
+    # the fixed materialize cap refuses a domain past it
+    ('construct lowerbound --k 224578 --r 2 --eps 1/1000', 2,
+     '', 'error: coloring domain N=32398238220 exceeds materialize cap 50000000\n', None),
     ('construct behrend --eps 1/125 --h 2', 0,
      'q = 5\nhead = [0, 1, 3, 4]\ntail = [2, 3]\nsize = 8\n'
      '2 3 7 8 17 18 22 23\n', '', None),
@@ -163,9 +160,7 @@ CASES = [
      '',
      b'0\n1\n2\n12\n13\n14\n24\n25\n26\n'),
     ('construct cube-blowup --m 1 --k 3 --eps 1/4 --alpha 1/2 --cap -1', 2,
-     '',
-     'error: cap must be >= 0, got -1\n',
-     None),
+     '', 'epsap: error: unrecognized arguments: --cap -1\n', None),
     ('construct cube-blowup --m 2 --k 3 --eps 5/2 --alpha 4/5', 2,
      '',
      'error: eps=5/2 gives digit base t=2 < k=3; blow-up digits would collide\n',
@@ -434,6 +429,9 @@ HUGE_CASES = [
     ('density --N 1000000000 --k 1000000000 --eps 1/10 --work-cap 0', 2, '',
      "error: a capped run's floor, min(N^m, k^m - 1) points at N=1000000000, m=1, "
      "k=1000000000, exceeds materialize cap 50000000\n"),
+    # fewer points than k^m: the cube listing builds no k^m index vectors
+    ('density --N 2 --m 2 --k 1000000000000 --eps 1/10', 0,
+     'value 4\nwitness: [(1, 1), (1, 2), (2, 1), (2, 2)]\n', ''),
 ]
 
 

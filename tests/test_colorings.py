@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from epsap import colorings
 from epsap.colorings import (
     Coloring,
     build_alternate_labeling,
@@ -53,10 +54,14 @@ def test_blowup_diameter_bound():
         assert spec.diameter < 2 * (k - 1) * spec.t ** (r - 1)
 
 
-def test_blowup_size_cap():
+def test_blowup_size_cap(monkeypatch):
+    with pytest.raises(MemoryGuardExceeded) as err:
+        build_blowup_1d(2, 20, F(1, 3))  # 1,048,576 elements
+    assert str(err.value) == "blow-up size k^r = 2^20 exceeds cap 1000000"
+    monkeypatch.setattr(colorings, "BLOWUP_CAP", 1000)
     with pytest.raises(MemoryGuardExceeded):
-        build_blowup_1d(10, 9, F(1, 3), cap=1000)
-    assert len(build_blowup_1d(10, 3, F(1, 3), cap=1000).elements) == 1000
+        build_blowup_1d(10, 4, F(1, 3))
+    assert len(build_blowup_1d(10, 3, F(1, 3)).elements) == 1000
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -296,11 +301,11 @@ def test_lower_bound_coloring_lazy_matches_dense():
         assert lazy.color(x) == dense.color(x)
 
 
-def test_lower_bound_coloring_memory_guard():
+def test_lower_bound_coloring_memory_guard(monkeypatch):
     k = small_case_k()
+    monkeypatch.setattr(colorings, "DEFAULT_MATERIALIZE_CAP", 1000)
     with pytest.raises(MemoryGuardExceeded):
-        build_lower_bound_coloring(k, 2, SMALL_EPS, eps0=SMALL_EPS,
-                                   dense=True, cap=1000)
+        build_lower_bound_coloring(k, 2, SMALL_EPS, eps0=SMALL_EPS, dense=True)
 
 
 # ---------------------------------------------------------------------------

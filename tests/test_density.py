@@ -253,8 +253,7 @@ def test_cube_blowup_r_bound_sweep():
     import math
 
     for k, m, alpha in ((3, 1, F(1, 2)), (3, 2, F(4, 5)), (4, 1, F(1, 3))):
-        spec = build_cube_blowup(m, k, F(1, 2), alpha,
-                                 cap=10 ** 7)
+        spec = build_cube_blowup(m, k, F(1, 2), alpha)
         assert spec.r < 2 * k ** m * math.log(1 / float(alpha)) + 1e-9
         assert len(spec.elements) == k ** (spec.r * m)
         assert all(0 <= c < spec.n0_bound for p in spec.elements for c in p)
@@ -269,22 +268,24 @@ def test_cube_blowup_matches_1d_blowup():
     assert spec.elements == tuple((x,) for x in line.elements)
 
 
-def test_cube_blowup_cap_names_r():
+def test_cube_blowup_cap_names_r(monkeypatch):
+    monkeypatch.setattr(density, "CUBE_BLOWUP_CAP", 1000)
     with pytest.raises(MemoryGuardExceeded, match="r="):
-        build_cube_blowup(2, 3, F(1, 2), F(1, 2), cap=1000)
+        build_cube_blowup(2, 3, F(1, 2), F(1, 2))
 
 
 @pytest.mark.parametrize("m, k", [(1, 3), (1, 4), (2, 3), (2, 4), (1, 6), (2, 6)])
-def test_cube_blowup_r_is_exact_at_a_power(m, k):
+def test_cube_blowup_r_is_exact_at_a_power(monkeypatch, m, k):
     # alpha = (1 - 1/k^m)^n needs exactly n iterations; the float ratio of
-    # logarithms read one more at most of these
+    # logarithms read one more at most of these.  Each build fills the cap.
     size = k ** m
     for n in range(1, 4):
         alpha = F(size - 1, size) ** n
-        spec = build_cube_blowup(m, k, F(1, 2), alpha, cap=size ** n)
+        monkeypatch.setattr(density, "CUBE_BLOWUP_CAP", size ** n)
+        spec = build_cube_blowup(m, k, F(1, 2), alpha)
         assert spec.r == n
-        assert build_cube_blowup(m, k, F(1, 2), alpha * F(999, 1000),
-                                 cap=size ** (n + 1)).r == n + 1
+        monkeypatch.setattr(density, "CUBE_BLOWUP_CAP", size ** (n + 1))
+        assert build_cube_blowup(m, k, F(1, 2), alpha * F(999, 1000)).r == n + 1
 
 
 @pytest.mark.parametrize("m, k, alpha, cap, message", [
@@ -293,9 +294,10 @@ def test_cube_blowup_r_is_exact_at_a_power(m, k):
     (1, 3, F(1, 10 ** 400), density.CUBE_BLOWUP_CAP,
      "blow-up needs r=2272 iterations, k^(r*m) = 3^2272 exceeds cap 200000"),
 ])
-def test_cube_blowup_refuses_without_the_power(m, k, alpha, cap, message):
+def test_cube_blowup_refuses_without_the_power(monkeypatch, m, k, alpha, cap, message):
+    monkeypatch.setattr(density, "CUBE_BLOWUP_CAP", cap)
     with pytest.raises(MemoryGuardExceeded) as err:
-        build_cube_blowup(m, k, F(1, 2), alpha, cap=cap)
+        build_cube_blowup(m, k, F(1, 2), alpha)
     assert str(err.value) == message
 
 

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from epsap import cli, density, formats, geometry
 from epsap.cli import main
-from epsap.colorings import Coloring, build_simple_r2_coloring, verify_no_mono_ap
+from epsap.colorings import (Coloring, build_lower_bound_coloring, build_simple_r2_coloring,
+                              verify_no_mono_ap)
+from epsap.errors import MemoryGuardExceeded
 from epsap.search import EpsApHypergraph, enumerate_eps_aps
 from oracles import has_exact_ap, line_read_set, read_hypergraph
 from test_cli_golden import BIG_K, CASES, HUGE_CASES
@@ -59,6 +61,24 @@ def test_coloring_round_trip():
     back, eps, k = formats.read_coloring(text)
     assert back.to_list() == coloring.to_list()
     assert (eps, k) == (F(1, 3), 3)
+
+
+def test_coloring_writer_refuses_a_function_backed_coloring_past_the_cap():
+    # eps = 1/1000, r = 2 at its least admissible k: n1 = 32,398,238,220
+    # colors, computed on demand, so the writer is refused before any is
+    coloring = build_lower_bound_coloring(224_578, 2, F(1, 1000))
+    assert coloring.N == 32_398_238_220
+    start = time.perf_counter()
+    with pytest.raises(MemoryGuardExceeded, match="^coloring domain N=32398238220 "
+                                                  "exceeds materialize cap 50000000$"):
+        formats.write_coloring(coloring, F(1, 1000), 3)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_coloring_writer_checks_a_backing_functions_colors():
+    coloring = Coloring(N=3, r=2, fn=lambda x: 3 if x == 2 else 1)
+    with pytest.raises(ValueError, match="^backing function returned color 3 at x=2$"):
+        formats.write_coloring(coloring, F(1, 3), 3)
 
 
 def test_coloring_header_mismatch():

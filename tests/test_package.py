@@ -6,7 +6,8 @@ search module binds two of its names, to None, for the benchmark's tracer.
 Every public search takes errors.DEFAULT_WORK_CAP as its default work cap,
 under the one name work_cap, and no public function or command takes a
 removed knob: a seed (no answer is drawn at random), a cube tolerance (it
-is geometry.DEFAULT_TOL) or a provider mode (the interval's size picks it).
+is geometry.DEFAULT_TOL), a provider mode (the interval's size picks it) or
+a materialize cap (each builder reads its fixed constant).
 The modules import each other only at module level and in no circle, only
 geometry reads the integer interval of scales, and the free-set search has
 one call site, in the ladder, which each free-set entry point calls once.
@@ -86,10 +87,10 @@ def test_every_work_cap_defaults_to_the_shared_one():
 
 # Names deleted from the public API and the CLI: no answer is drawn at
 # random, the cube tolerance is the constant geometry.DEFAULT_TOL,
-# apk_free_set picks its provider by the interval's size, and every search's
-# cap is called work_cap.
-REMOVED_PARAMETERS = ("seed", "tol", "mode", "node_cap")
-REMOVED_OPTIONS = ("--seed", "--tol", "--provider", "--format")
+# apk_free_set picks its provider by the interval's size, every search's
+# cap is called work_cap, and every materialize cap is a fixed constant.
+REMOVED_PARAMETERS = ("seed", "tol", "mode", "node_cap", "cap")
+REMOVED_OPTIONS = ("--seed", "--tol", "--provider", "--format", "--cap")
 
 
 def test_nothing_public_takes_a_seed():
@@ -108,11 +109,10 @@ def test_nothing_public_takes_a_seed():
 
 
 def test_coloring_checks_take_no_materialize_cap():
-    # No caller set one: both read colorings.DEFAULT_MATERIALIZE_CAP, while
-    # Coloring.to_list keeps its cap for `construct lowerbound --cap`.
-    assert "cap" not in inspect.signature(epsap.verify_no_mono_ap).parameters
-    assert "cap" not in inspect.signature(epsap.Coloring.classes).parameters
-    assert "cap" in inspect.signature(epsap.Coloring.to_list).parameters
+    # No caller set one: each reads colorings.DEFAULT_MATERIALIZE_CAP.
+    for method in (epsap.verify_no_mono_ap, epsap.Coloring.classes,
+                   epsap.Coloring.to_list, epsap.AlternateLabeling.labels):
+        assert "cap" not in inspect.signature(method).parameters
 
 
 def test_package_binds_no_region_api():
